@@ -1,16 +1,24 @@
 """End-to-end pipeline: synth -> segment -> features -> quantize -> ulm ->
 bench -> eval, with on-disk artifacts per stage and a deterministic report.
 
-Every stage artifact embeds the run-config fingerprint; resuming against a
-directory written by a different configuration fails instead of mixing. The
-report body contains no timestamps, so identical configs produce byte-identical
-reports; wall-clock metadata goes to run_meta.json instead.
+Each stage in STAGES writes in place under `<out>/<stage>/`. Once it returns,
+the runner commits it by atomically writing `<stage>/_done.json`, which holds
+the config fingerprint and the size and sha256 of every file in the stage
+directory. A rerun reuses a stage only when its marker matches the directory
+file for file; any other stage, and every stage after it, is recomputed from
+an emptied directory. A marker written under a different config fingerprint
+raises FingerprintMismatchError before anything is deleted. The report body
+contains no timestamps, so identical configs produce byte-identical reports;
+wall-clock metadata goes to run_meta.json instead.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
+import shutil
 import time
 from pathlib import Path
 
@@ -26,6 +34,8 @@ from .ulm import AddK, AttnLM, ContextPolicy, KneserNey, NGramLM, attn_train, pp
 log = logging.getLogger(__name__)
 
 REPORT_NAME = "report.json"
+DONE_NAME = "_done.json"
+STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench")
 
 
 # -- small helpers -------------------------------------------------------------
@@ -56,24 +66,6 @@ def _smoothing(cfg: RunConfig):
     if sm["kind"] == "add_k":
         return AddK(float(sm.get("k", 1.0)))
     return KneserNey(float(sm.get("discount", 0.75)))
-
-
-def _jsonl_fingerprint(path: Path) -> str:
-    with open(path) as fh:
-        first = fh.readline()
-    return json.loads(first).get("config_fingerprint", "") if first.strip() else ""
-
-
-def _stage_done(primary: Path, fingerprint: str, what: str) -> bool:
-    if not primary.exists():
-        return False
-    if primary.suffix == ".jsonl":
-        found = _jsonl_fingerprint(primary)
-    else:
-        with open(primary) as fh:
-            found = json.load(fh).get("config_fingerprint", "")
-    check_fingerprint(found, fingerprint, what)
-    return True
 
 
 def _sample_range(rng, lo_hi) -> float:
@@ -117,16 +109,11 @@ def _scene_plan(cfg: RunConfig) -> list[dict]:
     return plans
 
 
-def stage_synth(cfg: RunConfig, out: Path) -> Path:
+def stage_synth(cfg: RunConfig, out: Path) -> None:
     fp = cfg.fingerprint()
     synth_dir = out / "synth"
-    truth_path = synth_dir / "truth.jsonl"
-    if _stage_done(truth_path, fp, "synth stage output"):
-        log.info("synth: reusing existing artifacts")
-        return truth_path
-    synth_dir.mkdir(parents=True, exist_ok=True)
     syn = cfg["synth"]
-    with open(truth_path, "w") as fh:
+    with open(synth_dir / "truth.jsonl", "w") as fh:
         for plan in _scene_plan(cfg):
             spec = SceneSpec(
                 total_s=syn["scene_s"],
@@ -157,7 +144,6 @@ def stage_synth(cfg: RunConfig, out: Path) -> Path:
                 + "\n"
             )
     _synth_phee(cfg, synth_dir, fp)
-    return truth_path
 
 
 def _phee_signature_f0(idx: int, n: int) -> float:
@@ -210,18 +196,14 @@ def _read_truth(out: Path) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-def stage_segment(cfg: RunConfig, out: Path) -> Path:
+def stage_segment(cfg: RunConfig, out: Path) -> None:
     fp = cfg.fingerprint()
     seg_dir = out / "segment"
-    windows_path = seg_dir / "windows.jsonl"
-    if _stage_done(windows_path, fp, "segment stage output"):
-        log.info("segment: reusing existing artifacts")
-        return windows_path
-    seg_dir.mkdir(parents=True, exist_ok=True)
     params = _detector(cfg)
-    n_match = n_pred = n_truth = 0
-    with open(windows_path, "w") as fh:
+    n_match = n_pred = n_truth = n_scenes = 0
+    with open(seg_dir / "windows.jsonl", "w") as fh:
         for scene in _read_truth(out):
+            n_scenes += 1
             wave = dsp.read_wav(scene["path"])
             pred = detect_calls(wave, params)
             truth = [CallSegment(c["onset_s"], c["offset_s"]) for c in scene["calls"]]
@@ -248,13 +230,12 @@ def stage_segment(cfg: RunConfig, out: Path) -> Path:
     detection = {
         "precision": n_match / n_pred if n_pred else 1.0,
         "recall": n_match / n_truth if n_truth else 1.0,
-        "n_scenes": len(_read_truth(out)),
+        "n_scenes": n_scenes,
         "tol_s": 0.05,
         "config_fingerprint": fp,
     }
     with open(seg_dir / "detection.json", "w") as fh:
         json.dump(detection, fh, sort_keys=True)
-    return windows_path
 
 
 def _read_windows(out: Path) -> list[dict]:
@@ -271,14 +252,8 @@ def _read_windows(out: Path) -> list[dict]:
 # -- features stage ------------------------------------------------------------
 
 
-def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> Path:
-    fp = cfg.fingerprint()
+def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     feat_dir = out / "features"
-    index_path = feat_dir / "index.json"
-    if _stage_done(index_path, fp, "features stage output"):
-        log.info("features: reusing existing artifacts")
-        return index_path
-    feat_dir.mkdir(parents=True, exist_ok=True)
     windows = _read_windows(out)
     # scene-level split; windows inherit their scene's split
     scenes = sorted({w["source"] for w in windows})
@@ -309,9 +284,8 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> Path:
             index = list(pool.map(one, windows))  # map preserves window order
     else:
         index = [one(row) for row in windows]
-    with open(index_path, "w") as fh:
-        json.dump({"windows": index, "config_fingerprint": fp}, fh, sort_keys=True)
-    return index_path
+    with open(feat_dir / "index.json", "w") as fh:
+        json.dump({"windows": index, "config_fingerprint": cfg.fingerprint()}, fh, sort_keys=True)
 
 
 def _read_feature_index(out: Path) -> list[dict]:
@@ -322,15 +296,8 @@ def _read_feature_index(out: Path) -> list[dict]:
 # -- quantize stage ------------------------------------------------------------
 
 
-def stage_quantize(cfg: RunConfig, out: Path) -> Path:
-    fp = cfg.fingerprint()
+def stage_quantize(cfg: RunConfig, out: Path) -> None:
     q_dir = out / "quantize"
-    cb_path = q_dir / "codebook.json"
-    done = q_dir / "units_index.json"
-    if _stage_done(done, fp, "quantize stage output"):
-        log.info("quantize: reusing existing artifacts")
-        return cb_path
-    q_dir.mkdir(parents=True, exist_ok=True)
     index = _read_feature_index(out)
     train_rows = [
         dsp.read_features_csv(out / "features" / f"{w['id']}.csv").rows
@@ -346,8 +313,8 @@ def stage_quantize(cfg: RunConfig, out: Path) -> Path:
         seed=seed_for(cfg.seed, "quantizer"),
         feature_kind=cfg["features"]["kind"],
     )
-    quantizer.save_codebook(cb_path, cb)
-    units_index = {"splits": {}, "config_fingerprint": fp}
+    quantizer.save_codebook(q_dir / "codebook.json", cb)
+    units_index = {"splits": {}, "config_fingerprint": cfg.fingerprint()}
     for split in ("train", "valid", "test"):
         ids = [w["id"] for w in index if w["split"] == split]
         seqs = [
@@ -356,22 +323,15 @@ def stage_quantize(cfg: RunConfig, out: Path) -> Path:
         ]
         quantizer.write_units(q_dir / f"units_{split}.txt", seqs)
         units_index["splits"][split] = ids
-    with open(done, "w") as fh:
+    with open(q_dir / "units_index.json", "w") as fh:
         json.dump(units_index, fh, sort_keys=True)
-    return cb_path
 
 
 # -- ulm stage -------------------------------------------------------------
 
 
-def stage_ulm(cfg: RunConfig, out: Path) -> Path:
-    fp = cfg.fingerprint()
+def stage_ulm(cfg: RunConfig, out: Path) -> None:
     u_dir = out / "ulm"
-    meta_path = u_dir / "model_meta.json"
-    if _stage_done(meta_path, fp, "ulm stage output"):
-        log.info("ulm: reusing existing artifacts")
-        return meta_path
-    u_dir.mkdir(parents=True, exist_ok=True)
     train_units = quantizer.read_units(out / "quantize" / "units_train.txt")
     train_units = [u for u in train_units if u.size > 0]
     k = cfg["quantizer"]["k"]
@@ -394,12 +354,11 @@ def stage_ulm(cfg: RunConfig, out: Path) -> Path:
         )
         model.save(u_dir / "model.npz")
         model_file = "model.npz"
-    meta = {"backend": backend, "file": model_file, "config_fingerprint": fp}
+    meta = {"backend": backend, "file": model_file, "config_fingerprint": cfg.fingerprint()}
     if backend == "attn":
         meta["n_params"] = model.n_params
-    with open(meta_path, "w") as fh:
+    with open(u_dir / "model_meta.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True)
-    return meta_path
 
 
 def load_ulm(cfg: RunConfig, out: Path):
@@ -414,14 +373,7 @@ def load_ulm(cfg: RunConfig, out: Path):
 # -- bench stage -----------------------------------------------------------
 
 
-def stage_bench(cfg: RunConfig, out: Path) -> Path:
-    fp = cfg.fingerprint()
-    b_dir = out / "bench"
-    pairs_path = b_dir / "pairs.jsonl"
-    if _stage_done(pairs_path, fp, "bench stage output"):
-        log.info("bench: reusing existing artifacts")
-        return pairs_path
-    b_dir.mkdir(parents=True, exist_ok=True)
+def stage_bench(cfg: RunConfig, out: Path) -> None:
     cb = quantizer.load_codebook(out / "quantize" / "codebook.json")
     index = {w["id"]: w for w in _read_feature_index(out)}
     eval_ids = [wid for wid, w in index.items() if w["split"] in ("test", "valid")]
@@ -519,14 +471,13 @@ def stage_bench(cfg: RunConfig, out: Path) -> Path:
                     provenance=p.provenance,
                 )
             )
-    bench.write_pairs_jsonl(pairs_path, pairs, fingerprint=fp)
-    return pairs_path
+    bench.write_pairs_jsonl(out / "bench" / "pairs.jsonl", pairs, fingerprint=cfg.fingerprint())
 
 
 # -- eval stage ------------------------------------------------------------
 
 
-def _fad_clip(rng, f_lo: float, f_hi: float, clip_s: float, reverse: bool = False, noise_only: bool = False):
+def _fad_clip(rng, f_lo: float, f_hi: float, clip_s: float, noise_only: bool = False):
     n = int(clip_s * dsp.DEFAULT_SAMPLE_RATE)
     noise = rng.normal(0, 10 ** (-55.0 / 20.0), size=n)
     if noise_only:
@@ -543,8 +494,6 @@ def _fad_clip(rng, f_lo: float, f_hi: float, clip_s: float, reverse: bool = Fals
     tone = synth_call(spec)
     onset = int(rng.uniform(0.2, clip_s - dur - 0.2) * dsp.DEFAULT_SAMPLE_RATE)
     noise[onset : onset + tone.shape[0]] += tone
-    if reverse:
-        noise = noise[::-1].copy()
     return dsp.Waveform(noise)
 
 
@@ -560,10 +509,9 @@ def eval_fad_groups(cfg: RunConfig, seed: int) -> dict:
         return _featurize(cfg, wave)
 
     set_a = [featurize(_fad_clip(rng, f_lo, f_hi, m["fad_clip_s"])) for _ in range(group)]
-    set_b = [featurize(_fad_clip(rng, f_lo, f_hi, m["fad_clip_s"])) for _ in range(group)]
-    # replay the generator stream so the reversed group manipulates exactly B's clips
-    rng_rev = np.random.default_rng(seed)
-    rev_b = [featurize(_fad_clip(rng_rev, f_lo, f_hi, m["fad_clip_s"], reverse=True)) for _ in range(2 * group)][group:]
+    waves_b = [_fad_clip(rng, f_lo, f_hi, m["fad_clip_s"]) for _ in range(group)]
+    set_b = [featurize(w) for w in waves_b]
+    rev_b = [featurize(dsp.Waveform(w.samples[::-1].copy())) for w in waves_b]
     noise_b = [featurize(_fad_clip(rng, f_lo, f_hi, m["fad_clip_s"], noise_only=True)) for _ in range(group)]
     cb = quantizer.fit_codebook(
         np.vstack([f.rows for f in set_a]),
@@ -748,61 +696,95 @@ def validate_report(report: dict) -> None:
         raise StageFailureError("fad block missing values")
 
 
-def write_report(report: dict, out: Path) -> Path:
-    path = out / REPORT_NAME
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+def _write_json_atomic(path: Path, obj: dict) -> None:
+    """Write via a sibling .tmp file and os.replace, so readers never see half a file."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    os.replace(tmp, path)
+
+
+def write_report(report: dict, out: Path) -> None:
+    _write_json_atomic(out / REPORT_NAME, report)
+
+
+def _stage_files(stage_dir: Path) -> dict:
+    """Size and sha256 of every file under a stage directory except its marker."""
+    return {
+        p.relative_to(stage_dir).as_posix(): {
+            "bytes": p.stat().st_size,
+            "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
+        }
+        for p in sorted(stage_dir.rglob("*"))
+        if p.is_file() and p != stage_dir / DONE_NAME
+    }
+
+
+def _read_marker(stage_dir: Path) -> dict | None:
+    try:
+        with open(stage_dir / DONE_NAME) as fh:
+            marker = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return marker if isinstance(marker, dict) else None
+
+
+def _committed(stage_dir: Path, marker: dict | None) -> bool:
+    """True when the marker lists exactly the files the stage directory holds."""
+    return marker is not None and marker.get("files") == _stage_files(stage_dir)
 
 
 def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
-    """Run all stages with resume-on-artifacts; returns the report dict.
+    """Run all stages, reusing committed ones; returns the report dict.
 
     Failures produce a partial report (failed stage + diagnostics) and raise
-    StageFailureError; fingerprint mismatches are never silently recomputed.
+    StageFailureError; a stage committed under another config fingerprint
+    raises FingerprintMismatchError before anything is written or deleted.
     `jobs` parallelizes per-window feature extraction; outputs are ordered
     deterministically regardless.
     """
     out = Path(out_dir)
+    fp = cfg.fingerprint()
+    markers = {name: _read_marker(out / name) for name in STAGES}
+    for name, marker in markers.items():
+        if marker is not None:
+            check_fingerprint(marker.get("config_fingerprint", ""), fp, f"{name} stage output")
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(out / "config.json")
     t0 = time.time()
-    stage_fns = [
-        ("synth", lambda c, o: stage_synth(c, o)),
-        ("segment", lambda c, o: stage_segment(c, o)),
-        ("features", lambda c, o: stage_features(c, o, jobs=jobs)),
-        ("quantize", lambda c, o: stage_quantize(c, o)),
-        ("ulm", lambda c, o: stage_ulm(c, o)),
-        ("bench", lambda c, o: stage_bench(c, o)),
-    ]
-    for name, fn in stage_fns:
-        try:
-            fn(cfg, out)
-        except FingerprintMismatchError:
-            raise
-        except Exception as e:
-            partial = {
-                "partial": True,
-                "failed_stage": name,
-                "error": f"{type(e).__name__}: {e}",
-                "config_fingerprint": cfg.fingerprint(),
-            }
-            write_report(partial, out)
-            raise StageFailureError(f"stage {name!r} failed: {e}") from e
+    todo = list(STAGES)
+    while todo and _committed(out / todo[0], markers[todo[0]]):
+        log.info("%s: reusing committed artifacts", todo.pop(0))
     try:
+        # Empty every stage to be recomputed before running any of them, so an
+        # interrupted rerun never leaves a stale later marker behind.
+        for name in todo:
+            if (out / name).exists():
+                shutil.rmtree(out / name)
+        for name in todo:
+            (out / name).mkdir()
+            # looked up per call so wrappers installed on this module see every stage
+            stage = globals()[f"stage_{name}"]
+            if name == "features":
+                stage(cfg, out, jobs=jobs)
+            else:
+                stage(cfg, out)
+            marker = {"config_fingerprint": fp, "files": _stage_files(out / name)}
+            _write_json_atomic(out / name / DONE_NAME, marker)
+        name = "eval"
         report = stage_eval(cfg, out)
     except FingerprintMismatchError:
         raise
     except Exception as e:
         partial = {
             "partial": True,
-            "failed_stage": "eval",
+            "failed_stage": name,
             "error": f"{type(e).__name__}: {e}",
-            "config_fingerprint": cfg.fingerprint(),
+            "config_fingerprint": fp,
         }
         write_report(partial, out)
-        raise StageFailureError(f"stage 'eval' failed: {e}") from e
+        raise StageFailureError(f"stage {name!r} failed: {e}") from e
     write_report(report, out)
     with open(out / "run_meta.json", "w") as fh:
         json.dump({"elapsed_s": time.time() - t0, "finished_unix": time.time()}, fh)

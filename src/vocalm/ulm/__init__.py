@@ -3,8 +3,8 @@ context policies, beam generation, and the pooled-feature probe classifier."""
 
 from .policy import ContextPolicy
 from .ngram import AddK, KneserNey, NGramLM, train_ngram
-from .scoring import ppl, score
-from .attn import AttnLM, attn_forward, attn_train
+from .scoring import ppl
+from .attn import AttnLM, attn_train
 from .generate import generate
 from .probe import ProbeClassifier, probe_eval, train_probe
 
@@ -15,12 +15,10 @@ __all__ = [
     "KneserNey",
     "NGramLM",
     "ProbeClassifier",
-    "attn_forward",
     "attn_train",
     "generate",
     "ppl",
     "probe_eval",
-    "score",
     "train_ngram",
     "train_probe",
 ]

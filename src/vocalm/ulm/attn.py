@@ -258,11 +258,6 @@ class AttnLM:
         return model
 
 
-def attn_forward(model: AttnLM, seq, cp: ContextPolicy | None = None) -> np.ndarray:
-    """Per-position logits under the context policy; see AttnLM.forward_logits."""
-    return model.forward_logits(seq, cp)
-
-
 def _make_batch(corpus, idx, bos, eos):
     seqs = [np.asarray(corpus[i], dtype=np.int64) for i in idx]
     max_len = max(s.shape[0] for s in seqs) + 1

@@ -7,11 +7,6 @@ import numpy as np
 from .policy import ContextPolicy
 
 
-def score(model, seq, cp: ContextPolicy | None = None) -> float:
-    """Total log-probability of the sequence (EOS included) under the policy."""
-    return model.score(seq, cp)
-
-
 def ppl(model, corpus, cp: ContextPolicy | None = None) -> float:
     """exp(-(sum log P) / N) with natural logs; N counts tokens plus one EOS
     event per sequence."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vocalm.ulm import AttnLM, ContextPolicy, attn_forward, attn_train
+from vocalm.ulm import AttnLM, ContextPolicy, attn_train
 from vocalm.ulm.attn import _make_batch
 from vocalm.ulm.nn import log_softmax, softmax
 
@@ -120,7 +120,7 @@ class TestCausality:
 class TestForward:
     def test_fresh_model_near_uniform(self):
         model = tiny_model(seed=21)
-        logits = attn_forward(model, np.array([0, 1, 2, 3]))
+        logits = model.forward_logits(np.array([0, 1, 2, 3]))
         probs = softmax(logits)
         uniform = 1.0 / model.n_symbols
         kl = (probs * (np.log(probs) - np.log(uniform))).sum(axis=-1)
@@ -128,14 +128,14 @@ class TestForward:
 
     def test_distributions_sum_to_one(self):
         model = generic_point(tiny_model(), seed=23)
-        logits = attn_forward(model, np.array([0, 1, 2]))
+        logits = model.forward_logits(np.array([0, 1, 2]))
         sums = softmax(logits).sum(axis=-1)
         assert np.max(np.abs(sums - 1.0)) < 1e-6
 
     def test_too_long_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError, match="max context"):
-            attn_forward(model, np.zeros(16, dtype=int))
+            model.forward_logits(np.zeros(16, dtype=int))
 
     def test_out_of_vocab_rejected(self):
         with pytest.raises(ValueError, match="vocab"):

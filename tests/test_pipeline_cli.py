@@ -5,12 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from vocalm import dsp, quantizer
+from vocalm import bench, dsp, pipeline, quantizer
 from vocalm.cli import main
-from vocalm.errors import StageFailureError
+from vocalm.errors import FingerprintMismatchError, StageFailureError
 from vocalm.manifest import RunConfig
 from vocalm.pipeline import pipeline_run, validate_report, write_report
 from vocalm.synthlab import CallSpec, SceneSpec, synth_scene
+from vocalm.ulm import NGramLM
 
 TINY_OVERRIDE = {
     "seed": 11,
@@ -83,6 +84,104 @@ class TestPipeline:
     def test_validate_report_rejects_missing_keys(self):
         with pytest.raises(StageFailureError):
             validate_report({"tool": {}})
+
+
+# Smallest config on which every stage still has work: a full run takes about
+# 1.5 s on a 2-core machine.
+RESUME_OVERRIDE = {
+    "seed": 11,
+    "synth": {"n_scenes": 6, "phee": {"n_records": 4}},
+    "quantizer": {"k": 8, "restarts": 1},
+    "metrics": {"fad_group_size": 8},
+    "bench": {"phee_per_record": 1},
+    "probe": {"epochs": 5},
+    "split": {"ratios": [0.5, 0.25, 0.25]},
+}
+
+# (stage, owner, attribute, call): the call-th call of owner.attribute returns
+# and then raises, so the stage fails with part of its output on disk.
+INJECTIONS = [
+    ("synth", pipeline, "synth_scene", 3),  # truth.jsonl holds 2 scenes
+    ("synth", pipeline, "synth_call", 3),  # inside _synth_phee, truth.jsonl complete
+    ("segment", pipeline, "detect_calls", 3),  # windows.jsonl holds 2 scenes
+    ("features", pipeline, "_featurize", 3),
+    ("quantize", quantizer, "write_units", 1),  # units_train.txt written
+    ("ulm", NGramLM, "save", 1),  # model.json written, model_meta.json not
+    ("bench", bench, "make_phee_pairs", 1),
+    ("eval", pipeline, "train_probe", 1),
+]
+
+
+def _fail_after_call(monkeypatch, owner, attr, call):
+    original = getattr(owner, attr)
+    calls = []
+
+    def failing(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == call:
+            raise RuntimeError(f"injected failure in {attr}")
+        return result
+
+    monkeypatch.setattr(owner, attr, failing)
+
+
+def _tree(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def clean_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("clean")
+    pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
+    return (out / "report.json").read_bytes()
+
+
+class TestResume:
+    @pytest.mark.parametrize(
+        "stage, owner, attr, call", INJECTIONS, ids=[f"{s}-{a}" for s, _, a, _ in INJECTIONS]
+    )
+    def test_rerun_after_failure_matches_clean_run(
+        self, stage, owner, attr, call, clean_report, tmp_path, monkeypatch
+    ):
+        cfg = RunConfig.from_dict(RESUME_OVERRIDE)
+        _fail_after_call(monkeypatch, owner, attr, call)
+        with pytest.raises(StageFailureError, match=f"stage '{stage}' failed"):
+            pipeline_run(cfg, tmp_path)
+        assert json.loads((tmp_path / "report.json").read_text())["failed_stage"] == stage
+        assert not (tmp_path / stage / "_done.json").exists()
+        monkeypatch.undo()
+        pipeline_run(cfg, tmp_path)
+        assert (tmp_path / "report.json").read_bytes() == clean_report
+
+    @pytest.mark.parametrize("damage", ["truncate_windows", "flip_feature_byte"])
+    def test_damaged_artifact_is_recomputed(self, damage, clean_report, tmp_path):
+        cfg = RunConfig.from_dict(RESUME_OVERRIDE)
+        pipeline_run(cfg, tmp_path)
+        if damage == "truncate_windows":
+            path = tmp_path / "segment" / "windows.jsonl"
+            good = path.read_bytes()
+            path.write_bytes(b"".join(good.splitlines(keepends=True)[:2]))
+        else:
+            path = sorted((tmp_path / "features").glob("*.csv"))[0]
+            good = path.read_bytes()
+            data = bytearray(good)
+            data[len(data) // 2] ^= 1
+            path.write_bytes(bytes(data))
+        pipeline_run(cfg, tmp_path)
+        assert path.read_bytes() == good
+        assert (tmp_path / "report.json").read_bytes() == clean_report
+
+    def test_foreign_marker_raises_before_anything_changes(self, tmp_path):
+        (tmp_path / "synth").mkdir()
+        (tmp_path / "synth" / "truth.jsonl").write_text("uncommitted\n")
+        (tmp_path / "bench").mkdir()
+        marker = {"config_fingerprint": "0" * 16, "files": {}}
+        (tmp_path / "bench" / "_done.json").write_text(json.dumps(marker))
+        before = _tree(tmp_path)
+        with pytest.raises(FingerprintMismatchError, match="bench"):
+            pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), tmp_path)
+        assert _tree(tmp_path) == before
 
 
 class TestAttnBackend:

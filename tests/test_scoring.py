@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vocalm.synthlab import MarkovChain, chain_ppl, markov_corpus
-from vocalm.ulm import AddK, ContextPolicy, KneserNey, ppl, score, train_ngram
+from vocalm.ulm import AddK, ContextPolicy, KneserNey, ppl, train_ngram
 
 
 class TestPpl:
@@ -42,7 +42,9 @@ class TestPpl:
 class TestScoreDispatch:
     def test_score_matches_model_method(self, rng):
         corpus = [rng.integers(0, 4, size=20) for _ in range(5)]
-        m = train_ngram(corpus, n=2, smoothing=AddK(1.0), vocab_size=4)
+        m = train_ngram(corpus, n=3, smoothing=AddK(1.0), vocab_size=4)
         seq = rng.integers(0, 4, size=10)
-        cp = ContextPolicy(window=4)
-        assert score(m, seq, cp) == m.score(seq, cp)
+        cp = ContextPolicy(window=1)  # narrower than the trigram context, so it changes the score
+        assert m.score(seq, cp) != m.score(seq, None)
+        # ppl scores each sequence through the model's own method, policy included
+        assert ppl(m, [seq], cp) == pytest.approx(np.exp(-m.score(seq, cp) / (len(seq) + 1)), rel=1e-12)
