@@ -11,7 +11,6 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import EmptySpectrogramError, InsufficientFramesError
 
@@ -146,6 +145,8 @@ def _highpass_sos(cutoff_hz: float, sample_rate: int) -> np.ndarray:
         raise ValueError(
             f"cutoff {cutoff_hz} Hz outside (0, {nyquist}) for rate {sample_rate}"
         )
+    from scipy import signal as sps
+
     return sps.butter(HIGHPASS_ORDER, cutoff_hz, btype="highpass", fs=sample_rate, output="sos")
 
 
@@ -158,6 +159,8 @@ def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
     sos = _highpass_sos(cutoff_hz, w.sample_rate)
     if len(w) == 0:
         return Waveform(np.zeros(0), w.sample_rate)
+    from scipy import signal as sps
+
     zi = sps.sosfilt_zi(sos) * w.samples[0]
     out, _ = sps.sosfilt(sos, w.samples, zi=zi)
     return Waveform(out, w.sample_rate)
@@ -166,6 +169,8 @@ def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
 def highpass_response_db(cutoff_hz: float, sample_rate: int, freqs_hz) -> np.ndarray:
     """Analytic magnitude response (dB) of the high-pass at `freqs_hz`."""
     sos = _highpass_sos(cutoff_hz, sample_rate)
+    from scipy import signal as sps
+
     _, h = sps.sosfreqz(sos, worN=np.atleast_1d(np.asarray(freqs_hz, dtype=float)), fs=sample_rate)
     return 20.0 * np.log10(np.maximum(np.abs(h), 1e-300))
 
@@ -185,6 +190,14 @@ def frame_signal(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     return frames
 
 
+def _hann(window: int) -> np.ndarray:
+    """Periodic Hann window, computed exactly as scipy.signal.windows.hann(
+    window, sym=False) does, without importing scipy.signal."""
+    if window <= 1:
+        return np.ones(window)
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window + 1))[:-1]
+
+
 def stft(w: Waveform, window: int = STFT_WINDOW, hop: int = STFT_HOP) -> Spectrogram:
     """Hann-windowed magnitude STFT, scaled by 1/sqrt(window).
 
@@ -198,7 +211,7 @@ def stft(w: Waveform, window: int = STFT_WINDOW, hop: int = STFT_HOP) -> Spectro
             f"signal of {len(w)} samples is shorter than the {window}-sample window"
         )
     frames = frame_signal(w.samples, window, hop)
-    win = sps.windows.hann(window, sym=False)
+    win = _hann(window)
     spec = np.fft.rfft(frames * win, axis=1)
     mags = np.abs(spec) / np.sqrt(window)
     return Spectrogram(mags, hop=hop, window=window, sample_rate=w.sample_rate)
@@ -216,7 +229,7 @@ def _power_frames(w: Waveform) -> np.ndarray:
     frames = frame_signal(w.samples, window, hop)
     if frames.shape[0] == 0:
         return np.empty((0, window // 2 + 1))
-    win = sps.windows.hann(window, sym=False)
+    win = _hann(window)
     spec = np.fft.rfft(frames * win, axis=1)
     return (np.abs(spec) ** 2) / window
 
@@ -312,6 +325,8 @@ def decimate(w: Waveform, target_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
             f"rate {w.sample_rate} is not an integer multiple of {target_rate}"
         )
     factor = w.sample_rate // target_rate
+    from scipy import signal as sps
+
     out = sps.decimate(w.samples, factor, ftype="fir", zero_phase=True)
     return Waveform(out, target_rate)
 

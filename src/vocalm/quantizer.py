@@ -57,9 +57,13 @@ def _as_rows(features) -> np.ndarray:
 
 
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # Direct (x - c)^2 form: slower than the expanded product but keeps exact
-    # ties exact, which the lowest-index tie-break relies on.
-    return ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    # Direct (x - c)^2 form, summed in C without an (N, K, D) temporary: unlike
+    # the expanded |x|^2 - 2x.c + |c|^2 product it keeps exact ties exact,
+    # which the lowest-index tie-break relies on. Imported here to keep scipy
+    # off the import path of the CLI.
+    from scipy.spatial.distance import cdist
+
+    return cdist(x, centroids, "sqeuclidean")
 
 
 def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -60,6 +60,9 @@ class NGramLM:
         # Continuation tables for Kneser-Ney, derived after counting.
         self._cont: list[dict] = [dict() for _ in range(max(order - 1, 0))]
         self._cont_totals: list[dict] = [dict() for _ in range(max(order - 1, 0))]
+        # ctx -> cond_prob(ctx, o) per outcome o, None until first asked for;
+        # emptied whenever the counts change.
+        self._memo: dict = {}
 
     # -- training ---------------------------------------------------------
 
@@ -72,6 +75,7 @@ class NGramLM:
 
     def add_sequence(self, tokens) -> None:
         toks = self._check_tokens(tokens)
+        self._memo.clear()
         padded = [self.bos] * (self.order - 1) + toks
         outcomes = toks + [self.eos]
         for i, outcome in enumerate(outcomes):
@@ -84,6 +88,7 @@ class NGramLM:
 
     def finalize(self) -> None:
         """Build continuation counts (distinct-predecessor types) for KN."""
+        self._memo.clear()
         for m in range(self.order - 1):
             cont: dict = {}
             cont_tot: dict = {}
@@ -137,24 +142,35 @@ class NGramLM:
             return self._prob_addk(ctx, outcome)
         return self._prob_kn(ctx, outcome, top=True)
 
+    def _memo_prob(self, ctx: tuple, outcome: int) -> float:
+        row = self._memo.get(ctx)
+        if row is None:
+            row = self._memo[ctx] = [None] * self.n_outcomes
+        p = row[outcome]
+        if p is None:
+            p = row[outcome] = self.cond_prob(ctx, outcome)
+        return p
+
+    def _padded(self, tokens) -> tuple:
+        return (self.bos,) * (self.order - 1) + tuple(self._check_tokens(tokens))
+
     def next_logprobs(self, prefix, cp: ContextPolicy | None = None) -> np.ndarray:
         """Log-probabilities over the K+1 outcomes for the next position."""
-        toks = self._check_tokens(prefix)
         ctx_len = self.order - 1
-        ctx = ngram_context(toks, len(toks), ctx_len, self.bos, cp)
-        probs = np.array([self.cond_prob(ctx, o) for o in range(self.n_outcomes)])
+        padded = self._padded(prefix)
+        ctx = ngram_context(padded, len(padded) - ctx_len, ctx_len, cp)
+        probs = np.array([self._memo_prob(ctx, o) for o in range(self.n_outcomes)])
         with np.errstate(divide="ignore"):
             return np.log(probs)
 
     def score(self, tokens, cp: ContextPolicy | None = None) -> float:
         """Total log-probability of the sequence including its EOS event."""
-        toks = self._check_tokens(tokens)
         ctx_len = self.order - 1
+        padded = self._padded(tokens)
+        outcomes = padded[ctx_len:] + (self.eos,)
         total = 0.0
-        outcomes = toks + [self.eos]
         for t, outcome in enumerate(outcomes):
-            ctx = ngram_context(toks, t, ctx_len, self.bos, cp)
-            p = self.cond_prob(ctx, outcome)
+            p = self._memo_prob(ngram_context(padded, t, ctx_len, cp), outcome)
             total += math.log(p) if p > 0 else -math.inf
         return total
 

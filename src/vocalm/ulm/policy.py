@@ -25,27 +25,21 @@ class ContextPolicy:
         if self.window is not None and self.keep_first > self.window:
             raise ValueError("keep_first cannot exceed the context window")
 
-    def is_unlimited(self) -> bool:
-        return self.window is None
 
-
-UNLIMITED = ContextPolicy()
-
-
-def ngram_context(tokens, t: int, ctx_len: int, bos: int, cp: ContextPolicy | None):
+def ngram_context(padded: tuple, t: int, ctx_len: int, cp: ContextPolicy | None) -> tuple:
     """Visible n-gram context (as a tuple) for predicting position t.
 
-    With no policy (or a window covering the whole history) this is the usual
-    BOS-padded last `ctx_len` symbols. A finite window keeps positions
+    `padded` is the token history behind ctx_len BOS symbols, built once per
+    sequence, so the usual BOS-padded last `ctx_len` symbols before t are
+    padded[t : t + ctx_len]. A finite window keeps positions
     {t-window .. t-1} plus the first keep_first positions; an n-gram can only
     condition on a contiguous suffix, so kept-first tokens take effect exactly
     when the window reaches them (keep_first is a no-op beyond the order), and
-    otherwise the context truncates to the window itself.
+    otherwise the context truncates to the window itself. A window >= ctx_len
+    is the same as no policy: the suffix it keeps already holds every symbol
+    the n-gram reads.
     """
-    if ctx_len == 0:
-        return ()
-    if cp is None or cp.window is None or t - cp.window <= cp.keep_first:
-        padded = [bos] * ctx_len + [int(x) for x in tokens[:t]]
-        return tuple(padded[-ctx_len:])
-    visible = [int(x) for x in tokens[t - cp.window : t]]
-    return tuple(visible[-ctx_len:])
+    end = t + ctx_len
+    if cp is None or cp.window is None or cp.window >= ctx_len or t - cp.window <= cp.keep_first:
+        return padded[t:end]
+    return padded[end - cp.window : end]

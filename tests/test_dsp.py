@@ -104,6 +104,12 @@ class TestStft:
             windowed += np.sum(frame**2)
         assert abs(spec.total_energy() - windowed) / windowed < 0.05
 
+    @pytest.mark.parametrize("window", [0, 1, 2, 3, 7, 400, 1024, 2048])
+    def test_hann_equals_scipy_periodic_hann(self, window):
+        from scipy.signal import windows
+
+        assert np.array_equal(dsp._hann(window), windows.hann(window, sym=False))
+
 
 class TestMfcc:
     def test_silence_constant_rows(self):

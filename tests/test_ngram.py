@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,97 @@ class TestScoreAndPolicy:
         without = m.score(seq, ContextPolicy(window=3, keep_first=0))
         # for a bigram, context is the single previous token either way
         assert with_keep == pytest.approx(without, abs=1e-12)
+
+
+def reference_context(tokens, t, ctx_len, bos, cp):
+    """The per-position context rule as first written: it rebuilds the
+    BOS-padded prefix at every t, so scoring with it is quadratic."""
+    if ctx_len == 0:
+        return ()
+    if cp is None or cp.window is None or t - cp.window <= cp.keep_first:
+        padded = [bos] * ctx_len + [int(x) for x in tokens[:t]]
+        return tuple(padded[-ctx_len:])
+    visible = [int(x) for x in tokens[t - cp.window : t]]
+    return tuple(visible[-ctx_len:])
+
+
+def reference_score(m, tokens, cp=None):
+    toks = [int(x) for x in tokens]
+    total = 0.0
+    for t, outcome in enumerate(toks + [m.eos]):
+        p = m.cond_prob(reference_context(toks, t, m.order - 1, m.bos, cp), outcome)
+        total += math.log(p) if p > 0 else -math.inf
+    return total
+
+
+def grid_policies(order):
+    """No policy, then windows {1, order-2, order-1, 50} x keep_first {0, 1, 5}."""
+    windows = sorted({1, max(1, order - 2), max(1, order - 1), 50})
+    return [None] + [
+        ContextPolicy(window=w, keep_first=kf) for w in windows for kf in (0, 1, 5) if kf <= w
+    ]
+
+
+class TestLinearScoring:
+    """score and next_logprobs slide one window over the padded history and
+    memoise conditionals; both must equal the per-position rule bit for bit."""
+
+    LENGTHS = (0, 1, 2, 3, 4, 5, 6, 7, 13, 51, 250, 600)
+
+    @pytest.mark.parametrize("smoothing", [AddK(0.5), AddK(0.0), KneserNey(0.75)], ids=repr)
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_score_bit_exact(self, order, smoothing):
+        rng = np.random.default_rng(order)
+        corpus = [rng.integers(0, 5, size=rng.integers(1, 40)) for _ in range(30)]
+        m = train_ngram(corpus, n=order, smoothing=smoothing, vocab_size=6)
+        for length in self.LENGTHS:
+            seq = rng.integers(0, 6, size=length)
+            for cp in grid_policies(order):
+                assert m.score(seq, cp) == reference_score(m, seq, cp), (length, cp)
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_next_logprobs_bit_exact(self, order):
+        rng = np.random.default_rng(100 + order)
+        corpus = [rng.integers(0, 4, size=30) for _ in range(20)]
+        m = train_ngram(corpus, n=order, smoothing=KneserNey(0.75), vocab_size=4)
+        for length in (0, 1, 2, 5, 9, 40):
+            prefix = rng.integers(0, 4, size=length).tolist()
+            for cp in grid_policies(order):
+                ctx = reference_context(prefix, length, order - 1, m.bos, cp)
+                probs = np.array([m.cond_prob(ctx, o) for o in range(m.n_outcomes)])
+                assert np.array_equal(m.next_logprobs(prefix, cp), np.log(probs)), (length, cp)
+
+    @pytest.mark.parametrize("smoothing", [AddK(0.5), KneserNey(0.75)], ids=repr)
+    def test_training_after_scoring_invalidates_memo(self, smoothing):
+        rng = np.random.default_rng(7)
+        corpus = [rng.integers(0, 5, size=30) for _ in range(10)]
+        extra = rng.integers(0, 5, size=60)
+        seq = rng.integers(0, 5, size=80)
+        m = train_ngram(corpus, n=3, smoothing=smoothing, vocab_size=5)
+        before = m.score(seq)
+        m.next_logprobs(seq[:10])
+        m.add_sequence(extra)
+        m.finalize()
+        fresh = train_ngram(corpus + [extra], n=3, smoothing=smoothing, vocab_size=5)
+        assert m.score(seq) == fresh.score(seq) == reference_score(fresh, seq)
+        assert m.score(seq) != before
+        assert np.array_equal(m.next_logprobs(seq[:10]), fresh.next_logprobs(seq[:10]))
+
+    def test_add_sequence_alone_invalidates_memo(self):
+        # add-k reads only the raw counts, so new counts apply before finalize
+        m = train_ngram([[0, 1, 0, 1]], n=2, smoothing=AddK(0.5), vocab_size=2)
+        before = m.score([1, 1])
+        m.add_sequence([1, 1, 1])
+        assert m.score([1, 1]) == reference_score(m, [1, 1]) != before
+
+    def test_finalize_alone_invalidates_memo(self):
+        # counts edited without add_sequence take effect at the next finalize
+        m = train_ngram([[0, 1, 0, 1]], n=2, smoothing=KneserNey(0.75), vocab_size=2)
+        before = m.score([1, 1])
+        m.counts[1][(1,)][1] = 5
+        m.totals[1][(1,)] += 5
+        m.finalize()
+        assert m.score([1, 1]) == reference_score(m, [1, 1]) != before
 
 
 class TestModelIO:

@@ -349,6 +349,14 @@ class TestCli:
         assert proc.returncode == 0
         assert "vocalm" in proc.stdout
 
+    def test_import_loads_no_scipy(self):
+        # scipy.signal and scipy.spatial are imported by the functions that
+        # use them, so starting the CLI does not pay for them
+        code = "import sys, vocalm.cli, vocalm.pipeline; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestCliReportRender(object):
     def test_report_render(self, tiny_run, capsys):

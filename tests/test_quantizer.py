@@ -127,6 +127,64 @@ class TestEncode:
         assert np.array_equal(f.rows[1], cb.centroids[3])
 
 
+def broadcast_sq_dists(x, centroids):
+    """The (N, K, D) broadcast distance kernel the quantizer first shipped with."""
+    return ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def probe_block():
+    """The 8192 x 13 block and 50 centroids of the benchmark's encode probe."""
+    rng = np.random.default_rng(0)
+    rng.normal(0, 0.1, size=160_000)  # the probe's 10 s clip comes first
+    return rng.normal(size=(8192, 13)), rng.normal(size=(50, 13))
+
+
+class TestDistanceKernel:
+    def test_labels_match_broadcast_kernel(self):
+        x, cents = probe_block()
+        assert np.array_equal(encode(x, Codebook(cents)), broadcast_sq_dists(x, cents).argmin(axis=1))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x, cents = rng.normal(size=(8192, 13)), rng.normal(size=(50, 13))
+            assert np.array_equal(encode(x, Codebook(cents)), broadcast_sq_dists(x, cents).argmin(axis=1))
+
+    def test_duplicate_centroids_go_to_lowest_index(self):
+        rng = np.random.default_rng(5)
+        cents = rng.normal(size=(50, 13))
+        cents[[17, 31, 44]] = cents[9]
+        x = cents[9] + rng.normal(scale=1e-3, size=(8192, 13))
+        labels = encode(x, Codebook(cents))
+        assert np.array_equal(labels, broadcast_sq_dists(x, cents).argmin(axis=1))
+        assert set(labels.tolist()) == {9}
+
+    def test_equidistant_points_go_to_lowest_index(self):
+        # centroid pairs a short dyadic step apart; each point sits at the
+        # midpoint of one pair. Coordinates carry 41 significant bits, so the
+        # midpoint and its differences are exact (an exact tie) while the
+        # squared norms of an expanded |x|^2 - 2x.c + |c|^2 form would round.
+        rng = np.random.default_rng(6)
+        base = rng.integers(2**40, 2**41, size=(25, 13)) * 2.0**-30
+        step = rng.integers(1, 16, size=(25, 13)) * 2.0**-3
+        flip = rng.random(25) < 0.5  # which member of a pair has the lower index
+        cents = np.empty((50, 13))
+        cents[0::2] = np.where(flip[:, None], base + step, base)
+        cents[1::2] = np.where(flip[:, None], base, base + step)
+        pair = rng.integers(0, 25, size=8192)
+        x = base[pair] + step[pair] / 2
+        labels = encode(x, Codebook(cents))
+        assert np.array_equal(labels, 2 * pair)
+        assert np.array_equal(labels, broadcast_sq_dists(x, cents).argmin(axis=1))
+
+    def test_fit_matches_broadcast_kernel(self, monkeypatch):
+        import vocalm.quantizer as q
+
+        small = probe_block()[0][:2048]
+        fast = fit_codebook(small, k=16, restarts=1, seed=0)
+        monkeypatch.setattr(q, "_sq_dists", broadcast_sq_dists)
+        slow = fit_codebook(small, k=16, restarts=1, seed=0)
+        assert np.array_equal(fast.centroids, slow.centroids)
+
+
 class TestDedup:
     def test_example(self):
         assert dedup([5, 5, 5, 2, 2]) == [(5, 3), (2, 2)]
