@@ -261,9 +261,6 @@ class PairwiseResult:
     n_pairs: int
     by_task: dict
 
-    def __float__(self):
-        return self.accuracy
-
 
 def pairwise_eval(model, pairs: list[BenchmarkPair], cp=None) -> PairwiseResult:
     """Fraction of pairs where score(positive) > score(distractor).

@@ -145,8 +145,8 @@ def cmd_features(args) -> int:
     else:
         fm = dsp.mfcc(wave, args.n_coeffs)
     if args.pool:
-        pooled = dsp.pool_stats(fm)
-        fm = dsp.FeatureMatrix(pooled.vector[None, :], feature_kind=f"{args.kind}_pooled")
+        pooled = metrics.clip_embedding(fm, "mv")
+        fm = dsp.FeatureMatrix(pooled[None, :], feature_kind=f"{args.kind}_pooled")
     dsp.write_features_csv(args.out, fm)
     print(f"wrote {fm.n_frames}x{fm.dim} {fm.feature_kind} features to {args.out}")
     return 0

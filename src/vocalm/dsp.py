@@ -1,8 +1,8 @@
 """Deterministic signal-processing primitives.
 
 High-pass filtering, STFT magnitudes, MFCC and linear 5-8 kHz filterbank
-features, and pooled (mean + variance) clip embeddings. All functions are
-pure: same input, same output, no shared state.
+features, and WAV/feature-CSV I/O. All functions are pure: same input, same
+output, no shared state.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySpectrogramError, InsufficientFramesError
+from .errors import EmptySpectrogramError
 
 DEFAULT_SAMPLE_RATE = 16000
 STFT_WINDOW = 2048
@@ -78,10 +78,6 @@ class Spectrogram:
     def n_frames(self) -> int:
         return self.magnitudes.shape[0]
 
-    def frame_center_s(self, idx) -> np.ndarray:
-        """Center time of frame(s) `idx` in seconds."""
-        return (np.asarray(idx) * self.hop + self.window / 2.0) / self.sample_rate
-
     def bin_freqs_hz(self) -> np.ndarray:
         return np.fft.rfftfreq(self.window, d=1.0 / self.sample_rate)
 
@@ -117,26 +113,6 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
-
-
-@dataclass(frozen=True)
-class PooledEmbedding:
-    """Per-dimension temporal mean concatenated with per-dimension variance."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if vec.ndim != 1 or vec.shape[0] % 2 != 0:
-            raise ValueError("pooled embedding must be a flat vector of even length")
-        d = vec.shape[0] // 2
-        if vec[d:].size and vec[d:].min() < -1e-12:
-            raise ValueError("variance half of pooled embedding is negative")
-        object.__setattr__(self, "vector", vec)
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
 
 
 def _highpass_sos(cutoff_hz: float, sample_rate: int) -> np.ndarray:
@@ -298,22 +274,6 @@ def linear_fb(
     bank = _triangular_filters(edges, power.shape[1], w.sample_rate, window)
     energies = np.maximum(power @ bank.T, LOG_ENERGY_FLOOR)
     return FeatureMatrix(np.log(energies), feature_kind="linear_fb")
-
-
-def linear_fb_centers(lo_hz: float = FB_LO_HZ, hi_hz: float = FB_HI_HZ, n_filters: int = DEFAULT_N_MFCC) -> np.ndarray:
-    """Center frequencies of the linear filterbank."""
-    return np.linspace(lo_hz, hi_hz, n_filters + 2)[1:-1]
-
-
-def pool_stats(f: FeatureMatrix) -> PooledEmbedding:
-    """Temporal mean and population variance per dimension, concatenated."""
-    if f.n_frames < 2:
-        raise InsufficientFramesError(
-            f"pooling needs at least 2 frames, got {f.n_frames}"
-        )
-    mean = f.rows.mean(axis=0)
-    var = f.rows.var(axis=0)  # population convention (divide by T')
-    return PooledEmbedding(np.concatenate([mean, var]))
 
 
 def decimate(w: Waveform, target_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:

@@ -9,10 +9,6 @@ class EmptySpectrogramError(VocalmError):
     """Signal too short to produce a single analysis frame."""
 
 
-class InsufficientFramesError(VocalmError):
-    """Operation needs more time frames than the input provides."""
-
-
 class InsufficientDataError(VocalmError):
     """Not enough samples/frames to fit the requested model."""
 

@@ -69,8 +69,7 @@ class Contingency:
 
 def fit_gaussian(embeddings) -> GaussianStats:
     """Mean + population covariance of stacked embedding vectors."""
-    rows = [getattr(e, "vector", e) for e in embeddings]
-    x = np.asarray(rows, dtype=np.float64)
+    x = np.asarray(list(embeddings), dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InsufficientDataError("need at least 2 embeddings to fit a Gaussian")
     mean = x.mean(axis=0)

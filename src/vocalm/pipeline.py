@@ -3,13 +3,15 @@ bench -> eval, with on-disk artifacts per stage and a deterministic report.
 
 Each stage in STAGES writes in place under `<out>/<stage>/`. Once it returns,
 the runner commits it by atomically writing `<stage>/_done.json`, which holds
-the config fingerprint and the size and sha256 of every file in the stage
-directory. A rerun reuses a stage only when its marker matches the directory
-file for file; any other stage, and every stage after it, is recomputed from
-an emptied directory. A marker written under a different config fingerprint
-raises FingerprintMismatchError before anything is deleted. The report body
-contains no timestamps, so identical configs produce byte-identical reports;
-wall-clock metadata goes to run_meta.json instead.
+the LAYOUT number, the config fingerprint and the size and sha256 of every file
+in the stage directory. A rerun reuses a stage only when its marker has that
+layout and matches the directory file for file; any other stage, and every
+stage after it, is recomputed from an emptied directory. A marker written under
+a different config fingerprint raises FingerprintMismatchError before anything
+is deleted. Each window is featurised and encoded once: its frames sit in
+`features/frames.npy`, and bench and eval read its units from quantize. The
+report body contains no timestamps, so identical configs produce byte-identical
+reports; wall-clock metadata goes to run_meta.json instead.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
-from .errors import FingerprintMismatchError, StageFailureError
+from .errors import ConfigError, FingerprintMismatchError, StageFailureError
 from .manifest import ManifestRecord, RunConfig, check_fingerprint, seed_for, split_manifest
 from .segmenter import CallSegment, DetectorParams, SegmentWindow, detect_calls, pack_windows, score_detection
+from .segmenter import WINDOW_SPAN_S
 from .synthlab import CallSpec, SceneSpec, synth_call, synth_scene
 from .ulm import AddK, AttnLM, ContextPolicy, KneserNey, NGramLM, attn_train, ppl, train_ngram, train_probe
 
@@ -35,6 +38,10 @@ log = logging.getLogger(__name__)
 
 REPORT_NAME = "report.json"
 DONE_NAME = "_done.json"
+# Bumped whenever a stage's files change shape, so a marker written under an
+# older layout (per-window feature CSVs: no layout number) is never reused.
+LAYOUT = 2
+FRAMES_NAME = "frames.npy"
 STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench")
 
 
@@ -254,36 +261,45 @@ def _read_windows(out: Path) -> list[dict]:
 
 def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     feat_dir = out / "features"
-    windows = _read_windows(out)
+    by_scene: dict[str, list[dict]] = {}
+    for row in _read_windows(out):
+        by_scene.setdefault(row["source"], []).append(row)
     # scene-level split; windows inherit their scene's split
-    scenes = sorted({w["source"] for w in windows})
-    records = [ManifestRecord(path=s, duration_s=cfg["synth"]["scene_s"]) for s in scenes]
+    records = [ManifestRecord(path=s, duration_s=cfg["synth"]["scene_s"]) for s in sorted(by_scene)]
     split_records = split_manifest(records, tuple(cfg["split"]["ratios"]), seed=cfg.seed)
     scene_split = {r.path: r.split for r in split_records}
-    waves = {s: dsp.read_wav(s) for s in scenes}
 
-    def one(row):
-        wave = waves[row["source"]]
-        a = int(row["start_s"] * wave.sample_rate)
-        b = int(row["end_s"] * wave.sample_rate)
-        fm = _featurize(cfg, dsp.Waveform(wave.samples[a:b], wave.sample_rate))
-        dsp.write_features_csv(feat_dir / f"{row['id']}.csv", fm)
-        return {
-            "id": row["id"],
-            "source": row["source"],
-            "split": scene_split[row["source"]],
-            "start_s": row["start_s"],
-            "end_s": row["end_s"],
-            "n_frames": fm.n_frames,
-        }
+    def one(source):
+        # one scene's audio in memory per worker, not the whole corpus
+        wave = dsp.read_wav(source)
+        sr = wave.sample_rate
+        return [
+            _featurize(cfg, dsp.Waveform(wave.samples[int(row["start_s"] * sr) : int(row["end_s"] * sr)], sr)).rows
+            for row in by_scene[source]
+        ]
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            index = list(pool.map(one, windows))  # map preserves window order
+            per_scene = list(pool.map(one, by_scene))  # map preserves scene order
     else:
-        index = [one(row) for row in windows]
+        per_scene = [one(source) for source in by_scene]
+    windows = [row for rows in by_scene.values() for row in rows]
+    frames = [f for scene_frames in per_scene for f in scene_frames]
+    index = [
+        {
+            "id": row["id"],
+            "source": row["source"],
+            "split": scene_split[row["source"]],
+            "start_s": row["start_s"],
+            "end_s": row["end_s"],
+            "n_frames": rows.shape[0],
+        }
+        for row, rows in zip(windows, frames)
+    ]
+    # with no windows this is a (0, D) matrix and quantize reports the failure
+    np.save(feat_dir / FRAMES_NAME, np.vstack([np.empty((0, cfg["features"]["n_coeffs"]))] + frames))
     with open(feat_dir / "index.json", "w") as fh:
         json.dump({"windows": index, "config_fingerprint": cfg.fingerprint()}, fh, sort_keys=True)
 
@@ -293,20 +309,22 @@ def _read_feature_index(out: Path) -> list[dict]:
         return json.load(fh)["windows"]
 
 
+def _window_frames(out: Path, index: list[dict]) -> list[np.ndarray]:
+    """Each window's frames, split out of frames.npy in index.json row order."""
+    frames = np.load(out / "features" / FRAMES_NAME)
+    return np.split(frames, np.cumsum([w["n_frames"] for w in index], dtype=np.int64)[:-1])
+
+
 # -- quantize stage ------------------------------------------------------------
 
 
 def stage_quantize(cfg: RunConfig, out: Path) -> None:
     q_dir = out / "quantize"
     index = _read_feature_index(out)
-    train_rows = [
-        dsp.read_features_csv(out / "features" / f"{w['id']}.csv").rows
-        for w in index
-        if w["split"] == "train"
-    ]
+    frames = _window_frames(out, index)
     q = cfg["quantizer"]
     cb = quantizer.fit_codebook(
-        np.vstack(train_rows),
+        np.vstack([f for w, f in zip(index, frames) if w["split"] == "train"]),
         k=q["k"],
         minibatch=q["minibatch"],
         restarts=q["restarts"],
@@ -316,15 +334,22 @@ def stage_quantize(cfg: RunConfig, out: Path) -> None:
     quantizer.save_codebook(q_dir / "codebook.json", cb)
     units_index = {"splits": {}, "config_fingerprint": cfg.fingerprint()}
     for split in ("train", "valid", "test"):
-        ids = [w["id"] for w in index if w["split"] == split]
-        seqs = [
-            quantizer.encode(dsp.read_features_csv(out / "features" / f"{wid}.csv"), cb)
-            for wid in ids
-        ]
-        quantizer.write_units(q_dir / f"units_{split}.txt", seqs)
-        units_index["splits"][split] = ids
+        rows = [(w["id"], f) for w, f in zip(index, frames) if w["split"] == split]
+        quantizer.write_units(q_dir / f"units_{split}.txt", [quantizer.encode(f, cb) for _, f in rows])
+        units_index["splits"][split] = [wid for wid, _ in rows]
     with open(q_dir / "units_index.json", "w") as fh:
         json.dump(units_index, fh, sort_keys=True)
+
+
+def _window_units(out: Path) -> dict[str, np.ndarray]:
+    """Every window's units as the quantize stage wrote them, by window id."""
+    q_dir = out / "quantize"
+    with open(q_dir / "units_index.json") as fh:
+        splits = json.load(fh)["splits"]
+    units: dict[str, np.ndarray] = {}
+    for split, ids in splits.items():
+        units.update(zip(ids, quantizer.read_units(q_dir / f"units_{split}.txt"), strict=True))
+    return units
 
 
 # -- ulm stage -------------------------------------------------------------
@@ -374,7 +399,10 @@ def load_ulm(cfg: RunConfig, out: Path):
 
 
 def stage_bench(cfg: RunConfig, out: Path) -> None:
+    """Pairs for every task. Each window side is the window itself, so its
+    units come from quantize; only distractors and phee audio are encoded."""
     cb = quantizer.load_codebook(out / "quantize" / "codebook.json")
+    units = _window_units(out)
     index = {w["id"]: w for w in _read_feature_index(out)}
     eval_ids = [wid for wid, w in index.items() if w["split"] in ("test", "valid")]
     window_rows = {w["id"]: w for w in _read_windows(out)}
@@ -409,7 +437,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
         pairs.append(
             bench.BenchmarkPair(
                 task="reversal",
-                positive=rev.positive.with_units(units_of(rev.positive.wave)),
+                positive=rev.positive.with_units(units[wid]),
                 distractor=rev.distractor.with_units(units_of(rev.distractor.wave)),
                 provenance={"window": wid},
             )
@@ -419,7 +447,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
         pairs.append(
             bench.BenchmarkPair(
                 task="shuffle",
-                positive=p.positive.with_units(units_of(p.positive.wave)),
+                positive=p.positive.with_units(units[wid]),
                 distractor=p.distractor.with_units(units_of(p.distractor.wave)),
                 seed=p.seed,
                 provenance={"window": wid, **p.provenance},
@@ -436,7 +464,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
         pairs.append(
             bench.BenchmarkPair(
                 task="concat",
-                positive=p.positive.with_units(units_of(p.positive.wave)),
+                positive=p.positive.with_units(units[wid]),
                 distractor=p.distractor.with_units(units_of(p.distractor.wave)),
                 provenance={"a": wid, "b": other},
             )
@@ -537,40 +565,35 @@ def eval_fad_groups(cfg: RunConfig, seed: int) -> dict:
 
 def _labeled_call_frames(cfg: RunConfig, out: Path):
     """(units, labels) per frame inside detected calls, plus per-call groupings."""
-    cb = quantizer.load_codebook(out / "quantize" / "codebook.json")
     truth_by_path = {t["path"]: t for t in _read_truth(out)}
     window_rows = {w["id"]: w for w in _read_windows(out)}
     type_names = [ct["name"] for ct in cfg["synth"]["call_types"]]
     type_idx = {n: i for i, n in enumerate(type_names)}
+    window_units = _window_units(out)
     frame_units, frame_labels = [], []
     call_units, call_labels = [], []
     call_embeddings, call_embed_labels = [], []
     stride = dsp.FRAME_STRIDE_MS / 1000.0
-    for row in _read_feature_index(out):
-        fm = dsp.read_features_csv(out / "features" / f"{row['id']}.csv")
-        units = quantizer.encode(fm, cb)
+    index = _read_feature_index(out)
+    for row, frames in zip(index, _window_frames(out, index)):
+        units = window_units[row["id"]]
         truth = truth_by_path[row["source"]]
-        win_calls = [
-            CallSegment(c["onset_s"], c["offset_s"]) for c in window_rows[row["id"]]["calls"]
-        ]
-        for win_call in win_calls:
-            abs_on = row["start_s"] + win_call.onset_s
-            abs_off = row["start_s"] + win_call.offset_s
+        for win_call in window_rows[row["id"]]["calls"]:
+            abs_on = row["start_s"] + win_call["onset_s"]
+            abs_off = row["start_s"] + win_call["offset_s"]
             matched = _match_truth_call(truth, abs_on, abs_off)
             if matched is None:
                 continue
             label = type_idx[matched]
-            lo = int(np.ceil(win_call.onset_s / stride))
-            hi = int(np.floor(win_call.offset_s / stride))
-            lo = max(lo, 0)
-            hi = min(hi, fm.n_frames)
+            lo = max(int(np.ceil(win_call["onset_s"] / stride)), 0)
+            hi = min(int(np.floor(win_call["offset_s"] / stride)), frames.shape[0])
             if hi - lo < 2:
                 continue
             frame_units.extend(units[lo:hi].tolist())
             frame_labels.extend([label] * (hi - lo))
             call_units.append(units[lo:hi])
             call_labels.append(label)
-            call_embeddings.append(dsp.pool_stats(dsp.FeatureMatrix(fm.rows[lo:hi], feature_kind=fm.feature_kind)).vector)
+            call_embeddings.append(metrics.clip_embedding(dsp.FeatureMatrix(frames[lo:hi]), "mv"))
             call_embed_labels.append(label)
     return (
         np.array(frame_units),
@@ -731,19 +754,47 @@ def _read_marker(stage_dir: Path) -> dict | None:
 
 
 def _committed(stage_dir: Path, marker: dict | None) -> bool:
-    """True when the marker lists exactly the files the stage directory holds."""
-    return marker is not None and marker.get("files") == _stage_files(stage_dir)
+    """True when the marker has the current layout and lists exactly the
+    files the stage directory holds."""
+    return (
+        marker is not None
+        and marker.get("layout") == LAYOUT
+        and marker.get("files") == _stage_files(stage_dir)
+    )
+
+
+def _check_attn_context(cfg: RunConfig) -> None:
+    """Reject an attention LM whose context cannot hold the longest unit
+    sequence the bench stage builds, plus BOS: a concat distractor of two
+    windows of at most min(scene_s, WINDOW_SPAN_S) each (with a sample of
+    slack per window for rounding its edges), or a phee call plus its response.
+    """
+    window, hop = dsp._feature_geometry(dsp.DEFAULT_SAMPLE_RATE)
+
+    def frames(seconds: float, pieces: int = 1) -> int:
+        n = pieces * (int(round(seconds * dsp.DEFAULT_SAMPLE_RATE)) + 1)
+        return max(0, 1 + (n - window) // hop)
+
+    syn = cfg["synth"]
+    phee = frames(syn["phee"]["call_s"]) + frames(syn["phee"]["response_s"])
+    need = max(frames(min(syn["scene_s"], WINDOW_SPAN_S), pieces=2), phee) + 1
+    max_ctx = cfg["ulm"]["attn"]["max_ctx"]
+    if cfg["ulm"]["backend"] == "attn" and max_ctx < need:
+        raise ConfigError(f"ulm.attn.max_ctx is {max_ctx}; the longest bench pair needs it to be at least {need}")
 
 
 def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
     """Run all stages, reusing committed ones; returns the report dict.
 
-    Failures produce a partial report (failed stage + diagnostics) and raise
-    StageFailureError; a stage committed under another config fingerprint
-    raises FingerprintMismatchError before anything is written or deleted.
-    `jobs` parallelizes per-window feature extraction; outputs are ordered
+    An attention LM whose max_ctx cannot hold the longest bench pair raises
+    ConfigError before anything is written. Failures produce a partial report
+    (failed stage + diagnostics) and raise StageFailureError; a stage
+    committed under another config fingerprint raises
+    FingerprintMismatchError before anything is written or deleted. `jobs`
+    parallelizes feature extraction over scenes; outputs are ordered
     deterministically regardless.
     """
+    _check_attn_context(cfg)
     out = Path(out_dir)
     fp = cfg.fingerprint()
     markers = {name: _read_marker(out / name) for name in STAGES}
@@ -770,7 +821,7 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
                 stage(cfg, out, jobs=jobs)
             else:
                 stage(cfg, out)
-            marker = {"config_fingerprint": fp, "files": _stage_files(out / name)}
+            marker = {"layout": LAYOUT, "config_fingerprint": fp, "files": _stage_files(out / name)}
             _write_json_atomic(out / name / DONE_NAME, marker)
         name = "eval"
         report = stage_eval(cfg, out)

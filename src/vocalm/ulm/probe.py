@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsp import PooledEmbedding
 from .nn import Adam, cross_entropy, layernorm_backward, layernorm_forward, linear_backward, linear_forward
 
 DEFAULT_HIDDEN = (128, 64, 32)
@@ -79,11 +78,7 @@ class ProbeTrainResult:
 
 
 def _as_matrix(embeddings) -> np.ndarray:
-    rows = [
-        e.vector if isinstance(e, PooledEmbedding) else np.asarray(e, dtype=np.float64)
-        for e in embeddings
-    ]
-    return np.stack(rows)
+    return np.stack([np.asarray(e, dtype=np.float64) for e in embeddings])
 
 
 def stratified_split(labels: np.ndarray, val_fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:

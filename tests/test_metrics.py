@@ -102,6 +102,32 @@ class TestClipEmbedding:
         assert emb.shape == (10,)
         assert np.allclose(emb[:5], rows.mean(axis=0))
 
+    def test_mv_identical_frames_zero_variance(self):
+        e = clip_embedding(FeatureMatrix(np.ones((2, 3))), kind="mv")
+        assert np.all(e[3:] == 0.0)
+
+    def test_mv_two_frame_closed_form(self):
+        e = clip_embedding(FeatureMatrix(np.array([[0.0], [2.0]])), kind="mv")
+        assert e[0] == 1.0 and e[1] == 1.0
+
+    def test_mv_matches_two_pass_oracle(self, rng):
+        x = rng.normal(size=(100, 13))
+        e = clip_embedding(FeatureMatrix(x), kind="mv")
+        mean, var = two_pass_mean_var(x)
+        assert np.max(np.abs(e[:13] - mean)) < 1e-12
+        assert np.max(np.abs(e[13:] - var)) < 1e-12
+
+    def test_mv_permutation_invariant(self, rng):
+        x = rng.normal(size=(50, 4))
+        perm = rng.permutation(50)
+        a = clip_embedding(FeatureMatrix(x), kind="mv")
+        b = clip_embedding(FeatureMatrix(x[perm]), kind="mv")
+        assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_mv_single_frame_rejected(self):
+        with pytest.raises(InsufficientDataError):
+            clip_embedding(FeatureMatrix(np.ones((1, 3))), kind="mv")
+
     def test_slope_flips_under_reversal(self, rng):
         rows = rng.normal(size=(60, 4)) + np.linspace(0, 3, 60)[:, None]
         fwd = clip_embedding(FeatureMatrix(rows), kind="mvs")

@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vocalm import bench, dsp, pipeline, quantizer
 from vocalm.cli import main
-from vocalm.errors import FingerprintMismatchError, StageFailureError
+from vocalm.errors import ConfigError, FingerprintMismatchError, StageFailureError
 from vocalm.manifest import RunConfig
 from vocalm.pipeline import pipeline_run, validate_report, write_report
 from vocalm.synthlab import CallSpec, SceneSpec, synth_scene
@@ -131,10 +132,15 @@ def _tree(root):
 
 
 @pytest.fixture(scope="module")
-def clean_report(tmp_path_factory):
+def clean_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("clean")
     pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
-    return (out / "report.json").read_bytes()
+    return out
+
+
+@pytest.fixture(scope="module")
+def clean_report(clean_run):
+    return (clean_run / "report.json").read_bytes()
 
 
 class TestResume:
@@ -163,13 +169,30 @@ class TestResume:
             good = path.read_bytes()
             path.write_bytes(b"".join(good.splitlines(keepends=True)[:2]))
         else:
-            path = sorted((tmp_path / "features").glob("*.csv"))[0]
+            path = tmp_path / "features" / "frames.npy"
             good = path.read_bytes()
             data = bytearray(good)
             data[len(data) // 2] ^= 1
             path.write_bytes(bytes(data))
         pipeline_run(cfg, tmp_path)
         assert path.read_bytes() == good
+        assert (tmp_path / "report.json").read_bytes() == clean_report
+
+    def test_csv_layout_features_are_recomputed(self, clean_report, tmp_path):
+        # an out-dir committed when features were one CSV per window: its
+        # marker lists the directory exactly but carries no layout number
+        cfg = RunConfig.from_dict(RESUME_OVERRIDE)
+        pipeline_run(cfg, tmp_path)
+        feat = tmp_path / "features"
+        good = _tree(feat)
+        row = json.loads((feat / "index.json").read_text())["windows"][0]
+        rows = np.load(feat / "frames.npy")[: row["n_frames"]]
+        (feat / "frames.npy").unlink()
+        dsp.write_features_csv(feat / f"{row['id']}.csv", dsp.FeatureMatrix(rows, feature_kind="linear_fb"))
+        marker = {"config_fingerprint": cfg.fingerprint(), "files": pipeline._stage_files(feat)}
+        (feat / "_done.json").write_text(json.dumps(marker))
+        pipeline_run(cfg, tmp_path)
+        assert _tree(feat) == good
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
     def test_foreign_marker_raises_before_anything_changes(self, tmp_path):
@@ -182,6 +205,48 @@ class TestResume:
         with pytest.raises(FingerprintMismatchError, match="bench"):
             pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), tmp_path)
         assert _tree(tmp_path) == before
+
+
+class TestComputedOnce:
+    def test_features_stage_holds_one_frame_matrix(self, clean_run):
+        feat = clean_run / "features"
+        assert sorted(p.name for p in feat.iterdir()) == ["_done.json", "frames.npy", "index.json"]
+        index = json.loads((feat / "index.json").read_text())["windows"]
+        assert index and all({"id", "split", "n_frames"} <= set(row) for row in index)
+        n_coeffs = RunConfig.from_dict(RESUME_OVERRIDE)["features"]["n_coeffs"]
+        assert np.load(feat / "frames.npy").shape == (sum(r["n_frames"] for r in index), n_coeffs)
+
+    def test_window_positives_are_quantize_units(self, tiny_run):
+        cfg, out, _ = tiny_run
+        q_dir = out / "quantize"
+        splits = json.loads((q_dir / "units_index.json").read_text())["splits"]
+        units = {
+            wid: seq
+            for split, ids in splits.items()
+            for wid, seq in zip(ids, quantizer.read_units(q_dir / f"units_{split}.txt"))
+        }
+        index = {row["id"]: row for row in pipeline._read_feature_index(out)}
+        cb = quantizer.load_codebook(q_dir / "codebook.json")
+        pairs, _ = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
+        checked = set()
+        for p in pairs:
+            if p.task not in ("reversal", "shuffle", "concat"):
+                continue
+            wid = p.provenance["a" if p.task == "concat" else "window"]
+            assert np.array_equal(p.positive.units, units[wid]), (p.task, wid)
+            checked.add(p.task)
+            # the units quantize stored are those of the window's own audio
+            row = index[wid]
+            wave = dsp.read_wav(row["source"])
+            clip = wave.samples[int(row["start_s"] * wave.sample_rate) : int(row["end_s"] * wave.sample_rate)]
+            fresh = quantizer.encode(pipeline._featurize(cfg, dsp.Waveform(clip, wave.sample_rate)), cb)
+            assert np.array_equal(fresh, units[wid]), wid
+        assert checked == {"reversal", "shuffle", "concat"}
+
+    def test_jobs_do_not_change_outputs(self, clean_run, tmp_path):
+        pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), tmp_path, jobs=2)
+        for rel in ("report.json", "features/frames.npy"):
+            assert (tmp_path / rel).read_bytes() == (clean_run / rel).read_bytes(), rel
 
 
 class TestAttnBackend:
@@ -205,6 +270,30 @@ class TestAttnBackend:
         with open(tmp_path / "ulm" / "model_meta.json") as fh:
             meta = json.load(fh)
         assert meta["backend"] == "attn" and meta["n_params"] > 0
+        # the bound the config check uses for 5 s scenes covers every pair
+        pairs, _ = bench.read_pairs_jsonl(tmp_path / "bench" / "pairs.jsonl")
+        assert max(len(u) for p in pairs for u in (p.positive.units, p.distractor.units)) + 1 <= 500
+
+    def test_short_max_ctx_exits_2_before_writing(self, tmp_path):
+        quick = json.loads((Path(pipeline.__file__).parent / "configs" / "synthetic_quick.json").read_text())
+        config = tmp_path / "attn_quick.json"
+        config.write_text(json.dumps(dict(quick, ulm={"backend": "attn"})))  # shipped max_ctx 512
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("scene_s, bound", [(5.0, 500), (10.0, 1000), (20.0, 1000)])
+    def test_max_ctx_bound(self, scene_s, bound):
+        def cfg(max_ctx, backend="attn"):
+            return RunConfig.from_dict(
+                {"synth": {"scene_s": scene_s}, "ulm": {"backend": backend, "attn": {"max_ctx": max_ctx}}}
+            )
+
+        pipeline._check_attn_context(cfg(bound))
+        pipeline._check_attn_context(cfg(bound - 1, backend="ngram"))
+        with pytest.raises(ConfigError, match=f"at least {bound}"):
+            pipeline._check_attn_context(cfg(bound - 1))
 
 
 class TestContextGrid:
