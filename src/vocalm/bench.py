@@ -34,7 +34,9 @@ class PairItem:
     wave: Waveform | None = field(default=None, repr=False)
 
     def with_units(self, units: np.ndarray) -> "PairItem":
-        return PairItem(self.ref, np.asarray(units, dtype=np.int32), self.wave)
+        """The same side with its units and without its audio, which pairs
+        no longer need once encoded."""
+        return PairItem(self.ref, np.asarray(units, dtype=np.int32))
 
 
 @dataclass(frozen=True)

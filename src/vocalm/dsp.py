@@ -2,13 +2,17 @@
 
 High-pass filtering, STFT magnitudes, MFCC and linear 5-8 kHz filterbank
 features, and WAV/feature-CSV I/O. All functions are pure: same input, same
-output, no shared state.
+output. The one shared state is the high-pass kernel cache: the FFT of the
+filter's truncated impulse response, kept per (cutoff, rate, tap count) in a
+bounded LRU cache and read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +27,10 @@ DEFAULT_N_MFCC = 13
 FB_LO_HZ = 5000.0
 FB_HI_HZ = 8000.0
 HIGHPASS_ORDER = 8
+# The truncated impulse response leaves out taps summing to less than this.
+HIGHPASS_TAIL = 1e-20
+# Smallest overlap-save FFT block; the block is also at least 4x the taps.
+HIGHPASS_MIN_BLOCK = 4096
 # Floor applied to filterbank/mel energies before the log; keeps silence finite.
 LOG_ENERGY_FLOOR = 1e-10
 
@@ -115,39 +123,90 @@ class FeatureMatrix:
         return self.rows.shape[1]
 
 
-def _highpass_sos(cutoff_hz: float, sample_rate: int) -> np.ndarray:
+class _HighpassDesign(NamedTuple):
+    poles: np.ndarray  # z-plane poles; the zeros are all at z = 1
+    residues: np.ndarray  # h[n] = sum(residues * poles**n) for n >= 1
+    gain: float  # h[0], the leading coefficient of H in z^-1
+    n_taps: int  # impulse-response length whose rest sums to under HIGHPASS_TAIL
+    tail: float  # bound on sum(|h[n]|) for n >= n_taps
+
+
+def _highpass_design(cutoff_hz: float, sample_rate: int) -> _HighpassDesign:
+    """Digital Butterworth high-pass, designed with the steps of scipy.signal.butter.
+
+    Analog low-pass prototype poles, lp2hp at the pre-warped cutoff, then the
+    bilinear transform with fs = 2 (the zeros at s = 0 land at z = 1). The
+    tap count comes from the partial-fraction bound
+    |h[n]| <= sum_k |r_k| |p_k|^n, summed over n >= n_taps.
+    """
     nyquist = sample_rate / 2.0
     if not 0.0 < cutoff_hz < nyquist:
         raise ValueError(
             f"cutoff {cutoff_hz} Hz outside (0, {nyquist}) for rate {sample_rate}"
         )
-    from scipy import signal as sps
+    order = HIGHPASS_ORDER
+    prototype = -np.exp(1j * np.pi * np.arange(1 - order, order, 2) / (2 * order))
+    analog = 4.0 * np.tan(np.pi * (cutoff_hz / sample_rate)) / prototype
+    poles = (4.0 + analog) / (4.0 - analog)
+    gain = float(np.real(4.0**order / np.prod(4.0 - analog)))
+    radii = np.abs(poles)
+    if radii.max() >= 1.0:
+        raise ValueError(
+            f"cutoff {cutoff_hz} Hz is too close to 0 or {nyquist} Hz for a stable filter"
+        )
+    others = 1.0 - poles[None, :] / poles[:, None]
+    np.fill_diagonal(others, 1.0)
+    residues = gain * (1.0 - 1.0 / poles) ** order / others.prod(axis=1)
+    weights = np.abs(residues) / (1.0 - radii)
+    n_taps = int(np.ceil(np.log(HIGHPASS_TAIL / weights.sum()) / np.log(radii.max())))
+    tail = float(np.sum(weights * radii**n_taps))
+    return _HighpassDesign(poles, residues, gain, n_taps, tail)
 
-    return sps.butter(HIGHPASS_ORDER, cutoff_hz, btype="highpass", fs=sample_rate, output="sos")
+
+@functools.lru_cache(maxsize=16)
+def _highpass_kernel(cutoff_hz: float, sample_rate: int, n_taps: int) -> tuple[int, np.ndarray]:
+    """Overlap-save block length and the rFFT of the first `n_taps` taps."""
+    design = _highpass_design(cutoff_hz, sample_rate)
+    taps = np.real(design.residues @ np.power.outer(design.poles, np.arange(n_taps)))
+    # The residue sum cancels at n = 0; h[0] is exactly the gain.
+    taps[0] = design.gain
+    block = max(HIGHPASS_MIN_BLOCK, 1 << (4 * n_taps - 1).bit_length())
+    spectrum = np.fft.rfft(taps, block)
+    spectrum.flags.writeable = False
+    return block, spectrum
 
 
 def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
-    """Recursive 8th-order high-pass; length and rate preserved.
+    """8th-order Butterworth high-pass; length and rate preserved.
 
-    Filter state is seeded with the step-response steady state for the first
-    sample, so a constant input maps to (near-)zero output with no onset click.
+    The output is the filter's response as if x[0] had been held since the
+    infinite past, so a constant input maps to zero with no onset click.
+    Because the filter has zero DC gain, that is its response from rest to
+    x - x[0], which needs no taps beyond the signal length. It is computed
+    by overlap-save FFT convolution with the truncated impulse response.
     """
-    sos = _highpass_sos(cutoff_hz, w.sample_rate)
-    if len(w) == 0:
+    design = _highpass_design(cutoff_hz, w.sample_rate)
+    n = len(w)
+    if n == 0:
         return Waveform(np.zeros(0), w.sample_rate)
-    from scipy import signal as sps
-
-    zi = sps.sosfilt_zi(sos) * w.samples[0]
-    out, _ = sps.sosfilt(sos, w.samples, zi=zi)
-    return Waveform(out, w.sample_rate)
+    n_taps = min(design.n_taps, n)
+    block, spectrum = _highpass_kernel(cutoff_hz, w.sample_rate, n_taps)
+    hop = block - n_taps + 1
+    n_blocks = -(-n // hop)
+    padded = np.zeros((n_blocks - 1) * hop + block)
+    padded[n_taps - 1 : n_taps - 1 + n] = w.samples - w.samples[0]
+    spec = np.fft.rfft(frame_signal(padded, block, hop), axis=1)
+    spec *= spectrum
+    out = np.fft.irfft(spec, block, axis=1)
+    return Waveform(out[:, n_taps - 1 :].ravel()[:n], w.sample_rate)
 
 
 def highpass_response_db(cutoff_hz: float, sample_rate: int, freqs_hz) -> np.ndarray:
     """Analytic magnitude response (dB) of the high-pass at `freqs_hz`."""
-    sos = _highpass_sos(cutoff_hz, sample_rate)
-    from scipy import signal as sps
-
-    _, h = sps.sosfreqz(sos, worN=np.atleast_1d(np.asarray(freqs_hz, dtype=float)), fs=sample_rate)
+    design = _highpass_design(cutoff_hz, sample_rate)
+    freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
+    z_inv = np.exp(-2j * np.pi * freqs / sample_rate)[:, None]
+    h = design.gain * np.prod((1.0 - z_inv) / (1.0 - design.poles * z_inv), axis=1)
     return 20.0 * np.log10(np.maximum(np.abs(h), 1e-300))
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsp import DEFAULT_SAMPLE_RATE
 from .errors import ConfigError, FingerprintMismatchError
 
 SPLITS = ("train", "valid", "test")
@@ -256,6 +257,10 @@ def _validate(data: dict) -> None:
     ratios = data["split"]["ratios"]
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("split.ratios must be three values summing to 1")
+    highpass_hz = data["detector"]["highpass_hz"]
+    nyquist = DEFAULT_SAMPLE_RATE / 2.0
+    if not (isinstance(highpass_hz, (int, float)) and 0.0 < highpass_hz < nyquist):
+        raise ConfigError(f"detector.highpass_hz must be in (0, {nyquist:g}) Hz, got {highpass_hz!r}")
 
 
 def seed_for(root_seed: int, name: str) -> int:

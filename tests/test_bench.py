@@ -125,6 +125,13 @@ class TestReversal:
         audio = Waveform(rng.normal(size=777) * 0.1, SR)
         assert len(make_reversal(audio).distractor.wave) == 777
 
+    def test_with_units_drops_audio(self, rng):
+        pair = make_reversal(Waveform(rng.normal(size=500), SR), ref="w")
+        item = pair.distractor.with_units([3, 1, 2])
+        assert item.wave is None
+        assert item.ref == pair.distractor.ref and item.units.dtype == np.int32
+        assert item.units.tolist() == [3, 1, 2]
+
     def test_palindrome_degenerate_still_emitted(self):
         x = np.concatenate([np.arange(100.0), np.arange(100.0)[::-1]]) / 200
         pair = make_reversal(Waveform(x, SR))

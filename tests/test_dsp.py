@@ -67,6 +67,79 @@ class TestHighpass:
         with pytest.raises(ValueError):
             dsp.highpass(w, -3.0)
 
+    def test_cutoff_at_float_edge_rejected(self):
+        # the poles round onto the unit circle: no stable filter, no finite tap count
+        with pytest.raises(ValueError, match="stable"):
+            dsp.highpass(tone(1000.0, 0.1), 1e-13)
+
+
+HIGHPASS_CASES = [(500.0, SR), (2000.0, SR), (5000.0, SR), (7000.0, SR), (7900.0, SR), (5000.0, 48000)]
+
+
+class TestHighpassMatchesScipy:
+    """The numpy design and FFT convolution against scipy's recursive filter."""
+
+    @staticmethod
+    def sos(cutoff, rate):
+        from scipy import signal as sps
+
+        return sps.butter(dsp.HIGHPASS_ORDER, cutoff, btype="highpass", fs=rate, output="sos")
+
+    @pytest.mark.parametrize("cutoff, rate", HIGHPASS_CASES)
+    @pytest.mark.parametrize("length", ["empty", "one", "shorter_than_taps", "one_block", "160k"])
+    def test_matches_sosfilt_from_steady_state(self, cutoff, rate, length):
+        from scipy import signal as sps
+
+        n_taps = dsp._highpass_design(cutoff, rate).n_taps
+        block, _ = dsp._highpass_kernel(cutoff, rate, n_taps)
+        n = {"empty": 0, "one": 1, "shorter_than_taps": n_taps - 1,
+             "one_block": block - n_taps + 1, "160k": 160_000}[length]
+        rng = np.random.default_rng(n)
+        x = 0.3 * rng.normal(size=n) + 0.25 + 0.4 * np.sin(2 * np.pi * 6000.0 * np.arange(n) / rate)
+        out = dsp.highpass(Waveform(x, rate), cutoff)
+        assert len(out) == n and out.sample_rate == rate
+        if n == 0:
+            return
+        sos = self.sos(cutoff, rate)
+        ref, _ = sps.sosfilt(sos, x, zi=sps.sosfilt_zi(sos) * x[0])
+        bound = 1e-14 if (cutoff, rate) == (5000.0, SR) else 1e-12
+        assert np.max(np.abs(out.samples - ref)) <= bound * np.max(np.abs(x))
+
+    def test_signal_shorter_than_taps_at_extreme_cutoff(self):
+        # ~650k taps; a 4000-sample signal needs only its own length of them.
+        # (Near 0 Hz it is sosfilt that loses digits, so the case sits near Nyquist.)
+        from scipy import signal as sps
+
+        cutoff = 7999.0
+        assert dsp._highpass_design(cutoff, SR).n_taps > 500_000
+        x = np.random.default_rng(3).normal(size=4000) + 0.5
+        sos = self.sos(cutoff, SR)
+        ref, _ = sps.sosfilt(sos, x, zi=sps.sosfilt_zi(sos) * x[0])
+        out = dsp.highpass(Waveform(x, SR), cutoff)
+        assert np.max(np.abs(out.samples - ref)) <= 1e-12 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("cutoff, rate", HIGHPASS_CASES)
+    def test_response_matches_sosfreqz(self, cutoff, rate):
+        from scipy import signal as sps
+
+        freqs = np.concatenate([np.geomspace(20.0, rate / 2.0, 300), [cutoff]])
+        _, h = sps.sosfreqz(self.sos(cutoff, rate), worN=freqs, fs=rate)
+        expected = 20.0 * np.log10(np.abs(h))
+        assert np.max(np.abs(dsp.highpass_response_db(cutoff, rate, freqs) - expected)) <= 1e-9
+
+    @pytest.mark.parametrize("cutoff, rate", HIGHPASS_CASES)
+    def test_truncated_tail_below_bound(self, cutoff, rate):
+        from scipy import signal as sps
+
+        design = dsp._highpass_design(cutoff, rate)
+        assert design.tail < dsp.HIGHPASS_TAIL == 1e-20
+        # scipy's own impulse response agrees: what the taps leave out is below the bound
+        impulse = np.zeros(2 * design.n_taps + 4096)
+        impulse[0] = 1.0
+        h = sps.sosfilt(self.sos(cutoff, rate), impulse)
+        assert np.sum(np.abs(h[design.n_taps :])) < 1e-20
+        assert np.sum(np.abs(h[design.n_taps // 2 :])) > 1e-20
+
 
 class TestStft:
     def test_zero_signal_zero_magnitudes(self):

@@ -425,6 +425,17 @@ class TestCli:
         rc = main(["pipeline", "--config", str(bad), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("highpass_hz", [9000.0, 8000.0, 0.0, -5.0, "5000"])
+    def test_bad_highpass_exits_2_before_writing(self, tmp_path, highpass_hz):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"detector": {"highpass_hz": highpass_hz}}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert list(out.iterdir()) == []
+        with pytest.raises(ConfigError, match="detector.highpass_hz"):
+            RunConfig.from_dict({"detector": {"highpass_hz": highpass_hz}})
+
     def test_report_cli_on_partial(self, tmp_path, capsys):
         write_report({"partial": True, "failed_stage": "ulm", "error": "boom", "config_fingerprint": "x"}, tmp_path)
         rc = main(["report", "--path", str(tmp_path / "report.json")])
@@ -445,6 +456,21 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_fresh_run_loads_no_scipy_signal(self, tmp_path):
+        # the segment stage's high-pass is numpy; scipy.signal also pulls in scipy.stats
+        code = (
+            "import json, sys; from vocalm.manifest import RunConfig; from vocalm.pipeline import pipeline_run; "
+            "pipeline_run(RunConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2]); "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(TINY_OVERRIDE), str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "report.json").exists()
 
 
 class TestCliReportRender(object):
