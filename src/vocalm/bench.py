@@ -264,20 +264,33 @@ class PairwiseResult:
     by_task: dict
 
 
-def pairwise_eval(model, pairs: list[BenchmarkPair], cp=None) -> PairwiseResult:
+def pairwise_eval(model, pairs: list[BenchmarkPair], cp=None, scores: dict | None = None) -> PairwiseResult:
     """Fraction of pairs where score(positive) > score(distractor).
 
     Exact ties count as incorrect, so degenerate constant scorers cannot reach
-    50% for free. Pairs must carry unit sequences.
+    50% for free. Pairs must carry unit sequences. `scores`, when given, holds
+    model scores keyed by (cp, dtype, unit bytes): a sequence already in it is
+    not scored again, and each new score is added, so calls that share one
+    dict score each distinct (policy, sequence) once.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
+
+    def score(units):
+        if scores is None:
+            return model.score(units, cp)
+        units = np.asarray(units)
+        key = (cp, units.dtype.str, units.tobytes())
+        if key not in scores:
+            scores[key] = model.score(units, cp)
+        return scores[key]
+
     correct_total = 0
     per_task: dict[str, list[int]] = {}
     for p in pairs:
         if p.positive.units is None or p.distractor.units is None:
             raise ValueError("pairwise_eval needs unit sequences on both sides")
-        good = model.score(p.positive.units, cp) > model.score(p.distractor.units, cp)
+        good = score(p.positive.units) > score(p.distractor.units)
         correct_total += int(good)
         bucket = per_task.setdefault(p.task, [0, 0])
         bucket[0] += int(good)

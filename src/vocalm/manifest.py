@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import DEFAULT_SAMPLE_RATE
+from .dsp import DEFAULT_SAMPLE_RATE, _highpass_design
 from .errors import ConfigError, FingerprintMismatchError
 
 SPLITS = ("train", "valid", "test")
@@ -217,7 +217,14 @@ class RunConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
         if not isinstance(override, dict):
             raise ConfigError("config file must hold a JSON object")
-        return cls.from_dict(override)
+        # a run's own config.json carries the fingerprint `save` added
+        saved = override.pop("_fingerprint", None)
+        cfg = cls.from_dict(override)
+        if saved is not None and saved != cfg.fingerprint():
+            raise ConfigError(
+                f"config key '_fingerprint' is {saved!r} but the other keys give {cfg.fingerprint()!r}"
+            )
+        return cfg
 
     def __getitem__(self, key):
         return self.data[key]
@@ -258,9 +265,13 @@ def _validate(data: dict) -> None:
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("split.ratios must be three values summing to 1")
     highpass_hz = data["detector"]["highpass_hz"]
-    nyquist = DEFAULT_SAMPLE_RATE / 2.0
-    if not (isinstance(highpass_hz, (int, float)) and 0.0 < highpass_hz < nyquist):
-        raise ConfigError(f"detector.highpass_hz must be in (0, {nyquist:g}) Hz, got {highpass_hz!r}")
+    if not isinstance(highpass_hz, (int, float)):
+        raise ConfigError(f"detector.highpass_hz must be a number, got {highpass_hz!r}")
+    try:
+        # the segment stage's own rule: inside (0, Nyquist) and a stable design
+        _highpass_design(highpass_hz, DEFAULT_SAMPLE_RATE)
+    except ValueError as e:
+        raise ConfigError(f"detector.highpass_hz: {e}") from e
 
 
 def seed_for(root_seed: int, name: str) -> int:

@@ -1,17 +1,22 @@
 """End-to-end pipeline: synth -> segment -> features -> quantize -> ulm ->
-bench -> eval, with on-disk artifacts per stage and a deterministic report.
+bench -> fad -> eval, with on-disk artifacts per stage and a deterministic
+report.
 
-Each stage in STAGES writes in place under `<out>/<stage>/`. Once it returns,
-the runner commits it by atomically writing `<stage>/_done.json`, which holds
-the LAYOUT number, the config fingerprint and the size and sha256 of every file
-in the stage directory. A rerun reuses a stage only when its marker has that
-layout and matches the directory file for file; any other stage, and every
-stage after it, is recomputed from an emptied directory. A marker written under
-a different config fingerprint raises FingerprintMismatchError before anything
-is deleted. Each window is featurised and encoded once: its frames sit in
-`features/frames.npy`, and bench and eval read its units from quantize. The
-report body contains no timestamps, so identical configs produce byte-identical
-reports; wall-clock metadata goes to run_meta.json instead.
+Each of the seven stages in STAGES writes in place under `<out>/<stage>/`.
+Once it returns, the runner commits it by atomically writing
+`<stage>/_done.json`, which holds the LAYOUT number, the config fingerprint
+and the size and sha256 of every file in the stage directory. A rerun reuses
+a stage only when its marker has that layout and matches the directory file
+for file; any other stage, and every stage after it, is recomputed from an
+emptied directory. A marker written under a different config fingerprint
+raises FingerprintMismatchError before anything is deleted. Each window is
+featurised and encoded once: its frames sit in `features/frames.npy`, and
+bench and eval read its units from quantize. The FAD block depends on the
+config alone; the fad stage writes it to `fad/fad.json`, which a resume
+reuses. Eval reads that file and scores each distinct sequence once per
+context policy. The report body contains no timestamps, so identical configs
+produce byte-identical reports; wall-clock metadata goes to run_meta.json
+instead.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ DONE_NAME = "_done.json"
 # older layout (per-window feature CSVs: no layout number) is never reused.
 LAYOUT = 2
 FRAMES_NAME = "frames.npy"
-STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench")
+STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "fad")
 
 
 # -- small helpers -------------------------------------------------------------
@@ -563,6 +568,13 @@ def eval_fad_groups(cfg: RunConfig, seed: int) -> dict:
     return {"embedding": kind, "n_per_group": group, "values": values}
 
 
+def stage_fad(cfg: RunConfig, out: Path) -> None:
+    """The FAD block depends on the config alone; eval reads it from fad.json."""
+    block = eval_fad_groups(cfg, seed_for(cfg.seed, "metrics/fad"))
+    with open(out / "fad" / "fad.json", "w") as fh:
+        json.dump({**block, "config_fingerprint": cfg.fingerprint()}, fh, sort_keys=True)
+
+
 def _labeled_call_frames(cfg: RunConfig, out: Path):
     """(units, labels) per frame inside detected calls, plus per-call groupings."""
     truth_by_path = {t["path"]: t for t in _read_truth(out)}
@@ -613,7 +625,7 @@ def _match_truth_call(truth: dict, onset_s: float, offset_s: float, tol: float =
     return None
 
 
-def _context_grid(cfg: RunConfig, model, pairs) -> list[dict]:
+def _context_grid(cfg: RunConfig, model, pairs, scores: dict) -> list[dict]:
     grid_cfg = cfg["context_grid"]
     unit_tasks = [p for p in pairs if p.task in ("shuffle", "concat", "reversal")]
     rows = []
@@ -622,7 +634,7 @@ def _context_grid(cfg: RunConfig, model, pairs) -> list[dict]:
     ]
     for window, keep_first in policies:
         cp = ContextPolicy(window=window, keep_first=keep_first) if window is not None else None
-        res = bench.pairwise_eval(model, unit_tasks, cp)
+        res = bench.pairwise_eval(model, unit_tasks, cp, scores)
         row = {"context": window, "keep_first": keep_first}
         for task in ("shuffle", "concat", "reversal"):
             if task in res.by_task:
@@ -636,7 +648,9 @@ def stage_eval(cfg: RunConfig, out: Path) -> dict:
     model = load_ulm(cfg, out)
     pairs, pairs_fp = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
     check_fingerprint(pairs_fp, fp, "bench pairs")
-    result = bench.pairwise_eval(model, pairs, None)
+    # one score per distinct (policy, sequence), shared with the context grid
+    scores: dict = {}
+    result = bench.pairwise_eval(model, pairs, None, scores)
     tasks = {
         task: {"accuracy": stats["accuracy"], "n": stats["n"]}
         for task, stats in result.by_task.items()
@@ -646,7 +660,9 @@ def stage_eval(cfg: RunConfig, out: Path) -> dict:
     with open(out / "segment" / "detection.json") as fh:
         detection = json.load(fh)
     check_fingerprint(detection.pop("config_fingerprint", ""), fp, "detection stats")
-    fad_block = eval_fad_groups(cfg, seed_for(cfg.seed, "metrics/fad"))
+    with open(out / "fad" / "fad.json") as fh:
+        fad_block = json.load(fh)
+    check_fingerprint(fad_block.pop("config_fingerprint", ""), fp, "FAD values")
     fu, fl, cu, cl, emb, emb_labels, type_names = _labeled_call_frames(cfg, out)
     frame_up, frame_lp = metrics.purity(metrics.contingency_from_frames(fu, fl))
     call_up, call_lp = metrics.purity(metrics.contingency_from_calls(cu, cl))
@@ -685,7 +701,7 @@ def stage_eval(cfg: RunConfig, out: Path) -> dict:
         },
     }
     if cfg["context_grid"]["enabled"]:
-        report["context_grid"] = _context_grid(cfg, model, pairs)
+        report["context_grid"] = _context_grid(cfg, model, pairs, scores)
     validate_report(report)
     return report
 

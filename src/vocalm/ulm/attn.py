@@ -4,6 +4,10 @@ Pre-norm residual blocks, learned positional embeddings, multi-head causal
 self-attention whose mask also applies the context policy (positions outside
 the recent window and the kept-first block get -inf attention logits), and a
 ReLU feed-forward. Sized for desk-scale experiments, not production training.
+
+Each layer's attention softmax runs in place in one (B, H, T, T) buffer, and
+the backward pass reuses the attention-gradient buffer for the score gradient;
+the values are those of the out-of-place formulas, operation for operation.
 """
 
 from __future__ import annotations
@@ -92,15 +96,17 @@ class AttnLM:
     # -- masking ----------------------------------------------------------
 
     def _policy_mask(self, t: int, cp: ContextPolicy | None) -> np.ndarray:
-        """Boolean (t, t) visibility: query i may attend key j."""
-        i = np.arange(t)[:, None]
-        j = np.arange(t)[None, :]
-        visible = j <= i
+        """Boolean (t, t) hidden set: query i may not attend key j.
+
+        Hidden are the future (j > i) and, under a finite window, the keys
+        older than the window (j < i - window) except the first keep_first.
+        """
+        hidden = ~np.tri(t, dtype=bool)
         if cp is not None and cp.window is not None:
-            recent = j >= i - cp.window
-            kept = j < cp.keep_first
-            visible &= recent | kept | (j == i)
-        return visible
+            old = np.tri(t, k=-cp.window - 1, dtype=bool)
+            old[:, : cp.keep_first] = False
+            hidden |= old
+        return hidden
 
     # -- forward / backward ------------------------------------------------
 
@@ -112,8 +118,7 @@ class AttnLM:
         p = self.params
         d_head = self.embed // self.heads
         scale = 1.0 / np.sqrt(d_head)
-        visible = self._policy_mask(T, cp)
-        neg = np.where(visible, 0.0, -np.inf)
+        hidden = self._policy_mask(T, cp)
 
         x = p["tok_emb"][tokens] + p["pos_emb"][:T]
         cache: dict = {"tokens": tokens, "T": T, "B": B}
@@ -126,10 +131,12 @@ class AttnLM:
             qh = q.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
             kh = k.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
             vh = v.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
-            scores = qh @ kh.transpose(0, 1, 3, 2) * scale + neg
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            attn = e / e.sum(axis=-1, keepdims=True)
+            attn = qh @ kh.transpose(0, 1, 3, 2)
+            attn *= scale
+            np.copyto(attn, -np.inf, where=hidden)
+            attn -= attn.max(axis=-1, keepdims=True)
+            np.exp(attn, out=attn)
+            attn /= attn.sum(axis=-1, keepdims=True)
             oh = attn @ vh
             o = oh.transpose(0, 2, 1, 3).reshape(B, T, self.embed)
             ao, _ = linear_forward(o, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
@@ -170,7 +177,8 @@ class AttnLM:
             doh = do.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
             dattn = doh @ vh.transpose(0, 1, 3, 2)
             dvh = attn.transpose(0, 1, 3, 2) @ doh
-            dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+            dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+            dscores = np.multiply(attn, dattn, out=dattn)
             dqh = dscores @ kh * scale
             dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
             dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, self.embed)

@@ -3,7 +3,7 @@ import pytest
 
 from vocalm.ulm import AttnLM, ContextPolicy, attn_train
 from vocalm.ulm.attn import _make_batch
-from vocalm.ulm.nn import log_softmax, softmax
+from vocalm.ulm.nn import cross_entropy, log_softmax, softmax
 
 
 def tiny_model(seed=3):
@@ -178,3 +178,134 @@ class TestIO:
         back = AttnLM.load(path)
         seq = np.array([0, 2, 4])
         assert back.score(seq) == pytest.approx(model.score(seq), rel=1e-12)
+
+
+# -- the out-of-place kernel the in-place one replaced, kept as the reference --
+
+
+def _reference_mask(t, cp):
+    i = np.arange(t)[:, None]
+    j = np.arange(t)[None, :]
+    visible = j <= i
+    if cp is not None and cp.window is not None:
+        recent = j >= i - cp.window
+        kept = j < cp.keep_first
+        visible &= recent | kept | (j == i)
+    return visible
+
+
+def _reference_forward(model, tokens, cp):
+    from vocalm.ulm.nn import layernorm_forward, linear_forward
+
+    B, T = tokens.shape
+    p = model.params
+    d_head = model.embed // model.heads
+    scale = 1.0 / np.sqrt(d_head)
+    neg = np.where(_reference_mask(T, cp), 0.0, -np.inf)
+    h = p["tok_emb"][tokens] + p["pos_emb"][:T]
+    cache = {"tokens": tokens, "T": T, "B": B}
+    for i in range(model.layers):
+        a, ln1_cache = layernorm_forward(h, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
+        q, _ = linear_forward(a, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
+        k, _ = linear_forward(a, p[f"l{i}.attn.wk"], p[f"l{i}.attn.bk"])
+        v, _ = linear_forward(a, p[f"l{i}.attn.wv"], p[f"l{i}.attn.bv"])
+        qh = q.reshape(B, T, model.heads, d_head).transpose(0, 2, 1, 3)
+        kh = k.reshape(B, T, model.heads, d_head).transpose(0, 2, 1, 3)
+        vh = v.reshape(B, T, model.heads, d_head).transpose(0, 2, 1, 3)
+        scores = qh @ kh.transpose(0, 1, 3, 2) * scale + neg
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        attn = e / e.sum(axis=-1, keepdims=True)
+        o = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, T, model.embed)
+        ao, _ = linear_forward(o, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
+        h1 = h + ao
+        a2, ln2_cache = layernorm_forward(h1, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
+        f1, _ = linear_forward(a2, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"])
+        r = np.maximum(f1, 0.0)
+        f2, _ = linear_forward(r, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
+        cache[f"l{i}"] = (a, ln1_cache, qh, kh, vh, attn, o, ln2_cache, a2, f1, r, h, h1)
+        h = h1 + f2
+    hf, lnf_cache = layernorm_forward(h, p["lnf.g"], p["lnf.b"])
+    logits, _ = linear_forward(hf, p["out.w"], p["out.b"])
+    cache["lnf"] = (lnf_cache, hf)
+    return logits, cache
+
+
+def _reference_backward(model, dlogits, cache):
+    from vocalm.ulm.nn import layernorm_backward, linear_backward
+
+    p = model.params
+    B, T = cache["B"], cache["T"]
+    d_head = model.embed // model.heads
+    scale = 1.0 / np.sqrt(d_head)
+    grads = {}
+    lnf_cache, hf = cache["lnf"]
+    dhf, grads["out.w"], grads["out.b"] = linear_backward(dlogits, hf, p["out.w"])
+    dh, grads["lnf.g"], grads["lnf.b"] = layernorm_backward(dhf, lnf_cache)
+    for i in reversed(range(model.layers)):
+        a, ln1_cache, qh, kh, vh, attn, o, ln2_cache, a2, f1, r, h_in, h1 = cache[f"l{i}"]
+        dr, grads[f"l{i}.ffn.w2"], grads[f"l{i}.ffn.b2"] = linear_backward(dh, r, p[f"l{i}.ffn.w2"])
+        da2, grads[f"l{i}.ffn.w1"], grads[f"l{i}.ffn.b1"] = linear_backward(dr * (f1 > 0), a2, p[f"l{i}.ffn.w1"])
+        dh1, grads[f"l{i}.ln2.g"], grads[f"l{i}.ln2.b"] = layernorm_backward(da2, ln2_cache)
+        dh1 = dh1 + dh
+        do, grads[f"l{i}.attn.wo"], grads[f"l{i}.attn.bo"] = linear_backward(dh1, o, p[f"l{i}.attn.wo"])
+        doh = do.reshape(B, T, model.heads, d_head).transpose(0, 2, 1, 3)
+        dattn = doh @ vh.transpose(0, 1, 3, 2)
+        dvh = attn.transpose(0, 1, 3, 2) @ doh
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dqh = dscores @ kh * scale
+        dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
+        dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, model.embed)
+        dk = dkh.transpose(0, 2, 1, 3).reshape(B, T, model.embed)
+        dv = dvh.transpose(0, 2, 1, 3).reshape(B, T, model.embed)
+        da_q, grads[f"l{i}.attn.wq"], grads[f"l{i}.attn.bq"] = linear_backward(dq, a, p[f"l{i}.attn.wq"])
+        da_k, grads[f"l{i}.attn.wk"], grads[f"l{i}.attn.bk"] = linear_backward(dk, a, p[f"l{i}.attn.wk"])
+        da_v, grads[f"l{i}.attn.wv"], grads[f"l{i}.attn.bv"] = linear_backward(dv, a, p[f"l{i}.attn.wv"])
+        dh_in, grads[f"l{i}.ln1.g"], grads[f"l{i}.ln1.b"] = layernorm_backward(da_q + da_k + da_v, ln1_cache)
+        dh = dh_in + dh1
+    grads["tok_emb"] = np.zeros_like(p["tok_emb"])
+    np.add.at(grads["tok_emb"], cache["tokens"], dh)
+    grads["pos_emb"] = np.zeros_like(p["pos_emb"])
+    grads["pos_emb"][:T] = dh.sum(axis=0)
+    return grads
+
+
+class TestInPlaceKernel:
+    """The in-place softmax and score gradient give the out-of-place kernel's
+    values bit for bit, under every context policy shape."""
+
+    T = 12  # BOS plus 11 tokens
+    # windows {None, 1, 7, T} x keep_first {0, 1, 5}, where the policy allows it
+    POLICIES = [(None, 0)] + [(w, kf) for w in (1, 7, T) for kf in (0, 1, 5) if kf <= w]
+
+    @pytest.mark.parametrize("layers, heads", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("window, keep_first", POLICIES)
+    def test_matches_out_of_place_kernel(self, layers, heads, batch, window, keep_first):
+        cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
+        model = generic_point(
+            AttnLM(vocab_size=5, layers=layers, heads=heads, embed=8, ffn=12, max_ctx=16, seed=layers)
+        )
+        rng = np.random.default_rng(batch * 100 + (window or 0) * 10 + keep_first)
+        corpus = [rng.integers(0, 5, size=n) for n in rng.integers(self.T - 4, self.T, size=batch)]
+        corpus[0] = rng.integers(0, 5, size=self.T - 1)
+        tokens, targets, valid = _make_batch(corpus, list(range(batch)), model.bos, model.eos)
+        assert tokens.shape == (batch, self.T)
+
+        logits, cache = model._forward(tokens, cp)
+        ref_logits, ref_cache = _reference_forward(model, tokens, cp)
+        assert np.array_equal(logits, ref_logits)
+        loss, dlogits = cross_entropy(logits, targets, valid)
+        ref_loss, ref_dlogits = cross_entropy(ref_logits, targets, valid)
+        assert loss == ref_loss
+        grads = model._backward(dlogits, cache)
+        ref_grads = _reference_backward(model, ref_dlogits, ref_cache)
+        assert grads.keys() == ref_grads.keys() == model.params.keys()
+        for key, g in grads.items():
+            assert np.array_equal(g, ref_grads[key]), key
+
+    @pytest.mark.parametrize("window, keep_first", POLICIES + [(3, 1), (6, 5)])
+    def test_hidden_set_is_complement_of_visible(self, window, keep_first):
+        cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
+        hidden = tiny_model()._policy_mask(self.T, cp)
+        assert np.array_equal(hidden, ~_reference_mask(self.T, cp))

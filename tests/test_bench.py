@@ -23,6 +23,7 @@ from vocalm.dsp import Waveform
 from vocalm.errors import IneligibleWindowError
 from vocalm.segmenter import CallSegment, SegmentWindow
 from vocalm.synthlab import MarkovChain, markov_corpus
+from vocalm.ulm import ContextPolicy
 
 SR = 16000
 
@@ -289,6 +290,45 @@ class TestPairwiseEval:
         assert res.by_task["shuffle"]["accuracy"] == 1.0
         assert res.by_task["reversal"]["accuracy"] == 0.0
         assert res.accuracy == 0.5
+
+    def test_shared_scores_score_each_distinct_sequence_once(self, rng):
+        class CountingScorer:
+            def __init__(self):
+                self.calls = []
+
+            def score(self, units, cp=None):
+                self.calls.append((cp, tuple(int(u) for u in units)))
+                window = len(units) if cp is None else cp.window
+                return float(np.sum(np.asarray(units)[-window:] * np.arange(1, min(window, len(units)) + 1)))
+
+        # positives repeat across tasks, as a window's units do in the pipeline
+        seqs = [rng.integers(0, 6, size=n).astype(np.int32) for n in (5, 9, 9, 14)]
+        pairs = [
+            self._unit_pair(seqs[i], seqs[j], task=task)
+            for task in ("shuffle", "reversal", "concat")
+            for i, j in ((0, 1), (0, 2), (3, 1), (2, 3))
+        ]
+        policies = [None, None, ContextPolicy(window=3), ContextPolicy(window=3, keep_first=1), ContextPolicy(window=3)]
+        plain, shared = CountingScorer(), CountingScorer()
+        scores: dict = {}
+        for cp in policies:
+            a = pairwise_eval(plain, pairs, cp)
+            b = pairwise_eval(shared, pairs, cp, scores)
+            assert a == b
+        assert len(plain.calls) == 2 * len(pairs) * len(policies)
+        assert sorted(shared.calls, key=repr) == sorted(set(plain.calls), key=repr)
+        assert len(shared.calls) == 3 * len(seqs) == len(scores)
+
+    def test_shared_scores_key_on_dtype(self):
+        class LenScorer:
+            def score(self, units, cp=None):
+                return float(len(units))
+
+        # the same bytes as int64 [1] and as int32 [1, 0]
+        one = np.array([1], dtype=np.int64)
+        two = np.array([1, 0], dtype=np.int32)
+        pair = BenchmarkPair(task="shuffle", positive=PairItem(units=two), distractor=PairItem(units=one))
+        assert pairwise_eval(LenScorer(), [pair], None, {}).accuracy == 1.0
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):

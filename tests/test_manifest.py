@@ -1,7 +1,10 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+import vocalm
 from vocalm.errors import ConfigError, FingerprintMismatchError
 from vocalm.manifest import (
     DEFAULT_CONFIG,
@@ -107,6 +110,42 @@ class TestRunConfig:
         bad.write_text("{nope")
         with pytest.raises(ConfigError):
             RunConfig.from_file(bad)
+
+    def test_from_file_accepts_own_saved_fingerprint(self, tmp_path):
+        cfg = RunConfig.from_dict({"seed": 3, "quantizer": {"k": 12}})
+        path = tmp_path / "config.json"
+        cfg.save(path)
+        assert json.loads(path.read_text())["_fingerprint"] == cfg.fingerprint()
+        back = RunConfig.from_file(path)
+        assert back.data == cfg.data and back.fingerprint() == cfg.fingerprint()
+
+    @pytest.mark.parametrize("saved", ["0" * 16, 7])
+    def test_from_file_rejects_other_fingerprint(self, tmp_path, saved):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 3, "_fingerprint": saved}))
+        with pytest.raises(ConfigError, match="_fingerprint"):
+            RunConfig.from_file(path)
+
+    def test_shipped_and_workload_configs_keep_fingerprints(self):
+        # fingerprints of these configs before the high-pass stability check
+        # joined validation; a change here would orphan every committed stage
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.pop(0)
+        shipped = Path(vocalm.__file__).parent / "configs"
+        found = {f.name: RunConfig.from_file(f).fingerprint() for f in sorted(shipped.glob("*.json"))}
+        found["default"] = RunConfig.from_dict({}).fingerprint()
+        found.update({name: RunConfig.from_dict(w.config).fingerprint() for name, w in WORKLOADS.items()})
+        assert found == {
+            "synthetic_grid.json": "7016f34d5ef4fb1b",
+            "synthetic_quick.json": "aba80754f5e9c819",
+            "default": "a8ef0797ade714a1",
+            "attn": "17ef7b72dcac2273",
+            "grid": "b030ebaa82dd4ff5",
+            "scale": "700d05f5a50d455b",
+        }
 
 
 class TestSeeds:

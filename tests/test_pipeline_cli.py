@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,7 @@ INJECTIONS = [
     ("quantize", quantizer, "write_units", 1),  # units_train.txt written
     ("ulm", NGramLM, "save", 1),  # model.json written, model_meta.json not
     ("bench", bench, "make_phee_pairs", 1),
+    ("fad", pipeline, "eval_fad_groups", 1),
     ("eval", pipeline, "train_probe", 1),
 ]
 
@@ -160,7 +162,7 @@ class TestResume:
         pipeline_run(cfg, tmp_path)
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
-    @pytest.mark.parametrize("damage", ["truncate_windows", "flip_feature_byte"])
+    @pytest.mark.parametrize("damage", ["truncate_windows", "flip_feature_byte", "edit_fad_value"])
     def test_damaged_artifact_is_recomputed(self, damage, clean_report, tmp_path):
         cfg = RunConfig.from_dict(RESUME_OVERRIDE)
         pipeline_run(cfg, tmp_path)
@@ -168,6 +170,13 @@ class TestResume:
             path = tmp_path / "segment" / "windows.jsonl"
             good = path.read_bytes()
             path.write_bytes(b"".join(good.splitlines(keepends=True)[:2]))
+        elif damage == "edit_fad_value":
+            # still valid JSON with the right fingerprint, but not what was committed
+            path = tmp_path / "fad" / "fad.json"
+            good = path.read_bytes()
+            block = json.loads(good)
+            block["values"]["noise"] *= 2
+            path.write_text(json.dumps(block, sort_keys=True))
         else:
             path = tmp_path / "features" / "frames.npy"
             good = path.read_bytes()
@@ -194,6 +203,41 @@ class TestResume:
         pipeline_run(cfg, tmp_path)
         assert _tree(feat) == good
         assert (tmp_path / "report.json").read_bytes() == clean_report
+
+    def test_out_dir_without_fad_stage_computes_only_fad(self, clean_run, clean_report, tmp_path, monkeypatch):
+        # an out-dir written before the fad stage existed: synth..bench committed, no fad/
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        shutil.rmtree(out / "fad")
+        (out / "report.json").unlink()
+        ran = []
+        for name in pipeline.STAGES:
+
+            def recording(*args, _name=name, _stage=getattr(pipeline, f"stage_{name}"), **kwargs):
+                ran.append(_name)
+                return _stage(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, f"stage_{name}", recording)
+        pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
+        assert ran == ["fad"]
+        assert (out / "fad" / "fad.json").read_bytes() == (clean_run / "fad" / "fad.json").read_bytes()
+        assert (out / "report.json").read_bytes() == clean_report
+
+    def test_resume_loads_no_scipy(self, clean_run, clean_report, tmp_path):
+        # eval reads the committed FAD block, so no k-means refit pulls in scipy.spatial
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        code = (
+            "import json, sys; from vocalm.manifest import RunConfig; from vocalm.pipeline import pipeline_run; "
+            "pipeline_run(RunConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2]); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(RESUME_OVERRIDE), str(out)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert (out / "report.json").read_bytes() == clean_report
 
     def test_foreign_marker_raises_before_anything_changes(self, tmp_path):
         (tmp_path / "synth").mkdir()
@@ -425,7 +469,8 @@ class TestCli:
         rc = main(["pipeline", "--config", str(bad), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("highpass_hz", [9000.0, 8000.0, 0.0, -5.0, "5000"])
+    # 1e-13 Hz is inside (0, 8000) but its poles round onto the unit circle
+    @pytest.mark.parametrize("highpass_hz", [9000.0, 8000.0, 0.0, -5.0, "5000", 1e-13])
     def test_bad_highpass_exits_2_before_writing(self, tmp_path, highpass_hz):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"detector": {"highpass_hz": highpass_hz}}))
@@ -435,6 +480,21 @@ class TestCli:
         assert list(out.iterdir()) == []
         with pytest.raises(ConfigError, match="detector.highpass_hz"):
             RunConfig.from_dict({"detector": {"highpass_hz": highpass_hz}})
+
+    def test_rerun_from_saved_config(self, clean_run, clean_report, tmp_path):
+        out = tmp_path / "again"
+        assert main(["pipeline", "--config", str(clean_run / "config.json"), "--out-dir", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == clean_report
+
+    def test_tampered_saved_fingerprint_exits_2_before_writing(self, clean_run, tmp_path):
+        saved = json.loads((clean_run / "config.json").read_text())
+        saved["_fingerprint"] = "0" * 16
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(saved))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert list(out.iterdir()) == []
 
     def test_report_cli_on_partial(self, tmp_path, capsys):
         write_report({"partial": True, "failed_stage": "ulm", "error": "boom", "config_fingerprint": "x"}, tmp_path)
