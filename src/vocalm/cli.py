@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,18 +19,17 @@ import numpy as np
 from . import __version__, bench, dsp, metrics, quantizer
 from .errors import ConfigError, FingerprintMismatchError, StageFailureError, VocalmError
 from .manifest import RunConfig, read_manifest, split_manifest, write_manifest
-from .pipeline import pipeline_run, validate_report
+from .pipeline import load_model, pipeline_run, validate_report
 from .segmenter import DetectorParams, detect_calls, pack_windows
 from .synthlab import CallSpec, MarkovChain, SceneSpec, markov_corpus, synth_scene
-from .ulm import AddK, AttnLM, ContextPolicy, KneserNey, NGramLM, generate, ppl, train_ngram, train_probe
+from .ulm import AddK, AttnLM, ContextPolicy, KneserNey, generate, ppl, train_ngram, train_probe
 
 log = logging.getLogger("vocalm")
 
 
 def _context_policy(args) -> ContextPolicy | None:
-    if args.ctx is None:
-        return None if args.keep_first == 0 else ContextPolicy(window=None, keep_first=0)
-    return ContextPolicy(window=args.ctx, keep_first=args.keep_first)
+    # an unlimited window shows every position, so keep_first changes nothing
+    return None if args.ctx is None else ContextPolicy(window=args.ctx, keep_first=args.keep_first)
 
 
 def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
@@ -40,30 +40,18 @@ def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
 # -- synth ----------------------------------------------------------------
 
 
+def _given_fields(cls, spec: dict) -> dict:
+    """The keys of `spec` that name fields of dataclass `cls`; the rest keep their defaults."""
+    return {f.name: spec[f.name] for f in fields(cls) if f.name in spec}
+
+
 def cmd_synth(args) -> int:
     with open(args.spec) as fh:
         spec = json.load(fh)
     out = Path(args.out)
     if args.what == "scene":
-        calls = tuple(
-            (
-                c["onset_s"],
-                CallSpec(
-                    f0_hz=c.get("f0_hz", 7000.0),
-                    duration_s=c.get("duration_s", 1.0),
-                    fm_depth_hz=c.get("fm_depth_hz", 150.0),
-                    fm_rate_hz=c.get("fm_rate_hz", 1.0),
-                    amplitude=c.get("amplitude", 0.5),
-                ),
-            )
-            for c in spec.get("calls", [])
-        )
-        scene = SceneSpec(
-            total_s=spec["total_s"],
-            calls=calls,
-            noise_floor_db=spec.get("noise_floor_db", -55.0),
-            seed=args.seed,
-        )
+        calls = tuple((c["onset_s"], CallSpec(**_given_fields(CallSpec, c))) for c in spec.get("calls", []))
+        scene = SceneSpec(**{**_given_fields(SceneSpec, spec), "calls": calls, "seed": args.seed})
         wave, truth = synth_scene(scene)
         out.parent.mkdir(parents=True, exist_ok=True)
         dsp.write_wav(out, wave)
@@ -88,22 +76,17 @@ def cmd_synth(args) -> int:
 
 
 def _detector_from_file(path) -> DetectorParams:
-    if not path:
-        return DetectorParams()
-    with open(path) as fh:
-        obj = json.load(fh)
-    d = obj.get("detector", obj)
-    allowed = {
-        "energy_floor", "noise_var_max", "noise_density_min",
-        "noise_dur_band", "call_dur_band", "highpass_hz", "boundary_comp_s",
-    }
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown detector parameter(s): {sorted(unknown)}")
-    for key in ("noise_dur_band", "call_dur_band"):
-        if key in d:
-            d[key] = tuple(d[key])
-    return DetectorParams(**d)
+    """The pipeline's `detector` block, bare or nested in a config, checked
+    and completed with defaults as the pipeline does."""
+    block = {}
+    if path:
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"params file {path} is not valid JSON: {e}") from e
+        block = obj.get("detector", obj) if isinstance(obj, dict) else obj
+    return DetectorParams.from_dict(RunConfig.from_dict({"detector": block})["detector"])
 
 
 def cmd_segment(args) -> int:
@@ -119,18 +102,7 @@ def cmd_segment(args) -> int:
                 wave = dsp.decimate(wave, dsp.DEFAULT_SAMPLE_RATE)
             calls = detect_calls(wave, params)
             for win in pack_windows(wave, calls):
-                fh.write(
-                    json.dumps(
-                        {
-                            "source": str(path),
-                            "start_s": win.start_s,
-                            "end_s": win.end_s,
-                            "calls": [{"onset_s": c.onset_s, "offset_s": c.offset_s} for c in win.calls],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps(win.record(path), sort_keys=True) + "\n")
     print(f"segmented {len(paths)} file(s) -> {args.out}")
     return 0
 
@@ -139,11 +111,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_features(args) -> int:
-    wave = dsp.read_wav(args.input)
-    if args.kind == "linear_fb":
-        fm = dsp.linear_fb(wave, args.lo_hz, args.hi_hz, args.n_coeffs)
-    else:
-        fm = dsp.mfcc(wave, args.n_coeffs)
+    fm = dsp.features(dsp.read_wav(args.input), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
     if args.pool:
         pooled = metrics.clip_embedding(fm, "mv")
         fm = dsp.FeatureMatrix(pooled[None, :], feature_kind=f"{args.kind}_pooled")
@@ -178,12 +146,6 @@ def cmd_quantize(args) -> int:
 # -- ulm --------------------------------------------------------------------
 
 
-def _load_model(path: str):
-    if path.endswith(".npz"):
-        return AttnLM.load(path)
-    return NGramLM.load(path)
-
-
 def cmd_ulm(args) -> int:
     if args.what == "train":
         corpus = [u for u in quantizer.read_units(args.units) if u.size]
@@ -200,16 +162,16 @@ def cmd_ulm(args) -> int:
             model.save(args.out)
         print(f"trained {args.backend} model -> {args.out}")
     elif args.what == "score":
-        model = _load_model(args.model)
+        model = load_model(args.model)
         cp = _context_policy(args)
         for seq in quantizer.read_units(args.units):
             print(model.score(seq, cp))
     elif args.what == "ppl":
-        model = _load_model(args.model)
+        model = load_model(args.model)
         corpus = [u for u in quantizer.read_units(args.units) if u.size]
         print(json.dumps({"ppl": ppl(model, corpus, _context_policy(args)), "n_sequences": len(corpus)}))
     elif args.what == "generate":
-        model = _load_model(args.model)
+        model = load_model(args.model)
         prompt = [int(t) for t in args.prompt.split()] if args.prompt else []
         out = generate(model, prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len)
         print(" ".join(str(int(t)) for t in out))
@@ -238,7 +200,7 @@ def cmd_bench(args) -> int:
         bench.write_pairs_jsonl(args.out, pairs)
         print(f"wrote {len(pairs)} {args.mode} pairs -> {args.out}")
     else:  # eval
-        model = _load_model(args.model)
+        model = load_model(args.model)
         pairs, _ = bench.read_pairs_jsonl(args.pairs)
         res = bench.pairwise_eval(model, pairs, _context_policy(args))
         print(json.dumps({"accuracy": res.accuracy, "n": res.n_pairs, "by_task": res.by_task}))
@@ -252,9 +214,7 @@ def _manifest_embeddings(path: str, kind: str, embedding: str):
     records = read_manifest(path)
     embs = []
     for rec in records:
-        wave = dsp.read_wav(rec.path)
-        fm = dsp.linear_fb(wave) if kind == "linear_fb" else dsp.mfcc(wave)
-        embs.append(metrics.clip_embedding(fm, embedding))
+        embs.append(metrics.clip_embedding(dsp.features(dsp.read_wav(rec.path), kind), embedding))
     return embs
 
 

@@ -335,6 +335,21 @@ def linear_fb(
     return FeatureMatrix(np.log(energies), feature_kind="linear_fb")
 
 
+def features(
+    w: Waveform,
+    kind: str,
+    n_coeffs: int = DEFAULT_N_MFCC,
+    lo_hz: float = FB_LO_HZ,
+    hi_hz: float = FB_HI_HZ,
+) -> FeatureMatrix:
+    """The frames of feature kind `linear_fb` (on [lo_hz, hi_hz]) or `mfcc`."""
+    if kind == "linear_fb":
+        return linear_fb(w, lo_hz, hi_hz, n_coeffs)
+    if kind == "mfcc":
+        return mfcc(w, n_coeffs)
+    raise ValueError(f"unknown feature kind {kind!r}")
+
+
 def decimate(w: Waveform, target_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
     """Integer-factor decimation with anti-alias filtering; no general resampling."""
     if w.sample_rate == target_rate:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dsp import DEFAULT_SAMPLE_RATE, _highpass_design
 from .errors import ConfigError, FingerprintMismatchError
+from .segmenter import DetectorParams
 
 SPLITS = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -244,9 +245,27 @@ class RunConfig:
             json.dump(payload, fh, indent=2, sort_keys=True)
 
 
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", list: "a list"}
+
+
+def _check_types(data: dict, default: dict, path: str = "") -> None:
+    """Each leaf has the JSON type of its DEFAULT_CONFIG value: an int stands
+    for a float, a bool for neither, and a dict default needs a dict."""
+    for key, base in default.items():
+        where = f"{path}.{key}" if path else key
+        value = data[key]
+        if isinstance(base, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be an object, got {value!r}")
+            _check_types(value, base, where)
+        else:
+            want = (int, float) if type(base) is float else type(base)
+            if isinstance(value, bool) != isinstance(base, bool) or not isinstance(value, want):
+                raise ConfigError(f"{where} must be {_TYPE_NAMES[type(base)]}, got {value!r}")
+
+
 def _validate(data: dict) -> None:
-    if not isinstance(data["seed"], int):
-        raise ConfigError("seed must be an integer")
+    _check_types(data, DEFAULT_CONFIG)
     if data["features"]["kind"] not in ("linear_fb", "mfcc"):
         raise ConfigError(f"unknown feature kind {data['features']['kind']!r}")
     if data["ulm"]["backend"] not in ("ngram", "attn"):
@@ -258,20 +277,20 @@ def _validate(data: dict) -> None:
         raise ConfigError("fad_embedding must be 'mv' or 'mvs'")
     if not 1 <= data["ulm"]["order"] <= 6:
         raise ConfigError("ulm.order must be in [1, 6]")
-    k = data["quantizer"]["k"]
-    if not (isinstance(k, int) and k >= 2):
+    if data["quantizer"]["k"] < 2:
         raise ConfigError("quantizer.k must be an integer >= 2")
     ratios = data["split"]["ratios"]
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("split.ratios must be three values summing to 1")
-    highpass_hz = data["detector"]["highpass_hz"]
-    if not isinstance(highpass_hz, (int, float)):
-        raise ConfigError(f"detector.highpass_hz must be a number, got {highpass_hz!r}")
     try:
         # the segment stage's own rule: inside (0, Nyquist) and a stable design
-        _highpass_design(highpass_hz, DEFAULT_SAMPLE_RATE)
+        _highpass_design(data["detector"]["highpass_hz"], DEFAULT_SAMPLE_RATE)
     except ValueError as e:
         raise ConfigError(f"detector.highpass_hz: {e}") from e
+    try:
+        DetectorParams.from_dict(data["detector"])
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"detector: {e}") from e
 
 
 def seed_for(root_seed: int, name: str) -> int:

@@ -27,6 +27,7 @@ import logging
 import os
 import shutil
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,24 +54,9 @@ STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "fad")
 # -- small helpers -------------------------------------------------------------
 
 
-def _detector(cfg: RunConfig) -> DetectorParams:
-    d = cfg["detector"]
-    return DetectorParams(
-        energy_floor=d["energy_floor"],
-        noise_var_max=d["noise_var_max"],
-        noise_density_min=d["noise_density_min"],
-        noise_dur_band=tuple(d["noise_dur_band"]),
-        call_dur_band=tuple(d["call_dur_band"]),
-        highpass_hz=d["highpass_hz"],
-        boundary_comp_s=d["boundary_comp_s"],
-    )
-
-
 def _featurize(cfg: RunConfig, w: dsp.Waveform) -> dsp.FeatureMatrix:
     f = cfg["features"]
-    if f["kind"] == "linear_fb":
-        return dsp.linear_fb(w, f["lo_hz"], f["hi_hz"], f["n_coeffs"])
-    return dsp.mfcc(w, f["n_coeffs"])
+    return dsp.features(w, f["kind"], f["n_coeffs"], f["lo_hz"], f["hi_hz"])
 
 
 def _smoothing(cfg: RunConfig):
@@ -211,7 +197,7 @@ def _read_truth(out: Path) -> list[dict]:
 def stage_segment(cfg: RunConfig, out: Path) -> None:
     fp = cfg.fingerprint()
     seg_dir = out / "segment"
-    params = _detector(cfg)
+    params = DetectorParams.from_dict(cfg["detector"])
     n_match = n_pred = n_truth = n_scenes = 0
     with open(seg_dir / "windows.jsonl", "w") as fh:
         for scene in _read_truth(out):
@@ -224,21 +210,7 @@ def stage_segment(cfg: RunConfig, out: Path) -> None:
             n_truth += len(truth)
             n_match += round(recall * len(truth))
             for win in pack_windows(wave, pred):
-                fh.write(
-                    json.dumps(
-                        {
-                            "source": scene["path"],
-                            "start_s": win.start_s,
-                            "end_s": win.end_s,
-                            "calls": [
-                                {"onset_s": c.onset_s, "offset_s": c.offset_s} for c in win.calls
-                            ],
-                            "config_fingerprint": fp,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps({**win.record(scene["path"]), "config_fingerprint": fp}, sort_keys=True) + "\n")
     detection = {
         "precision": n_match / n_pred if n_pred else 1.0,
         "recall": n_match / n_truth if n_truth else 1.0,
@@ -391,13 +363,16 @@ def stage_ulm(cfg: RunConfig, out: Path) -> None:
         json.dump(meta, fh, sort_keys=True)
 
 
+def load_model(path):
+    """A saved unit LM: an attention LM from a `.npz` file, else an n-gram LM."""
+    return AttnLM.load(path) if str(path).endswith(".npz") else NGramLM.load(path)
+
+
 def load_ulm(cfg: RunConfig, out: Path):
     with open(out / "ulm" / "model_meta.json") as fh:
         meta = json.load(fh)
     check_fingerprint(meta.get("config_fingerprint", ""), cfg.fingerprint(), "ulm model")
-    if meta["backend"] == "ngram":
-        return NGramLM.load(out / "ulm" / meta["file"])
-    return AttnLM.load(out / "ulm" / meta["file"])
+    return load_model(out / "ulm" / meta["file"])
 
 
 # -- bench stage -----------------------------------------------------------
@@ -430,6 +405,18 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
         return quantizer.encode(_featurize(cfg, wave), cb)
 
     pairs = []
+
+    def add(made, wid, provenance):
+        # the positive is window wid itself; only the distractor is encoded
+        pairs.append(
+            replace(
+                made,
+                positive=made.positive.with_units(units[wid]),
+                distractor=made.distractor.with_units(units_of(made.distractor.wave)),
+                provenance=provenance,
+            )
+        )
+
     eligible_shuffle = []
     even_ids: list[str] = []
     for wid in eval_ids:
@@ -438,26 +425,10 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
             eligible_shuffle.append((wid, win, clip))
             if len(win.calls) % 2 == 0:
                 even_ids.append(wid)
-        rev = bench.make_reversal(clip, ref=wid)
-        pairs.append(
-            bench.BenchmarkPair(
-                task="reversal",
-                positive=rev.positive.with_units(units[wid]),
-                distractor=rev.distractor.with_units(units_of(rev.distractor.wave)),
-                provenance={"window": wid},
-            )
-        )
+        add(bench.make_reversal(clip, ref=wid), wid, {"window": wid})
     for wid, win, clip in eligible_shuffle:
         p = bench.make_shuffle(win, clip, seed=seed_for(cfg.seed, f"bench/shuffle/{wid}"))
-        pairs.append(
-            bench.BenchmarkPair(
-                task="shuffle",
-                positive=p.positive.with_units(units[wid]),
-                distractor=p.distractor.with_units(units_of(p.distractor.wave)),
-                seed=p.seed,
-                provenance={"window": wid, **p.provenance},
-            )
-        )
+        add(p, wid, {"window": wid, **p.provenance})
     # any two distinct even-call-count windows are concat-eligible
     for i, wid in enumerate(even_ids):
         if len(even_ids) < 2:
@@ -465,15 +436,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
         other = even_ids[(i + 1) % len(even_ids)]
         win_a, clip_a = load_window(wid)
         win_b, clip_b = load_window(other)
-        p = bench.make_concat(win_a, clip_a, win_b, clip_b)
-        pairs.append(
-            bench.BenchmarkPair(
-                task="concat",
-                positive=p.positive.with_units(units[wid]),
-                distractor=p.distractor.with_units(units_of(p.distractor.wave)),
-                provenance={"a": wid, "b": other},
-            )
-        )
+        add(bench.make_concat(win_a, clip_a, win_b, clip_b), wid, {"a": wid, "b": other})
     # phee pairs: units are encoded call+response concatenations
     records = bench.read_phee_jsonl(out / "synth" / "phee" / "phee.jsonl")
     ref_units: dict[str, np.ndarray] = {}
@@ -538,14 +501,13 @@ def eval_fad_groups(cfg: RunConfig, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     f_lo, f_hi = 5600.0, 7800.0
 
-    def featurize(wave):
-        return _featurize(cfg, wave)
-
-    set_a = [featurize(_fad_clip(rng, f_lo, f_hi, m["fad_clip_s"])) for _ in range(group)]
+    set_a = [_featurize(cfg, _fad_clip(rng, f_lo, f_hi, m["fad_clip_s"])) for _ in range(group)]
     waves_b = [_fad_clip(rng, f_lo, f_hi, m["fad_clip_s"]) for _ in range(group)]
-    set_b = [featurize(w) for w in waves_b]
-    rev_b = [featurize(dsp.Waveform(w.samples[::-1].copy())) for w in waves_b]
-    noise_b = [featurize(_fad_clip(rng, f_lo, f_hi, m["fad_clip_s"], noise_only=True)) for _ in range(group)]
+    set_b = [_featurize(cfg, w) for w in waves_b]
+    rev_b = [_featurize(cfg, dsp.Waveform(w.samples[::-1].copy())) for w in waves_b]
+    noise_b = [
+        _featurize(cfg, _fad_clip(rng, f_lo, f_hi, m["fad_clip_s"], noise_only=True)) for _ in range(group)
+    ]
     cb = quantizer.fit_codebook(
         np.vstack([f.rows for f in set_a]),
         k=min(cfg["quantizer"]["k"], sum(f.n_frames for f in set_a) // 2),
@@ -576,15 +538,15 @@ def stage_fad(cfg: RunConfig, out: Path) -> None:
 
 
 def _labeled_call_frames(cfg: RunConfig, out: Path):
-    """(units, labels) per frame inside detected calls, plus per-call groupings."""
+    """(units, labels) per frame inside detected calls, then per call its
+    units and pooled-frame embedding, with one label array for both."""
     truth_by_path = {t["path"]: t for t in _read_truth(out)}
     window_rows = {w["id"]: w for w in _read_windows(out)}
     type_names = [ct["name"] for ct in cfg["synth"]["call_types"]]
     type_idx = {n: i for i, n in enumerate(type_names)}
     window_units = _window_units(out)
     frame_units, frame_labels = [], []
-    call_units, call_labels = [], []
-    call_embeddings, call_embed_labels = [], []
+    call_units, call_labels, call_embeddings = [], [], []
     stride = dsp.FRAME_STRIDE_MS / 1000.0
     index = _read_feature_index(out)
     for row, frames in zip(index, _window_frames(out, index)):
@@ -606,15 +568,8 @@ def _labeled_call_frames(cfg: RunConfig, out: Path):
             call_units.append(units[lo:hi])
             call_labels.append(label)
             call_embeddings.append(metrics.clip_embedding(dsp.FeatureMatrix(frames[lo:hi]), "mv"))
-            call_embed_labels.append(label)
     return (
-        np.array(frame_units),
-        np.array(frame_labels),
-        call_units,
-        np.array(call_labels),
-        call_embeddings,
-        np.array(call_embed_labels),
-        type_names,
+        np.array(frame_units), np.array(frame_labels), call_units, np.array(call_labels), call_embeddings, type_names
     )
 
 
@@ -663,13 +618,13 @@ def stage_eval(cfg: RunConfig, out: Path) -> dict:
     with open(out / "fad" / "fad.json") as fh:
         fad_block = json.load(fh)
     check_fingerprint(fad_block.pop("config_fingerprint", ""), fp, "FAD values")
-    fu, fl, cu, cl, emb, emb_labels, type_names = _labeled_call_frames(cfg, out)
+    fu, fl, cu, cl, emb, type_names = _labeled_call_frames(cfg, out)
     frame_up, frame_lp = metrics.purity(metrics.contingency_from_frames(fu, fl))
     call_up, call_lp = metrics.purity(metrics.contingency_from_calls(cu, cl))
     probe_cfg = cfg["probe"]
     probe_res = train_probe(
         emb,
-        emb_labels,
+        cl,
         epochs=probe_cfg["epochs"],
         seed=seed_for(cfg.seed, "probe"),
         hidden=tuple(probe_cfg["hidden"]),
@@ -697,7 +652,7 @@ def stage_eval(cfg: RunConfig, out: Path) -> dict:
             "precision": precision,
             "f1": f1,
             "classes": type_names,
-            "n_calls": int(len(emb_labels)),
+            "n_calls": int(len(cl)),
         },
     }
     if cfg["context_grid"]["enabled"]:

@@ -9,7 +9,7 @@ duration gating of the remaining active runs to the [0.25, 4.0] s call band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +70,15 @@ class SegmentWindow:
     def span_s(self) -> float:
         return self.end_s - self.start_s
 
+    def record(self, source) -> dict:
+        """The window's `windows.jsonl` row: its source, span and calls."""
+        return {
+            "source": str(source),
+            "start_s": self.start_s,
+            "end_s": self.end_s,
+            "calls": [{"onset_s": c.onset_s, "offset_s": c.offset_s} for c in self.calls],
+        }
+
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -92,11 +101,14 @@ class DetectorParams:
             lo, hi = getattr(self, name)
             if not 0 <= lo < hi:
                 raise ValueError(f"{name} must be ordered low < high, got ({lo}, {hi})")
-        if self.energy_floor < 0 or self.noise_var_max < 0 or self.noise_density_min < 0:
-            raise ValueError("thresholds must be non-negative")
+        for name in ("energy_floor", "noise_var_max", "noise_density_min"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
-    def with_overrides(self, **kw) -> "DetectorParams":
-        return replace(self, **kw)
+    @classmethod
+    def from_dict(cls, block: dict) -> "DetectorParams":
+        """Params from a config `detector` block, whose bands are JSON lists."""
+        return cls(**{k: tuple(v) if k.endswith("_band") else v for k, v in block.items()})
 
 
 def frame_stats(spec: "dsp.Spectrogram", params: DetectorParams) -> dict:

@@ -8,7 +8,6 @@ rate is available in closed form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,14 +144,6 @@ class MarkovChain:
             logpi = np.log(self.pi)
             logP = np.log(self.P)
         return float(logpi[toks[0]] + logP[toks[:-1], toks[1:]].sum())
-
-    def to_json(self) -> str:
-        return json.dumps({"pi": self.pi.tolist(), "P": self.P.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MarkovChain":
-        obj = json.loads(text)
-        return cls(np.array(obj["pi"]), np.array(obj["P"]))
 
 
 def markov_corpus(chain: MarkovChain, n_seqs: int, length: int, seed: int = 0) -> list[np.ndarray]:

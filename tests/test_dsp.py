@@ -239,6 +239,20 @@ class TestLinearFb:
             dsp.linear_fb(tone(7000.0, 0.1), lo_hz=5000.0, hi_hz=9000.0)  # beyond Nyquist
 
 
+class TestFeatureDispatch:
+    def test_kinds_match_their_extractors(self, rng):
+        w = Waveform(rng.normal(0, 0.1, size=SR))
+        fb = dsp.features(w, "linear_fb", 10, 5500.0, 7500.0)
+        assert np.array_equal(fb.rows, dsp.linear_fb(w, 5500.0, 7500.0, 10).rows)
+        assert np.array_equal(dsp.features(w, "mfcc", 10).rows, dsp.mfcc(w, 10).rows)
+        assert np.array_equal(dsp.features(w, "linear_fb").rows, dsp.linear_fb(w).rows)
+        assert dsp.features(w, "mfcc").feature_kind == "mfcc"
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="hubert"):
+            dsp.features(tone(7000.0, 0.1), "hubert")
+
+
 class TestWavIO:
     def test_roundtrip(self, rng, tmp_path):
         x = np.clip(rng.normal(size=SR) * 0.2, -0.9, 0.9)

@@ -95,6 +95,45 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"ulm": {"order": 9}})
 
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"synth": {"n_scenes": "3"}}, "synth.n_scenes must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"quantizer": {"k": 2.5}}, "quantizer.k must be an integer"),
+            ({"synth": {"scene_s": False}}, "synth.scene_s must be a number"),
+            ({"context_grid": {"enabled": 1}}, "context_grid.enabled must be a boolean"),
+            ({"features": {"kind": 3}}, "features.kind must be a string"),
+            ({"split": {"ratios": "0.8/0.1/0.1"}}, "split.ratios must be a list"),
+            ({"detector": 5000.0}, "detector must be an object"),
+            ({"ulm": {"attn": [64]}}, "ulm.attn must be an object"),
+        ],
+        ids=[
+            "str_for_int", "bool_for_int", "float_for_int", "bool_for_float", "int_for_bool",
+            "int_for_str", "str_for_list", "number_for_object", "list_for_object",
+        ],
+    )
+    def test_leaf_types_checked(self, override, match):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict(override)
+
+    def test_int_stands_for_float(self):
+        cfg = RunConfig.from_dict({"synth": {"scene_s": 10}, "detector": {"highpass_hz": 4500}})
+        assert cfg["synth"]["scene_s"] == 10 and cfg["detector"]["highpass_hz"] == 4500
+
+    @pytest.mark.parametrize(
+        "detector, match",
+        [
+            ({"call_dur_band": [4.0, 0.25]}, "call_dur_band must be ordered"),
+            ({"noise_dur_band": [0.5, 1.0, 2.0]}, "detector"),
+            ({"energy_floor": -0.5}, "energy_floor must be non-negative"),
+        ],
+        ids=["reversed_band", "three_value_band", "negative_floor"],
+    )
+    def test_detector_block_checked_by_detector(self, detector, match):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict({"detector": detector})
+
     def test_fingerprint_stable_and_sensitive(self):
         a = RunConfig.from_dict({})
         b = RunConfig.from_dict({})

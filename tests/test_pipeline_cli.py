@@ -1,16 +1,18 @@
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vocalm import bench, dsp, pipeline, quantizer
-from vocalm.cli import main
+from vocalm.cli import build_parser, main
 from vocalm.errors import ConfigError, FingerprintMismatchError, StageFailureError
-from vocalm.manifest import RunConfig
+from vocalm.manifest import DEFAULT_CONFIG, RunConfig
 from vocalm.pipeline import pipeline_run, validate_report, write_report
 from vocalm.synthlab import CallSpec, SceneSpec, synth_scene
 from vocalm.ulm import NGramLM
@@ -351,6 +353,21 @@ class TestContextGrid:
         assert (50, 5) in combos and (500, 0) in combos
 
 
+# (test id, detector block, message the ConfigError must match). 1e-13 Hz is
+# inside (0, 8000) but its poles round onto the unit circle.
+BAD_DETECTOR = [
+    ("9000.0", {"highpass_hz": 9000.0}, "detector.highpass_hz"),
+    ("8000.0", {"highpass_hz": 8000.0}, "detector.highpass_hz"),
+    ("0.0", {"highpass_hz": 0.0}, "detector.highpass_hz"),
+    ("-5.0", {"highpass_hz": -5.0}, "detector.highpass_hz"),
+    ("5000", {"highpass_hz": "5000"}, "detector.highpass_hz"),
+    ("1e-13", {"highpass_hz": 1e-13}, "detector.highpass_hz"),
+    ("call_dur_band", {"call_dur_band": [4.0, 0.25]}, "call_dur_band"),
+    ("energy_floor", {"energy_floor": -0.02}, "energy_floor"),
+]
+BAD_SEGMENT_PARAMS = [(name, detector) for name, detector, _ in BAD_DETECTOR] + [("unknown_key", {"gain": 2.0})]
+
+
 class TestCli:
     def test_synth_corpus_and_ulm_roundtrip(self, tmp_path):
         chain = {"pi": [0.5, 0.5], "P": [[0.9, 0.1], [0.2, 0.8]]}
@@ -469,17 +486,86 @@ class TestCli:
         rc = main(["pipeline", "--config", str(bad), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
-    # 1e-13 Hz is inside (0, 8000) but its poles round onto the unit circle
-    @pytest.mark.parametrize("highpass_hz", [9000.0, 8000.0, 0.0, -5.0, "5000", 1e-13])
-    def test_bad_highpass_exits_2_before_writing(self, tmp_path, highpass_hz):
+    @pytest.mark.parametrize("detector, match", [c[1:] for c in BAD_DETECTOR], ids=[c[0] for c in BAD_DETECTOR])
+    def test_bad_highpass_exits_2_before_writing(self, tmp_path, detector, match):
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"detector": {"highpass_hz": highpass_hz}}))
+        config.write_text(json.dumps({"detector": detector}))
         out = tmp_path / "out"
         out.mkdir()
         assert main(["pipeline", "--config", str(config), "--out-dir", str(out)]) == 2
         assert list(out.iterdir()) == []
-        with pytest.raises(ConfigError, match="detector.highpass_hz"):
-            RunConfig.from_dict({"detector": {"highpass_hz": highpass_hz}})
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict({"detector": detector})
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["bare", "nested"])
+    @pytest.mark.parametrize(
+        "detector", [c[1] for c in BAD_SEGMENT_PARAMS], ids=[c[0] for c in BAD_SEGMENT_PARAMS]
+    )
+    def test_segment_bad_params_exit_2_before_writing(self, tmp_path, detector, nested, capsys):
+        wav = tmp_path / "scene.wav"
+        dsp.write_wav(wav, dsp.Waveform(np.zeros(16000)))
+        params = tmp_path / "detector.json"
+        params.write_text(json.dumps({"seed": 3, "detector": detector} if nested else detector))
+        out = tmp_path / "windows.jsonl"
+        assert main(["segment", "--in", str(wav), "--params", str(params), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{nope", "[0.25, 4.0]"], ids=["not_json", "list"])
+    def test_segment_params_not_an_object_exit_2(self, tmp_path, text):
+        params = tmp_path / "detector.json"
+        params.write_text(text)
+        wav = tmp_path / "scene.wav"
+        dsp.write_wav(wav, dsp.Waveform(np.zeros(16000)))
+        out = tmp_path / "windows.jsonl"
+        assert main(["segment", "--in", str(wav), "--params", str(params), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_segment_default_params_write_identical_rows(self, tmp_path):
+        spec = SceneSpec(
+            total_s=8.0,
+            calls=((1.0, CallSpec(duration_s=0.8)), (3.0, CallSpec(duration_s=1.0))),
+            noise_floor_db=-60.0,
+            seed=1,
+        )
+        wav = tmp_path / "scene.wav"
+        dsp.write_wav(wav, synth_scene(spec)[0])
+        written = []
+        for name, params in (
+            ("none", None),
+            ("bare", DEFAULT_CONFIG["detector"]),
+            ("nested", {"seed": 3, "detector": DEFAULT_CONFIG["detector"]}),
+            ("empty", {}),
+        ):
+            argv = ["segment", "--in", str(wav), "--out", str(tmp_path / f"{name}.jsonl")]
+            if params is not None:
+                (tmp_path / f"{name}.json").write_text(json.dumps(params))
+                argv += ["--params", str(tmp_path / f"{name}.json")]
+            assert main(argv) == 0
+            written.append((tmp_path / f"{name}.jsonl").read_bytes())
+        assert written[0] and all(rows == written[0] for rows in written)
+
+    def test_synth_scene_spec_defaults_are_the_dataclass_defaults(self, tmp_path):
+        given = {"onset_s": 0.5}
+        explicit = {"onset_s": 0.5, **asdict(CallSpec())}
+        for name, call in (("given", given), ("explicit", explicit)):
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps({"total_s": 3.0, "calls": [call]}))
+            assert main(["synth", "scene", "--spec", str(spec), "--seed", "3", "--out", str(tmp_path / f"{name}.wav")]) == 0
+        direct = tmp_path / "direct.wav"
+        dsp.write_wav(direct, synth_scene(SceneSpec(total_s=3.0, calls=((0.5, CallSpec()),), seed=3))[0])
+        assert (tmp_path / "given.wav").read_bytes() == (tmp_path / "explicit.wav").read_bytes()
+        assert (tmp_path / "given.wav").read_bytes() == direct.read_bytes()
+
+    def test_readme_cli_examples_parse(self):
+        # guards the README's command examples against flag drift
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("vocalm ")]
+        assert len(lines) >= 16
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
 
     def test_rerun_from_saved_config(self, clean_run, clean_report, tmp_path):
         out = tmp_path / "again"

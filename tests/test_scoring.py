@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vocalm.synthlab import MarkovChain, chain_ppl, markov_corpus
-from vocalm.ulm import AddK, ContextPolicy, KneserNey, ppl, train_ngram
+from vocalm.ulm import AddK, AttnLM, ContextPolicy, KneserNey, ppl, train_ngram
 
 
 class TestPpl:
@@ -48,3 +48,14 @@ class TestScoreDispatch:
         assert m.score(seq, cp) != m.score(seq, None)
         # ppl scores each sequence through the model's own method, policy included
         assert ppl(m, [seq], cp) == pytest.approx(np.exp(-m.score(seq, cp) / (len(seq) + 1)), rel=1e-12)
+
+
+class TestUnlimitedPolicy:
+    def test_unlimited_window_scores_as_no_policy(self, rng):
+        # the CLI passes no policy when --ctx is absent, whatever --keep-first says
+        corpus = [rng.integers(0, 4, size=20) for _ in range(5)]
+        seq = rng.integers(0, 4, size=12)
+        ngram = train_ngram(corpus, n=3, smoothing=KneserNey(0.75), vocab_size=4)
+        attn = AttnLM(vocab_size=4, layers=1, heads=2, embed=8, ffn=12, max_ctx=32, seed=0)
+        for model in (ngram, attn):
+            assert model.score(seq, ContextPolicy(window=None, keep_first=0)) == model.score(seq, None)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from vocalm.segmenter import (
     pack_windows,
     score_detection,
 )
+from vocalm.manifest import DEFAULT_CONFIG
 from vocalm.synthlab import synth_scene
 
 SR = 16000
@@ -185,3 +188,38 @@ class TestSegmentWindowInvariants:
     def test_overlapping_calls_rejected(self):
         with pytest.raises(ValueError):
             SegmentWindow(0.0, 5.0, (CallSegment(0, 2), CallSegment(1, 3)))
+
+
+class TestDetectorParamsFromDict:
+    def test_default_config_block_is_the_default_params(self):
+        assert DetectorParams.from_dict(DEFAULT_CONFIG["detector"]) == DetectorParams()
+
+    def test_bands_become_tuples(self):
+        params = DetectorParams.from_dict({"call_dur_band": [0.3, 3.0], "highpass_hz": 4500.0})
+        assert params.call_dur_band == (0.3, 3.0) and params.noise_dur_band == (0.5, 2.0)
+        assert params.highpass_hz == 4500.0
+
+    @pytest.mark.parametrize(
+        "block, error",
+        [
+            ({"call_dur_band": [4.0, 0.25]}, ValueError),
+            ({"noise_dur_band": [1.0]}, ValueError),
+            ({"energy_floor": -0.1}, ValueError),
+            ({"gain": 2.0}, TypeError),
+        ],
+        ids=["reversed_band", "one_value_band", "negative_floor", "unknown_key"],
+    )
+    def test_invalid_block_rejected(self, block, error):
+        with pytest.raises(error):
+            DetectorParams.from_dict(block)
+
+
+class TestWindowRecord:
+    def test_record_is_the_windows_jsonl_row(self):
+        win = SegmentWindow(2.0, 9.5, (CallSegment(0.0, 1.0), CallSegment(3.0, 4.5)))
+        assert win.record(Path("a") / "s.wav") == {
+            "source": str(Path("a") / "s.wav"),
+            "start_s": 2.0,
+            "end_s": 9.5,
+            "calls": [{"onset_s": 0.0, "offset_s": 1.0}, {"onset_s": 3.0, "offset_s": 4.5}],
+        }
