@@ -9,14 +9,14 @@ token-sequence experiments; the audio variants are the reference forms.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .dsp import Waveform
 from .errors import IneligibleWindowError
+from .manifest import given_fields, read_jsonl, write_jsonl
 from .segmenter import SegmentWindow
 
 log = logging.getLogger(__name__)
@@ -37,6 +37,14 @@ class PairItem:
         """The same side with its units and without its audio, which pairs
         no longer need once encoded."""
         return PairItem(self.ref, np.asarray(units, dtype=np.int32))
+
+    def record(self) -> dict:
+        """The side as a `pairs.jsonl` field: its ref and units."""
+        return {"ref": self.ref, "units": None if self.units is None else self.units.tolist()}
+
+    @classmethod
+    def from_record(cls, obj: dict) -> "PairItem":
+        return cls(obj["ref"], None if obj["units"] is None else np.array(obj["units"], dtype=np.int32))
 
 
 @dataclass(frozen=True)
@@ -303,80 +311,33 @@ def pairwise_eval(model, pairs: list[BenchmarkPair], cp=None, scores: dict | Non
 
 
 def write_pairs_jsonl(path, pairs: list[BenchmarkPair], fingerprint: str = "") -> None:
-    with open(path, "w") as fh:
-        for p in pairs:
-            fh.write(
-                json.dumps(
-                    {
-                        "task": p.task,
-                        "positive": {"ref": p.positive.ref, "units": None if p.positive.units is None else p.positive.units.tolist()},
-                        "distractor": {"ref": p.distractor.ref, "units": None if p.distractor.units is None else p.distractor.units.tolist()},
-                        "seed": p.seed,
-                        "provenance": p.provenance,
-                        "config_fingerprint": fingerprint,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    rows = (
+        {"task": p.task, "positive": p.positive.record(), "distractor": p.distractor.record(),
+         "seed": p.seed, "provenance": p.provenance, "config_fingerprint": fingerprint}
+        for p in pairs
+    )
+    write_jsonl(path, rows)
 
 
 def read_pairs_jsonl(path) -> tuple[list[BenchmarkPair], str]:
-    pairs = []
-    fingerprint = ""
-    with open(path) as fh:
-        for line in fh:
-            obj = json.loads(line)
-            fingerprint = obj.get("config_fingerprint", "")
-            pairs.append(
-                BenchmarkPair(
-                    task=obj["task"],
-                    positive=PairItem(
-                        ref=obj["positive"]["ref"],
-                        units=None if obj["positive"]["units"] is None else np.array(obj["positive"]["units"], dtype=np.int32),
-                    ),
-                    distractor=PairItem(
-                        ref=obj["distractor"]["ref"],
-                        units=None if obj["distractor"]["units"] is None else np.array(obj["distractor"]["units"], dtype=np.int32),
-                    ),
-                    seed=obj.get("seed", 0),
-                    provenance=obj.get("provenance", {}),
-                )
-            )
-    return pairs, fingerprint
+    """The pairs and the fingerprint of the last row ("" when there is none)."""
+    rows = read_jsonl(path)
+    pairs = [
+        BenchmarkPair(
+            task=obj["task"],
+            positive=PairItem.from_record(obj["positive"]),
+            distractor=PairItem.from_record(obj["distractor"]),
+            seed=obj.get("seed", 0),
+            provenance=obj.get("provenance", {}),
+        )
+        for obj in rows
+    ]
+    return pairs, rows[-1].get("config_fingerprint", "") if rows else ""
 
 
 def write_phee_jsonl(path, records: list[PheeRecord], fingerprint: str = "") -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "caller_id": r.caller_id,
-                        "receiver_id": r.receiver_id,
-                        "call_ref": r.call_ref,
-                        "response_ref": r.response_ref,
-                        "gap_s": r.gap_s,
-                        "config_fingerprint": fingerprint,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, ({**asdict(r), "config_fingerprint": fingerprint} for r in records))
 
 
 def read_phee_jsonl(path) -> list[PheeRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            obj = json.loads(line)
-            records.append(
-                PheeRecord(
-                    caller_id=obj["caller_id"],
-                    receiver_id=obj["receiver_id"],
-                    call_ref=obj["call_ref"],
-                    response_ref=obj["response_ref"],
-                    gap_s=obj.get("gap_s", 0.0),
-                )
-            )
-    return records
+    return [PheeRecord(**given_fields(PheeRecord, obj)) for obj in read_jsonl(path)]

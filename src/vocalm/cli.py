@@ -11,14 +11,13 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
 from .errors import ConfigError, FingerprintMismatchError, StageFailureError, VocalmError
-from .manifest import RunConfig, read_manifest, split_manifest, write_manifest
+from .manifest import RunConfig, given_fields, read_manifest, split_manifest, write_jsonl, write_manifest
 from .pipeline import load_model, pipeline_run, validate_report
 from .segmenter import DetectorParams, detect_calls, pack_windows
 from .synthlab import CallSpec, MarkovChain, SceneSpec, markov_corpus, synth_scene
@@ -40,18 +39,13 @@ def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
 # -- synth ----------------------------------------------------------------
 
 
-def _given_fields(cls, spec: dict) -> dict:
-    """The keys of `spec` that name fields of dataclass `cls`; the rest keep their defaults."""
-    return {f.name: spec[f.name] for f in fields(cls) if f.name in spec}
-
-
 def cmd_synth(args) -> int:
     with open(args.spec) as fh:
         spec = json.load(fh)
     out = Path(args.out)
     if args.what == "scene":
-        calls = tuple((c["onset_s"], CallSpec(**_given_fields(CallSpec, c))) for c in spec.get("calls", []))
-        scene = SceneSpec(**{**_given_fields(SceneSpec, spec), "calls": calls, "seed": args.seed})
+        calls = tuple((c["onset_s"], CallSpec(**given_fields(CallSpec, c))) for c in spec.get("calls", []))
+        scene = SceneSpec(**{**given_fields(SceneSpec, spec), "calls": calls, "seed": args.seed})
         wave, truth = synth_scene(scene)
         out.parent.mkdir(parents=True, exist_ok=True)
         dsp.write_wav(out, wave)
@@ -95,14 +89,16 @@ def cmd_segment(args) -> int:
     paths = sorted(src.glob("*.wav")) if src.is_dir() else [src]
     if not paths:
         raise ConfigError(f"no wav files under {src}")
-    with open(args.out, "w") as fh:
+
+    def windows():
         for path in paths:
             wave = dsp.read_wav(path)
             if wave.sample_rate != dsp.DEFAULT_SAMPLE_RATE:
                 wave = dsp.decimate(wave, dsp.DEFAULT_SAMPLE_RATE)
-            calls = detect_calls(wave, params)
-            for win in pack_windows(wave, calls):
-                fh.write(json.dumps(win.record(path), sort_keys=True) + "\n")
+            for win in pack_windows(wave, detect_calls(wave, params)):
+                yield win.record(path)
+
+    write_jsonl(args.out, windows())
     print(f"segmented {len(paths)} file(s) -> {args.out}")
     return 0
 

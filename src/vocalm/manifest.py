@@ -3,6 +3,10 @@
 All randomness across the pipeline flows from one root seed through named
 sub-streams (seed_for), and every artifact embeds the configuration
 fingerprint so that artifacts from different runs cannot be mixed silently.
+Every JSON-lines file is written by write_jsonl and read by read_jsonl; the
+pipeline's stage JSON files have one reader, which checks the fingerprint.
+RunConfig.from_dict holds every config rule, so a bad value stops a run
+before anything is written.
 """
 
 from __future__ import annotations
@@ -10,13 +14,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dsp import DEFAULT_SAMPLE_RATE, _highpass_design
+from .dsp import DEFAULT_SAMPLE_RATE, _feature_geometry, _highpass_design
 from .errors import ConfigError, FingerprintMismatchError
-from .segmenter import DetectorParams
+from .segmenter import WINDOW_SPAN_S, DetectorParams
 
 SPLITS = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -104,37 +108,54 @@ class ManifestRecord:
     labels: dict = field(default_factory=dict)
 
 
+def write_jsonl(path, rows) -> None:
+    """One sorted-key JSON object per line, for any iterable of dicts."""
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def read_jsonl(path) -> list[dict]:
+    """The rows of a JSON-lines file. Blank lines are skipped; a line that is
+    not JSON raises ConfigError naming the file and the line number."""
+    rows = []
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{path} line {n} is not valid JSON: {e.msg}") from e
+    return rows
+
+
+def given_fields(cls, row: dict) -> dict:
+    """The keys of `row` that name fields of dataclass `cls`; the rest keep their defaults."""
+    return {f.name: row[f.name] for f in fields(cls) if f.name in row}
+
+
 def read_manifest(path) -> list[ManifestRecord]:
     records = []
     seen = set()
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if obj["path"] in seen:
-                raise ValueError(f"duplicate manifest path {obj['path']!r}")
-            seen.add(obj["path"])
-            records.append(
-                ManifestRecord(
-                    path=obj["path"],
-                    duration_s=float(obj.get("duration_s", 0.0)),
-                    split=obj.get("split"),
-                    labels=obj.get("labels", {}),
-                )
+    for obj in read_jsonl(path):
+        if obj["path"] in seen:
+            raise ValueError(f"duplicate manifest path {obj['path']!r}")
+        seen.add(obj["path"])
+        records.append(
+            ManifestRecord(
+                path=obj["path"],
+                duration_s=float(obj.get("duration_s", 0.0)),
+                split=obj.get("split"),
+                labels=obj.get("labels", {}),
             )
+        )
     return records
 
 
 def write_manifest(path, records: list[ManifestRecord]) -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            obj = {"path": r.path, "duration_s": r.duration_s}
-            if r.split:
-                obj["split"] = r.split
-            if r.labels:
-                obj["labels"] = r.labels
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    # split and labels only when set
+    write_jsonl(path, ({k: v for k, v in asdict(r).items() if v or k in ("path", "duration_s")} for r in records))
 
 
 def _stratum_key(record: ManifestRecord) -> str:
@@ -264,6 +285,46 @@ def _check_types(data: dict, default: dict, path: str = "") -> None:
                 raise ConfigError(f"{where} must be {_TYPE_NAMES[type(base)]}, got {value!r}")
 
 
+# Least value of each count: every count is at least 1, a FAD group needs two
+# clips for its covariance, a phee exchange two animals, a codebook two units.
+_AT_LEAST = {
+    "synth.n_scenes": 1, "synth.phee.n_records": 1, "synth.phee.n_individuals": 2,
+    "features.n_coeffs": 1, "quantizer.k": 2, "quantizer.minibatch": 1, "quantizer.restarts": 1,
+    "ulm.attn.heads": 1, "ulm.attn.embed": 1, "ulm.attn.ffn": 1, "ulm.attn.steps": 1, "ulm.attn.batch": 1,
+    "bench.phee_per_record": 1, "metrics.fad_group_size": 2,
+}
+
+
+def _ranges(data: dict):
+    """(key, value) of every [low, high] pair the synth stage samples from."""
+    syn = data["synth"]
+    yield "synth.calls_per_scene", syn["calls_per_scene"]
+    yield "synth.phee.gap_s", syn["phee"]["gap_s"]
+    for i, ct in enumerate(syn["call_types"]):
+        for key in ("f0_hz", "duration_s", "fm_depth_hz", "fm_rate_hz", "amplitude"):
+            yield f"synth.call_types[{i}].{key}", ct.get(key) if isinstance(ct, dict) else None
+
+
+def _check_attn_context(data: dict) -> None:
+    """Reject an attention LM whose context cannot hold the longest unit
+    sequence the bench stage builds, plus BOS: a concat distractor of two
+    windows of at most min(scene_s, WINDOW_SPAN_S) each (with a sample of
+    slack per window for rounding its edges), or a phee call plus its response.
+    """
+    window, hop = _feature_geometry(DEFAULT_SAMPLE_RATE)
+
+    def frames(seconds: float, pieces: int = 1) -> int:
+        n = pieces * (int(round(seconds * DEFAULT_SAMPLE_RATE)) + 1)
+        return max(0, 1 + (n - window) // hop)
+
+    syn = data["synth"]
+    phee = frames(syn["phee"]["call_s"]) + frames(syn["phee"]["response_s"])
+    need = max(frames(min(syn["scene_s"], WINDOW_SPAN_S), pieces=2), phee) + 1
+    max_ctx = data["ulm"]["attn"]["max_ctx"]
+    if data["ulm"]["backend"] == "attn" and max_ctx < need:
+        raise ConfigError(f"ulm.attn.max_ctx is {max_ctx}; the longest bench pair needs it to be at least {need}")
+
+
 def _validate(data: dict) -> None:
     _check_types(data, DEFAULT_CONFIG)
     if data["features"]["kind"] not in ("linear_fb", "mfcc"):
@@ -277,8 +338,16 @@ def _validate(data: dict) -> None:
         raise ConfigError("fad_embedding must be 'mv' or 'mvs'")
     if not 1 <= data["ulm"]["order"] <= 6:
         raise ConfigError("ulm.order must be in [1, 6]")
-    if data["quantizer"]["k"] < 2:
-        raise ConfigError("quantizer.k must be an integer >= 2")
+    for where, least in _AT_LEAST.items():
+        value = data
+        for key in where.split("."):
+            value = value[key]
+        if value < least:
+            raise ConfigError(f"{where} must be at least {least}, got {value!r}")
+    for where, pair in _ranges(data):
+        numbers = isinstance(pair, list) and all(type(x) in (int, float) for x in pair)
+        if not (numbers and len(pair) == 2 and pair[0] <= pair[1]):
+            raise ConfigError(f"{where} must be [low, high] with low <= high, got {pair!r}")
     ratios = data["split"]["ratios"]
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("split.ratios must be three values summing to 1")
@@ -291,6 +360,7 @@ def _validate(data: dict) -> None:
         DetectorParams.from_dict(data["detector"])
     except (ValueError, TypeError) as e:
         raise ConfigError(f"detector: {e}") from e
+    _check_attn_context(data)
 
 
 def seed_for(root_seed: int, name: str) -> int:

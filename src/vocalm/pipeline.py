@@ -11,10 +11,12 @@ for file; any other stage, and every stage after it, is recomputed from an
 emptied directory. A marker written under a different config fingerprint
 raises FingerprintMismatchError before anything is deleted. Each window is
 featurised and encoded once: its frames sit in `features/frames.npy`, and
-bench and eval read its units from quantize. The FAD block depends on the
-config alone; the fad stage writes it to `fad/fad.json`, which a resume
-reuses. Eval reads that file and scores each distinct sequence once per
-context policy. The report body contains no timestamps, so identical configs
+bench and eval read its units from quantize's `units_{split}.txt`, whose lines
+follow `features/index.json` order. The FAD block depends on the config
+alone; the fad stage writes it to `fad/fad.json`, which a resume reuses. Eval
+reads that file and scores each distinct sequence once per context policy.
+Every stage JSON file is read through _load_json, which checks its config
+fingerprint. The report body contains no timestamps, so identical configs
 produce byte-identical reports; wall-clock metadata goes to run_meta.json
 instead.
 """
@@ -33,10 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
-from .errors import ConfigError, FingerprintMismatchError, StageFailureError
-from .manifest import ManifestRecord, RunConfig, check_fingerprint, seed_for, split_manifest
-from .segmenter import CallSegment, DetectorParams, SegmentWindow, detect_calls, pack_windows, score_detection
-from .segmenter import WINDOW_SPAN_S
+from .errors import FingerprintMismatchError, StageFailureError
+from .manifest import SPLITS, ManifestRecord, RunConfig, check_fingerprint, read_jsonl, seed_for, split_manifest
+from .manifest import write_jsonl
+from .segmenter import BOUNDARY_TOL_S, CallSegment, DetectorParams, SegmentWindow, count_matches, detect_calls
+from .segmenter import pack_windows
 from .synthlab import CallSpec, SceneSpec, synth_call, synth_scene
 from .ulm import AddK, AttnLM, ContextPolicy, KneserNey, NGramLM, attn_train, ppl, train_ngram, train_probe
 
@@ -68,6 +71,21 @@ def _smoothing(cfg: RunConfig):
 
 def _sample_range(rng, lo_hi) -> float:
     return float(rng.uniform(lo_hi[0], lo_hi[1]))
+
+
+def _save_json(path: Path, body: dict, cfg: RunConfig) -> None:
+    """Write a stage JSON file: the body plus the config fingerprint."""
+    with open(path, "w") as fh:
+        json.dump({**body, "config_fingerprint": cfg.fingerprint()}, fh, sort_keys=True)
+
+
+def _load_json(path: Path, cfg: RunConfig) -> dict:
+    """A stage JSON file's body, once its fingerprint matches the active
+    config's; otherwise FingerprintMismatchError naming the file."""
+    with open(path) as fh:
+        body = json.load(fh)
+    check_fingerprint(body.pop("config_fingerprint", ""), cfg.fingerprint(), str(path))
+    return body
 
 
 # -- synth stage ---------------------------------------------------------------
@@ -111,7 +129,8 @@ def stage_synth(cfg: RunConfig, out: Path) -> None:
     fp = cfg.fingerprint()
     synth_dir = out / "synth"
     syn = cfg["synth"]
-    with open(synth_dir / "truth.jsonl", "w") as fh:
+
+    def scenes():
         for plan in _scene_plan(cfg):
             spec = SceneSpec(
                 total_s=syn["scene_s"],
@@ -122,25 +141,17 @@ def stage_synth(cfg: RunConfig, out: Path) -> None:
             wave, truth = synth_scene(spec)
             wav_path = synth_dir / f"{plan['name']}.wav"
             dsp.write_wav(wav_path, wave)
-            fh.write(
-                json.dumps(
-                    {
-                        "path": str(wav_path),
-                        "duration_s": syn["scene_s"],
-                        "calls": [
-                            {
-                                "onset_s": seg.onset_s,
-                                "offset_s": seg.offset_s,
-                                "call_type": c["call_type"],
-                            }
-                            for seg, c in zip(truth, plan["calls"])
-                        ],
-                        "config_fingerprint": fp,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            yield {
+                "path": str(wav_path),
+                "duration_s": syn["scene_s"],
+                "calls": [
+                    {"onset_s": seg.onset_s, "offset_s": seg.offset_s, "call_type": c["call_type"]}
+                    for seg, c in zip(truth, plan["calls"])
+                ],
+                "config_fingerprint": fp,
+            }
+
+    write_jsonl(synth_dir / "truth.jsonl", scenes())
     _synth_phee(cfg, synth_dir, fp)
 
 
@@ -189,42 +200,37 @@ def _synth_phee(cfg: RunConfig, synth_dir: Path, fp: str) -> None:
 # -- segment stage -------------------------------------------------------------
 
 
-def _read_truth(out: Path) -> list[dict]:
-    with open(out / "synth" / "truth.jsonl") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def stage_segment(cfg: RunConfig, out: Path) -> None:
     fp = cfg.fingerprint()
     seg_dir = out / "segment"
     params = DetectorParams.from_dict(cfg["detector"])
     n_match = n_pred = n_truth = n_scenes = 0
-    with open(seg_dir / "windows.jsonl", "w") as fh:
-        for scene in _read_truth(out):
+
+    def windows():
+        nonlocal n_match, n_pred, n_truth, n_scenes
+        for scene in read_jsonl(out / "synth" / "truth.jsonl"):
             n_scenes += 1
             wave = dsp.read_wav(scene["path"])
             pred = detect_calls(wave, params)
             truth = [CallSegment(c["onset_s"], c["offset_s"]) for c in scene["calls"]]
-            precision, recall = score_detection(pred, truth)
             n_pred += len(pred)
             n_truth += len(truth)
-            n_match += round(recall * len(truth))
+            n_match += count_matches(pred, truth, BOUNDARY_TOL_S)
             for win in pack_windows(wave, pred):
-                fh.write(json.dumps({**win.record(scene["path"]), "config_fingerprint": fp}, sort_keys=True) + "\n")
+                yield {**win.record(scene["path"]), "config_fingerprint": fp}
+
+    write_jsonl(seg_dir / "windows.jsonl", windows())
     detection = {
         "precision": n_match / n_pred if n_pred else 1.0,
         "recall": n_match / n_truth if n_truth else 1.0,
         "n_scenes": n_scenes,
-        "tol_s": 0.05,
-        "config_fingerprint": fp,
+        "tol_s": BOUNDARY_TOL_S,
     }
-    with open(seg_dir / "detection.json", "w") as fh:
-        json.dump(detection, fh, sort_keys=True)
+    _save_json(seg_dir / "detection.json", detection, cfg)
 
 
 def _read_windows(out: Path) -> list[dict]:
-    with open(out / "segment" / "windows.jsonl") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+    rows = read_jsonl(out / "segment" / "windows.jsonl")
     per_source: dict[str, int] = {}
     for row in rows:
         j = per_source.get(row["source"], 0)
@@ -277,13 +283,11 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     ]
     # with no windows this is a (0, D) matrix and quantize reports the failure
     np.save(feat_dir / FRAMES_NAME, np.vstack([np.empty((0, cfg["features"]["n_coeffs"]))] + frames))
-    with open(feat_dir / "index.json", "w") as fh:
-        json.dump({"windows": index, "config_fingerprint": cfg.fingerprint()}, fh, sort_keys=True)
+    _save_json(feat_dir / "index.json", {"windows": index}, cfg)
 
 
-def _read_feature_index(out: Path) -> list[dict]:
-    with open(out / "features" / "index.json") as fh:
-        return json.load(fh)["windows"]
+def _read_feature_index(out: Path, cfg: RunConfig) -> list[dict]:
+    return _load_json(out / "features" / "index.json", cfg)["windows"]
 
 
 def _window_frames(out: Path, index: list[dict]) -> list[np.ndarray]:
@@ -296,8 +300,9 @@ def _window_frames(out: Path, index: list[dict]) -> list[np.ndarray]:
 
 
 def stage_quantize(cfg: RunConfig, out: Path) -> None:
+    """codebook.json, then units_{split}.txt: the split's windows in index.json order."""
     q_dir = out / "quantize"
-    index = _read_feature_index(out)
+    index = _read_feature_index(out, cfg)
     frames = _window_frames(out, index)
     q = cfg["quantizer"]
     cb = quantizer.fit_codebook(
@@ -309,23 +314,17 @@ def stage_quantize(cfg: RunConfig, out: Path) -> None:
         feature_kind=cfg["features"]["kind"],
     )
     quantizer.save_codebook(q_dir / "codebook.json", cb)
-    units_index = {"splits": {}, "config_fingerprint": cfg.fingerprint()}
-    for split in ("train", "valid", "test"):
-        rows = [(w["id"], f) for w, f in zip(index, frames) if w["split"] == split]
-        quantizer.write_units(q_dir / f"units_{split}.txt", [quantizer.encode(f, cb) for _, f in rows])
-        units_index["splits"][split] = [wid for wid, _ in rows]
-    with open(q_dir / "units_index.json", "w") as fh:
-        json.dump(units_index, fh, sort_keys=True)
+    for split in SPLITS:
+        units = [quantizer.encode(f, cb) for w, f in zip(index, frames) if w["split"] == split]
+        quantizer.write_units(q_dir / f"units_{split}.txt", units)
 
 
-def _window_units(out: Path) -> dict[str, np.ndarray]:
+def _window_units(out: Path, index: list[dict]) -> dict[str, np.ndarray]:
     """Every window's units as the quantize stage wrote them, by window id."""
-    q_dir = out / "quantize"
-    with open(q_dir / "units_index.json") as fh:
-        splits = json.load(fh)["splits"]
     units: dict[str, np.ndarray] = {}
-    for split, ids in splits.items():
-        units.update(zip(ids, quantizer.read_units(q_dir / f"units_{split}.txt"), strict=True))
+    for split in SPLITS:
+        ids = [w["id"] for w in index if w["split"] == split]
+        units.update(zip(ids, quantizer.read_units(out / "quantize" / f"units_{split}.txt"), strict=True))
     return units
 
 
@@ -356,23 +355,15 @@ def stage_ulm(cfg: RunConfig, out: Path) -> None:
         )
         model.save(u_dir / "model.npz")
         model_file = "model.npz"
-    meta = {"backend": backend, "file": model_file, "config_fingerprint": cfg.fingerprint()}
+    meta = {"backend": backend, "file": model_file}
     if backend == "attn":
         meta["n_params"] = model.n_params
-    with open(u_dir / "model_meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True)
+    _save_json(u_dir / "model_meta.json", meta, cfg)
 
 
 def load_model(path):
     """A saved unit LM: an attention LM from a `.npz` file, else an n-gram LM."""
     return AttnLM.load(path) if str(path).endswith(".npz") else NGramLM.load(path)
-
-
-def load_ulm(cfg: RunConfig, out: Path):
-    with open(out / "ulm" / "model_meta.json") as fh:
-        meta = json.load(fh)
-    check_fingerprint(meta.get("config_fingerprint", ""), cfg.fingerprint(), "ulm model")
-    return load_model(out / "ulm" / meta["file"])
 
 
 # -- bench stage -----------------------------------------------------------
@@ -382,14 +373,15 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
     """Pairs for every task. Each window side is the window itself, so its
     units come from quantize; only distractors and phee audio are encoded."""
     cb = quantizer.load_codebook(out / "quantize" / "codebook.json")
-    units = _window_units(out)
-    index = {w["id"]: w for w in _read_feature_index(out)}
-    eval_ids = [wid for wid, w in index.items() if w["split"] in ("test", "valid")]
+    index = _read_feature_index(out, cfg)
+    units = _window_units(out, index)
+    index_by_id = {w["id"]: w for w in index}
+    eval_ids = [w["id"] for w in index if w["split"] in ("test", "valid")]
     window_rows = {w["id"]: w for w in _read_windows(out)}
     wave_cache: dict[str, dsp.Waveform] = {}
 
     def load_window(wid):
-        row = index[wid]
+        row = index_by_id[wid]
         if row["source"] not in wave_cache:
             wave_cache[row["source"]] = dsp.read_wav(row["source"])
         wave = wave_cache[row["source"]]
@@ -446,27 +438,17 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
             ref_units[path] = units_of(dsp.read_wav(path))
         return ref_units[path]
 
+    def phee_side(item):
+        # a phee side's ref is "<call wav>+<response wav>"
+        call, response = item.ref.split("+")
+        return item.with_units(np.concatenate([wav_units(call), wav_units(response)]))
+
     for mode in ("caller_change", "receiver_change"):
         made = bench.make_phee_pairs(
             records, mode, seed=seed_for(cfg.seed, f"bench/phee/{mode}"),
             per_record=cfg["bench"]["phee_per_record"],
         )
-        for p in made:
-            pos_call, pos_resp = p.positive.ref.split("+")
-            dis_call, dis_resp = p.distractor.ref.split("+")
-            pairs.append(
-                bench.BenchmarkPair(
-                    task=mode,
-                    positive=p.positive.with_units(
-                        np.concatenate([wav_units(pos_call), wav_units(pos_resp)])
-                    ),
-                    distractor=p.distractor.with_units(
-                        np.concatenate([wav_units(dis_call), wav_units(dis_resp)])
-                    ),
-                    seed=p.seed,
-                    provenance=p.provenance,
-                )
-            )
+        pairs.extend(replace(p, positive=phee_side(p.positive), distractor=phee_side(p.distractor)) for p in made)
     bench.write_pairs_jsonl(out / "bench" / "pairs.jsonl", pairs, fingerprint=cfg.fingerprint())
 
 
@@ -532,23 +514,21 @@ def eval_fad_groups(cfg: RunConfig, seed: int) -> dict:
 
 def stage_fad(cfg: RunConfig, out: Path) -> None:
     """The FAD block depends on the config alone; eval reads it from fad.json."""
-    block = eval_fad_groups(cfg, seed_for(cfg.seed, "metrics/fad"))
-    with open(out / "fad" / "fad.json", "w") as fh:
-        json.dump({**block, "config_fingerprint": cfg.fingerprint()}, fh, sort_keys=True)
+    _save_json(out / "fad" / "fad.json", eval_fad_groups(cfg, seed_for(cfg.seed, "metrics/fad")), cfg)
 
 
 def _labeled_call_frames(cfg: RunConfig, out: Path):
     """(units, labels) per frame inside detected calls, then per call its
     units and pooled-frame embedding, with one label array for both."""
-    truth_by_path = {t["path"]: t for t in _read_truth(out)}
+    truth_by_path = {t["path"]: t for t in read_jsonl(out / "synth" / "truth.jsonl")}
     window_rows = {w["id"]: w for w in _read_windows(out)}
     type_names = [ct["name"] for ct in cfg["synth"]["call_types"]]
     type_idx = {n: i for i, n in enumerate(type_names)}
-    window_units = _window_units(out)
+    index = _read_feature_index(out, cfg)
+    window_units = _window_units(out, index)
     frame_units, frame_labels = [], []
     call_units, call_labels, call_embeddings = [], [], []
     stride = dsp.FRAME_STRIDE_MS / 1000.0
-    index = _read_feature_index(out)
     for row, frames in zip(index, _window_frames(out, index)):
         units = window_units[row["id"]]
         truth = truth_by_path[row["source"]]
@@ -600,7 +580,7 @@ def _context_grid(cfg: RunConfig, model, pairs, scores: dict) -> list[dict]:
 
 def stage_eval(cfg: RunConfig, out: Path) -> dict:
     fp = cfg.fingerprint()
-    model = load_ulm(cfg, out)
+    model = load_model(out / "ulm" / _load_json(out / "ulm" / "model_meta.json", cfg)["file"])
     pairs, pairs_fp = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
     check_fingerprint(pairs_fp, fp, "bench pairs")
     # one score per distinct (policy, sequence), shared with the context grid
@@ -612,12 +592,8 @@ def stage_eval(cfg: RunConfig, out: Path) -> dict:
     }
     test_units = [u for u in quantizer.read_units(out / "quantize" / "units_test.txt") if u.size]
     ppl_value = ppl(model, test_units, None) if test_units else None
-    with open(out / "segment" / "detection.json") as fh:
-        detection = json.load(fh)
-    check_fingerprint(detection.pop("config_fingerprint", ""), fp, "detection stats")
-    with open(out / "fad" / "fad.json") as fh:
-        fad_block = json.load(fh)
-    check_fingerprint(fad_block.pop("config_fingerprint", ""), fp, "FAD values")
+    detection = _load_json(out / "segment" / "detection.json", cfg)
+    fad_block = _load_json(out / "fad" / "fad.json", cfg)
     fu, fl, cu, cl, emb, type_names = _labeled_call_frames(cfg, out)
     frame_up, frame_lp = metrics.purity(metrics.contingency_from_frames(fu, fl))
     call_up, call_lp = metrics.purity(metrics.contingency_from_calls(cu, cl))
@@ -734,38 +710,15 @@ def _committed(stage_dir: Path, marker: dict | None) -> bool:
     )
 
 
-def _check_attn_context(cfg: RunConfig) -> None:
-    """Reject an attention LM whose context cannot hold the longest unit
-    sequence the bench stage builds, plus BOS: a concat distractor of two
-    windows of at most min(scene_s, WINDOW_SPAN_S) each (with a sample of
-    slack per window for rounding its edges), or a phee call plus its response.
-    """
-    window, hop = dsp._feature_geometry(dsp.DEFAULT_SAMPLE_RATE)
-
-    def frames(seconds: float, pieces: int = 1) -> int:
-        n = pieces * (int(round(seconds * dsp.DEFAULT_SAMPLE_RATE)) + 1)
-        return max(0, 1 + (n - window) // hop)
-
-    syn = cfg["synth"]
-    phee = frames(syn["phee"]["call_s"]) + frames(syn["phee"]["response_s"])
-    need = max(frames(min(syn["scene_s"], WINDOW_SPAN_S), pieces=2), phee) + 1
-    max_ctx = cfg["ulm"]["attn"]["max_ctx"]
-    if cfg["ulm"]["backend"] == "attn" and max_ctx < need:
-        raise ConfigError(f"ulm.attn.max_ctx is {max_ctx}; the longest bench pair needs it to be at least {need}")
-
-
 def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
     """Run all stages, reusing committed ones; returns the report dict.
 
-    An attention LM whose max_ctx cannot hold the longest bench pair raises
-    ConfigError before anything is written. Failures produce a partial report
-    (failed stage + diagnostics) and raise StageFailureError; a stage
-    committed under another config fingerprint raises
-    FingerprintMismatchError before anything is written or deleted. `jobs`
-    parallelizes feature extraction over scenes; outputs are ordered
+    Failures produce a partial report (failed stage + diagnostics) and raise
+    StageFailureError; a stage committed under another config fingerprint
+    raises FingerprintMismatchError before anything is written or deleted.
+    `jobs` parallelizes feature extraction over scenes; outputs are ordered
     deterministically regardless.
     """
-    _check_attn_context(cfg)
     out = Path(out_dir)
     fp = cfg.fingerprint()
     markers = {name: _read_marker(out / name) for name in STAGES}

@@ -235,16 +235,14 @@ def pack_windows(w: Waveform, calls: list[CallSegment]) -> list[SegmentWindow]:
     return windows
 
 
-def score_detection(
+def count_matches(
     pred: list[CallSegment],
     truth: list[CallSegment],
     tol_s: float = BOUNDARY_TOL_S,
-) -> tuple[float, float]:
-    """Greedy one-to-one matching at +-tol_s on both boundaries.
-
-    Returns (precision, recall). Empty prediction lists score precision 1.0
-    against empty truth and 0.0 otherwise.
-    """
+) -> int:
+    """Greedy one-to-one matching at +-tol_s on both boundaries: predictions
+    in onset order each take the first unmatched truth call within tolerance.
+    Returns the number of matched pairs."""
     if tol_s <= 0:
         raise ValueError("tolerance must be positive")
     matched_truth = [False] * len(truth)
@@ -257,6 +255,17 @@ def score_detection(
                 matched_truth[j] = True
                 matches += 1
                 break
+    return matches
+
+
+def score_detection(
+    pred: list[CallSegment],
+    truth: list[CallSegment],
+    tol_s: float = BOUNDARY_TOL_S,
+) -> tuple[float, float]:
+    """(precision, recall) of count_matches. Empty prediction lists score
+    precision 1.0 against empty truth and 0.0 otherwise."""
+    matches = count_matches(pred, truth, tol_s)
     if pred:
         precision = matches / len(pred)
     else:

@@ -1,0 +1,146 @@
+"""One codec per on-disk format: JSON-lines files go through
+manifest.write_jsonl/read_jsonl, stage JSON files through
+pipeline._save_json/_load_json."""
+
+import ast
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vocalm import bench, pipeline
+from vocalm.bench import PheeRecord, read_pairs_jsonl, read_phee_jsonl, write_pairs_jsonl, write_phee_jsonl
+from vocalm.cli import main
+from vocalm.errors import ConfigError, FingerprintMismatchError
+from vocalm.manifest import ManifestRecord, RunConfig, read_jsonl, read_manifest, write_jsonl, write_manifest
+from vocalm.ulm import KneserNey, train_ngram
+
+
+def _with_blank_lines(path: Path) -> None:
+    """A blank line inside the file and one at its end."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "\n" + "".join(lines[1:]) + "\n")
+
+
+class TestJsonLines:
+    def test_one_sorted_key_object_per_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, ({"b": i, "a": [i, None]} for i in range(2)))
+        assert path.read_text() == '{"a": [0, null], "b": 0}\n{"a": [1, null], "b": 1}\n'
+        assert read_jsonl(path) == [{"a": [0, None], "b": 0}, {"a": [1, None], "b": 1}]
+
+    def test_blank_lines_skipped_in_every_reader(self, tmp_path):
+        pairs = bench.unit_pairs_from_corpus([np.arange(6), np.arange(5)[::-1]], "reversal", seed=1)
+        write_pairs_jsonl(tmp_path / "pairs.jsonl", pairs, fingerprint="abc")
+        records = [PheeRecord("m0", "m1", "a.wav", "b.wav", 1.5), PheeRecord("m1", "m0", "c.wav", "d.wav")]
+        write_phee_jsonl(tmp_path / "phee.jsonl", records)
+        manifest = [ManifestRecord("x.wav", 1.0, "train", {"caller_id": "m0"}), ManifestRecord("y.wav", 2.0)]
+        write_manifest(tmp_path / "m.jsonl", manifest)
+        for name in ("pairs.jsonl", "phee.jsonl", "m.jsonl"):
+            _with_blank_lines(tmp_path / name)
+        back, fp = read_pairs_jsonl(tmp_path / "pairs.jsonl")
+        assert fp == "abc" and len(back) == len(pairs)
+        for p, q in zip(pairs, back):
+            assert (p.task, p.positive.ref, p.distractor.ref) == (q.task, q.positive.ref, q.distractor.ref)
+            assert np.array_equal(p.positive.units, q.positive.units)
+            assert np.array_equal(p.distractor.units, q.distractor.units)
+        assert read_phee_jsonl(tmp_path / "phee.jsonl") == records
+        assert read_manifest(tmp_path / "m.jsonl") == manifest
+
+    def test_line_that_is_not_json_names_file_and_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": \n')
+        with pytest.raises(ConfigError, match=re.escape(f"{path} line 3 is not valid JSON")):
+            read_jsonl(path)
+
+    def test_phee_rows_are_the_record_fields(self, tmp_path):
+        path = tmp_path / "phee.jsonl"
+        write_phee_jsonl(path, [PheeRecord("m0", "m1", "a.wav", "b.wav", 1.5)], fingerprint="abc")
+        assert json.loads(path.read_text()) == {
+            "caller_id": "m0", "receiver_id": "m1", "call_ref": "a.wav", "response_ref": "b.wav", "gap_s": 1.5,
+            "config_fingerprint": "abc",
+        }
+
+
+class TestBenchEvalCli:
+    @pytest.fixture
+    def model_and_pairs(self, tmp_path):
+        rng = np.random.default_rng(0)
+        corpus = [rng.integers(0, 4, size=30) for _ in range(6)]
+        model = tmp_path / "model.json"
+        train_ngram(corpus, 2, KneserNey(0.75), vocab_size=4).save(model)
+        pairs = tmp_path / "pairs.jsonl"
+        write_pairs_jsonl(pairs, bench.unit_pairs_from_corpus(corpus, "shuffle", seed=2))
+        return model, pairs
+
+    def test_trailing_blank_line_same_result(self, model_and_pairs, capsys):
+        model, pairs = model_and_pairs
+        printed = []
+        for _ in range(2):
+            assert main(["bench", "eval", "--model", str(model), "--pairs", str(pairs)]) == 0
+            printed.append(capsys.readouterr().out)
+            pairs.write_text(pairs.read_text() + "\n")
+        assert printed[0] == printed[1] and json.loads(printed[0])["n"] == 6
+
+    def test_line_that_is_not_json_exits_2(self, model_and_pairs, capsys):
+        model, pairs = model_and_pairs
+        pairs.write_text(pairs.read_text() + "{truncated\n")
+        assert main(["bench", "eval", "--model", str(model), "--pairs", str(pairs)]) == 2
+        assert f"{pairs} line 7" in capsys.readouterr().err
+
+
+class TestStageJson:
+    def test_load_json_checks_the_fingerprint(self, tmp_path):
+        mine, other = RunConfig.from_dict({}), RunConfig.from_dict({"seed": 1})
+        path = tmp_path / "features" / "index.json"
+        path.parent.mkdir()
+        pipeline._save_json(path, {"windows": []}, other)
+        assert json.loads(path.read_text()) == {"windows": [], "config_fingerprint": other.fingerprint()}
+        assert pipeline._load_json(path, other) == {"windows": []}
+        with pytest.raises(FingerprintMismatchError, match=re.escape(str(path))):
+            pipeline._load_json(path, mine)
+        # the quantize, bench and eval stages read index.json through the check
+        with pytest.raises(FingerprintMismatchError, match=re.escape(str(path))):
+            pipeline._read_feature_index(tmp_path, mine)
+
+
+# The functions allowed to call json.dump/dumps/load/loads in pipeline.py and
+# bench.py; pipeline_run may make one such call, the run_meta.json write.
+CODECS = {"_save_json", "_load_json", "_write_json_atomic", "_read_marker"}
+
+
+def _json_calls(module) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of each json codec call in a module."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            call = child.func if isinstance(child, ast.Call) else None
+            if (
+                isinstance(call, ast.Attribute)
+                and isinstance(call.value, ast.Name)
+                and call.value.id == "json"
+                and call.attr in ("dump", "dumps", "load", "loads")
+            ):
+                found.append((inner, child.lineno))
+            visit(child, inner)
+
+    tree = ast.parse(Path(module.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.append(("from json import", node.lineno))
+    visit(tree, "<module>")
+    return found
+
+
+def test_json_is_read_and_written_only_by_the_codecs():
+    stray = [
+        (Path(module.__file__).name, func, line)
+        for module in (pipeline, bench)
+        for func, line in _json_calls(module)
+        if func not in CODECS
+    ]
+    assert [func for _, func, _ in stray] == ["pipeline_run"], stray

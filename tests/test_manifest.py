@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from vocalm.manifest import (
     DEFAULT_CONFIG,
     ManifestRecord,
     RunConfig,
+    _AT_LEAST,
     check_fingerprint,
     read_manifest,
     seed_for,
@@ -133,6 +135,36 @@ class TestRunConfig:
     def test_detector_block_checked_by_detector(self, detector, match):
         with pytest.raises(ConfigError, match=match):
             RunConfig.from_dict({"detector": detector})
+
+    @pytest.mark.parametrize("where, least", sorted(_AT_LEAST.items()))
+    def test_counts_have_a_least_value(self, where, least):
+        def override(value):
+            *parents, leaf = where.split(".")
+            out = {leaf: value}
+            for key in reversed(parents):
+                out = {key: out}
+            return out
+
+        RunConfig.from_dict(override(least))
+        with pytest.raises(ConfigError, match=f"{where} must be at least {least}"):
+            RunConfig.from_dict(override(least - 1))
+
+    @pytest.mark.parametrize(
+        "synth, where",
+        [
+            ({"calls_per_scene": [3, 1]}, "synth.calls_per_scene"),
+            ({"calls_per_scene": [2]}, "synth.calls_per_scene"),
+            ({"phee": {"gap_s": [6.0, 0.5]}}, "synth.phee.gap_s"),
+            ({"call_types": [{**DEFAULT_CONFIG["synth"]["call_types"][0], "amplitude": [0.6, 0.3]}]},
+             "synth.call_types[0].amplitude"),
+            ({"call_types": [{"name": "x"}]}, "synth.call_types[0].f0_hz"),
+        ],
+        ids=["reversed", "one_value", "phee_gap", "call_type_reversed", "call_type_missing"],
+    )
+    def test_ranges_ordered(self, synth, where):
+        with pytest.raises(ConfigError, match=re.escape(where) + " must be"):
+            RunConfig.from_dict({"synth": synth})
+        RunConfig.from_dict({"synth": {"calls_per_scene": [3, 3]}})
 
     def test_fingerprint_stable_and_sensitive(self):
         a = RunConfig.from_dict({})

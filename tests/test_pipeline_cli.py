@@ -12,7 +12,7 @@ import pytest
 from vocalm import bench, dsp, pipeline, quantizer
 from vocalm.cli import build_parser, main
 from vocalm.errors import ConfigError, FingerprintMismatchError, StageFailureError
-from vocalm.manifest import DEFAULT_CONFIG, RunConfig
+from vocalm.manifest import DEFAULT_CONFIG, RunConfig, read_jsonl
 from vocalm.pipeline import pipeline_run, validate_report, write_report
 from vocalm.synthlab import CallSpec, SceneSpec, synth_scene
 from vocalm.ulm import NGramLM
@@ -63,10 +63,11 @@ class TestPipeline:
         cfg, out, report = tiny_run
         fp = cfg.fingerprint()
         assert report["config_fingerprint"] == fp
-        with open(out / "features" / "index.json") as fh:
-            assert json.load(fh)["config_fingerprint"] == fp
-        first = (out / "bench" / "pairs.jsonl").read_text().splitlines()[0]
-        assert json.loads(first)["config_fingerprint"] == fp
+        for rel in ("segment/detection.json", "features/index.json", "ulm/model_meta.json", "fad/fad.json"):
+            assert json.loads((out / rel).read_text())["config_fingerprint"] == fp, rel
+        for rel in ("synth/truth.jsonl", "synth/phee/phee.jsonl", "segment/windows.jsonl", "bench/pairs.jsonl"):
+            rows = read_jsonl(out / rel)
+            assert rows and all(row["config_fingerprint"] == fp for row in rows), rel
 
     def test_purity_values_in_unit_interval(self, tiny_run):
         _, _, report = tiny_run
@@ -225,6 +226,40 @@ class TestResume:
         assert (out / "fad" / "fad.json").read_bytes() == (clean_run / "fad" / "fad.json").read_bytes()
         assert (out / "report.json").read_bytes() == clean_report
 
+    def test_out_dir_with_units_index_reuses_every_stage(self, clean_run, clean_report, tmp_path, monkeypatch):
+        # an out-dir committed when quantize also wrote units_index.json (each
+        # split's window ids in index.json order): the file sits in the quantize
+        # marker, so the stage is reused and the file is ignored
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        (out / "report.json").unlink()
+        cfg = RunConfig.from_dict(RESUME_OVERRIDE)
+        windows = json.loads((out / "features" / "index.json").read_text())["windows"]
+        splits = {s: [w["id"] for w in windows if w["split"] == s] for s in ("train", "valid", "test")}
+        q_dir = out / "quantize"
+        (q_dir / "units_index.json").write_text(
+            json.dumps({"splits": splits, "config_fingerprint": cfg.fingerprint()}, sort_keys=True)
+        )
+        marker = {"layout": pipeline.LAYOUT, "config_fingerprint": cfg.fingerprint(), "files": pipeline._stage_files(q_dir)}
+        (q_dir / "_done.json").write_text(json.dumps(marker))
+
+        def stage_files():
+            return {p: data for p, data in _tree(out).items() if p.parent != out}
+
+        before = stage_files()
+        ran = []
+        for name in pipeline.STAGES:
+
+            def recording(*args, _name=name, _stage=getattr(pipeline, f"stage_{name}"), **kwargs):
+                ran.append(_name)
+                return _stage(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, f"stage_{name}", recording)
+        pipeline_run(cfg, out)
+        assert ran == []
+        assert stage_files() == before
+        assert (out / "report.json").read_bytes() == clean_report
+
     def test_resume_loads_no_scipy(self, clean_run, clean_report, tmp_path):
         # eval reads the committed FAD block, so no k-means refit pulls in scipy.spatial
         out = tmp_path / "out"
@@ -265,13 +300,12 @@ class TestComputedOnce:
     def test_window_positives_are_quantize_units(self, tiny_run):
         cfg, out, _ = tiny_run
         q_dir = out / "quantize"
-        splits = json.loads((q_dir / "units_index.json").read_text())["splits"]
-        units = {
-            wid: seq
-            for split, ids in splits.items()
-            for wid, seq in zip(ids, quantizer.read_units(q_dir / f"units_{split}.txt"))
-        }
-        index = {row["id"]: row for row in pipeline._read_feature_index(out)}
+        rows = json.loads((out / "features" / "index.json").read_text())["windows"]
+        units = {}
+        for split in ("train", "valid", "test"):
+            ids = [row["id"] for row in rows if row["split"] == split]
+            units.update(zip(ids, quantizer.read_units(q_dir / f"units_{split}.txt"), strict=True))
+        index = {row["id"]: row for row in rows}
         cb = quantizer.load_codebook(q_dir / "codebook.json")
         pairs, _ = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
         checked = set()
@@ -336,10 +370,10 @@ class TestAttnBackend:
                 {"synth": {"scene_s": scene_s}, "ulm": {"backend": backend, "attn": {"max_ctx": max_ctx}}}
             )
 
-        pipeline._check_attn_context(cfg(bound))
-        pipeline._check_attn_context(cfg(bound - 1, backend="ngram"))
+        cfg(bound)
+        cfg(bound - 1, backend="ngram")
         with pytest.raises(ConfigError, match=f"at least {bound}"):
-            pipeline._check_attn_context(cfg(bound - 1))
+            cfg(bound - 1)
 
 
 class TestContextGrid:
@@ -366,6 +400,19 @@ BAD_DETECTOR = [
     ("energy_floor", {"energy_floor": -0.02}, "energy_floor"),
 ]
 BAD_SEGMENT_PARAMS = [(name, detector) for name, detector, _ in BAD_DETECTOR] + [("unknown_key", {"gain": 2.0})]
+
+# (test id, config override, the key the error names). Each used to pass the
+# config check and then stop a run midway with exit 3 (n_scenes, restarts and
+# minibatch in quantize, fad_group_size in fad, calls_per_scene in synth), or
+# finish with no caller_change/receiver_change block (phee_per_record).
+BAD_BOUNDS = [
+    ("n_scenes", {"synth": {"n_scenes": 0}}, "synth.n_scenes"),
+    ("restarts", {"quantizer": {"restarts": 0}}, "quantizer.restarts"),
+    ("minibatch", {"quantizer": {"minibatch": 0}}, "quantizer.minibatch"),
+    ("fad_group_size", {"metrics": {"fad_group_size": 1}}, "metrics.fad_group_size"),
+    ("calls_per_scene", {"synth": {"calls_per_scene": [3, 1]}}, "synth.calls_per_scene"),
+    ("phee_per_record", {"bench": {"phee_per_record": 0}}, "bench.phee_per_record"),
+]
 
 
 class TestCli:
@@ -496,6 +543,16 @@ class TestCli:
         assert list(out.iterdir()) == []
         with pytest.raises(ConfigError, match=match):
             RunConfig.from_dict({"detector": detector})
+
+    @pytest.mark.parametrize("override, key", [c[1:] for c in BAD_BOUNDS], ids=[c[0] for c in BAD_BOUNDS])
+    def test_bad_bound_exits_2_before_writing(self, tmp_path, override, key, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(override))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert list(out.iterdir()) == []
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("nested", [False, True], ids=["bare", "nested"])
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from vocalm.segmenter import (
     CallSegment,
     DetectorParams,
     SegmentWindow,
+    count_matches,
     detect_calls,
     frame_stats,
     pack_windows,
@@ -178,6 +179,15 @@ class TestScoreDetection:
         pred = [CallSegment(1.01, 2.01), CallSegment(0.99, 1.99)]
         p, r = score_detection(pred, truth)
         assert (p, r) == (0.5, 1.0)
+
+    def test_ratios_come_from_the_match_count(self):
+        # 7 truth calls, 9 predictions: the count is exact where the ratios are not
+        truth = [CallSegment(i, i + 0.5) for i in range(7)]
+        pred = [c.shifted(0.01) for c in truth[:5]] + [CallSegment(20 + i, 20.5 + i) for i in range(4)]
+        assert count_matches(pred, truth) == 5
+        assert score_detection(pred, truth) == (5 / 9, 5 / 7)
+        with pytest.raises(ValueError, match="tolerance"):
+            count_matches(pred, truth, 0.0)
 
 
 class TestSegmentWindowInvariants:
