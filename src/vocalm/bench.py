@@ -3,8 +3,11 @@
 Distractors: Shuffle (calls re-ordered, gaps kept in place), Concat (first
 half of one window's calls + second half of another's), Reversal (sample-wise
 time reversal), and Phee CallerChange/ReceiverChange (response swapped across
-labeled call-response records). Unit-domain fast variants are provided for
-token-sequence experiments; the audio variants are the reference forms.
+labeled call-response records). The audio builders (`shuffle_audio`,
+`concat_audio`, `reverse_audio`) and the unit-domain ones (`shuffle_units`,
+`concat_units`, `reverse_units`) each return just the distractor; the caller
+encodes it and pairs it with the positive. A pair side holds a ref and its
+units.
 """
 
 from __future__ import annotations
@@ -27,16 +30,11 @@ DEFAULT_PHEE_PER_RECORD = 5
 
 @dataclass(frozen=True)
 class PairItem:
-    """One side of a pair: a source reference plus units and/or audio."""
+    """One side of a pair: a source reference and its units (None in the
+    ref-only pairs that `vocalm bench phee` writes)."""
 
     ref: str = ""
     units: np.ndarray | None = None
-    wave: Waveform | None = field(default=None, repr=False)
-
-    def with_units(self, units: np.ndarray) -> "PairItem":
-        """The same side with its units and without its audio, which pairs
-        no longer need once encoded."""
-        return PairItem(self.ref, np.asarray(units, dtype=np.int32))
 
     def record(self) -> dict:
         """The side as a `pairs.jsonl` field: its ref and units."""
@@ -86,9 +84,9 @@ def _call_sample_spans(window: SegmentWindow, sample_rate: int, n_samples: int):
     return spans
 
 
-def make_shuffle(window: SegmentWindow, audio: Waveform, seed: int = 0) -> BenchmarkPair:
-    """Distractor re-places the calls in a random non-identity order; the
-    surrounding gap audio stays exactly where it was."""
+def shuffle_audio(window: SegmentWindow, audio: Waveform, seed: int = 0) -> tuple[Waveform, np.ndarray]:
+    """The calls re-placed in a random non-identity order, with the gap audio
+    exactly where it was; returns the audio and the permutation."""
     if len(window.calls) < 2:
         raise IneligibleWindowError("shuffle needs a window with at least 2 calls")
     rng = np.random.default_rng(seed)
@@ -104,22 +102,10 @@ def make_shuffle(window: SegmentWindow, audio: Waveform, seed: int = 0) -> Bench
         pieces.append(audio.samples[spans[perm[idx]][0] : spans[perm[idx]][1]])
         cursor = b
     pieces.append(audio.samples[cursor:])
-    distractor = Waveform(np.concatenate(pieces), audio.sample_rate)
-    return BenchmarkPair(
-        task="shuffle",
-        positive=PairItem(ref="window", wave=audio),
-        distractor=PairItem(ref="window:shuffled", wave=distractor),
-        seed=seed,
-        provenance={"permutation": perm.tolist(), "n_calls": n_calls},
-    )
+    return Waveform(np.concatenate(pieces), audio.sample_rate), perm
 
 
-def make_concat(
-    a: SegmentWindow,
-    a_audio: Waveform,
-    b: SegmentWindow,
-    b_audio: Waveform,
-) -> BenchmarkPair:
+def concat_audio(a: SegmentWindow, a_audio: Waveform, b: SegmentWindow, b_audio: Waveform) -> Waveform:
     """First half of a's calls (a's gaps) followed by the second half of b's."""
     if a == b:
         raise IneligibleWindowError("concat needs two distinct windows")
@@ -134,24 +120,14 @@ def make_concat(
     spans_b = _call_sample_spans(b, b_audio.sample_rate, len(b_audio))
     cut_a = spans_a[half_a - 1][1]  # through the offset of a's call n/2
     cut_b = spans_b[half_b - 1][1]  # from just after b's call n/2
-    samples = np.concatenate([a_audio.samples[:cut_a], b_audio.samples[cut_b:]])
-    return BenchmarkPair(
-        task="concat",
-        positive=PairItem(ref="a", wave=a_audio),
-        distractor=PairItem(ref="a:1..n/2+b:n/2+1..n", wave=Waveform(samples, a_audio.sample_rate)),
-        provenance={"a_calls": len(a.calls), "b_calls": len(b.calls)},
-    )
+    return Waveform(np.concatenate([a_audio.samples[:cut_a], b_audio.samples[cut_b:]]), a_audio.sample_rate)
 
 
-def make_reversal(audio: Waveform, ref: str = "window") -> BenchmarkPair:
-    """Distractor is the sample-wise time reversal of the whole window."""
+def reverse_audio(audio: Waveform) -> Waveform:
+    """The sample-wise time reversal of the whole window."""
     if len(audio) == 0:
         raise IneligibleWindowError("reversal needs non-empty audio")
-    return BenchmarkPair(
-        task="reversal",
-        positive=PairItem(ref=ref, wave=audio),
-        distractor=PairItem(ref=f"{ref}:reversed", wave=Waveform(audio.samples[::-1].copy(), audio.sample_rate)),
-    )
+    return Waveform(audio.samples[::-1].copy(), audio.sample_rate)
 
 
 def make_phee_pairs(
@@ -208,7 +184,7 @@ def make_phee_pairs(
     return pairs
 
 
-# -- unit-domain fast variants ------------------------------------------------
+# -- unit-domain builders ------------------------------------------------------
 
 
 def shuffle_units(tokens, seed: int = 0) -> np.ndarray:

@@ -118,19 +118,29 @@ def cmd_features(args) -> int:
 
 def cmd_quantize(args) -> int:
     if args.what == "fit":
-        rows = [dsp.read_features_csv(p).rows for p in args.features]
+        feats = [dsp.read_features_csv(p) for p in args.features]
+        kind = feats[0].feature_kind
+        for path, f in zip(args.features, feats):
+            if f.feature_kind != kind:
+                raise ConfigError(f"{path} holds {f.feature_kind} features, {args.features[0]} {kind}; fit one codebook per kind")
         cb = quantizer.fit_codebook(
-            np.vstack(rows),
+            np.vstack([f.rows for f in feats]),
             k=args.k,
             minibatch=args.minibatch,
             restarts=args.restarts,
             seed=args.seed,
+            feature_kind=kind,
         )
         quantizer.save_codebook(args.out, cb)
-        print(f"fit K={cb.k} codebook on {sum(r.shape[0] for r in rows)} frames -> {args.out}")
+        print(f"fit K={cb.k} codebook on {sum(f.n_frames for f in feats)} frames -> {args.out}")
     else:  # encode
         cb = quantizer.load_codebook(args.codebook)
-        seqs = [quantizer.encode(dsp.read_features_csv(p), cb) for p in args.features]
+        seqs = []
+        for path in args.features:
+            f = dsp.read_features_csv(path)
+            if f.feature_kind != cb.feature_kind:
+                raise ConfigError(f"{path} holds {f.feature_kind} features; codebook {args.codebook} is {cb.feature_kind}")
+            seqs.append(quantizer.encode(f, cb))
         if args.dedup:
             # run-length collapse for the dedup ablation; run lengths are dropped
             seqs = [np.array([t for t, _ in quantizer.dedup(s)], dtype=np.int32) for s in seqs]
@@ -198,6 +208,9 @@ def cmd_bench(args) -> int:
     else:  # eval
         model = load_model(args.model)
         pairs, _ = bench.read_pairs_jsonl(args.pairs)
+        for i, p in enumerate(pairs, 1):
+            if p.positive.units is None or p.distractor.units is None:
+                raise ConfigError(f"{args.pairs}: pair {i} has no units on one side; ref-only pairs (as bench phee writes) cannot be scored")
         res = bench.pairwise_eval(model, pairs, _context_policy(args))
         print(json.dumps({"accuracy": res.accuracy, "n": res.n_pairs, "by_task": res.by_task}))
     return 0

@@ -305,12 +305,18 @@ def _ranges(data: dict):
             yield f"synth.call_types[{i}].{key}", ct.get(key) if isinstance(ct, dict) else None
 
 
-def _check_attn_context(data: dict) -> None:
-    """Reject an attention LM whose context cannot hold the longest unit
-    sequence the bench stage builds, plus BOS: a concat distractor of two
-    windows of at most min(scene_s, WINDOW_SPAN_S) each (with a sample of
-    slack per window for rounding its edges), or a phee call plus its response.
+def _check_attn(data: dict) -> None:
+    """Under the attention backend, reject heads that do not divide the
+    embedding, and a context that cannot hold the longest unit sequence the
+    bench stage builds, plus BOS: a concat distractor of two windows of at
+    most min(scene_s, WINDOW_SPAN_S) each (with a sample of slack per window
+    for rounding its edges), or a phee call plus its response.
     """
+    if data["ulm"]["backend"] != "attn":
+        return
+    attn = data["ulm"]["attn"]
+    if attn["embed"] % attn["heads"]:
+        raise ConfigError(f"ulm.attn.heads ({attn['heads']}) must divide ulm.attn.embed ({attn['embed']})")
     window, hop = _feature_geometry(DEFAULT_SAMPLE_RATE)
 
     def frames(seconds: float, pieces: int = 1) -> int:
@@ -320,9 +326,8 @@ def _check_attn_context(data: dict) -> None:
     syn = data["synth"]
     phee = frames(syn["phee"]["call_s"]) + frames(syn["phee"]["response_s"])
     need = max(frames(min(syn["scene_s"], WINDOW_SPAN_S), pieces=2), phee) + 1
-    max_ctx = data["ulm"]["attn"]["max_ctx"]
-    if data["ulm"]["backend"] == "attn" and max_ctx < need:
-        raise ConfigError(f"ulm.attn.max_ctx is {max_ctx}; the longest bench pair needs it to be at least {need}")
+    if attn["max_ctx"] < need:
+        raise ConfigError(f"ulm.attn.max_ctx is {attn['max_ctx']}; the longest bench pair needs it to be at least {need}")
 
 
 def _validate(data: dict) -> None:
@@ -348,6 +353,8 @@ def _validate(data: dict) -> None:
         numbers = isinstance(pair, list) and all(type(x) in (int, float) for x in pair)
         if not (numbers and len(pair) == 2 and pair[0] <= pair[1]):
             raise ConfigError(f"{where} must be [low, high] with low <= high, got {pair!r}")
+    if data["synth"]["calls_per_scene"][1] < 1:
+        raise ConfigError(f"synth.calls_per_scene must allow at least 1 call, got {data['synth']['calls_per_scene']!r}")
     ratios = data["split"]["ratios"]
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("split.ratios must be three values summing to 1")
@@ -360,7 +367,7 @@ def _validate(data: dict) -> None:
         DetectorParams.from_dict(data["detector"])
     except (ValueError, TypeError) as e:
         raise ConfigError(f"detector: {e}") from e
-    _check_attn_context(data)
+    _check_attn(data)
 
 
 def seed_for(root_seed: int, name: str) -> int:

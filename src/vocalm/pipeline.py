@@ -64,9 +64,7 @@ def _featurize(cfg: RunConfig, w: dsp.Waveform) -> dsp.FeatureMatrix:
 
 def _smoothing(cfg: RunConfig):
     sm = cfg["ulm"]["smoothing"]
-    if sm["kind"] == "add_k":
-        return AddK(float(sm.get("k", 1.0)))
-    return KneserNey(float(sm.get("discount", 0.75)))
+    return AddK() if sm["kind"] == "add_k" else KneserNey(sm["discount"])
 
 
 def _sample_range(rng, lo_hi) -> float:
@@ -229,6 +227,12 @@ def stage_segment(cfg: RunConfig, out: Path) -> None:
     _save_json(seg_dir / "detection.json", detection, cfg)
 
 
+def _window_clip(wave: dsp.Waveform, row: dict) -> dsp.Waveform:
+    """A window's audio: the [start_s, end_s) slice of its scene."""
+    sr = wave.sample_rate
+    return dsp.Waveform(wave.samples[int(row["start_s"] * sr) : int(row["end_s"] * sr)], sr)
+
+
 def _read_windows(out: Path) -> list[dict]:
     rows = read_jsonl(out / "segment" / "windows.jsonl")
     per_source: dict[str, int] = {}
@@ -255,11 +259,7 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     def one(source):
         # one scene's audio in memory per worker, not the whole corpus
         wave = dsp.read_wav(source)
-        sr = wave.sample_rate
-        return [
-            _featurize(cfg, dsp.Waveform(wave.samples[int(row["start_s"] * sr) : int(row["end_s"] * sr)], sr)).rows
-            for row in by_scene[source]
-        ]
+        return [_featurize(cfg, _window_clip(wave, row)).rows for row in by_scene[source]]
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -375,60 +375,44 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
     cb = quantizer.load_codebook(out / "quantize" / "codebook.json")
     index = _read_feature_index(out, cfg)
     units = _window_units(out, index)
-    index_by_id = {w["id"]: w for w in index}
-    eval_ids = [w["id"] for w in index if w["split"] in ("test", "valid")]
-    window_rows = {w["id"]: w for w in _read_windows(out)}
-    wave_cache: dict[str, dsp.Waveform] = {}
-
-    def load_window(wid):
-        row = index_by_id[wid]
-        if row["source"] not in wave_cache:
-            wave_cache[row["source"]] = dsp.read_wav(row["source"])
-        wave = wave_cache[row["source"]]
-        a = int(row["start_s"] * wave.sample_rate)
-        b = int(row["end_s"] * wave.sample_rate)
-        clip = dsp.Waveform(wave.samples[a:b], wave.sample_rate)
-        match = window_rows[wid]
-        calls = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in match["calls"])
-        win = SegmentWindow(0.0, row["end_s"] - row["start_s"], calls)
-        return win, clip
+    calls = {w["id"]: w["calls"] for w in _read_windows(out)}
+    scenes: dict[str, dsp.Waveform] = {}
+    windows: dict[str, tuple[SegmentWindow, dsp.Waveform]] = {}  # eval windows, index order
+    for row in index:
+        if row["split"] in ("test", "valid"):
+            if row["source"] not in scenes:
+                scenes[row["source"]] = dsp.read_wav(row["source"])
+            segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in calls[row["id"]])
+            windows[row["id"]] = (
+                SegmentWindow(0.0, row["end_s"] - row["start_s"], segs),
+                _window_clip(scenes[row["source"]], row),
+            )
 
     def units_of(wave):
         return quantizer.encode(_featurize(cfg, wave), cb)
 
-    pairs = []
-
-    def add(made, wid, provenance):
-        # the positive is window wid itself; only the distractor is encoded
-        pairs.append(
-            replace(
-                made,
-                positive=made.positive.with_units(units[wid]),
-                distractor=made.distractor.with_units(units_of(made.distractor.wave)),
-                provenance=provenance,
-            )
+    def window_pair(task, wid, ref, distractor_ref, distractor, provenance, seed=0):
+        return bench.BenchmarkPair(
+            task, bench.PairItem(ref, units[wid]), bench.PairItem(distractor_ref, units_of(distractor)),
+            seed, provenance,
         )
 
-    eligible_shuffle = []
-    even_ids: list[str] = []
-    for wid in eval_ids:
-        win, clip = load_window(wid)
-        if len(win.calls) >= 2:
-            eligible_shuffle.append((wid, win, clip))
-            if len(win.calls) % 2 == 0:
-                even_ids.append(wid)
-        add(bench.make_reversal(clip, ref=wid), wid, {"window": wid})
-    for wid, win, clip in eligible_shuffle:
-        p = bench.make_shuffle(win, clip, seed=seed_for(cfg.seed, f"bench/shuffle/{wid}"))
-        add(p, wid, {"window": wid, **p.provenance})
+    pairs = [
+        window_pair("reversal", wid, wid, f"{wid}:reversed", bench.reverse_audio(clip), {"window": wid})
+        for wid, (_, clip) in windows.items()
+    ]
+    multi = [wid for wid, (win, _) in windows.items() if len(win.calls) >= 2]
+    for wid in multi:
+        seed = seed_for(cfg.seed, f"bench/shuffle/{wid}")
+        shuffled, perm = bench.shuffle_audio(*windows[wid], seed=seed)
+        provenance = {"window": wid, "permutation": perm.tolist(), "n_calls": len(perm)}
+        pairs.append(window_pair("shuffle", wid, "window", "window:shuffled", shuffled, provenance, seed))
     # any two distinct even-call-count windows are concat-eligible
-    for i, wid in enumerate(even_ids):
-        if len(even_ids) < 2:
-            break
-        other = even_ids[(i + 1) % len(even_ids)]
-        win_a, clip_a = load_window(wid)
-        win_b, clip_b = load_window(other)
-        add(bench.make_concat(win_a, clip_a, win_b, clip_b), wid, {"a": wid, "b": other})
+    even = [wid for wid in multi if len(windows[wid][0].calls) % 2 == 0]
+    if len(even) >= 2:
+        for wid, other in zip(even, even[1:] + even[:1]):
+            joined = bench.concat_audio(*windows[wid], *windows[other])
+            pairs.append(window_pair("concat", wid, "a", "a:1..n/2+b:n/2+1..n", joined, {"a": wid, "b": other}))
     # phee pairs: units are encoded call+response concatenations
     records = bench.read_phee_jsonl(out / "synth" / "phee" / "phee.jsonl")
     ref_units: dict[str, np.ndarray] = {}
@@ -441,7 +425,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
     def phee_side(item):
         # a phee side's ref is "<call wav>+<response wav>"
         call, response = item.ref.split("+")
-        return item.with_units(np.concatenate([wav_units(call), wav_units(response)]))
+        return bench.PairItem(item.ref, np.concatenate([wav_units(call), wav_units(response)]))
 
     for mode in ("caller_change", "receiver_change"):
         made = bench.make_phee_pairs(

@@ -66,10 +66,6 @@ class SegmentWindow:
                 raise ValueError("window calls overlap or are unsorted")
         object.__setattr__(self, "calls", calls)
 
-    @property
-    def span_s(self) -> float:
-        return self.end_s - self.start_s
-
     def record(self, source) -> dict:
         """The window's `windows.jsonl` row: its source, span and calls."""
         return {

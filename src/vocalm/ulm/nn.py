@@ -46,12 +46,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def cross_entropy(logits: np.ndarray, targets: np.ndarray, valid: np.ndarray):
     """Mean NLL over valid positions; returns (loss, dlogits).
 

@@ -90,6 +90,17 @@ class TestBenchEvalCli:
         assert main(["bench", "eval", "--model", str(model), "--pairs", str(pairs)]) == 2
         assert f"{pairs} line 7" in capsys.readouterr().err
 
+    def test_ref_only_phee_pairs_exit_2(self, model_and_pairs, tmp_path, capsys):
+        model, _ = model_and_pairs
+        records, pairs = tmp_path / "phee.jsonl", tmp_path / "phee_pairs.jsonl"
+        write_phee_jsonl(records, [PheeRecord("m0", "m1", "a.wav", "b.wav"), PheeRecord("m2", "m1", "c.wav", "d.wav"),
+                                   PheeRecord("m0", "m2", "e.wav", "f.wav")])
+        assert main(["bench", "phee", "--records", str(records), "--mode", "caller_change", "--out", str(pairs)]) == 0
+        assert all(row["positive"]["units"] is None for row in read_jsonl(pairs))
+        capsys.readouterr()
+        assert main(["bench", "eval", "--model", str(model), "--pairs", str(pairs)]) == 2
+        assert f"{pairs}: pair 1 " in capsys.readouterr().err
+
 
 class TestStageJson:
     def test_load_json_checks_the_fingerprint(self, tmp_path):

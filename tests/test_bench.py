@@ -5,14 +5,14 @@ from vocalm.bench import (
     BenchmarkPair,
     PairItem,
     PheeRecord,
+    concat_audio,
     concat_units,
-    make_concat,
     make_phee_pairs,
-    make_reversal,
-    make_shuffle,
     pairwise_eval,
     read_pairs_jsonl,
+    reverse_audio,
     reverse_units,
+    shuffle_audio,
     shuffle_units,
     unit_pairs_from_corpus,
     write_pairs_jsonl,
@@ -53,90 +53,81 @@ def call_band_energy(audio, seg):
 class TestShuffle:
     def test_two_call_window_is_swap(self):
         win, audio = window_with_tones([6000.0, 8000.0])
-        pair = make_shuffle(win, audio, seed=0)
-        assert pair.provenance["permutation"] == [1, 0]
+        shuffled, perm = shuffle_audio(win, audio, seed=0)
+        assert perm.tolist() == [1, 0]
         # call slot 0 of the distractor now holds the 8 kHz tone
-        first = call_band_energy(pair.distractor.wave, win.calls[0])
+        first = call_band_energy(shuffled, win.calls[0])
         orig_second = call_band_energy(audio, win.calls[1])
         assert np.array_equal(first, orig_second)
 
     def test_duration_conserved_exactly(self):
         win, audio = window_with_tones([6000.0, 7000.0, 8500.0], call_dur=0.37)
-        pair = make_shuffle(win, audio, seed=3)
-        assert len(pair.distractor.wave) == len(audio)
+        shuffled, _ = shuffle_audio(win, audio, seed=3)
+        assert len(shuffled) == len(audio)
 
     def test_multiset_conserved_and_order_changed(self, rng):
         win, audio = window_with_tones([6000.0, 7000.0, 8000.0, 9000.0])
-        pair = make_shuffle(win, audio, seed=7)
-        perm = pair.provenance["permutation"]
-        assert sorted(perm) == [0, 1, 2, 3]
-        assert perm != [0, 1, 2, 3]
+        _, perm = shuffle_audio(win, audio, seed=7)
+        assert sorted(perm.tolist()) == [0, 1, 2, 3]
+        assert perm.tolist() != [0, 1, 2, 3]
 
     def test_deterministic_per_seed(self):
         win, audio = window_with_tones([6000.0, 7000.0, 8000.0])
-        a = make_shuffle(win, audio, seed=5)
-        b = make_shuffle(win, audio, seed=5)
-        assert np.array_equal(a.distractor.wave.samples, b.distractor.wave.samples)
+        a, _ = shuffle_audio(win, audio, seed=5)
+        b, _ = shuffle_audio(win, audio, seed=5)
+        assert np.array_equal(a.samples, b.samples)
 
     def test_single_call_rejected(self):
         win, audio = window_with_tones([7000.0])
         with pytest.raises(IneligibleWindowError):
-            make_shuffle(win, audio, seed=0)
+            shuffle_audio(win, audio, seed=0)
 
 
 class TestConcat:
     def test_six_call_midpoint(self):
         a_win, a_audio = window_with_tones([6000.0] * 6)
         b_win, b_audio = window_with_tones([9000.0] * 6, call_dur=0.45)
-        pair = make_concat(a_win, a_audio, b_win, b_audio)
+        joined = concat_audio(a_win, a_audio, b_win, b_audio)
         # distractor = a through call 3's offset + b from call 3's offset on
         cut_a = int(a_win.calls[2].offset_s * SR)
         cut_b = int(b_win.calls[2].offset_s * SR)
         expected_len = cut_a + (len(b_audio) - cut_b)
-        assert len(pair.distractor.wave) == expected_len
-        assert np.array_equal(pair.distractor.wave.samples[:cut_a], a_audio.samples[:cut_a])
+        assert len(joined) == expected_len
+        assert np.array_equal(joined.samples[:cut_a], a_audio.samples[:cut_a])
 
     def test_same_window_rejected(self):
         win, audio = window_with_tones([6000.0, 7000.0])
         with pytest.raises(IneligibleWindowError):
-            make_concat(win, audio, win, audio)
+            concat_audio(win, audio, win, audio)
 
     def test_odd_call_count_rejected(self):
         a_win, a_audio = window_with_tones([6000.0, 7000.0, 8000.0])
         b_win, b_audio = window_with_tones([6500.0, 7500.0])
         with pytest.raises(IneligibleWindowError):
-            make_concat(a_win, a_audio, b_win, b_audio)
+            concat_audio(a_win, a_audio, b_win, b_audio)
 
     def test_distractor_call_count(self):
         a_win, a_audio = window_with_tones([6000.0] * 4)
         b_win, b_audio = window_with_tones([9000.0] * 6)
-        pair = make_concat(a_win, a_audio, b_win, b_audio)
-        assert pair.provenance == {"a_calls": 4, "b_calls": 6}
-        # (|a| + |b|) / 2 calls survive: 2 from a, 3 from b
+        joined = concat_audio(a_win, a_audio, b_win, b_audio)
+        # (|a| + |b|) / 2 calls survive: a through call 2, b after call 3
+        cut_a = int(round(a_win.calls[1].offset_s * SR))
+        cut_b = int(round(b_win.calls[2].offset_s * SR))
+        assert np.array_equal(joined.samples, np.concatenate([a_audio.samples[:cut_a], b_audio.samples[cut_b:]]))
 
 
 class TestReversal:
     def test_involution(self, rng):
         audio = Waveform(rng.normal(size=1000) * 0.1, SR)
-        once = make_reversal(audio).distractor.wave
-        twice = make_reversal(once).distractor.wave
-        assert np.array_equal(twice.samples, audio.samples)
+        assert np.array_equal(reverse_audio(reverse_audio(audio)).samples, audio.samples)
 
     def test_length_preserved(self, rng):
         audio = Waveform(rng.normal(size=777) * 0.1, SR)
-        assert len(make_reversal(audio).distractor.wave) == 777
-
-    def test_with_units_drops_audio(self, rng):
-        pair = make_reversal(Waveform(rng.normal(size=500), SR), ref="w")
-        item = pair.distractor.with_units([3, 1, 2])
-        assert item.wave is None
-        assert item.ref == pair.distractor.ref and item.units.dtype == np.int32
-        assert item.units.tolist() == [3, 1, 2]
+        assert len(reverse_audio(audio)) == 777
 
     def test_palindrome_degenerate_still_emitted(self):
         x = np.concatenate([np.arange(100.0), np.arange(100.0)[::-1]]) / 200
-        pair = make_reversal(Waveform(x, SR))
-        assert np.array_equal(pair.distractor.wave.samples, pair.positive.wave.samples)
+        assert np.array_equal(reverse_audio(Waveform(x, SR)).samples, x)
 
 
 class TestPheePairs:

@@ -12,8 +12,9 @@ import pytest
 from vocalm import bench, dsp, pipeline, quantizer
 from vocalm.cli import build_parser, main
 from vocalm.errors import ConfigError, FingerprintMismatchError, StageFailureError
-from vocalm.manifest import DEFAULT_CONFIG, RunConfig, read_jsonl
+from vocalm.manifest import DEFAULT_CONFIG, RunConfig, read_jsonl, seed_for
 from vocalm.pipeline import pipeline_run, validate_report, write_report
+from vocalm.segmenter import CallSegment, SegmentWindow
 from vocalm.synthlab import CallSpec, SceneSpec, synth_scene
 from vocalm.ulm import NGramLM
 
@@ -298,6 +299,8 @@ class TestComputedOnce:
         assert np.load(feat / "frames.npy").shape == (sum(r["n_frames"] for r in index), n_coeffs)
 
     def test_window_positives_are_quantize_units(self, tiny_run):
+        """Each window side holds the quantize units of the window's own audio,
+        and each distractor the encoded builder output that its provenance names."""
         cfg, out, _ = tiny_run
         q_dir = out / "quantize"
         rows = json.loads((out / "features" / "index.json").read_text())["windows"]
@@ -306,7 +309,18 @@ class TestComputedOnce:
             ids = [row["id"] for row in rows if row["split"] == split]
             units.update(zip(ids, quantizer.read_units(q_dir / f"units_{split}.txt"), strict=True))
         index = {row["id"]: row for row in rows}
+        calls = {row["id"]: row["calls"] for row in pipeline._read_windows(out)}
         cb = quantizer.load_codebook(q_dir / "codebook.json")
+
+        def window(wid):
+            row = index[wid]
+            segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in calls[wid])
+            clip = pipeline._window_clip(dsp.read_wav(row["source"]), row)
+            return SegmentWindow(0.0, row["end_s"] - row["start_s"], segs), clip
+
+        def encode(wave):
+            return quantizer.encode(pipeline._featurize(cfg, wave), cb)
+
         pairs, _ = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
         checked = set()
         for p in pairs:
@@ -314,13 +328,18 @@ class TestComputedOnce:
                 continue
             wid = p.provenance["a" if p.task == "concat" else "window"]
             assert np.array_equal(p.positive.units, units[wid]), (p.task, wid)
-            checked.add(p.task)
+            win, clip = window(wid)
             # the units quantize stored are those of the window's own audio
-            row = index[wid]
-            wave = dsp.read_wav(row["source"])
-            clip = wave.samples[int(row["start_s"] * wave.sample_rate) : int(row["end_s"] * wave.sample_rate)]
-            fresh = quantizer.encode(pipeline._featurize(cfg, dsp.Waveform(clip, wave.sample_rate)), cb)
-            assert np.array_equal(fresh, units[wid]), wid
+            assert np.array_equal(encode(clip), units[wid]), wid
+            if p.task == "reversal":
+                distractor = bench.reverse_audio(clip)
+            elif p.task == "shuffle":
+                distractor, perm = bench.shuffle_audio(win, clip, seed=seed_for(cfg.seed, f"bench/shuffle/{wid}"))
+                assert perm.tolist() == p.provenance["permutation"], wid
+            else:
+                distractor = bench.concat_audio(win, clip, *window(p.provenance["b"]))
+            assert np.array_equal(encode(distractor), p.distractor.units), (p.task, wid)
+            checked.add(p.task)
         assert checked == {"reversal", "shuffle", "concat"}
 
     def test_jobs_do_not_change_outputs(self, clean_run, tmp_path):
@@ -402,9 +421,10 @@ BAD_DETECTOR = [
 BAD_SEGMENT_PARAMS = [(name, detector) for name, detector, _ in BAD_DETECTOR] + [("unknown_key", {"gain": 2.0})]
 
 # (test id, config override, the key the error names). Each used to pass the
-# config check and then stop a run midway with exit 3 (n_scenes, restarts and
-# minibatch in quantize, fad_group_size in fad, calls_per_scene in synth), or
-# finish with no caller_change/receiver_change block (phee_per_record).
+# config check and then stop a run midway with exit 3 (n_scenes, restarts,
+# minibatch and no_calls in quantize, heads_embed in ulm, fad_group_size in
+# fad, calls_per_scene in synth), or finish with no caller_change/
+# receiver_change block (phee_per_record).
 BAD_BOUNDS = [
     ("n_scenes", {"synth": {"n_scenes": 0}}, "synth.n_scenes"),
     ("restarts", {"quantizer": {"restarts": 0}}, "quantizer.restarts"),
@@ -412,6 +432,8 @@ BAD_BOUNDS = [
     ("fad_group_size", {"metrics": {"fad_group_size": 1}}, "metrics.fad_group_size"),
     ("calls_per_scene", {"synth": {"calls_per_scene": [3, 1]}}, "synth.calls_per_scene"),
     ("phee_per_record", {"bench": {"phee_per_record": 0}}, "bench.phee_per_record"),
+    ("no_calls", {"synth": {"calls_per_scene": [0, 0]}}, "synth.calls_per_scene"),
+    ("heads_embed", {"ulm": {"backend": "attn", "attn": {"heads": 3, "embed": 8}}}, "ulm.attn.heads"),
 ]
 
 
@@ -478,6 +500,33 @@ class TestCli:
         assert main(["quantize", "encode", "--features", str(feats), "--codebook", str(cb), "--dedup", "--out", str(units)]) == 0
         seq = quantizer.read_units(units)[0]
         assert all(a != b for a, b in zip(seq, seq[1:]))
+
+    def _feature_csvs(self, tmp_path, *kinds):
+        rng = np.random.default_rng(5)
+        paths = [tmp_path / f"f{i}_{kind}.csv" for i, kind in enumerate(kinds)]
+        for path, kind in zip(paths, kinds):
+            dsp.write_features_csv(path, dsp.FeatureMatrix(rng.normal(size=(20, 3)), feature_kind=kind))
+        return [str(p) for p in paths]
+
+    def test_quantize_fit_takes_kind_from_csvs(self, tmp_path, capsys):
+        cb = tmp_path / "cb.json"
+        fit = ["quantize", "fit", "--k", "4", "--restarts", "1", "--out", str(cb), "--features"]
+        assert main(fit + self._feature_csvs(tmp_path, "mfcc", "mfcc")) == 0
+        assert quantizer.load_codebook(cb).feature_kind == "mfcc"
+        capsys.readouterr()
+        mixed = self._feature_csvs(tmp_path, "mfcc", "linear_fb")
+        assert main(fit + mixed) == 2
+        assert mixed[1] in capsys.readouterr().err
+
+    def test_quantize_encode_rejects_other_kind(self, tmp_path, capsys):
+        cb = tmp_path / "cb.json"
+        mfcc, fb = self._feature_csvs(tmp_path, "mfcc", "linear_fb")
+        assert main(["quantize", "fit", "--features", mfcc, "--k", "4", "--restarts", "1", "--out", str(cb)]) == 0
+        capsys.readouterr()
+        encode = ["quantize", "encode", "--codebook", str(cb), "--out", str(tmp_path / "u.txt"), "--features"]
+        assert main(encode + [fb]) == 2
+        assert fb in capsys.readouterr().err
+        assert main(encode + [mfcc]) == 0
 
     def test_features_pool_flag(self, tmp_path):
         spec = SceneSpec(total_s=3.0, calls=((0.5, CallSpec(duration_s=1.0)),), seed=4)

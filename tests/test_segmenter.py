@@ -152,7 +152,7 @@ class TestPackWindows:
         for orig, back in zip(calls, rebuilt):
             assert back.onset_s == pytest.approx(orig.onset_s, abs=1e-9)
         for w in wins:
-            assert w.span_s <= 10.0 + 1e-9
+            assert w.end_s - w.start_s <= 10.0 + 1e-9
 
 
 class TestScoreDetection:
