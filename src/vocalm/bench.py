@@ -135,8 +135,11 @@ def make_phee_pairs(
     mode: str,
     seed: int = 0,
     per_record: int = DEFAULT_PHEE_PER_RECORD,
+    units_of=None,
 ) -> list[BenchmarkPair]:
     """Positive = (call, true response); distractor swaps the response.
+    A side's ref is "<call>+<response>"; given `units_of` (WAV ref -> units),
+    it also holds the call's units followed by the response's.
 
     caller_change: replacement response authored by an animal other than the
     true responder. receiver_change: response by the same responder but
@@ -147,6 +150,11 @@ def make_phee_pairs(
     if mode not in ("caller_change", "receiver_change"):
         raise ValueError(f"unknown phee mode {mode!r}")
     rng = np.random.default_rng(seed)
+
+    def side(call_ref, response_ref):
+        units = None if units_of is None else np.concatenate([units_of(call_ref), units_of(response_ref)])
+        return PairItem(f"{call_ref}+{response_ref}", units)
+
     pairs: list[BenchmarkPair] = []
     for i, rec in enumerate(records):
         if mode == "caller_change":
@@ -170,8 +178,8 @@ def make_phee_pairs(
             pairs.append(
                 BenchmarkPair(
                     task=mode,
-                    positive=PairItem(ref=f"{rec.call_ref}+{rec.response_ref}"),
-                    distractor=PairItem(ref=f"{rec.call_ref}+{alt.response_ref}"),
+                    positive=side(rec.call_ref, rec.response_ref),
+                    distractor=side(rec.call_ref, alt.response_ref),
                     seed=seed,
                     provenance={
                         "record": i,

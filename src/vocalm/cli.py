@@ -31,8 +31,19 @@ def _context_policy(args) -> ContextPolicy | None:
     return None if args.ctx is None else ContextPolicy(window=args.ctx, keep_first=args.keep_first)
 
 
+def _context_window(text: str) -> int:
+    """--ctx checked as it is parsed: a whole number of tokens, at least 1."""
+    try:
+        window = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"context window must be an integer, got {text!r}") from None
+    if window < 1:
+        raise argparse.ArgumentTypeError(f"context window must be >= 1, got {window}")
+    return window
+
+
 def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ctx", type=int, default=None, help="context window in tokens (default unlimited)")
+    p.add_argument("--ctx", type=_context_window, default=None, help="context window in tokens (default unlimited)")
     p.add_argument("--keep-first", type=int, default=0, choices=(0, 1, 5), help="always-visible first tokens")
 
 
@@ -152,9 +163,33 @@ def cmd_quantize(args) -> int:
 # -- ulm --------------------------------------------------------------------
 
 
+def _nonempty(seqs, path, least: int = 1) -> list[np.ndarray]:
+    """The non-empty sequences read from a units file; ConfigError naming the
+    file when there are fewer than `least`."""
+    corpus = [u for u in seqs if u.size]
+    if len(corpus) < least:
+        raise ConfigError(f"{path} holds {len(corpus)} non-empty unit sequence(s), at least {least} needed")
+    return corpus
+
+
+def _check_vocab(model, units, where: str) -> None:
+    """ConfigError naming `where` when a token lies outside the model's vocabulary."""
+    bad = units[(units < 0) | (units >= model.vocab_size)]
+    if bad.size:
+        raise ConfigError(f"{where} holds token {int(bad[0])}, outside the model's vocab of size {model.vocab_size}")
+
+
+def _scorable_units(model, path) -> list[np.ndarray]:
+    """Every sequence of a units file, each checked against the model's vocabulary."""
+    seqs = quantizer.read_units(path)
+    for line, seq in enumerate(seqs, 1):
+        _check_vocab(model, seq, f"{path} line {line}")
+    return seqs
+
+
 def cmd_ulm(args) -> int:
     if args.what == "train":
-        corpus = [u for u in quantizer.read_units(args.units) if u.size]
+        corpus = _nonempty(quantizer.read_units(args.units), args.units)
         if args.backend == "ngram":
             smoothing = KneserNey(args.discount) if args.smoothing == "kneser_ney" else AddK(args.add_k)
             model = train_ngram(corpus, args.order, smoothing, vocab_size=args.vocab_size)
@@ -170,16 +205,18 @@ def cmd_ulm(args) -> int:
     elif args.what == "score":
         model = load_model(args.model)
         cp = _context_policy(args)
-        for seq in quantizer.read_units(args.units):
+        for seq in _scorable_units(model, args.units):
             print(model.score(seq, cp))
     elif args.what == "ppl":
         model = load_model(args.model)
-        corpus = [u for u in quantizer.read_units(args.units) if u.size]
+        corpus = _nonempty(_scorable_units(model, args.units), args.units)
         print(json.dumps({"ppl": ppl(model, corpus, _context_policy(args)), "n_sequences": len(corpus)}))
     elif args.what == "generate":
         model = load_model(args.model)
         prompt = [int(t) for t in args.prompt.split()] if args.prompt else []
-        out = generate(model, prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len)
+        out = generate(
+            model, prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len, cp=_context_policy(args)
+        )
         print(" ".join(str(int(t)) for t in out))
     else:  # probe
         emb = dsp.read_features_csv(args.embeddings).rows
@@ -196,7 +233,7 @@ def cmd_ulm(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.what == "make":
-        corpus = [u for u in quantizer.read_units(args.units) if u.size]
+        corpus = _nonempty(quantizer.read_units(args.units), args.units, least=2 if args.task == "concat" else 1)
         pairs = bench.unit_pairs_from_corpus(corpus, args.task, seed=args.seed)
         bench.write_pairs_jsonl(args.out, pairs)
         print(f"wrote {len(pairs)} {args.task} pairs -> {args.out}")
@@ -208,9 +245,13 @@ def cmd_bench(args) -> int:
     else:  # eval
         model = load_model(args.model)
         pairs, _ = bench.read_pairs_jsonl(args.pairs)
+        if not pairs:
+            raise ConfigError(f"{args.pairs} holds no pairs")
         for i, p in enumerate(pairs, 1):
             if p.positive.units is None or p.distractor.units is None:
                 raise ConfigError(f"{args.pairs}: pair {i} has no units on one side; ref-only pairs (as bench phee writes) cannot be scored")
+            for side in (p.positive, p.distractor):
+                _check_vocab(model, side.units, f"{args.pairs}: pair {i}")
         res = bench.pairwise_eval(model, pairs, _context_policy(args))
         print(json.dumps({"accuracy": res.accuracy, "n": res.n_pairs, "by_task": res.by_task}))
     return 0

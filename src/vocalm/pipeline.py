@@ -9,16 +9,18 @@ and the size and sha256 of every file in the stage directory. A rerun reuses
 a stage only when its marker has that layout and matches the directory file
 for file; any other stage, and every stage after it, is recomputed from an
 emptied directory. A marker written under a different config fingerprint
-raises FingerprintMismatchError before anything is deleted. Each window is
-featurised and encoded once: its frames sit in `features/frames.npy`, and
-bench and eval read its units from quantize's `units_{split}.txt`, whose lines
-follow `features/index.json` order. The FAD block depends on the config
-alone; the fad stage writes it to `fad/fad.json`, which a resume reuses. Eval
-reads that file and scores each distinct sequence once per context policy.
-Every stage JSON file is read through _load_json, which checks its config
-fingerprint. The report body contains no timestamps, so identical configs
-produce byte-identical reports; wall-clock metadata goes to run_meta.json
-instead.
+raises FingerprintMismatchError before anything is deleted. The window
+table is `features/index.json`: each window's id, scene, split, span, calls
+and frame count. No stage after features reads `segment/windows.jsonl`. Each
+window is featurised and encoded once: its frames sit in
+`features/frames.npy`, and bench and eval read its units from quantize's
+`units_{split}.txt`, whose lines follow index.json order. The FAD block
+depends on the config alone; the fad stage writes it to `fad/fad.json`, which
+a resume reuses. Eval reads that file and scores each distinct sequence once
+per context policy. Every stage JSON file is read through _load_json, which
+checks its config fingerprint. The report body contains no timestamps, so
+identical configs produce byte-identical reports; wall-clock metadata goes to
+run_meta.json instead.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import logging
 import os
 import shutil
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +49,9 @@ log = logging.getLogger(__name__)
 REPORT_NAME = "report.json"
 DONE_NAME = "_done.json"
 # Bumped whenever a stage's files change shape, so a marker written under an
-# older layout (per-window feature CSVs: no layout number) is never reused.
-LAYOUT = 2
+# older layout is never reused: none for per-window feature CSVs, 2 for
+# index.json rows without their window's calls.
+LAYOUT = 3
 FRAMES_NAME = "frames.npy"
 STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "fad")
 
@@ -233,23 +235,13 @@ def _window_clip(wave: dsp.Waveform, row: dict) -> dsp.Waveform:
     return dsp.Waveform(wave.samples[int(row["start_s"] * sr) : int(row["end_s"] * sr)], sr)
 
 
-def _read_windows(out: Path) -> list[dict]:
-    rows = read_jsonl(out / "segment" / "windows.jsonl")
-    per_source: dict[str, int] = {}
-    for row in rows:
-        j = per_source.get(row["source"], 0)
-        row["id"] = f"{Path(row['source']).stem}_w{j:02d}"
-        per_source[row["source"]] = j + 1
-    return rows
-
-
 # -- features stage ------------------------------------------------------------
 
 
 def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     feat_dir = out / "features"
     by_scene: dict[str, list[dict]] = {}
-    for row in _read_windows(out):
+    for row in read_jsonl(out / "segment" / "windows.jsonl"):
         by_scene.setdefault(row["source"], []).append(row)
     # scene-level split; windows inherit their scene's split
     records = [ManifestRecord(path=s, duration_s=cfg["synth"]["scene_s"]) for s in sorted(by_scene)]
@@ -268,18 +260,19 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
             per_scene = list(pool.map(one, by_scene))  # map preserves scene order
     else:
         per_scene = [one(source) for source in by_scene]
-    windows = [row for rows in by_scene.values() for row in rows]
     frames = [f for scene_frames in per_scene for f in scene_frames]
     index = [
         {
-            "id": row["id"],
-            "source": row["source"],
-            "split": scene_split[row["source"]],
+            "id": f"{Path(source).stem}_w{j:02d}",
+            "source": source,
+            "split": scene_split[source],
             "start_s": row["start_s"],
             "end_s": row["end_s"],
+            "calls": row["calls"],
             "n_frames": rows.shape[0],
         }
-        for row, rows in zip(windows, frames)
+        for source, scene_frames in zip(by_scene, per_scene)
+        for j, (row, rows) in enumerate(zip(by_scene[source], scene_frames))
     ]
     # with no windows this is a (0, D) matrix and quantize reports the failure
     np.save(feat_dir / FRAMES_NAME, np.vstack([np.empty((0, cfg["features"]["n_coeffs"]))] + frames))
@@ -375,14 +368,13 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
     cb = quantizer.load_codebook(out / "quantize" / "codebook.json")
     index = _read_feature_index(out, cfg)
     units = _window_units(out, index)
-    calls = {w["id"]: w["calls"] for w in _read_windows(out)}
     scenes: dict[str, dsp.Waveform] = {}
     windows: dict[str, tuple[SegmentWindow, dsp.Waveform]] = {}  # eval windows, index order
     for row in index:
         if row["split"] in ("test", "valid"):
             if row["source"] not in scenes:
                 scenes[row["source"]] = dsp.read_wav(row["source"])
-            segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in calls[row["id"]])
+            segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in row["calls"])
             windows[row["id"]] = (
                 SegmentWindow(0.0, row["end_s"] - row["start_s"], segs),
                 _window_clip(scenes[row["source"]], row),
@@ -413,7 +405,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
         for wid, other in zip(even, even[1:] + even[:1]):
             joined = bench.concat_audio(*windows[wid], *windows[other])
             pairs.append(window_pair("concat", wid, "a", "a:1..n/2+b:n/2+1..n", joined, {"a": wid, "b": other}))
-    # phee pairs: units are encoded call+response concatenations
+    # phee pairs: each WAV is encoded once, however many pairs use it
     records = bench.read_phee_jsonl(out / "synth" / "phee" / "phee.jsonl")
     ref_units: dict[str, np.ndarray] = {}
 
@@ -422,17 +414,11 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
             ref_units[path] = units_of(dsp.read_wav(path))
         return ref_units[path]
 
-    def phee_side(item):
-        # a phee side's ref is "<call wav>+<response wav>"
-        call, response = item.ref.split("+")
-        return bench.PairItem(item.ref, np.concatenate([wav_units(call), wav_units(response)]))
-
     for mode in ("caller_change", "receiver_change"):
-        made = bench.make_phee_pairs(
+        pairs.extend(bench.make_phee_pairs(
             records, mode, seed=seed_for(cfg.seed, f"bench/phee/{mode}"),
-            per_record=cfg["bench"]["phee_per_record"],
-        )
-        pairs.extend(replace(p, positive=phee_side(p.positive), distractor=phee_side(p.distractor)) for p in made)
+            per_record=cfg["bench"]["phee_per_record"], units_of=wav_units,
+        ))
     bench.write_pairs_jsonl(out / "bench" / "pairs.jsonl", pairs, fingerprint=cfg.fingerprint())
 
 
@@ -501,22 +487,19 @@ def stage_fad(cfg: RunConfig, out: Path) -> None:
     _save_json(out / "fad" / "fad.json", eval_fad_groups(cfg, seed_for(cfg.seed, "metrics/fad")), cfg)
 
 
-def _labeled_call_frames(cfg: RunConfig, out: Path):
+def _labeled_call_frames(cfg: RunConfig, out: Path, index: list[dict], window_units: dict[str, np.ndarray]):
     """(units, labels) per frame inside detected calls, then per call its
     units and pooled-frame embedding, with one label array for both."""
     truth_by_path = {t["path"]: t for t in read_jsonl(out / "synth" / "truth.jsonl")}
-    window_rows = {w["id"]: w for w in _read_windows(out)}
     type_names = [ct["name"] for ct in cfg["synth"]["call_types"]]
     type_idx = {n: i for i, n in enumerate(type_names)}
-    index = _read_feature_index(out, cfg)
-    window_units = _window_units(out, index)
     frame_units, frame_labels = [], []
     call_units, call_labels, call_embeddings = [], [], []
     stride = dsp.FRAME_STRIDE_MS / 1000.0
     for row, frames in zip(index, _window_frames(out, index)):
         units = window_units[row["id"]]
         truth = truth_by_path[row["source"]]
-        for win_call in window_rows[row["id"]]["calls"]:
+        for win_call in row["calls"]:
             abs_on = row["start_s"] + win_call["onset_s"]
             abs_off = row["start_s"] + win_call["offset_s"]
             matched = _match_truth_call(truth, abs_on, abs_off)
@@ -570,15 +553,14 @@ def stage_eval(cfg: RunConfig, out: Path) -> dict:
     # one score per distinct (policy, sequence), shared with the context grid
     scores: dict = {}
     result = bench.pairwise_eval(model, pairs, None, scores)
-    tasks = {
-        task: {"accuracy": stats["accuracy"], "n": stats["n"]}
-        for task, stats in result.by_task.items()
-    }
-    test_units = [u for u in quantizer.read_units(out / "quantize" / "units_test.txt") if u.size]
+    index = _read_feature_index(out, cfg)
+    units = _window_units(out, index)
+    # units_test.txt order: the test windows in index order
+    test_units = [units[w["id"]] for w in index if w["split"] == "test" and units[w["id"]].size]
     ppl_value = ppl(model, test_units, None) if test_units else None
     detection = _load_json(out / "segment" / "detection.json", cfg)
     fad_block = _load_json(out / "fad" / "fad.json", cfg)
-    fu, fl, cu, cl, emb, type_names = _labeled_call_frames(cfg, out)
+    fu, fl, cu, cl, emb, type_names = _labeled_call_frames(cfg, out, index, units)
     frame_up, frame_lp = metrics.purity(metrics.contingency_from_frames(fu, fl))
     call_up, call_lp = metrics.purity(metrics.contingency_from_calls(cu, cl))
     probe_cfg = cfg["probe"]
@@ -601,7 +583,7 @@ def stage_eval(cfg: RunConfig, out: Path) -> dict:
             "n_sequences": len(test_units),
             "model": f"{cfg['ulm']['backend']}",
         },
-        "tasks": tasks,
+        "tasks": result.by_task,
         "fad": fad_block,
         "purity": {
             "frame": {"unit_purity": frame_up, "label_purity": frame_lp, "n": int(len(fu))},

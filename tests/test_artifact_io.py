@@ -122,29 +122,38 @@ class TestStageJson:
 CODECS = {"_save_json", "_load_json", "_write_json_atomic", "_read_marker"}
 
 
-def _json_calls(module) -> list[tuple[str, int]]:
-    """(innermost enclosing function, line) of each json codec call in a module."""
+def _enclosing(module, matches) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of each node in a module's code
+    for which `matches(node)` holds; docstrings are not code."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
-            call = child.func if isinstance(child, ast.Call) else None
-            if (
-                isinstance(call, ast.Attribute)
-                and isinstance(call.value, ast.Name)
-                and call.value.id == "json"
-                and call.attr in ("dump", "dumps", "load", "loads")
-            ):
+            if matches(child):
                 found.append((inner, child.lineno))
             visit(child, inner)
 
-    tree = ast.parse(Path(module.__file__).read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "json":
-            found.append(("from json import", node.lineno))
-    visit(tree, "<module>")
+    visit(ast.parse(Path(module.__file__).read_text()), "<module>")
     return found
+
+
+def _json_calls(module) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of each json codec call, and of
+    each `from json import`, in a module."""
+
+    def is_codec(node):
+        call = node.func if isinstance(node, ast.Call) else None
+        return (
+            isinstance(call, ast.Attribute)
+            and isinstance(call.value, ast.Name)
+            and call.value.id == "json"
+            and call.attr in ("dump", "dumps", "load", "loads")
+        ) or (isinstance(node, ast.ImportFrom) and node.module == "json")
+
+    return _enclosing(module, is_codec)
 
 
 def test_json_is_read_and_written_only_by_the_codecs():
@@ -155,3 +164,12 @@ def test_json_is_read_and_written_only_by_the_codecs():
         if func not in CODECS
     ]
     assert [func for _, func, _ in stray] == ["pipeline_run"], stray
+
+
+def test_only_segment_and_features_name_windows_jsonl():
+    """features/index.json is the window table: no stage after features goes
+    back to segment/windows.jsonl."""
+    named = _enclosing(
+        pipeline, lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str) and "windows.jsonl" in node.value
+    )
+    assert sorted({func for func, _ in named}) == ["stage_features", "stage_segment"], named

@@ -185,6 +185,25 @@ class TestPheePairs:
         b = make_phee_pairs(records, "caller_change", seed=3)
         assert [p.distractor.ref for p in a] == [p.distractor.ref for p in b]
 
+    def test_units_of_fills_sides_and_changes_nothing_else(self):
+        records = self.records_two() + [PheeRecord("X", "Z", "call2", "resp2"), PheeRecord("Z", "Y", "call3+x", "resp3")]
+        encoded = {ref: np.arange(i + 1, dtype=np.int32) + 10 * i for i, ref in enumerate(
+            ref for r in records for ref in (r.call_ref, r.response_ref)
+        )}
+        for mode in ("caller_change", "receiver_change"):
+            bare = make_phee_pairs(records, mode, seed=4, per_record=2)
+            filled = make_phee_pairs(records, mode, seed=4, per_record=2, units_of=encoded.__getitem__)
+            assert bare and len(filled) == len(bare)
+            for p, q in zip(bare, filled):
+                assert (p.task, p.seed, p.provenance) == (q.task, q.seed, q.provenance)
+                rec = records[q.provenance["record"]]
+                for side, bare_side, response in (
+                    (q.positive, p.positive, rec.response_ref),
+                    (q.distractor, p.distractor, p.distractor.ref[len(rec.call_ref) + 1 :]),
+                ):
+                    assert side.ref == bare_side.ref and bare_side.units is None
+                    assert np.array_equal(side.units, np.concatenate([encoded[rec.call_ref], encoded[response]]))
+
     def test_same_ids_rejected(self):
         with pytest.raises(ValueError):
             PheeRecord("X", "X", "c", "r")

@@ -16,7 +16,7 @@ from vocalm.manifest import DEFAULT_CONFIG, RunConfig, read_jsonl, seed_for
 from vocalm.pipeline import pipeline_run, validate_report, write_report
 from vocalm.segmenter import CallSegment, SegmentWindow
 from vocalm.synthlab import CallSpec, SceneSpec, synth_scene
-from vocalm.ulm import NGramLM
+from vocalm.ulm import AttnLM, ContextPolicy, KneserNey, NGramLM, generate, train_ngram
 
 TINY_OVERRIDE = {
     "seed": 11,
@@ -209,7 +209,7 @@ class TestResume:
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
     def test_out_dir_without_fad_stage_computes_only_fad(self, clean_run, clean_report, tmp_path, monkeypatch):
-        # an out-dir written before the fad stage existed: synth..bench committed, no fad/
+        # synth..bench committed under the current layout, no fad/
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         shutil.rmtree(out / "fad")
@@ -228,9 +228,10 @@ class TestResume:
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_out_dir_with_units_index_reuses_every_stage(self, clean_run, clean_report, tmp_path, monkeypatch):
-        # an out-dir committed when quantize also wrote units_index.json (each
-        # split's window ids in index.json order): the file sits in the quantize
-        # marker, so the stage is reused and the file is ignored
+        # a committed quantize stage that also holds units_index.json (each
+        # split's window ids in index.json order), which no stage reads: the
+        # file sits in the quantize marker, so the stage is reused and the file
+        # is ignored
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         (out / "report.json").unlink()
@@ -259,6 +260,40 @@ class TestResume:
         pipeline_run(cfg, out)
         assert ran == []
         assert stage_files() == before
+        assert (out / "report.json").read_bytes() == clean_report
+
+    def test_layout_2_out_dir_is_recomputed_in_full(self, clean_run, clean_report, tmp_path, monkeypatch):
+        # an out-dir committed under layout 2, whose index.json rows carry no calls
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        (out / "report.json").unlink()
+        cfg = RunConfig.from_dict(RESUME_OVERRIDE)
+        index = pipeline._load_json(out / "features" / "index.json", cfg)
+        for row in index["windows"]:
+            del row["calls"]
+        pipeline._save_json(out / "features" / "index.json", index, cfg)
+        for name in pipeline.STAGES:
+            marker = {"layout": 2, "config_fingerprint": cfg.fingerprint(), "files": pipeline._stage_files(out / name)}
+            (out / name / "_done.json").write_text(json.dumps(marker))
+        ran = []
+        for name in pipeline.STAGES:
+
+            def recording(*args, _name=name, _stage=getattr(pipeline, f"stage_{name}"), **kwargs):
+                ran.append(_name)
+                return _stage(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, f"stage_{name}", recording)
+        pipeline_run(cfg, out)
+        assert ran == list(pipeline.STAGES)
+        assert all("calls" in row for row in pipeline._read_feature_index(out, cfg))
+        assert (out / "report.json").read_bytes() == clean_report
+
+    def test_out_dir_path_with_plus_matches_clean_run(self, clean_report, tmp_path):
+        # phee refs join two WAV paths with "+"; the paths must not be split back out of them
+        out = tmp_path / "plus+dir" / "out"
+        pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
+        pairs, _ = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
+        assert any("plus+dir" in p.positive.ref for p in pairs if p.task == "caller_change")
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_resume_loads_no_scipy(self, clean_run, clean_report, tmp_path):
@@ -298,6 +333,20 @@ class TestComputedOnce:
         n_coeffs = RunConfig.from_dict(RESUME_OVERRIDE)["features"]["n_coeffs"]
         assert np.load(feat / "frames.npy").shape == (sum(r["n_frames"] for r in index), n_coeffs)
 
+    def test_index_rows_are_the_windows_jsonl_rows(self, clean_run):
+        """index.json holds each windows.jsonl row, in order, under a
+        `<scene stem>_wNN` id counted per scene."""
+        windows = read_jsonl(clean_run / "segment" / "windows.jsonl")
+        index = json.loads((clean_run / "features" / "index.json").read_text())["windows"]
+        assert len(index) == len(windows) > 0
+        per_scene = {}
+        for row, win in zip(index, windows):
+            j = per_scene[win["source"]] = per_scene.get(win["source"], -1) + 1
+            assert row["id"] == f"{Path(win['source']).stem}_w{j:02d}"
+            assert [row[k] for k in ("source", "start_s", "end_s", "calls")] == [
+                win[k] for k in ("source", "start_s", "end_s", "calls")
+            ]
+
     def test_window_positives_are_quantize_units(self, tiny_run):
         """Each window side holds the quantize units of the window's own audio,
         and each distractor the encoded builder output that its provenance names."""
@@ -309,12 +358,11 @@ class TestComputedOnce:
             ids = [row["id"] for row in rows if row["split"] == split]
             units.update(zip(ids, quantizer.read_units(q_dir / f"units_{split}.txt"), strict=True))
         index = {row["id"]: row for row in rows}
-        calls = {row["id"]: row["calls"] for row in pipeline._read_windows(out)}
         cb = quantizer.load_codebook(q_dir / "codebook.json")
 
         def window(wid):
             row = index[wid]
-            segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in calls[wid])
+            segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in row["calls"])
             clip = pipeline._window_clip(dsp.read_wav(row["source"]), row)
             return SegmentWindow(0.0, row["end_s"] - row["start_s"], segs), clip
 
@@ -723,6 +771,90 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "report.json").exists()
+
+
+# CLI inputs are checked where they enter: each case below exits 2, without a
+# traceback, naming the flag or the file.
+CTX_ZERO = [
+    ("ulm score", ["ulm", "score", "--model", "m.json", "--units", "u.txt"]),
+    ("ulm ppl", ["ulm", "ppl", "--model", "m.json", "--units", "u.txt"]),
+    ("bench eval", ["bench", "eval", "--model", "m.json", "--pairs", "p.jsonl"]),
+]
+
+# (test id, argv with {name} for the files made by cli_files, the file the error names)
+SMALL_INPUTS = [
+    ("ulm_train_ngram", "ulm train --units {empty} --out {tmp}/m.json", "empty"),
+    ("ulm_train_attn", "ulm train --backend attn --units {empty} --out {tmp}/m.npz", "empty"),
+    ("ulm_ppl", "ulm ppl --model {ngram} --units {empty}", "empty"),
+    ("bench_eval", "bench eval --model {ngram} --pairs {empty}", "empty"),
+    ("bench_make", "bench make --units {empty} --out {tmp}/out.jsonl", "empty"),
+    ("bench_make_concat", "bench make --task concat --units {one} --out {tmp}/out.jsonl", "one"),
+]
+
+# (test id, argv, what the error names): line 2 / pair 2 holds token 9, outside vocab 4
+OOV_INPUTS = [
+    ("ulm_score", "ulm score --model {model} --units {oov}", "{oov} line 2"),
+    ("ulm_ppl", "ulm ppl --model {model} --units {oov}", "{oov} line 2"),
+    ("bench_eval", "bench eval --model {model} --pairs {oov_pairs}", "{oov_pairs}: pair 2"),
+]
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """Input files for the CLI checks, by name: vocab-4 n-gram and attention
+    models, an empty file, a one-sequence units file, and a units file and a
+    pairs file whose second sequence and pair hold token 9."""
+    names = {"ngram": "ngram.json", "attn": "attn.npz", "empty": "empty.txt", "one": "one.txt", "oov": "oov.txt",
+             "oov_pairs": "oov_pairs.jsonl"}
+    files = {name: tmp_path / file_name for name, file_name in names.items()}
+    corpus = [np.array([0, 1, 2, 3, 1, 2]), np.array([3, 2, 1, 0])]
+    train_ngram(corpus, 2, KneserNey(0.75), vocab_size=4).save(files["ngram"])
+    AttnLM(4, layers=1, heads=1, embed=8, ffn=8, max_ctx=32).save(files["attn"])
+    files["empty"].write_text("")
+    quantizer.write_units(files["one"], corpus[:1])
+    oov = [np.array([0, 1, 2]), np.array([1, 9, 2])]
+    quantizer.write_units(files["oov"], oov)
+    bench.write_pairs_jsonl(files["oov_pairs"], bench.unit_pairs_from_corpus(oov, "reversal"))
+    return {"tmp": str(tmp_path), **{name: str(path) for name, path in files.items()}}
+
+
+class TestCliInputs:
+    @pytest.mark.parametrize("argv", [c[1] for c in CTX_ZERO], ids=[c[0] for c in CTX_ZERO])
+    def test_ctx_below_1_exits_2_naming_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--ctx", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --ctx: context window must be >= 1, got 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, name", [c[1:] for c in SMALL_INPUTS], ids=[c[0] for c in SMALL_INPUTS])
+    def test_empty_or_too_small_file_exits_2_naming_it(self, cli_files, argv, name, capsys):
+        assert main(argv.format(**cli_files).split()) == 2
+        err = capsys.readouterr().err
+        assert cli_files[name] in err and "Traceback" not in err
+        assert not Path(cli_files["tmp"], "out.jsonl").exists()
+
+    @pytest.mark.parametrize("backend", ["ngram", "attn"])
+    @pytest.mark.parametrize("argv, where", [c[1:] for c in OOV_INPUTS], ids=[c[0] for c in OOV_INPUTS])
+    def test_token_outside_vocab_exits_2_naming_file_and_sequence(self, cli_files, backend, argv, where, capsys):
+        files = dict(cli_files, model=cli_files[backend])
+        assert main(argv.format(**files).split()) == 2
+        err = capsys.readouterr().err
+        assert f"{where.format(**files)} holds token 9, outside the model's vocab of size 4" in err
+
+    def test_generate_uses_ctx(self, tmp_path, capsys):
+        units, model = tmp_path / "u.txt", tmp_path / "m.json"
+        units.write_text("0 1 2 3 1 2 0 1 2 3\n3 2 1 0 3 2 1 0\n0 0 1 1 2 2 3 3\n")
+        assert main(["ulm", "train", "--units", str(units), "--order", "3", "--out", str(model)]) == 0
+        gen = ["ulm", "generate", "--model", str(model), "--prompt", "0 1", "--beam", "2", "--temperature", "1.0",
+               "--max-len", "12"]
+        capsys.readouterr()
+        printed = []
+        for ctx in ([], ["--ctx", "1"]):
+            assert main(gen + ctx) == 0
+            printed.append(capsys.readouterr().out.strip())
+        direct = generate(NGramLM.load(model), [0, 1], beam=2, temperature=1.0, max_len=12, cp=ContextPolicy(1))
+        assert printed == ["0 1 2 3", "0 1 2 1 2 3"] and printed[1] == " ".join(map(str, direct))
 
 
 class TestCliReportRender(object):
