@@ -31,19 +31,31 @@ def _context_policy(args) -> ContextPolicy | None:
     return None if args.ctx is None else ContextPolicy(window=args.ctx, keep_first=args.keep_first)
 
 
-def _context_window(text: str) -> int:
-    """--ctx checked as it is parsed: a whole number of tokens, at least 1."""
+def _at_least_one(what: str):
+    """An argparse type for a whole number, at least 1, checked as it is parsed."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 1, got {value}")
+        return value
+
+    return parse
+
+
+def _tokens(text: str) -> list[int]:
+    """--prompt checked as it is parsed: whitespace-separated integer tokens."""
     try:
-        window = int(text)
+        return [int(t) for t in text.split()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"context window must be an integer, got {text!r}") from None
-    if window < 1:
-        raise argparse.ArgumentTypeError(f"context window must be >= 1, got {window}")
-    return window
+        raise argparse.ArgumentTypeError(f"tokens must be integers, got {text!r}") from None
 
 
 def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ctx", type=_context_window, default=None, help="context window in tokens (default unlimited)")
+    p.add_argument("--ctx", type=_at_least_one("context window"), default=None, help="context window in tokens (default unlimited)")
     p.add_argument("--keep-first", type=int, default=0, choices=(0, 1, 5), help="always-visible first tokens")
 
 
@@ -97,6 +109,8 @@ def _detector_from_file(path) -> DetectorParams:
 def cmd_segment(args) -> int:
     params = _detector_from_file(args.params)
     src = Path(args.input)
+    if not src.exists():  # checked before --out is opened, so no empty output is left
+        raise ConfigError(f"no such file or directory: {src}")
     paths = sorted(src.glob("*.wav")) if src.is_dir() else [src]
     if not paths:
         raise ConfigError(f"no wav files under {src}")
@@ -213,9 +227,9 @@ def cmd_ulm(args) -> int:
         print(json.dumps({"ppl": ppl(model, corpus, _context_policy(args)), "n_sequences": len(corpus)}))
     elif args.what == "generate":
         model = load_model(args.model)
-        prompt = [int(t) for t in args.prompt.split()] if args.prompt else []
+        _check_vocab(model, np.array(args.prompt, dtype=np.int64), "--prompt")
         out = generate(
-            model, prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len, cp=_context_policy(args)
+            model, args.prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len, cp=_context_policy(args)
         )
         print(" ".join(str(int(t)) for t in out))
     else:  # probe
@@ -233,7 +247,12 @@ def cmd_ulm(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.what == "make":
-        corpus = _nonempty(quantizer.read_units(args.units), args.units, least=2 if args.task == "concat" else 1)
+        seqs = quantizer.read_units(args.units)
+        if args.task == "shuffle":
+            for line, seq in enumerate(seqs, 1):
+                if seq.size == 1:
+                    raise ConfigError(f"{args.units} line {line} holds 1 token; shuffle needs at least 2")
+        corpus = _nonempty(seqs, args.units, least=2 if args.task == "concat" else 1)
         pairs = bench.unit_pairs_from_corpus(corpus, args.task, seed=args.seed)
         bench.write_pairs_jsonl(args.out, pairs)
         print(f"wrote {len(pairs)} {args.task} pairs -> {args.out}")
@@ -443,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prompt", default="")
+    p.add_argument("--prompt", type=_tokens, default="")
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--temperature", type=float, default=1.5)
     p.add_argument("--max-len", type=int, default=64)
@@ -489,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config (defaults apply)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least_one("jobs"), default=1, help="feature-extraction threads")
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("report", help="validate and render a report")
@@ -506,6 +525,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as e:
         print(f"error: invalid config: {e}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as e:
+        print(f"error: no such file or directory: {e.filename}", file=sys.stderr)
         return 2
     except (StageFailureError, FingerprintMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -201,15 +201,6 @@ def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
     return Waveform(out[:, n_taps - 1 :].ravel()[:n], w.sample_rate)
 
 
-def highpass_response_db(cutoff_hz: float, sample_rate: int, freqs_hz) -> np.ndarray:
-    """Analytic magnitude response (dB) of the high-pass at `freqs_hz`."""
-    design = _highpass_design(cutoff_hz, sample_rate)
-    freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
-    z_inv = np.exp(-2j * np.pi * freqs / sample_rate)[:, None]
-    h = design.gain * np.prod((1.0 - z_inv) / (1.0 - design.poles * z_inv), axis=1)
-    return 20.0 * np.log10(np.maximum(np.abs(h), 1e-300))
-
-
 def frame_signal(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     """Strided view of `x` as overlapping frames; 1 + floor((len-window)/hop) rows."""
     if window < hop or hop < 1:

@@ -253,13 +253,10 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
         wave = dsp.read_wav(source)
         return [_featurize(cfg, _window_clip(wave, row)).rows for row in by_scene[source]]
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_scene = list(pool.map(one, by_scene))  # map preserves scene order
-    else:
-        per_scene = [one(source) for source in by_scene]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        per_scene = list(pool.map(one, by_scene))  # map preserves scene order
     frames = [f for scene_frames in per_scene for f in scene_frames]
     index = [
         {

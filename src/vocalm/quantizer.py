@@ -123,10 +123,15 @@ def fit_codebook(
 
     Each restart draws a fresh RNG stream from the seed (SeedSequence spawn),
     runs mini-batch updates until the full-data inertia improves by less than
-    REL_TOL relative over an epoch (or MAX_EPOCHS), and keeps the best
-    centroids it ever evaluated, so the result is never worse than any
-    restart's own initialization. Empty clusters are reseeded to the frame
-    farthest from its assigned centroid.
+    REL_TOL relative over an epoch (or MAX_EPOCHS), and the fit keeps the
+    first centroids that reach the lowest inertia it ever evaluated, so the
+    result is never worse than any restart's own initialization. Empty
+    clusters are reseeded to the frames farthest from their centroids.
+
+    `(labels, dists)` always hold the assignment of every frame to the current
+    centroids: it is made once per restart, then again after each epoch and
+    after each reseed. No centroid moves between it and an epoch's first
+    mini-batch, so that batch takes its labels from it instead of reassigning.
     """
     x = _as_rows(features)
     if isinstance(features, FeatureMatrix):
@@ -139,17 +144,25 @@ def fit_codebook(
     for rng in _restart_seeds(seed, restarts):
         centroids = kmeans_pp_init(x, k, rng)
         counts = np.zeros(k)
-        restart_best = centroids.copy()
-        restart_best_inertia = inertia(x, centroids)
-        prev = restart_best_inertia
-        for _ in range(MAX_EPOCHS):
+        labels, dists = _assign(x, centroids)
+        prev = np.inf  # so pass 0, which only scores the start, never stops
+        for epoch in range(MAX_EPOCHS + 1):
+            cur = float(dists.sum())
+            if cur < best_inertia:
+                best_inertia = cur
+                best_centroids = centroids.copy()
+            if epoch == MAX_EPOCHS or prev - cur < REL_TOL * max(prev, 1e-300):
+                break
+            prev = cur
             order = rng.permutation(n)
             for start in range(0, n, minibatch):
-                batch = x[order[start : start + minibatch]]
-                labels, _ = _assign(batch, centroids)
-                sums = np.zeros_like(centroids)
-                np.add.at(sums, labels, batch)
-                m = np.bincount(labels, minlength=k).astype(np.float64)
+                idx = order[start : start + minibatch]
+                batch = x[idx]
+                batch_labels = labels[idx] if start == 0 else _assign(batch, centroids)[0]
+                sums = np.column_stack(
+                    [np.bincount(batch_labels, weights=col, minlength=k) for col in batch.T]
+                )
+                m = np.bincount(batch_labels, minlength=k).astype(np.float64)
                 hit = m > 0
                 # Batched form of the per-sample running-mean update:
                 # c <- (v*c + sum(batch members)) / (v + m).
@@ -158,25 +171,11 @@ def fit_codebook(
                 )[:, None]
                 counts += m
             labels, dists = _assign(x, centroids)
-            present = np.bincount(labels, minlength=k) > 0
-            if not present.all():
-                far_order = np.argsort(dists)[::-1]
-                cursor = 0
-                for j in np.flatnonzero(~present):
-                    centroids[j] = x[far_order[cursor]]
-                    counts[j] = 0.0
-                    cursor += 1
-                _, dists = _assign(x, centroids)
-            cur = float(dists.sum())
-            if cur < restart_best_inertia:
-                restart_best_inertia = cur
-                restart_best = centroids.copy()
-            if prev - cur < REL_TOL * max(prev, 1e-300):
-                break
-            prev = cur
-        if restart_best_inertia < best_inertia:
-            best_inertia = restart_best_inertia
-            best_centroids = restart_best
+            empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+            if empty.size:
+                centroids[empty] = x[np.argsort(dists)[::-1][: empty.size]]
+                counts[empty] = 0.0
+                labels, dists = _assign(x, centroids)
     return Codebook(
         best_centroids,
         feature_kind=feature_kind,
@@ -212,14 +211,6 @@ def dedup(tokens) -> list[tuple[int, int]]:
         else:
             out.append((int(t), 1))
     return out
-
-
-def expand(runs: list[tuple[int, int]]) -> np.ndarray:
-    """Inverse of dedup."""
-    if not runs:
-        return np.zeros(0, dtype=np.int32)
-    tokens = np.repeat([t for t, _ in runs], [n for _, n in runs])
-    return tokens.astype(np.int32)
 
 
 def save_codebook(path, cb: Codebook) -> None:

@@ -1,4 +1,4 @@
-"""Multi-stage call detection, 10-second window packing, and detection scoring.
+"""Multi-stage call detection, 10-second window packing, and detection-to-truth matching.
 
 Detection stages, in order: high-pass at 5 kHz, STFT (2048/512), zeroing of
 time-frequency bins below an energy floor, frame-wise noise-candidate
@@ -252,19 +252,3 @@ def count_matches(
                 matches += 1
                 break
     return matches
-
-
-def score_detection(
-    pred: list[CallSegment],
-    truth: list[CallSegment],
-    tol_s: float = BOUNDARY_TOL_S,
-) -> tuple[float, float]:
-    """(precision, recall) of count_matches. Empty prediction lists score
-    precision 1.0 against empty truth and 0.0 otherwise."""
-    matches = count_matches(pred, truth, tol_s)
-    if pred:
-        precision = matches / len(pred)
-    else:
-        precision = 1.0 if not truth else 0.0
-    recall = matches / len(truth) if truth else 1.0
-    return precision, recall

@@ -1,12 +1,31 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the package's own code paths: brute-force loops,
-literal textbook formulas, and two-pass statistics. Slow is fine here.
+Most of these deliberately avoid the package's own code paths: brute-force
+loops, literal textbook formulas, and two-pass statistics. Slow is fine here.
+The rest are helpers only the tests call, and earlier versions of package
+code that a rewrite must match exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from vocalm.dsp import FeatureMatrix, _highpass_design
+from vocalm.errors import InsufficientDataError
+from vocalm.quantizer import (
+    DEFAULT_K,
+    DEFAULT_MINIBATCH,
+    DEFAULT_RESTARTS,
+    MAX_EPOCHS,
+    REL_TOL,
+    Codebook,
+    _as_rows,
+    _assign,
+    _restart_seeds,
+    inertia,
+    kmeans_pp_init,
+)
+from vocalm.segmenter import BOUNDARY_TOL_S, CallSegment, count_matches
 
 
 def brute_inertia(x: np.ndarray, centroids: np.ndarray) -> float:
@@ -140,3 +159,122 @@ def frechet_literal(mu1, cov1, mu2, cov2) -> float:
     tr_cross = float(np.sqrt(np.clip(vals.real, 0.0, None)).sum())
     diff = np.asarray(mu1) - np.asarray(mu2)
     return float(diff @ diff + np.trace(cov1) + np.trace(cov2) - 2.0 * tr_cross)
+
+
+# -- helpers only the tests call ------------------------------------------
+
+
+def expand(runs: list[tuple[int, int]]) -> np.ndarray:
+    """Inverse of dedup."""
+    if not runs:
+        return np.zeros(0, dtype=np.int32)
+    tokens = np.repeat([t for t, _ in runs], [n for _, n in runs])
+    return tokens.astype(np.int32)
+
+
+def score_detection(
+    pred: list[CallSegment],
+    truth: list[CallSegment],
+    tol_s: float = BOUNDARY_TOL_S,
+) -> tuple[float, float]:
+    """(precision, recall) of count_matches. Empty prediction lists score
+    precision 1.0 against empty truth and 0.0 otherwise."""
+    matches = count_matches(pred, truth, tol_s)
+    if pred:
+        precision = matches / len(pred)
+    else:
+        precision = 1.0 if not truth else 0.0
+    recall = matches / len(truth) if truth else 1.0
+    return precision, recall
+
+
+def highpass_response_db(cutoff_hz: float, sample_rate: int, freqs_hz) -> np.ndarray:
+    """Analytic magnitude response (dB) of the high-pass at `freqs_hz`."""
+    design = _highpass_design(cutoff_hz, sample_rate)
+    freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
+    z_inv = np.exp(-2j * np.pi * freqs / sample_rate)[:, None]
+    h = design.gain * np.prod((1.0 - z_inv) / (1.0 - design.poles * z_inv), axis=1)
+    return 20.0 * np.log10(np.maximum(np.abs(h), 1e-300))
+
+
+# -- k-means as it was before it kept one assignment state ----------------
+
+
+def reference_fit_codebook(
+    features,
+    k: int = DEFAULT_K,
+    minibatch: int = DEFAULT_MINIBATCH,
+    restarts: int = DEFAULT_RESTARTS,
+    seed: int = 0,
+    feature_kind: str = "linear_fb",
+) -> Codebook:
+    """Mini-batch k-means, best of `restarts` k-means++ starts.
+
+    The quantizer's `fit_codebook` before it kept one assignment state: it
+    assigns every frame twice per epoch (once as the mini-batch, once as the
+    full check) and sums clusters with `np.add.at`. The rewrite must return
+    byte-equal centroids.
+
+    Each restart draws a fresh RNG stream from the seed (SeedSequence spawn),
+    runs mini-batch updates until the full-data inertia improves by less than
+    REL_TOL relative over an epoch (or MAX_EPOCHS), and keeps the best
+    centroids it ever evaluated, so the result is never worse than any
+    restart's own initialization. Empty clusters are reseeded to the frame
+    farthest from its assigned centroid.
+    """
+    x = _as_rows(features)
+    if isinstance(features, FeatureMatrix):
+        feature_kind = features.feature_kind
+    n = x.shape[0]
+    if n < k:
+        raise InsufficientDataError(f"need at least {k} frames to fit K={k}, got {n}")
+    best_centroids = None
+    best_inertia = np.inf
+    for rng in _restart_seeds(seed, restarts):
+        centroids = kmeans_pp_init(x, k, rng)
+        counts = np.zeros(k)
+        restart_best = centroids.copy()
+        restart_best_inertia = inertia(x, centroids)
+        prev = restart_best_inertia
+        for _ in range(MAX_EPOCHS):
+            order = rng.permutation(n)
+            for start in range(0, n, minibatch):
+                batch = x[order[start : start + minibatch]]
+                labels, _ = _assign(batch, centroids)
+                sums = np.zeros_like(centroids)
+                np.add.at(sums, labels, batch)
+                m = np.bincount(labels, minlength=k).astype(np.float64)
+                hit = m > 0
+                # Batched form of the per-sample running-mean update:
+                # c <- (v*c + sum(batch members)) / (v + m).
+                centroids[hit] = (counts[hit, None] * centroids[hit] + sums[hit]) / (
+                    counts[hit] + m[hit]
+                )[:, None]
+                counts += m
+            labels, dists = _assign(x, centroids)
+            present = np.bincount(labels, minlength=k) > 0
+            if not present.all():
+                far_order = np.argsort(dists)[::-1]
+                cursor = 0
+                for j in np.flatnonzero(~present):
+                    centroids[j] = x[far_order[cursor]]
+                    counts[j] = 0.0
+                    cursor += 1
+                _, dists = _assign(x, centroids)
+            cur = float(dists.sum())
+            if cur < restart_best_inertia:
+                restart_best_inertia = cur
+                restart_best = centroids.copy()
+            if prev - cur < REL_TOL * max(prev, 1e-300):
+                break
+            prev = cur
+        if restart_best_inertia < best_inertia:
+            best_inertia = restart_best_inertia
+            best_centroids = restart_best
+    return Codebook(
+        best_centroids,
+        feature_kind=feature_kind,
+        seed=seed,
+        restarts=restarts,
+        minibatch=minibatch,
+    )

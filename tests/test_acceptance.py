@@ -14,13 +14,13 @@ from vocalm.dsp import Waveform
 from vocalm.manifest import RunConfig
 from vocalm.pipeline import pipeline_run
 from vocalm.errors import FingerprintMismatchError
-from vocalm.segmenter import DetectorParams, detect_calls, score_detection
+from vocalm.segmenter import DetectorParams, detect_calls
 from vocalm.synthlab import CallSpec, MarkovChain, chain_ppl, markov_corpus, synth_call, synth_scene
 from vocalm.ulm import AddK, AttnLM, ContextPolicy, KneserNey, attn_train, ppl, train_ngram, train_probe
 from vocalm.ulm.attn import _make_batch
 
 from conftest import standard_scene
-from oracles import kn_literal_prob, lloyd_kmeans
+from oracles import kn_literal_prob, lloyd_kmeans, score_detection
 
 SR = 16000
 

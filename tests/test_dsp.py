@@ -5,6 +5,8 @@ from vocalm import dsp
 from vocalm.dsp import FeatureMatrix, Waveform
 from vocalm.errors import EmptySpectrogramError
 
+from oracles import highpass_response_db
+
 SR = 16000
 
 
@@ -30,7 +32,7 @@ class TestHighpass:
         w = tone(1000.0)
         out = dsp.highpass(w, 5000.0)
         measured_db = 20 * np.log10(steady_rms(out.samples) / steady_rms(w.samples))
-        analytic_db = dsp.highpass_response_db(5000.0, SR, [1000.0])[0]
+        analytic_db = highpass_response_db(5000.0, SR, [1000.0])[0]
         assert measured_db <= -40.0
         assert abs(measured_db - analytic_db) < 1.0
 
@@ -38,15 +40,15 @@ class TestHighpass:
         w = tone(7000.0)
         out = dsp.highpass(w, 5000.0)
         measured_db = 20 * np.log10(steady_rms(out.samples) / steady_rms(w.samples))
-        analytic_db = dsp.highpass_response_db(5000.0, SR, [7000.0])[0]
+        analytic_db = highpass_response_db(5000.0, SR, [7000.0])[0]
         assert abs(measured_db) <= 1.0
         assert abs(measured_db - analytic_db) < 0.5
 
     def test_contract_from_analytic_response(self):
         # stop-band (<= cutoff/2) at least 40 dB down; pass-band (>= 1.2x) within 1 dB
-        stop = dsp.highpass_response_db(5000.0, SR, [1250.0, 2000.0, 2500.0])
+        stop = highpass_response_db(5000.0, SR, [1250.0, 2000.0, 2500.0])
         assert np.all(stop <= -40.0)
-        passband = dsp.highpass_response_db(5000.0, SR, [6000.0, 7000.0, 7900.0])
+        passband = highpass_response_db(5000.0, SR, [6000.0, 7000.0, 7900.0])
         assert np.all(np.abs(passband) <= 1.0)
 
     def test_linearity(self, rng):
@@ -125,7 +127,7 @@ class TestHighpassMatchesScipy:
         freqs = np.concatenate([np.geomspace(20.0, rate / 2.0, 300), [cutoff]])
         _, h = sps.sosfreqz(self.sos(cutoff, rate), worN=freqs, fs=rate)
         expected = 20.0 * np.log10(np.abs(h))
-        assert np.max(np.abs(dsp.highpass_response_db(cutoff, rate, freqs) - expected)) <= 1e-9
+        assert np.max(np.abs(highpass_response_db(cutoff, rate, freqs) - expected)) <= 1e-9
 
     @pytest.mark.parametrize("cutoff, rate", HIGHPASS_CASES)
     def test_truncated_tail_below_bound(self, cutoff, rate):

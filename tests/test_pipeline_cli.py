@@ -799,6 +799,25 @@ OOV_INPUTS = [
 ]
 
 
+# (test id, argv naming a path that does not exist)
+MISSING_INPUTS = [
+    ("ulm_score", "ulm score --model {ngram} --units {tmp}/nonexist.txt"),
+    ("ulm_ppl", "ulm ppl --model {tmp}/nonexist.json --units {one}"),
+    ("bench_eval", "bench eval --model {ngram} --pairs {tmp}/nonexist.jsonl"),
+    ("features", "features --in {tmp}/nonexist.wav --out {tmp}/f.csv"),
+    ("pipeline", "pipeline --config {tmp}/nonexist.json --out-dir {tmp}/run"),
+    ("segment", "segment --in {tmp}/nonexist.wav --out {tmp}/w.jsonl"),
+]
+
+
+def exit_code(argv) -> int:
+    """main's exit code, whether it returns one or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
 @pytest.fixture
 def cli_files(tmp_path):
     """Input files for the CLI checks, by name: vocab-4 n-gram and attention
@@ -841,6 +860,42 @@ class TestCliInputs:
         assert main(argv.format(**files).split()) == 2
         err = capsys.readouterr().err
         assert f"{where.format(**files)} holds token 9, outside the model's vocab of size 4" in err
+
+    @pytest.mark.parametrize(
+        "prompt, message",
+        [("9 1", "--prompt holds token 9, outside the model's vocab of size 4"),
+         ("a", "argument --prompt: tokens must be integers, got 'a'")],
+        ids=["outside_vocab", "not_integer"],
+    )
+    def test_bad_prompt_exits_2_naming_the_flag(self, cli_files, prompt, message, capsys):
+        assert exit_code(["ulm", "generate", "--model", cli_files["ngram"], "--prompt", prompt]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_one_token_shuffle_line_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        # a blank line still counts, so the one-token line is line 3 of the file
+        units = tmp_path / "u.txt"
+        units.write_text("1 2 3\n\n4\n")
+        assert main(["bench", "make", "--task", "shuffle", "--units", str(units), "--out", str(tmp_path / "p.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"{units} line 3 holds 1 token" in err and "Traceback" not in err
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("argv", [c[1] for c in MISSING_INPUTS], ids=[c[0] for c in MISSING_INPUTS])
+    def test_missing_input_exits_2_naming_it(self, cli_files, argv, capsys):
+        before = sorted(Path(cli_files["tmp"]).iterdir())
+        assert exit_code(argv.format(**cli_files).split()) == 2
+        err = capsys.readouterr().err
+        assert f"{cli_files['tmp']}/nonexist." in err and "Traceback" not in err
+        assert sorted(Path(cli_files["tmp"]).iterdir()) == before  # no output opened
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_1_exits_2_naming_the_flag(self, tmp_path, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--out-dir", str(tmp_path / "run"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"argument --jobs: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_generate_uses_ctx(self, tmp_path, capsys):
         units, model = tmp_path / "u.txt", tmp_path / "m.json"

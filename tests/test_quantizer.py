@@ -9,7 +9,6 @@ from vocalm.quantizer import (
     dedup,
     decode_features,
     encode,
-    expand,
     fit_codebook,
     inertia,
     kmeans_pp_init,
@@ -19,7 +18,7 @@ from vocalm.quantizer import (
     write_units,
 )
 
-from oracles import brute_inertia, lloyd_kmeans
+from oracles import brute_inertia, expand, lloyd_kmeans, reference_fit_codebook
 
 
 def two_blobs(rng, n=200, dist=100.0):
@@ -78,6 +77,117 @@ class TestFitCodebook:
     def test_insufficient_data(self, rng):
         with pytest.raises(InsufficientDataError):
             fit_codebook(rng.normal(size=(4, 2)), k=5)
+
+
+def normal_frames(seed, n=300, dim=4):
+    return np.random.default_rng(seed).normal(size=(n, dim))
+
+
+def coincident_frames():
+    """Three distinct points, 40 copies each: k-means++ must repeat a point
+    for K > 3, so every epoch finds an empty cluster and reseeds it."""
+    return np.repeat(np.random.default_rng(1).normal(size=(3, 2)), 40, axis=0)
+
+
+def grid_frames():
+    """Integer grid points, three copies each: exact distance ties abound."""
+    return np.repeat(np.array([[i, j] for i in range(4) for j in range(4)], dtype=float), 3, axis=0)
+
+
+def three_blobs():
+    """Far-apart blobs. With seed 6, restarts 0 and 3 end on the same inertia
+    to the last bit with different centroids, so the first one must win."""
+    centers = [np.zeros(3), np.full(3, 50.0), np.array([50.0, -50.0, 0.0])]
+    return np.vstack([c + np.random.default_rng(2).normal(size=(100, 3)) for c in centers])
+
+
+REFERENCE_CASES = [
+    pytest.param(lambda: normal_frames(0), dict(k=8, minibatch=1000, restarts=2, seed=1), id="minibatch_above_n"),
+    pytest.param(lambda: normal_frames(0), dict(k=8, minibatch=300, restarts=2, seed=2), id="minibatch_equal_n"),
+    pytest.param(lambda: normal_frames(0), dict(k=8, minibatch=64, restarts=2, seed=3), id="minibatch_below_n"),
+    pytest.param(coincident_frames, dict(k=5, restarts=3, seed=4), id="reseeds"),
+    pytest.param(coincident_frames, dict(k=5, minibatch=32, restarts=3, seed=4), id="reseeds_minibatch_below_n"),
+    pytest.param(grid_frames, dict(k=6, restarts=3, seed=5), id="exact_ties"),
+    pytest.param(three_blobs, dict(k=3, restarts=4, seed=6), id="inertia_tie_4_restarts"),
+    pytest.param(three_blobs, dict(k=3, restarts=8, seed=6), id="inertia_tie_8_restarts"),
+] + [
+    pytest.param(
+        lambda s=s: normal_frames(100 + s, n=400, dim=5),
+        dict(k=7, minibatch=150, restarts=3, seed=s),
+        id=f"random_{s}",
+    )
+    for s in range(6)
+]
+
+
+class _EpochCountingRng:
+    """A restart's Generator that logs each `permutation` call: one per epoch."""
+
+    def __init__(self, rng, epochs: list):
+        self._rng = rng
+        self._epochs = epochs
+
+    def permutation(self, n):
+        self._epochs.append(n)
+        return self._rng.permutation(n)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestOneAssignmentState:
+    @pytest.mark.parametrize("make_x, kwargs", REFERENCE_CASES)
+    def test_matches_two_pass_reference(self, make_x, kwargs):
+        x = make_x()
+        ours = fit_codebook(x, **kwargs)
+        ref = reference_fit_codebook(x, **kwargs)
+        assert ours.centroids.tobytes() == ref.centroids.tobytes()
+        assert inertia(x, ours) == inertia(x, ref)
+
+    def test_matches_reference_after_mid_run_reseed(self, monkeypatch):
+        # From this start the first epoch leaves centroid 1 without frames
+        # (3.01 moves to centroid 0, 6.0 to centroid 2), so it is reseeded and
+        # the next epoch's first batch must see the reseeded assignment.
+        import oracles
+        import vocalm.quantizer as q
+
+        start = np.array([[0.0], [6.0], [8.0]])
+        for module in (q, oracles):
+            monkeypatch.setattr(module, "kmeans_pp_init", lambda x, k, rng: start.copy())
+        x = np.array([0.0] + [2.999] * 1000 + [3.01] * 10 + [6.0] + [7.01] * 100 + [8.0])[:, None]
+        ours = fit_codebook(x, k=3, minibatch=len(x), restarts=1)
+        ref = reference_fit_codebook(x, k=3, minibatch=len(x), restarts=1)
+        assert ours.centroids.tobytes() == ref.centroids.tobytes()
+
+    @pytest.mark.parametrize(
+        "make_x, kwargs, reseeds_per_epoch",
+        [
+            (three_blobs, dict(k=3, restarts=2, seed=6), 0),
+            (coincident_frames, dict(k=5, restarts=3, seed=4), 1),
+        ],
+        ids=["no_reseed", "reseed_every_epoch"],
+    )
+    def test_full_minibatch_assigns_each_frame_once_per_epoch(
+        self, monkeypatch, make_x, kwargs, reseeds_per_epoch
+    ):
+        # With minibatch >= n a restart of E epochs and R reseeds sends
+        # n * (1 + E + R) rows to the distance kernel: the start, each epoch's
+        # full check and each reseed. The epoch's one batch reuses the check.
+        import vocalm.quantizer as q
+
+        rows, epochs = [], []
+        sq_dists, restart_seeds = q._sq_dists, q._restart_seeds
+        monkeypatch.setattr(q, "_sq_dists", lambda x, c: rows.append(len(x)) or sq_dists(x, c))
+        monkeypatch.setattr(
+            q,
+            "_restart_seeds",
+            lambda seed, restarts: [_EpochCountingRng(r, epochs) for r in restart_seeds(seed, restarts)],
+        )
+        x = make_x()
+        n = len(x)
+        fit_codebook(x, minibatch=n, **kwargs)
+        e = len(epochs)
+        assert sum(rows) == n * (kwargs["restarts"] + e + reseeds_per_epoch * e)
 
 
 class TestInertia:

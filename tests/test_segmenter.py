@@ -13,10 +13,11 @@ from vocalm.segmenter import (
     detect_calls,
     frame_stats,
     pack_windows,
-    score_detection,
 )
 from vocalm.manifest import DEFAULT_CONFIG
 from vocalm.synthlab import synth_scene
+
+from oracles import score_detection
 
 SR = 16000
 
