@@ -261,9 +261,11 @@ def pairwise_eval(model, pairs: list[BenchmarkPair], cp=None, scores: dict | Non
 
     Exact ties count as incorrect, so degenerate constant scorers cannot reach
     50% for free. Pairs must carry unit sequences. `scores`, when given, holds
-    model scores keyed by (cp, dtype, unit bytes): a sequence already in it is
+    model scores keyed by (effective policy, dtype, unit bytes), where the
+    effective policy is `model.effective_policy(cp, len(units))`: None when
+    cp hides nothing from the sequence, else cp. A sequence already in it is
     not scored again, and each new score is added, so calls that share one
-    dict score each distinct (policy, sequence) once.
+    dict score each distinct (effective policy, sequence) once.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -272,9 +274,10 @@ def pairwise_eval(model, pairs: list[BenchmarkPair], cp=None, scores: dict | Non
         if scores is None:
             return model.score(units, cp)
         units = np.asarray(units)
-        key = (cp, units.dtype.str, units.tobytes())
+        eff = model.effective_policy(cp, units.shape[0])
+        key = (eff, units.dtype.str, units.tobytes())
         if key not in scores:
-            scores[key] = model.score(units, cp)
+            scores[key] = model.score(units, eff)
         return scores[key]
 
     correct_total = 0

@@ -193,6 +193,20 @@ def _check_vocab(model, units, where: str) -> None:
         raise ConfigError(f"{where} holds token {int(bad[0])}, outside the model's vocab of size {model.vocab_size}")
 
 
+def _read_labels(path) -> list[int]:
+    """The integer labels of a labels file, one a line; blank lines are
+    skipped but counted. ConfigError naming the file and line otherwise."""
+    labels = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    labels.append(int(line))
+                except ValueError:
+                    raise ConfigError(f"{path} line {line_no} holds {line.strip()!r}, not an integer label") from None
+    return labels
+
+
 def _scorable_units(model, path) -> list[np.ndarray]:
     """Every sequence of a units file, each checked against the model's vocabulary."""
     seqs = quantizer.read_units(path)
@@ -234,9 +248,7 @@ def cmd_ulm(args) -> int:
         print(" ".join(str(int(t)) for t in out))
     else:  # probe
         emb = dsp.read_features_csv(args.embeddings).rows
-        with open(args.labels) as fh:
-            labels = np.array([int(line.strip()) for line in fh if line.strip()])
-        result = train_probe(emb, labels, epochs=args.epochs, seed=args.seed)
+        result = train_probe(emb, np.array(_read_labels(args.labels)), epochs=args.epochs, seed=args.seed)
         recall, precision, f1 = result.val_metrics
         print(json.dumps({"recall": recall, "precision": precision, "f1": f1}))
     return 0
@@ -305,8 +317,7 @@ def cmd_metrics(args) -> int:
         )
     else:  # purity
         units = quantizer.read_units(args.units)
-        with open(args.labels) as fh:
-            labels = [int(line.strip()) for line in fh if line.strip()]
+        labels = _read_labels(args.labels)
         if args.level == "frame":
             flat_units = np.concatenate([u for u in units if u.size])
             if len(labels) != flat_units.shape[0]:

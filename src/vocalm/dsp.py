@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptySpectrogramError
+from .errors import ConfigError, EmptySpectrogramError
 
 DEFAULT_SAMPLE_RATE = 16000
 STFT_WINDOW = 2048
@@ -392,20 +392,24 @@ def write_features_csv(path, f: FeatureMatrix) -> None:
 
 
 def read_features_csv(path) -> FeatureMatrix:
+    """A feature CSV as write_features_csv writes it. ConfigError naming the
+    file when its first line is not that header, and the line when a row is
+    not `dim` comma-separated numbers."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# feature_kind="):
-            raise ValueError(f"{path}: missing feature header line")
-        fields = dict(part.split("=", 1) for part in header[2:].split())
-        rows = [
-            [float(v) for v in line.split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    dim = int(fields.get("dim", len(rows[0]) if rows else 0))
-    arr = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-    return FeatureMatrix(
-        arr,
-        frame_stride_ms=float(fields["frame_stride_ms"]),
-        feature_kind=fields["feature_kind"],
-    )
+        header = fh.readline()
+        fields = dict(part.partition("=")[::2] for part in header[2:].split()) if header.startswith("# ") else {}
+        try:
+            kind, stride, dim = fields["feature_kind"], float(fields["frame_stride_ms"]), int(fields["dim"])
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}: missing feature header line") from None
+        rows = []
+        for n, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError:
+                raise ConfigError(f"{path} line {n} is not a row of comma-separated numbers") from None
+            if len(rows[-1]) != dim:
+                raise ConfigError(f"{path} line {n} holds {len(rows[-1])} values, not dim={dim}")
+    return FeatureMatrix(np.array(rows, dtype=np.float64).reshape(len(rows), dim), frame_stride_ms=stride, feature_kind=kind)

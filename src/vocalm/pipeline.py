@@ -2,7 +2,7 @@
 bench -> fad -> eval, with on-disk artifacts per stage and a deterministic
 report.
 
-Each of the seven stages in STAGES writes in place under `<out>/<stage>/`.
+Each of the eight stages in STAGES writes in place under `<out>/<stage>/`.
 Once it returns, the runner commits it by atomically writing
 `<stage>/_done.json`, which holds the LAYOUT number, the config fingerprint
 and the size and sha256 of every file in the stage directory. A rerun reuses
@@ -16,11 +16,14 @@ window is featurised and encoded once: its frames sit in
 `features/frames.npy`, and bench and eval read its units from quantize's
 `units_{split}.txt`, whose lines follow index.json order. The FAD block
 depends on the config alone; the fad stage writes it to `fad/fad.json`, which
-a resume reuses. Eval reads that file and scores each distinct sequence once
-per context policy. Every stage JSON file is read through _load_json, which
-checks its config fingerprint. The report body contains no timestamps, so
-identical configs produce byte-identical reports; wall-clock metadata goes to
-run_meta.json instead.
+eval reads. Eval scores each distinct sequence once per effective context
+policy: a policy that hides nothing from a sequence scores it as no policy
+does. Eval writes the validated report to `eval/report.json`; the top-level
+`report.json` is an atomic byte copy of that committed file, so a rerun of a
+finished out-dir runs no stage. Every stage JSON file is read through
+_load_json, which checks its config fingerprint. The report body contains no
+timestamps, so identical configs produce byte-identical reports; wall-clock
+metadata goes to run_meta.json instead.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ DONE_NAME = "_done.json"
 # index.json rows without their window's calls.
 LAYOUT = 3
 FRAMES_NAME = "frames.npy"
-STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "fad")
+STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "fad", "eval")
 
 
 # -- small helpers -------------------------------------------------------------
@@ -542,12 +545,13 @@ def _context_grid(cfg: RunConfig, model, pairs, scores: dict) -> list[dict]:
     return rows
 
 
-def stage_eval(cfg: RunConfig, out: Path) -> dict:
+def stage_eval(cfg: RunConfig, out: Path) -> None:
+    """The validated report, written to eval/report.json."""
     fp = cfg.fingerprint()
     model = load_model(out / "ulm" / _load_json(out / "ulm" / "model_meta.json", cfg)["file"])
     pairs, pairs_fp = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
     check_fingerprint(pairs_fp, fp, "bench pairs")
-    # one score per distinct (policy, sequence), shared with the context grid
+    # one score per distinct (effective policy, sequence), shared with the context grid
     scores: dict = {}
     result = bench.pairwise_eval(model, pairs, None, scores)
     index = _read_feature_index(out, cfg)
@@ -597,7 +601,7 @@ def stage_eval(cfg: RunConfig, out: Path) -> dict:
     if cfg["context_grid"]["enabled"]:
         report["context_grid"] = _context_grid(cfg, model, pairs, scores)
     validate_report(report)
-    return report
+    write_report(report, out / "eval")
 
 
 # -- report ---------------------------------------------------------------
@@ -629,13 +633,15 @@ def validate_report(report: dict) -> None:
         raise StageFailureError("fad block missing values")
 
 
-def _write_json_atomic(path: Path, obj: dict) -> None:
+def _write_atomic(path: Path, data: bytes) -> None:
     """Write via a sibling .tmp file and os.replace, so readers never see half a file."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def _write_json_atomic(path: Path, obj: dict) -> None:
+    _write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def write_report(report: dict, out: Path) -> None:
@@ -674,7 +680,8 @@ def _committed(stage_dir: Path, marker: dict | None) -> bool:
 
 
 def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
-    """Run all stages, reusing committed ones; returns the report dict.
+    """Run all stages, reusing committed ones; copy eval's committed report to
+    `<out>/report.json` and return its body.
 
     Failures produce a partial report (failed stage + diagnostics) and raise
     StageFailureError; a stage committed under another config fingerprint
@@ -710,8 +717,6 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
                 stage(cfg, out)
             marker = {"layout": LAYOUT, "config_fingerprint": fp, "files": _stage_files(out / name)}
             _write_json_atomic(out / name / DONE_NAME, marker)
-        name = "eval"
-        report = stage_eval(cfg, out)
     except FingerprintMismatchError:
         raise
     except Exception as e:
@@ -723,7 +728,8 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
         }
         write_report(partial, out)
         raise StageFailureError(f"stage {name!r} failed: {e}") from e
-    write_report(report, out)
+    _write_atomic(out / REPORT_NAME, (out / "eval" / REPORT_NAME).read_bytes())
     with open(out / "run_meta.json", "w") as fh:
         json.dump({"elapsed_s": time.time() - t0, "finished_unix": time.time()}, fh)
-    return report
+    # _load_json checks the fingerprint and drops it; the report body keeps it
+    return {**_load_json(out / REPORT_NAME, cfg), "config_fingerprint": fp}

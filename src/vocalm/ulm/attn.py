@@ -108,6 +108,14 @@ class AttnLM:
             hidden |= old
         return hidden
 
+    def effective_policy(self, cp: ContextPolicy | None, n: int) -> ContextPolicy | None:
+        """cp, or None when it hides nothing from a sequence of n tokens: the
+        old block of _policy_mask over its n + 1 positions is then empty
+        (n <= window + keep_first), so the score is the same."""
+        if cp is None or cp.window is None or n <= cp.window + cp.keep_first:
+            return None
+        return cp
+
     # -- forward / backward ------------------------------------------------
 
     def _forward(self, tokens: np.ndarray, cp: ContextPolicy | None):

@@ -163,6 +163,14 @@ class NGramLM:
         with np.errstate(divide="ignore"):
             return np.log(probs)
 
+    def effective_policy(self, cp: ContextPolicy | None, n: int) -> ContextPolicy | None:
+        """cp, or None when it hides nothing from a sequence of n tokens: its
+        window holds all order-1 symbols read, or every position past the
+        window is kept first (see ngram_context). score is then the same."""
+        if cp is None or cp.window is None or cp.window >= self.order - 1 or n <= cp.window + cp.keep_first:
+            return None
+        return cp
+
     def score(self, tokens, cp: ContextPolicy | None = None) -> float:
         """Total log-probability of the sequence including its EOS event."""
         ctx_len = self.order - 1

@@ -19,11 +19,13 @@ from vocalm.bench import (
     write_phee_jsonl,
     read_phee_jsonl,
 )
+from vocalm import pipeline
 from vocalm.dsp import Waveform
 from vocalm.errors import IneligibleWindowError
+from vocalm.manifest import RunConfig
 from vocalm.segmenter import CallSegment, SegmentWindow
 from vocalm.synthlab import MarkovChain, markov_corpus
-from vocalm.ulm import ContextPolicy
+from vocalm.ulm import ContextPolicy, KneserNey, train_ngram
 
 SR = 16000
 
@@ -306,6 +308,9 @@ class TestPairwiseEval:
             def __init__(self):
                 self.calls = []
 
+            def effective_policy(self, cp, n):
+                return cp
+
             def score(self, units, cp=None):
                 self.calls.append((cp, tuple(int(u) for u in units)))
                 window = len(units) if cp is None else cp.window
@@ -331,6 +336,9 @@ class TestPairwiseEval:
 
     def test_shared_scores_key_on_dtype(self):
         class LenScorer:
+            def effective_policy(self, cp, n):
+                return cp
+
             def score(self, units, cp=None):
                 return float(len(units))
 
@@ -339,6 +347,24 @@ class TestPairwiseEval:
         two = np.array([1, 0], dtype=np.int32)
         pair = BenchmarkPair(task="shuffle", positive=PairItem(units=two), distractor=PairItem(units=one))
         assert pairwise_eval(LenScorer(), [pair], None, {}).accuracy == 1.0
+
+    def test_ngram_context_grid_scores_each_distinct_sequence_once(self, rng, monkeypatch):
+        # every grid window reaches past a trigram's two context symbols, so
+        # each of the 16 policies scores as the unrestricted one
+        corpus = [rng.integers(0, 6, size=n).astype(np.int32) for n in (40, 60, 80, 120)]
+        model = train_ngram(corpus, n=3, smoothing=KneserNey(0.75), vocab_size=6)
+        pairs = [p for task in ("shuffle", "reversal", "concat") for p in unit_pairs_from_corpus(corpus, task, seed=1)]
+        calls = []
+        score = model.score
+        monkeypatch.setattr(model, "score", lambda units, cp=None: calls.append(cp) or score(units, cp))
+        rows = pipeline._context_grid(RunConfig.from_dict({"context_grid": {"enabled": True}}), model, pairs, {})
+        distinct = {side.units.tobytes() for p in pairs for side in (p.positive, p.distractor)}
+        assert len(rows) == 16 and calls == [None] * len(distinct)
+        monkeypatch.undo()
+        for row in rows:  # each row as that policy alone, without the shared scores, gives it
+            cp = None if row["context"] is None else ContextPolicy(row["context"], row["keep_first"])
+            by_task = pairwise_eval(model, pairs, cp).by_task
+            assert all(row[t] == by_task[t]["accuracy"] for t in ("shuffle", "concat", "reversal"))
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):

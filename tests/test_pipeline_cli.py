@@ -56,6 +56,8 @@ class TestPipeline:
             "quantize/units_train.txt",
             "ulm/model.json",
             "bench/pairs.jsonl",
+            "fad/fad.json",
+            "eval/report.json",
             "report.json",
         ):
             assert (out / rel).exists(), rel
@@ -137,6 +139,19 @@ def _tree(root):
     return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _record_stages(monkeypatch) -> list[str]:
+    """Wrap every stage_* function; the returned list gets each call's stage name."""
+    ran = []
+    for name in pipeline.STAGES:
+
+        def recording(*args, _name=name, _stage=getattr(pipeline, f"stage_{name}"), **kwargs):
+            ran.append(_name)
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, f"stage_{name}", recording)
+    return ran
+
+
 @pytest.fixture(scope="module")
 def clean_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("clean")
@@ -166,11 +181,18 @@ class TestResume:
         pipeline_run(cfg, tmp_path)
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
-    @pytest.mark.parametrize("damage", ["truncate_windows", "flip_feature_byte", "edit_fad_value"])
+    @pytest.mark.parametrize("damage", ["truncate_windows", "flip_feature_byte", "edit_fad_value", "edit_eval_report"])
     def test_damaged_artifact_is_recomputed(self, damage, clean_report, tmp_path):
         cfg = RunConfig.from_dict(RESUME_OVERRIDE)
         pipeline_run(cfg, tmp_path)
-        if damage == "truncate_windows":
+        if damage == "edit_eval_report":
+            # the top-level report.json is copied from this file, so an edit must not reach it
+            path = tmp_path / "eval" / "report.json"
+            good = path.read_bytes()
+            report = json.loads(good)
+            report["tasks"]["reversal"]["n"] += 1
+            write_report(report, tmp_path / "eval")
+        elif damage == "truncate_windows":
             path = tmp_path / "segment" / "windows.jsonl"
             good = path.read_bytes()
             path.write_bytes(b"".join(good.splitlines(keepends=True)[:2]))
@@ -208,23 +230,42 @@ class TestResume:
         assert _tree(feat) == good
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
-    def test_out_dir_without_fad_stage_computes_only_fad(self, clean_run, clean_report, tmp_path, monkeypatch):
-        # synth..bench committed under the current layout, no fad/
+    def test_out_dir_without_fad_stage_computes_fad_and_eval(self, clean_run, clean_report, tmp_path, monkeypatch):
+        # synth..bench committed under the current layout, no fad/; eval comes
+        # after fad, so it is recomputed too
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         shutil.rmtree(out / "fad")
         (out / "report.json").unlink()
-        ran = []
-        for name in pipeline.STAGES:
-
-            def recording(*args, _name=name, _stage=getattr(pipeline, f"stage_{name}"), **kwargs):
-                ran.append(_name)
-                return _stage(*args, **kwargs)
-
-            monkeypatch.setattr(pipeline, f"stage_{name}", recording)
+        ran = _record_stages(monkeypatch)
         pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
-        assert ran == ["fad"]
+        assert ran == ["fad", "eval"]
         assert (out / "fad" / "fad.json").read_bytes() == (clean_run / "fad" / "fad.json").read_bytes()
+        assert (out / "report.json").read_bytes() == clean_report
+
+    def test_finished_out_dir_runs_no_stage(self, clean_run, clean_report, tmp_path, monkeypatch):
+        # the report is eval's committed artifact, so a deleted top-level copy comes back from it
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        (out / "report.json").unlink()
+        before = _tree(out / "eval")
+        ran = _record_stages(monkeypatch)
+        report = pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
+        assert ran == []
+        assert _tree(out / "eval") == before
+        assert (out / "report.json").read_bytes() == (out / "eval" / "report.json").read_bytes() == clean_report
+        assert report == json.loads(clean_report)
+
+    def test_out_dir_without_eval_stage_computes_only_eval(self, clean_run, clean_report, tmp_path, monkeypatch):
+        # an out-dir written when eval was not a committed stage: synth..fad
+        # committed, the report at the top level only
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        shutil.rmtree(out / "eval")
+        ran = _record_stages(monkeypatch)
+        pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
+        assert ran == ["eval"]
+        assert (out / "eval" / "report.json").read_bytes() == clean_report
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_out_dir_with_units_index_reuses_every_stage(self, clean_run, clean_report, tmp_path, monkeypatch):
@@ -249,14 +290,7 @@ class TestResume:
             return {p: data for p, data in _tree(out).items() if p.parent != out}
 
         before = stage_files()
-        ran = []
-        for name in pipeline.STAGES:
-
-            def recording(*args, _name=name, _stage=getattr(pipeline, f"stage_{name}"), **kwargs):
-                ran.append(_name)
-                return _stage(*args, **kwargs)
-
-            monkeypatch.setattr(pipeline, f"stage_{name}", recording)
+        ran = _record_stages(monkeypatch)
         pipeline_run(cfg, out)
         assert ran == []
         assert stage_files() == before
@@ -275,14 +309,7 @@ class TestResume:
         for name in pipeline.STAGES:
             marker = {"layout": 2, "config_fingerprint": cfg.fingerprint(), "files": pipeline._stage_files(out / name)}
             (out / name / "_done.json").write_text(json.dumps(marker))
-        ran = []
-        for name in pipeline.STAGES:
-
-            def recording(*args, _name=name, _stage=getattr(pipeline, f"stage_{name}"), **kwargs):
-                ran.append(_name)
-                return _stage(*args, **kwargs)
-
-            monkeypatch.setattr(pipeline, f"stage_{name}", recording)
+        ran = _record_stages(monkeypatch)
         pipeline_run(cfg, out)
         assert ran == list(pipeline.STAGES)
         assert all("calls" in row for row in pipeline._read_feature_index(out, cfg))
@@ -888,6 +915,43 @@ class TestCliInputs:
         err = capsys.readouterr().err
         assert f"{cli_files['tmp']}/nonexist." in err and "Traceback" not in err
         assert sorted(Path(cli_files["tmp"]).iterdir()) == before  # no output opened
+
+    @pytest.mark.parametrize("argv", [
+        "metrics purity --units {units} --labels {labels} --level call",
+        "ulm probe --embeddings {csv} --labels {labels}",
+    ], ids=["metrics_purity", "ulm_probe"])
+    def test_non_integer_label_exits_2_naming_file_and_line(self, tmp_path, argv, capsys):
+        files = {name: tmp_path / name for name in ("units", "labels", "csv")}
+        files["units"].write_text("0 1\n2 3\n")
+        files["labels"].write_text("0\n\nx\n")  # the blank line still counts
+        dsp.write_features_csv(files["csv"], dsp.FeatureMatrix(np.ones((2, 3))))
+        assert main(argv.format(**files).split()) == 2
+        err = capsys.readouterr().err
+        assert f"{files['labels']} line 3 holds 'x', not an integer label" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 2\n", "{csv}: missing feature header line"),
+        ("# feature_kind=linear_fb frame_stride_ms=20 dim=two\n1.0,2.0\n", "{csv}: missing feature header line"),
+        ("# feature_kind=linear_fb frame_stride_ms=20\n1.0,2.0\n", "{csv}: missing feature header line"),
+        ("# feature_kind=linear_fb frame_stride_ms=20 dim=2\n1.0,2.0\n1.0,abc\n",
+         "{csv} line 3 is not a row of comma-separated numbers"),
+        ("# feature_kind=linear_fb frame_stride_ms=20 dim=2\n1.0,2.0\n\n1.0\n", "{csv} line 4 holds 1 values, not dim=2"),
+    ], ids=["units_file", "non_integer_dim", "header_without_dim", "non_numeric_row", "short_row"])
+    @pytest.mark.parametrize("argv", [
+        "quantize fit --features {csv} --k 2 --out {out}",
+        "quantize encode --features {csv} --codebook {codebook} --out {out}",
+        "ulm probe --embeddings {csv} --labels {labels}",
+    ], ids=["quantize_fit", "quantize_encode", "ulm_probe"])
+    def test_bad_feature_csv_exits_2_naming_it(self, tmp_path, argv, text, message, capsys):
+        files = {name: tmp_path / name for name in ("csv", "codebook", "labels", "out")}
+        files["csv"].write_text(text)
+        cb = quantizer.fit_codebook(np.random.default_rng(0).normal(size=(20, 2)), k=2, restarts=1, seed=0)
+        quantizer.save_codebook(files["codebook"], cb)
+        files["labels"].write_text("0\n1\n")
+        assert main(argv.format(**files).split()) == 2
+        err = capsys.readouterr().err
+        assert message.format(**files) in err and "Traceback" not in err
+        assert not files["out"].exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_1_exits_2_naming_the_flag(self, tmp_path, jobs, capsys):

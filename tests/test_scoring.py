@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vocalm.manifest import DEFAULT_CONFIG
 from vocalm.synthlab import MarkovChain, chain_ppl, markov_corpus
 from vocalm.ulm import AddK, AttnLM, ContextPolicy, KneserNey, ppl, train_ngram
 
@@ -59,3 +60,37 @@ class TestUnlimitedPolicy:
         attn = AttnLM(vocab_size=4, layers=1, heads=2, embed=8, ffn=12, max_ctx=32, seed=0)
         for model in (ngram, attn):
             assert model.score(seq, ContextPolicy(window=None, keep_first=0)) == model.score(seq, None)
+
+
+GRID = DEFAULT_CONFIG["context_grid"]
+
+
+class TestEffectivePolicy:
+    @pytest.mark.parametrize("backend", ["ngram", "attn"])
+    def test_scores_bit_identically_and_is_none_only_where_nothing_is_hidden(self, backend, rng):
+        if backend == "ngram":
+            corpus = [rng.integers(0, 6, size=300) for _ in range(4)]
+            model = train_ngram(corpus, n=4, smoothing=KneserNey(0.75), vocab_size=6)
+
+            def hides(cp, n):  # the n-gram reads order-1 symbols; see ngram_context
+                return cp.window < model.order - 1 and n > cp.window + cp.keep_first
+        else:
+            model = AttnLM(vocab_size=6, layers=1, heads=1, embed=8, ffn=8, max_ctx=512, seed=0)
+
+            def hides(cp, n):  # the old block of _policy_mask is non-empty
+                return n > cp.window + cp.keep_first
+
+        # the grid's windows, and windows on both sides of the 4-gram's 3-symbol reach
+        windows = [1, 2, 3] + [w for w in GRID["windows"] if w is not None]
+        policies = [ContextPolicy(w, kf) for w in windows for kf in GRID["keep_first"] if kf <= w]
+        for cp in policies:
+            w, kf = cp.window, cp.keep_first
+            for n in sorted({w - 1, w, w + 1, w + kf, w + kf + 1} - {0}):
+                seq = rng.integers(0, 6, size=n)
+                eff = model.effective_policy(cp, n)
+                assert eff is (cp if hides(cp, n) else None), (cp, n)
+                assert model.score(seq, cp) == model.score(seq, eff), (cp, n)
+                if eff is not None:  # what it hides moves the score, so None there would be wrong
+                    assert model.score(seq, cp) != model.score(seq, None), (cp, n)
+        for cp in (None, ContextPolicy(window=None)):
+            assert model.effective_policy(cp, 7) is None
