@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config (defaults apply)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--jobs", type=_at_least_one("jobs"), default=1, help="feature-extraction threads")
+    p.add_argument("--jobs", type=_at_least_one("jobs"), default=1, help="threads for synth, segment and features (no output depends on it)")
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("report", help="validate and render a report")

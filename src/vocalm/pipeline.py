@@ -34,6 +34,7 @@ import logging
 import os
 import shutil
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,7 @@ DONE_NAME = "_done.json"
 LAYOUT = 3
 FRAMES_NAME = "frames.npy"
 STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "fad", "eval")
+PER_SCENE_STAGES = ("synth", "segment", "features")
 
 
 # -- small helpers -------------------------------------------------------------
@@ -74,6 +76,14 @@ def _smoothing(cfg: RunConfig):
 
 def _sample_range(rng, lo_hi) -> float:
     return float(rng.uniform(lo_hi[0], lo_hi[1]))
+
+
+def _map_scenes(fn, items, jobs: int) -> list:
+    """fn over items on `jobs` threads, results in item order. A call's
+    exception is raised once every started call has returned; calls not yet
+    started are cancelled, so a failed stage writes nothing after it fails."""
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 def _save_json(path: Path, body: dict, cfg: RunConfig) -> None:
@@ -128,33 +138,33 @@ def _scene_plan(cfg: RunConfig) -> list[dict]:
     return plans
 
 
-def stage_synth(cfg: RunConfig, out: Path) -> None:
+def stage_synth(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     fp = cfg.fingerprint()
     synth_dir = out / "synth"
     syn = cfg["synth"]
 
-    def scenes():
-        for plan in _scene_plan(cfg):
-            spec = SceneSpec(
-                total_s=syn["scene_s"],
-                calls=tuple((c["onset_s"], c["spec"]) for c in plan["calls"]),
-                noise_floor_db=syn["noise_floor_db"],
-                seed=plan["noise_seed"],
-            )
-            wave, truth = synth_scene(spec)
-            wav_path = synth_dir / f"{plan['name']}.wav"
-            dsp.write_wav(wav_path, wave)
-            yield {
-                "path": str(wav_path),
-                "duration_s": syn["scene_s"],
-                "calls": [
-                    {"onset_s": seg.onset_s, "offset_s": seg.offset_s, "call_type": c["call_type"]}
-                    for seg, c in zip(truth, plan["calls"])
-                ],
-                "config_fingerprint": fp,
-            }
+    def one(plan):
+        spec = SceneSpec(
+            total_s=syn["scene_s"],
+            calls=tuple((c["onset_s"], c["spec"]) for c in plan["calls"]),
+            noise_floor_db=syn["noise_floor_db"],
+            seed=plan["noise_seed"],
+        )
+        wave, truth = synth_scene(spec)
+        wav_path = synth_dir / f"{plan['name']}.wav"
+        dsp.write_wav(wav_path, wave)
+        return {
+            "path": str(wav_path),
+            "duration_s": syn["scene_s"],
+            "calls": [
+                {"onset_s": seg.onset_s, "offset_s": seg.offset_s, "call_type": c["call_type"]}
+                for seg, c in zip(truth, plan["calls"])
+            ],
+            "config_fingerprint": fp,
+        }
 
-    write_jsonl(synth_dir / "truth.jsonl", scenes())
+    # every plan is drawn from the one plan rng before any scene renders
+    write_jsonl(synth_dir / "truth.jsonl", _map_scenes(one, _scene_plan(cfg), jobs))
     _synth_phee(cfg, synth_dir, fp)
 
 
@@ -203,30 +213,26 @@ def _synth_phee(cfg: RunConfig, synth_dir: Path, fp: str) -> None:
 # -- segment stage -------------------------------------------------------------
 
 
-def stage_segment(cfg: RunConfig, out: Path) -> None:
+def stage_segment(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     fp = cfg.fingerprint()
     seg_dir = out / "segment"
     params = DetectorParams.from_dict(cfg["detector"])
-    n_match = n_pred = n_truth = n_scenes = 0
 
-    def windows():
-        nonlocal n_match, n_pred, n_truth, n_scenes
-        for scene in read_jsonl(out / "synth" / "truth.jsonl"):
-            n_scenes += 1
-            wave = dsp.read_wav(scene["path"])
-            pred = detect_calls(wave, params)
-            truth = [CallSegment(c["onset_s"], c["offset_s"]) for c in scene["calls"]]
-            n_pred += len(pred)
-            n_truth += len(truth)
-            n_match += count_matches(pred, truth, BOUNDARY_TOL_S)
-            for win in pack_windows(wave, pred):
-                yield {**win.record(scene["path"]), "config_fingerprint": fp}
+    def one(scene):
+        """The scene's window rows and its (predicted, true, matched) call counts."""
+        wave = dsp.read_wav(scene["path"])
+        pred = detect_calls(wave, params)
+        truth = [CallSegment(c["onset_s"], c["offset_s"]) for c in scene["calls"]]
+        rows = [{**win.record(scene["path"]), "config_fingerprint": fp} for win in pack_windows(wave, pred)]
+        return rows, (len(pred), len(truth), count_matches(pred, truth, BOUNDARY_TOL_S))
 
-    write_jsonl(seg_dir / "windows.jsonl", windows())
+    per_scene = _map_scenes(one, read_jsonl(out / "synth" / "truth.jsonl"), jobs)
+    write_jsonl(seg_dir / "windows.jsonl", (row for rows, _ in per_scene for row in rows))
+    n_pred, n_truth, n_match = map(sum, zip((0, 0, 0), *(counts for _, counts in per_scene)))
     detection = {
         "precision": n_match / n_pred if n_pred else 1.0,
         "recall": n_match / n_truth if n_truth else 1.0,
-        "n_scenes": n_scenes,
+        "n_scenes": len(per_scene),
         "tol_s": BOUNDARY_TOL_S,
     }
     _save_json(seg_dir / "detection.json", detection, cfg)
@@ -256,10 +262,7 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
         wave = dsp.read_wav(source)
         return [_featurize(cfg, _window_clip(wave, row)).rows for row in by_scene[source]]
 
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        per_scene = list(pool.map(one, by_scene))  # map preserves scene order
+    per_scene = _map_scenes(one, by_scene, jobs)
     frames = [f for scene_frames in per_scene for f in scene_frames]
     index = [
         {
@@ -686,8 +689,8 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
     Failures produce a partial report (failed stage + diagnostics) and raise
     StageFailureError; a stage committed under another config fingerprint
     raises FingerprintMismatchError before anything is written or deleted.
-    `jobs` parallelizes feature extraction over scenes; outputs are ordered
-    deterministically regardless.
+    `jobs` threads share the per-scene work of synth, segment and features;
+    no output file depends on it.
     """
     out = Path(out_dir)
     fp = cfg.fingerprint()
@@ -711,10 +714,7 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
             (out / name).mkdir()
             # looked up per call so wrappers installed on this module see every stage
             stage = globals()[f"stage_{name}"]
-            if name == "features":
-                stage(cfg, out, jobs=jobs)
-            else:
-                stage(cfg, out)
+            stage(cfg, out, **({"jobs": jobs} if name in PER_SCENE_STAGES else {}))
             marker = {"layout": LAYOUT, "config_fingerprint": fp, "files": _stage_files(out / name)}
             _write_json_atomic(out / name / DONE_NAME, marker)
     except FingerprintMismatchError:

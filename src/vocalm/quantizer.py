@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import FeatureMatrix
-from .errors import InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 
 DEFAULT_K = 50
 DEFAULT_MINIBATCH = 10_000
@@ -247,9 +247,13 @@ def write_units(path, sequences) -> None:
 
 
 def read_units(path) -> list[np.ndarray]:
+    """One sequence per line; a blank line is an empty sequence. A token that
+    is not an int32 integer raises ConfigError naming the file and the line."""
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            out.append(np.array([int(t) for t in line.split()] if line else [], dtype=np.int32))
+        for n, line in enumerate(fh, 1):
+            try:
+                out.append(np.array([int(t) for t in line.split()], dtype=np.int32))
+            except (ValueError, OverflowError) as e:
+                raise ConfigError(f"{path} line {n} is not a line of int32 unit tokens: {e}") from None
     return out

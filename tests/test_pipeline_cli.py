@@ -1,8 +1,11 @@
+import itertools
 import json
 import shlex
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -109,9 +112,9 @@ RESUME_OVERRIDE = {
 # (stage, owner, attribute, call): the call-th call of owner.attribute returns
 # and then raises, so the stage fails with part of its output on disk.
 INJECTIONS = [
-    ("synth", pipeline, "synth_scene", 3),  # truth.jsonl holds 2 scenes
+    ("synth", pipeline, "synth_scene", 3),  # 2 scene WAVs written, no truth.jsonl
     ("synth", pipeline, "synth_call", 3),  # inside _synth_phee, truth.jsonl complete
-    ("segment", pipeline, "detect_calls", 3),  # windows.jsonl holds 2 scenes
+    ("segment", pipeline, "detect_calls", 3),  # no windows.jsonl
     ("features", pipeline, "_featurize", 3),
     ("quantize", quantizer, "write_units", 1),  # units_train.txt written
     ("ulm", NGramLM, "save", 1),  # model.json written, model_meta.json not
@@ -123,12 +126,11 @@ INJECTIONS = [
 
 def _fail_after_call(monkeypatch, owner, attr, call):
     original = getattr(owner, attr)
-    calls = []
+    calls = itertools.count(1)  # next() is atomic, so pool threads count each call once
 
     def failing(*args, **kwargs):
         result = original(*args, **kwargs)
-        calls.append(1)
-        if len(calls) == call:
+        if next(calls) == call:
             raise RuntimeError(f"injected failure in {attr}")
         return result
 
@@ -179,6 +181,34 @@ class TestResume:
         assert not (tmp_path / stage / "_done.json").exists()
         monkeypatch.undo()
         pipeline_run(cfg, tmp_path)
+        assert (tmp_path / "report.json").read_bytes() == clean_report
+
+    @pytest.mark.parametrize("stage, attr", [("synth", "synth_scene"), ("segment", "detect_calls")])
+    def test_failure_on_a_scene_thread_fails_the_stage(self, stage, attr, clean_report, tmp_path, monkeypatch):
+        """A per-scene call that raises on a pool thread fails its stage as one
+        on the main thread would: a partial report, no marker, and a rerun
+        that matches a clean run."""
+        cfg = RunConfig.from_dict(RESUME_OVERRIDE)
+        original = getattr(pipeline, attr)
+        calls = itertools.count(1)
+        raised_on = []
+
+        def failing(*args, **kwargs):
+            if next(calls) == 3:
+                raised_on.append(threading.current_thread())
+                raise RuntimeError(f"injected failure in {attr}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, attr, failing)
+        with pytest.raises(StageFailureError, match=f"stage '{stage}' failed"):
+            pipeline_run(cfg, tmp_path, jobs=2)
+        assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+        partial = json.loads((tmp_path / "report.json").read_text())
+        assert partial["partial"] is True and partial["failed_stage"] == stage
+        assert f"injected failure in {attr}" in partial["error"]
+        assert not (tmp_path / stage / "_done.json").exists()
+        monkeypatch.undo()
+        pipeline_run(cfg, tmp_path, jobs=2)
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
     @pytest.mark.parametrize("damage", ["truncate_windows", "flip_feature_byte", "edit_fad_value", "edit_eval_report"])
@@ -417,10 +447,33 @@ class TestComputedOnce:
             checked.add(p.task)
         assert checked == {"reversal", "shuffle", "concat"}
 
-    def test_jobs_do_not_change_outputs(self, clean_run, tmp_path):
+    def test_jobs_do_not_change_outputs(self, clean_run, tmp_path, monkeypatch):
+        """--jobs 2 writes the report and every synth, segment and features
+        file as --jobs 1 does, up to the out-dir in the paths they hold. Scene
+        0's WAV is written and read slowly, so the pool finishes scenes out of
+        scene order: results gathered as they finish would show."""
+        for attr in ("read_wav", "write_wav"):
+
+            def slow_scene_0(path, *args, _original=getattr(dsp, attr), **kwargs):
+                if Path(path).name == "scene_0000.wav":
+                    time.sleep(0.1)
+                return _original(path, *args, **kwargs)
+
+            monkeypatch.setattr(dsp, attr, slow_scene_0)
         pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), tmp_path, jobs=2)
-        for rel in ("report.json", "features/frames.npy"):
-            assert (tmp_path / rel).read_bytes() == (clean_run / rel).read_bytes(), rel
+
+        def stage_files(out):
+            files = {"report.json": (out / "report.json").read_bytes()}
+            for stage in ("synth", "segment", "features"):
+                for p in sorted((out / stage).rglob("*")):
+                    if p.is_file() and p.name != "_done.json":  # the marker holds the hashes of path-bearing files
+                        files[p.relative_to(out).as_posix()] = p.read_bytes().replace(str(out).encode(), b"<out>")
+            return files
+
+        ours, clean = stage_files(tmp_path), stage_files(clean_run)
+        assert {"synth/truth.jsonl", "synth/scene_0000.wav", "segment/windows.jsonl", "segment/detection.json"} <= set(clean)
+        assert list(ours) == list(clean)
+        assert [rel for rel in clean if ours[rel] != clean[rel]] == []
 
 
 class TestAttnBackend:
@@ -864,6 +917,16 @@ def cli_files(tmp_path):
     return {"tmp": str(tmp_path), **{name: str(path) for name, path in files.items()}}
 
 
+# (test id, argv): {units} holds the token "x" on line 2
+NON_INTEGER_UNITS = [
+    ("ulm_score", "ulm score --model {ngram} --units {units}"),
+    ("ulm_ppl", "ulm ppl --model {ngram} --units {units}"),
+    ("ulm_train", "ulm train --units {units} --out {tmp}/m.json"),
+    ("bench_make", "bench make --units {units} --out {tmp}/out.jsonl"),
+    ("metrics_purity", "metrics purity --units {units} --labels {labels} --level call"),
+]
+
+
 class TestCliInputs:
     @pytest.mark.parametrize("argv", [c[1] for c in CTX_ZERO], ids=[c[0] for c in CTX_ZERO])
     def test_ctx_below_1_exits_2_naming_the_flag(self, argv, capsys):
@@ -907,6 +970,18 @@ class TestCliInputs:
         err = capsys.readouterr().err
         assert f"{units} line 3 holds 1 token" in err and "Traceback" not in err
         assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("argv", [c[1] for c in NON_INTEGER_UNITS], ids=[c[0] for c in NON_INTEGER_UNITS])
+    def test_non_integer_unit_token_exits_2_naming_file_and_line(self, cli_files, argv, capsys):
+        files = dict(cli_files, units=f"{cli_files['tmp']}/bad_units.txt", labels=f"{cli_files['tmp']}/labels.txt")
+        Path(files["units"]).write_text("0 1\n1 2 x\n")
+        Path(files["labels"]).write_text("0\n1\n")
+        before = sorted(Path(cli_files["tmp"]).iterdir())
+        assert main(argv.format(**files).split()) == 2
+        err = capsys.readouterr().err
+        assert f"{files['units']} line 2 is not a line of int32 unit tokens" in err and "'x'" in err
+        assert "Traceback" not in err
+        assert sorted(Path(cli_files["tmp"]).iterdir()) == before  # no output opened
 
     @pytest.mark.parametrize("argv", [c[1] for c in MISSING_INPUTS], ids=[c[0] for c in MISSING_INPUTS])
     def test_missing_input_exits_2_naming_it(self, cli_files, argv, capsys):
