@@ -21,6 +21,7 @@ from .dsp import Waveform
 from .errors import IneligibleWindowError
 from .manifest import given_fields, read_jsonl, write_jsonl
 from .segmenter import SegmentWindow
+from .ulm.scoring import score_once
 
 log = logging.getLogger(__name__)
 
@@ -260,25 +261,15 @@ def pairwise_eval(model, pairs: list[BenchmarkPair], cp=None, scores: dict | Non
     """Fraction of pairs where score(positive) > score(distractor).
 
     Exact ties count as incorrect, so degenerate constant scorers cannot reach
-    50% for free. Pairs must carry unit sequences. `scores`, when given, holds
-    model scores keyed by (effective policy, dtype, unit bytes), where the
-    effective policy is `model.effective_policy(cp, len(units))`: None when
-    cp hides nothing from the sequence, else cp. A sequence already in it is
-    not scored again, and each new score is added, so calls that share one
-    dict score each distinct (effective policy, sequence) once.
+    50% for free. Pairs must carry unit sequences. `scores`, when given, is
+    shared through `score_once`, so calls that share one dict score each
+    distinct (effective policy, sequence) once.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
 
     def score(units):
-        if scores is None:
-            return model.score(units, cp)
-        units = np.asarray(units)
-        eff = model.effective_policy(cp, units.shape[0])
-        key = (eff, units.dtype.str, units.tobytes())
-        if key not in scores:
-            scores[key] = model.score(units, eff)
-        return scores[key]
+        return model.score(units, cp) if scores is None else score_once(model, units, cp, scores)
 
     correct_total = 0
     per_task: dict[str, list[int]] = {}

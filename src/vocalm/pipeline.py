@@ -11,16 +11,19 @@ for file; any other stage, and every stage after it, is recomputed from an
 emptied directory. A marker written under a different config fingerprint
 raises FingerprintMismatchError before anything is deleted. The window
 table is `features/index.json`: each window's id, scene, split, span, calls
-and frame count. No stage after features reads `segment/windows.jsonl`. Each
-window is featurised and encoded once: its frames sit in
+and frame count. Stage files name WAVs by their path relative to the
+out-dir, so a copied or moved out-dir reads its own audio. No stage after
+features reads `segment/windows.jsonl`. Each window is featurised and
+encoded once: its frames sit in
 `features/frames.npy`, and bench and eval read its units from quantize's
 `units_{split}.txt`, whose lines follow index.json order. The FAD block
 depends on the config alone; the fad stage writes it to `fad/fad.json`, which
 eval reads. Eval scores each distinct sequence once per effective context
-policy: a policy that hides nothing from a sequence scores it as no policy
-does. Eval writes the validated report to `eval/report.json`; the top-level
-`report.json` is an atomic byte copy of that committed file, so a rerun of a
-finished out-dir runs no stage. Every stage JSON file is read through
+policy, for the pairs, the context grid and the perplexity alike: a policy
+that hides nothing from a sequence scores it as no policy does. Eval writes
+the validated report to `eval/report.json`; the top-level `report.json` is
+an atomic byte copy of that committed file, so a rerun of a finished out-dir
+runs no stage. Every stage JSON file is read through
 _load_json, which checks its config fingerprint. The report body contains no
 timestamps, so identical configs produce byte-identical reports; wall-clock
 metadata goes to run_meta.json instead.
@@ -54,8 +57,9 @@ REPORT_NAME = "report.json"
 DONE_NAME = "_done.json"
 # Bumped whenever a stage's files change shape, so a marker written under an
 # older layout is never reused: none for per-window feature CSVs, 2 for
-# index.json rows without their window's calls.
-LAYOUT = 3
+# index.json rows without their window's calls, 3 for WAV paths named as
+# written rather than relative to the out-dir.
+LAYOUT = 4
 FRAMES_NAME = "frames.npy"
 STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "fad", "eval")
 PER_SCENE_STAGES = ("synth", "segment", "features")
@@ -81,7 +85,11 @@ def _sample_range(rng, lo_hi) -> float:
 def _map_scenes(fn, items, jobs: int) -> list:
     """fn over items on `jobs` threads, results in item order. A call's
     exception is raised once every started call has returned; calls not yet
-    started are cancelled, so a failed stage writes nothing after it fails."""
+    started are cancelled, so a failed stage writes nothing after it fails.
+    At jobs=1 fn runs on the calling thread: a pool thread's malloc arena
+    would keep the scene buffers it freed, which later stages cannot reuse."""
+    if jobs == 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 
@@ -140,7 +148,6 @@ def _scene_plan(cfg: RunConfig) -> list[dict]:
 
 def stage_synth(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     fp = cfg.fingerprint()
-    synth_dir = out / "synth"
     syn = cfg["synth"]
 
     def one(plan):
@@ -151,10 +158,10 @@ def stage_synth(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
             seed=plan["noise_seed"],
         )
         wave, truth = synth_scene(spec)
-        wav_path = synth_dir / f"{plan['name']}.wav"
-        dsp.write_wav(wav_path, wave)
+        wav_path = f"synth/{plan['name']}.wav"
+        dsp.write_wav(out / wav_path, wave)
         return {
-            "path": str(wav_path),
+            "path": wav_path,
             "duration_s": syn["scene_s"],
             "calls": [
                 {"onset_s": seg.onset_s, "offset_s": seg.offset_s, "call_type": c["call_type"]}
@@ -164,17 +171,17 @@ def stage_synth(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
         }
 
     # every plan is drawn from the one plan rng before any scene renders
-    write_jsonl(synth_dir / "truth.jsonl", _map_scenes(one, _scene_plan(cfg), jobs))
-    _synth_phee(cfg, synth_dir, fp)
+    write_jsonl(out / "synth" / "truth.jsonl", _map_scenes(one, _scene_plan(cfg), jobs))
+    _synth_phee(cfg, out, fp)
 
 
 def _phee_signature_f0(idx: int, n: int) -> float:
     return 5800.0 + (9200.0 - 5800.0) * idx / max(n - 1, 1)
 
 
-def _synth_phee(cfg: RunConfig, synth_dir: Path, fp: str) -> None:
+def _synth_phee(cfg: RunConfig, out: Path, fp: str) -> None:
     phee_cfg = cfg["synth"]["phee"]
-    phee_dir = synth_dir / "phee"
+    phee_dir = out / "synth" / "phee"
     phee_dir.mkdir(exist_ok=True)
     rng = np.random.default_rng(seed_for(cfg.seed, "synth/phee"))
     n_ind = phee_cfg["n_individuals"]
@@ -195,9 +202,9 @@ def _synth_phee(cfg: RunConfig, synth_dir: Path, fp: str) -> None:
             noise = np.random.default_rng(seed_for(cfg.seed, f"phee/{i}/{role}")).normal(
                 0, 10 ** (cfg["synth"]["noise_floor_db"] / 20.0), size=tone.shape[0]
             )
-            path = phee_dir / f"rec{i:04d}_{role}.wav"
-            dsp.write_wav(path, dsp.Waveform(tone + noise))
-            refs[role] = str(path)
+            path = f"synth/phee/rec{i:04d}_{role}.wav"
+            dsp.write_wav(out / path, dsp.Waveform(tone + noise))
+            refs[role] = path
         records.append(
             bench.PheeRecord(
                 caller_id=animals[int(caller)],
@@ -220,7 +227,7 @@ def stage_segment(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
 
     def one(scene):
         """The scene's window rows and its (predicted, true, matched) call counts."""
-        wave = dsp.read_wav(scene["path"])
+        wave = dsp.read_wav(out / scene["path"])
         pred = detect_calls(wave, params)
         truth = [CallSegment(c["onset_s"], c["offset_s"]) for c in scene["calls"]]
         rows = [{**win.record(scene["path"]), "config_fingerprint": fp} for win in pack_windows(wave, pred)]
@@ -259,7 +266,7 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
 
     def one(source):
         # one scene's audio in memory per worker, not the whole corpus
-        wave = dsp.read_wav(source)
+        wave = dsp.read_wav(out / source)
         return [_featurize(cfg, _window_clip(wave, row)).rows for row in by_scene[source]]
 
     per_scene = _map_scenes(one, by_scene, jobs)
@@ -376,7 +383,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
     for row in index:
         if row["split"] in ("test", "valid"):
             if row["source"] not in scenes:
-                scenes[row["source"]] = dsp.read_wav(row["source"])
+                scenes[row["source"]] = dsp.read_wav(out / row["source"])
             segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in row["calls"])
             windows[row["id"]] = (
                 SegmentWindow(0.0, row["end_s"] - row["start_s"], segs),
@@ -414,7 +421,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
 
     def wav_units(path):
         if path not in ref_units:
-            ref_units[path] = units_of(dsp.read_wav(path))
+            ref_units[path] = units_of(dsp.read_wav(out / path))
         return ref_units[path]
 
     for mode in ("caller_change", "receiver_change"):
@@ -561,7 +568,8 @@ def stage_eval(cfg: RunConfig, out: Path) -> None:
     units = _window_units(out, index)
     # units_test.txt order: the test windows in index order
     test_units = [units[w["id"]] for w in index if w["split"] == "test" and units[w["id"]].size]
-    ppl_value = ppl(model, test_units, None) if test_units else None
+    # each test window was scored above as a reversal positive
+    ppl_value = ppl(model, test_units, None, scores) if test_units else None
     detection = _load_json(out / "segment" / "detection.json", cfg)
     fad_block = _load_json(out / "fad" / "fad.json", cfg)
     fu, fl, cu, cl, emb, type_names = _labeled_call_frames(cfg, out, index, units)

@@ -8,11 +8,24 @@ ReLU feed-forward. Sized for desk-scale experiments, not production training.
 Each layer's attention softmax runs in place in one (B, H, T, T) buffer, and
 the backward pass reuses the attention-gradient buffer for the score gradient;
 the values are those of the out-of-place formulas, operation for operation.
+The (B, H, T, T) buffers are the model's own and are reused from call to call
+(see `_buffer`), so the cache `_forward` returns aliases them: its
+`_backward` must run before the model's next forward pass, and one model
+serves one thread at a time.
+
+The softmax and its backward run in blocks of ROW_BLOCK query rows over the
+keys before the block's end; the keys past it are the causal mask's, whose
+probability is the exact 0.0 that exp(-inf) gives and is written as such.
+Every row sum still runs over the full row width, and every matmul keeps the
+operand shapes of the unblocked formulas, because the summation order (and
+OpenBLAS's, which depends on the call shape and thread split) sets the last
+bits of the result.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -34,6 +47,7 @@ DEFAULT_FFN = 256
 DEFAULT_MAX_CTX = 512
 INIT_SCALE = 0.02
 FORMAT_VERSION = "attnlm-v1"
+ROW_BLOCK = 64
 
 
 class AttnLM:
@@ -88,10 +102,20 @@ class AttnLM:
             p[f"l{i}.ffn.w2"] = u(ffn, embed)
             p[f"l{i}.ffn.b2"] = np.zeros(embed)
         self.params = p
+        self._buffers: dict[str, np.ndarray] = {}
 
     @property
     def n_params(self) -> int:
         return sum(v.size for v in self.params.values())
+
+    def _buffer(self, name: str, shape) -> np.ndarray:
+        """A contiguous uninitialised array of `shape`: a view of the model's
+        flat work array `name`, which grows only when a call needs more."""
+        n = math.prod(shape)
+        flat = self._buffers.get(name)
+        if flat is None or flat.size < n:
+            flat = self._buffers[name] = np.empty(n)
+        return flat[:n].reshape(shape)
 
     # -- masking ----------------------------------------------------------
 
@@ -139,12 +163,16 @@ class AttnLM:
             qh = q.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
             kh = k.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
             vh = v.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
-            attn = qh @ kh.transpose(0, 1, 3, 2)
-            attn *= scale
-            np.copyto(attn, -np.inf, where=hidden)
-            attn -= attn.max(axis=-1, keepdims=True)
-            np.exp(attn, out=attn)
-            attn /= attn.sum(axis=-1, keepdims=True)
+            attn = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=self._buffer(f"attn{i}", (B, self.heads, T, T)))
+            for r0 in range(0, T, ROW_BLOCK):
+                r1 = min(r0 + ROW_BLOCK, T)
+                blk = attn[:, :, r0:r1, :r1]
+                blk *= scale
+                np.copyto(blk, -np.inf, where=hidden[r0:r1, :r1])
+                blk -= blk.max(axis=-1, keepdims=True)
+                np.exp(blk, out=blk)
+                attn[:, :, r0:r1, r1:] = 0.0
+                blk /= attn[:, :, r0:r1].sum(axis=-1, keepdims=True)
             oh = attn @ vh
             o = oh.transpose(0, 2, 1, 3).reshape(B, T, self.embed)
             ao, _ = linear_forward(o, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
@@ -183,10 +211,17 @@ class AttnLM:
             dao = dh1
             do, grads[f"l{i}.attn.wo"], grads[f"l{i}.attn.bo"] = linear_backward(dao, o, p[f"l{i}.attn.wo"])
             doh = do.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
-            dattn = doh @ vh.transpose(0, 1, 3, 2)
+            dattn = np.matmul(doh, vh.transpose(0, 1, 3, 2), out=self._buffer("dattn", attn.shape))
             dvh = attn.transpose(0, 1, 3, 2) @ doh
-            dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
-            dscores = np.multiply(attn, dattn, out=dattn)
+            for r0 in range(0, T, ROW_BLOCK):
+                r1 = min(r0 + ROW_BLOCK, T)
+                prod = self._buffer("prod", (B, self.heads, r1 - r0, T))
+                np.multiply(dattn[:, :, r0:r1], attn[:, :, r0:r1], out=prod)
+                blk = dattn[:, :, r0:r1, :r1]
+                blk -= prod.sum(axis=-1, keepdims=True)
+                np.multiply(attn[:, :, r0:r1, :r1], blk, out=blk)
+                dattn[:, :, r0:r1, r1:] = 0.0
+            dscores = dattn
             dqh = dscores @ kh * scale
             dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
             dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, self.embed)

@@ -7,9 +7,24 @@ import numpy as np
 from .policy import ContextPolicy
 
 
-def ppl(model, corpus, cp: ContextPolicy | None = None) -> float:
+def score_once(model, units, cp: ContextPolicy | None, scores: dict) -> float:
+    """model.score(units, cp), kept in `scores` under (effective policy,
+    dtype, unit bytes), where the effective policy is
+    `model.effective_policy(cp, len(units))`: None when cp hides nothing from
+    the sequence, else cp. A sequence already in `scores` is not scored
+    again, so callers that share one dict score each distinct (effective
+    policy, sequence) once."""
+    units = np.asarray(units)
+    eff = model.effective_policy(cp, units.shape[0])
+    key = (eff, units.dtype.str, units.tobytes())
+    if key not in scores:
+        scores[key] = model.score(units, eff)
+    return scores[key]
+
+
+def ppl(model, corpus, cp: ContextPolicy | None = None, scores: dict | None = None) -> float:
     """exp(-(sum log P) / N) with natural logs; N counts tokens plus one EOS
-    event per sequence."""
+    event per sequence. `scores`, when given, is shared through score_once."""
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -17,6 +32,6 @@ def ppl(model, corpus, cp: ContextPolicy | None = None) -> float:
     n_events = 0
     for seq in corpus:
         arr = np.asarray(seq)
-        total_logp += model.score(arr, cp)
+        total_logp += model.score(arr, cp) if scores is None else score_once(model, arr, cp, scores)
         n_events += arr.shape[0] + 1
     return float(np.exp(-total_logp / n_events))

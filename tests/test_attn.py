@@ -270,39 +270,85 @@ def _reference_backward(model, dlogits, cache):
     return grads
 
 
+def _kernel_case(layers, heads, batch, t, seed):
+    """A generic-point model and a batch of `batch` sequences whose longest
+    fills all t positions."""
+    model = generic_point(
+        AttnLM(vocab_size=5, layers=layers, heads=heads, embed=8, ffn=12, max_ctx=max(16, t), seed=layers)
+    )
+    rng = np.random.default_rng(seed)
+    corpus = [rng.integers(0, 5, size=n) for n in rng.integers(t - 4, t, size=batch)]
+    corpus[0] = rng.integers(0, 5, size=t - 1)
+    tokens, targets, valid = _make_batch(corpus, list(range(batch)), model.bos, model.eos)
+    assert tokens.shape == (batch, t)
+    return model, tokens, targets, valid
+
+
+def _forward_backward(model, tokens, targets, valid, cp):
+    logits, cache = model._forward(tokens, cp)
+    loss, dlogits = cross_entropy(logits, targets, valid)
+    return logits, loss, model._backward(dlogits, cache)
+
+
+def _assert_matches_reference(model, tokens, targets, valid, cp):
+    logits, loss, grads = _forward_backward(model, tokens, targets, valid, cp)
+    ref_logits, ref_cache = _reference_forward(model, tokens, cp)
+    assert np.array_equal(logits, ref_logits)
+    ref_loss, ref_dlogits = cross_entropy(ref_logits, targets, valid)
+    assert loss == ref_loss
+    ref_grads = _reference_backward(model, ref_dlogits, ref_cache)
+    assert grads.keys() == ref_grads.keys() == model.params.keys()
+    for key, g in grads.items():
+        assert np.array_equal(g, ref_grads[key]), key
+
+
 class TestInPlaceKernel:
     """The in-place softmax and score gradient give the out-of-place kernel's
     values bit for bit, under every context policy shape."""
 
-    T = 12  # BOS plus 11 tokens
+    T = 12  # BOS plus 11 tokens: one row block
     # windows {None, 1, 7, T} x keep_first {0, 1, 5}, where the policy allows it
     POLICIES = [(None, 0)] + [(w, kf) for w in (1, 7, T) for kf in (0, 1, 5) if kf <= w]
+    # several row blocks and a ragged tail (150 = 2 * 64 + 22, 200 = 3 * 64 + 8);
+    # a 70-key window reaches back past the start of the row block before
+    BLOCKED_POLICIES = [(None, 0)] + [(w, kf) for w in (1, 7, 70, 200) for kf in (0, 1, 5) if kf <= w]
 
     @pytest.mark.parametrize("layers, heads", [(1, 1), (2, 2)])
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("window, keep_first", POLICIES)
     def test_matches_out_of_place_kernel(self, layers, heads, batch, window, keep_first):
         cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
-        model = generic_point(
-            AttnLM(vocab_size=5, layers=layers, heads=heads, embed=8, ffn=12, max_ctx=16, seed=layers)
-        )
-        rng = np.random.default_rng(batch * 100 + (window or 0) * 10 + keep_first)
-        corpus = [rng.integers(0, 5, size=n) for n in rng.integers(self.T - 4, self.T, size=batch)]
-        corpus[0] = rng.integers(0, 5, size=self.T - 1)
-        tokens, targets, valid = _make_batch(corpus, list(range(batch)), model.bos, model.eos)
-        assert tokens.shape == (batch, self.T)
+        seed = batch * 100 + (window or 0) * 10 + keep_first
+        _assert_matches_reference(*_kernel_case(layers, heads, batch, self.T, seed), cp)
 
-        logits, cache = model._forward(tokens, cp)
-        ref_logits, ref_cache = _reference_forward(model, tokens, cp)
-        assert np.array_equal(logits, ref_logits)
-        loss, dlogits = cross_entropy(logits, targets, valid)
-        ref_loss, ref_dlogits = cross_entropy(ref_logits, targets, valid)
-        assert loss == ref_loss
-        grads = model._backward(dlogits, cache)
-        ref_grads = _reference_backward(model, ref_dlogits, ref_cache)
-        assert grads.keys() == ref_grads.keys() == model.params.keys()
-        for key, g in grads.items():
-            assert np.array_equal(g, ref_grads[key]), key
+    @pytest.mark.parametrize("layers, heads", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("window, keep_first", BLOCKED_POLICIES)
+    @pytest.mark.parametrize("t", [150, 200])
+    def test_row_blocks_match_out_of_place_kernel(self, t, layers, heads, batch, window, keep_first):
+        cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
+        seed = t * 1000 + batch * 100 + (window or 0) * 10 + keep_first
+        _assert_matches_reference(*_kernel_case(layers, heads, batch, t, seed), cp)
+
+    @pytest.mark.parametrize("window, keep_first", [(None, 0), (7, 1)])
+    def test_reused_buffers_match_a_fresh_model(self, window, keep_first):
+        """A model whose work buffers hold a longer call's values, then a
+        shorter one's, gives a fresh model's logits and gradients."""
+        cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
+        def model():
+            return AttnLM(vocab_size=5, layers=2, heads=2, embed=8, ffn=12, max_ctx=200, seed=2)
+
+        used = generic_point(model())
+        for step, t in enumerate((200, 40, 200)):
+            _, tokens, targets, valid = _kernel_case(2, 2, 3, t, seed=step)
+            fresh = model()
+            fresh.params = {k: v.copy() for k, v in used.params.items()}
+            logits, loss, grads = _forward_backward(used, tokens, targets, valid, cp)
+            ref_logits, ref_loss, ref_grads = _forward_backward(fresh, tokens, targets, valid, cp)
+            assert np.array_equal(logits, ref_logits) and loss == ref_loss
+            for key, g in grads.items():
+                assert np.array_equal(g, ref_grads[key]), (t, key)
+        assert used._buffers["attn0"].size == 3 * 2 * 200 * 200
 
     @pytest.mark.parametrize("window, keep_first", POLICIES + [(3, 1), (6, 5)])
     def test_hidden_set_is_complement_of_visible(self, window, keep_first):

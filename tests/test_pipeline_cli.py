@@ -183,11 +183,19 @@ class TestResume:
         pipeline_run(cfg, tmp_path)
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
-    @pytest.mark.parametrize("stage, attr", [("synth", "synth_scene"), ("segment", "detect_calls")])
-    def test_failure_on_a_scene_thread_fails_the_stage(self, stage, attr, clean_report, tmp_path, monkeypatch):
-        """A per-scene call that raises on a pool thread fails its stage as one
-        on the main thread would: a partial report, no marker, and a rerun
-        that matches a clean run."""
+    @pytest.mark.parametrize(
+        "stage, attr, jobs",
+        [
+            pytest.param("synth", "synth_scene", 2, id="synth-synth_scene"),
+            pytest.param("segment", "detect_calls", 2, id="segment-detect_calls"),
+            pytest.param("synth", "synth_scene", 1, id="synth-synth_scene-jobs1"),
+            pytest.param("segment", "detect_calls", 1, id="segment-detect_calls-jobs1"),
+        ],
+    )
+    def test_failure_on_a_scene_thread_fails_the_stage(self, stage, attr, jobs, clean_report, tmp_path, monkeypatch):
+        """A per-scene call that raises on a pool thread (jobs=2) or on the
+        calling thread (jobs=1) fails its stage: a partial report, no marker,
+        and a rerun that matches a clean run."""
         cfg = RunConfig.from_dict(RESUME_OVERRIDE)
         original = getattr(pipeline, attr)
         calls = itertools.count(1)
@@ -201,14 +209,14 @@ class TestResume:
 
         monkeypatch.setattr(pipeline, attr, failing)
         with pytest.raises(StageFailureError, match=f"stage '{stage}' failed"):
-            pipeline_run(cfg, tmp_path, jobs=2)
-        assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+            pipeline_run(cfg, tmp_path, jobs=jobs)
+        assert len(raised_on) == 1 and (raised_on[0] is threading.main_thread()) == (jobs == 1)
         partial = json.loads((tmp_path / "report.json").read_text())
         assert partial["partial"] is True and partial["failed_stage"] == stage
         assert f"injected failure in {attr}" in partial["error"]
         assert not (tmp_path / stage / "_done.json").exists()
         monkeypatch.undo()
-        pipeline_run(cfg, tmp_path, jobs=2)
+        pipeline_run(cfg, tmp_path, jobs=jobs)
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
     @pytest.mark.parametrize("damage", ["truncate_windows", "flip_feature_byte", "edit_fad_value", "edit_eval_report"])
@@ -346,11 +354,25 @@ class TestResume:
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_out_dir_path_with_plus_matches_clean_run(self, clean_report, tmp_path):
-        # phee refs join two WAV paths with "+"; the paths must not be split back out of them
+        # phee refs join two WAV paths with "+"; the out-dir is not part of them
         out = tmp_path / "plus+dir" / "out"
         pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
         pairs, _ = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
-        assert any("plus+dir" in p.positive.ref for p in pairs if p.task == "caller_change")
+        refs = [p.positive.ref for p in pairs if p.task == "caller_change"]
+        assert refs and all(ref.count("+") == 1 and "plus+dir" not in ref for ref in refs)
+        assert (out / "report.json").read_bytes() == clean_report
+
+    def test_copied_out_dir_reads_its_own_audio(self, clean_report, tmp_path, monkeypatch):
+        """Stage files name WAVs relative to the out-dir: a copy whose original
+        is gone recomputes bench from its own audio and gives the same report."""
+        original, out = tmp_path / "original", tmp_path / "copy"
+        pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), original)
+        shutil.copytree(original, out)
+        shutil.rmtree(original)
+        (out / "bench" / "_done.json").unlink()
+        ran = _record_stages(monkeypatch)
+        pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
+        assert ran == ["bench", "fad", "eval"]
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_resume_loads_no_scipy(self, clean_run, clean_report, tmp_path):
@@ -420,7 +442,7 @@ class TestComputedOnce:
         def window(wid):
             row = index[wid]
             segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in row["calls"])
-            clip = pipeline._window_clip(dsp.read_wav(row["source"]), row)
+            clip = pipeline._window_clip(dsp.read_wav(out / row["source"]), row)
             return SegmentWindow(0.0, row["end_s"] - row["start_s"], segs), clip
 
         def encode(wave):
@@ -449,9 +471,9 @@ class TestComputedOnce:
 
     def test_jobs_do_not_change_outputs(self, clean_run, tmp_path, monkeypatch):
         """--jobs 2 writes the report and every synth, segment and features
-        file as --jobs 1 does, up to the out-dir in the paths they hold. Scene
-        0's WAV is written and read slowly, so the pool finishes scenes out of
-        scene order: results gathered as they finish would show."""
+        file, markers included, as --jobs 1 does. Scene 0's WAV is written and
+        read slowly, so the pool finishes scenes out of scene order: results
+        gathered as they finish would show."""
         for attr in ("read_wav", "write_wav"):
 
             def slow_scene_0(path, *args, _original=getattr(dsp, attr), **kwargs):
@@ -466,14 +488,33 @@ class TestComputedOnce:
             files = {"report.json": (out / "report.json").read_bytes()}
             for stage in ("synth", "segment", "features"):
                 for p in sorted((out / stage).rglob("*")):
-                    if p.is_file() and p.name != "_done.json":  # the marker holds the hashes of path-bearing files
-                        files[p.relative_to(out).as_posix()] = p.read_bytes().replace(str(out).encode(), b"<out>")
+                    if p.is_file():
+                        files[p.relative_to(out).as_posix()] = p.read_bytes()
             return files
 
         ours, clean = stage_files(tmp_path), stage_files(clean_run)
-        assert {"synth/truth.jsonl", "synth/scene_0000.wav", "segment/windows.jsonl", "segment/detection.json"} <= set(clean)
+        assert {"synth/truth.jsonl", "synth/scene_0000.wav", "segment/windows.jsonl", "segment/_done.json"} <= set(clean)
         assert list(ours) == list(clean)
         assert [rel for rel in clean if ours[rel] != clean[rel]] == []
+
+
+    def test_eval_scores_each_sequence_once(self, clean_run, clean_report, tmp_path, monkeypatch):
+        """Eval's ppl reads each test window's score from the scores the pairs
+        filled: the stage scores no (policy, sequence) twice."""
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        (out / "eval" / "_done.json").unlink()
+        calls = []
+        original = NGramLM.score
+
+        def counting(self, tokens, cp=None):
+            calls.append((cp, np.asarray(tokens).tobytes()))
+            return original(self, tokens, cp)
+
+        monkeypatch.setattr(NGramLM, "score", counting)
+        pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
+        assert calls and len(calls) == len(set(calls))
+        assert (out / "report.json").read_bytes() == clean_report
 
 
 class TestAttnBackend:

@@ -34,6 +34,18 @@ class TestPpl:
         measured = ppl(m, held_out, None)
         assert measured == pytest.approx(chain_ppl(chain), rel=0.02)
 
+    def test_shared_scores_fill_in_missing_sequences(self, rng):
+        corpus = [rng.integers(0, 4, size=n).astype(np.int32) for n in (3, 8, 8, 12)]
+        m = train_ngram(corpus, n=3, smoothing=KneserNey(0.75), vocab_size=4)
+        plain = ppl(m, corpus, None)
+        # one sequence already scored, one scored under another key (a stale
+        # value there must not be read), the rest missing
+        scores = {(None, corpus[1].dtype.str, corpus[1].tobytes()): m.score(corpus[1], None)}
+        scores[(None, np.dtype(np.int64).str, corpus[0].astype(np.int64).tobytes())] = 0.0
+        assert ppl(m, corpus, None, scores) == plain
+        assert len(scores) == 2 + 3  # the two given, then 3 distinct missing sequences
+        assert ppl(m, corpus, None, scores) == plain
+
     def test_empty_corpus_rejected(self):
         m = train_ngram([[0]], n=1, smoothing=AddK(1.0), vocab_size=2)
         with pytest.raises(ValueError):
