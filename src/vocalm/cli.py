@@ -132,7 +132,16 @@ def cmd_segment(args) -> int:
 
 
 def cmd_features(args) -> int:
-    fm = dsp.features(dsp.read_wav(args.input), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
+    if args.kind == "mfcc" and not 8 <= args.n_coeffs <= 40:
+        raise ConfigError(f"--n-coeffs must be in [8, 40] for --kind mfcc, got {args.n_coeffs}")
+    wave = dsp.read_wav(args.input)
+    nyquist = wave.sample_rate / 2.0
+    if args.kind == "linear_fb" and not 0.0 < args.lo_hz < args.hi_hz <= nyquist:
+        raise ConfigError(
+            f"--lo-hz {args.lo_hz} and --hi-hz {args.hi_hz} must satisfy 0 < lo < hi <= {nyquist},"
+            f" the Nyquist frequency of {args.input}"
+        )
+    fm = dsp.features(wave, args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
     if args.pool:
         pooled = metrics.clip_embedding(fm, "mv")
         fm = dsp.FeatureMatrix(pooled[None, :], feature_kind=f"{args.kind}_pooled")
@@ -186,11 +195,11 @@ def _nonempty(seqs, path, least: int = 1) -> list[np.ndarray]:
     return corpus
 
 
-def _check_vocab(model, units, where: str) -> None:
+def _check_vocab(vocab_size: int, units, where: str) -> None:
     """ConfigError naming `where` when a token lies outside the model's vocabulary."""
-    bad = units[(units < 0) | (units >= model.vocab_size)]
+    bad = units[(units < 0) | (units >= vocab_size)]
     if bad.size:
-        raise ConfigError(f"{where} holds token {int(bad[0])}, outside the model's vocab of size {model.vocab_size}")
+        raise ConfigError(f"{where} holds token {int(bad[0])}, outside the model's vocab of size {vocab_size}")
 
 
 def _read_labels(path) -> list[int]:
@@ -207,24 +216,31 @@ def _read_labels(path) -> list[int]:
     return labels
 
 
-def _scorable_units(model, path) -> list[np.ndarray]:
-    """Every sequence of a units file, each checked against the model's vocabulary."""
-    seqs = quantizer.read_units(path)
+def _in_vocab(seqs, path, vocab_size: int) -> list[np.ndarray]:
+    """The sequences read from a units file, each checked against the model's vocabulary."""
     for line, seq in enumerate(seqs, 1):
-        _check_vocab(model, seq, f"{path} line {line}")
+        _check_vocab(vocab_size, seq, f"{path} line {line}")
     return seqs
 
 
 def cmd_ulm(args) -> int:
     if args.what == "train":
-        corpus = _nonempty(quantizer.read_units(args.units), args.units)
+        seqs = quantizer.read_units(args.units)
+        corpus = _nonempty(seqs, args.units)
+        vocab = args.vocab_size or int(max(u.max() for u in corpus)) + 1
+        _in_vocab(seqs, args.units, vocab)
         if args.backend == "ngram":
             smoothing = KneserNey(args.discount) if args.smoothing == "kneser_ney" else AddK(args.add_k)
-            model = train_ngram(corpus, args.order, smoothing, vocab_size=args.vocab_size)
+            model = train_ngram(corpus, args.order, smoothing, vocab_size=vocab)
             model.save(args.out)
         else:
-            vocab = args.vocab_size or int(max(u.max() for u in corpus)) + 1
             model = AttnLM(vocab, seed=args.seed)
+            for line, seq in enumerate(seqs, 1):
+                if seq.size + 1 > model.max_ctx:
+                    raise ConfigError(
+                        f"{args.units} line {line} holds {seq.size} tokens; the attention LM's context holds"
+                        f" {model.max_ctx - 1} plus BOS"
+                    )
             from .ulm import attn_train
 
             attn_train(model, corpus, steps=args.steps, lr=args.lr, batch=args.batch, seed=args.seed)
@@ -233,15 +249,17 @@ def cmd_ulm(args) -> int:
     elif args.what == "score":
         model = load_model(args.model)
         cp = _context_policy(args)
-        for seq in _scorable_units(model, args.units):
+        for seq in _in_vocab(quantizer.read_units(args.units), args.units, model.vocab_size):
             print(model.score(seq, cp))
     elif args.what == "ppl":
         model = load_model(args.model)
-        corpus = _nonempty(_scorable_units(model, args.units), args.units)
+        corpus = _nonempty(_in_vocab(quantizer.read_units(args.units), args.units, model.vocab_size), args.units)
         print(json.dumps({"ppl": ppl(model, corpus, _context_policy(args)), "n_sequences": len(corpus)}))
     elif args.what == "generate":
+        if not args.temperature >= 0:  # NaN fails too
+            raise ConfigError(f"--temperature must be >= 0 (0 selects greedy mode), got {args.temperature}")
         model = load_model(args.model)
-        _check_vocab(model, np.array(args.prompt, dtype=np.int64), "--prompt")
+        _check_vocab(model.vocab_size, np.array(args.prompt, dtype=np.int64), "--prompt")
         out = generate(
             model, args.prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len, cp=_context_policy(args)
         )
@@ -282,7 +300,7 @@ def cmd_bench(args) -> int:
             if p.positive.units is None or p.distractor.units is None:
                 raise ConfigError(f"{args.pairs}: pair {i} has no units on one side; ref-only pairs (as bench phee writes) cannot be scored")
             for side in (p.positive, p.distractor):
-                _check_vocab(model, side.units, f"{args.pairs}: pair {i}")
+                _check_vocab(model.vocab_size, side.units, f"{args.pairs}: pair {i}")
         res = bench.pairwise_eval(model, pairs, _context_policy(args))
         print(json.dumps({"accuracy": res.accuracy, "n": res.n_pairs, "by_task": res.by_task}))
     return 0
@@ -439,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="MFCC or linear filterbank features")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--kind", choices=("mfcc", "linear_fb"), default="linear_fb")
-    p.add_argument("--n-coeffs", type=int, default=13)
+    p.add_argument("--n-coeffs", type=_at_least_one("n-coeffs"), default=13)
     p.add_argument("--lo-hz", type=float, default=5000.0)
     p.add_argument("--hi-hz", type=float, default=8000.0)
     p.add_argument("--pool", action="store_true", help="emit one pooled mean+variance row instead of frames")
@@ -449,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="fit or apply a unit codebook")
     p.add_argument("what", choices=("fit", "encode"))
     p.add_argument("--features", nargs="+", required=True, help="feature CSV file(s)")
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--minibatch", type=int, default=10_000)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--k", type=_at_least_one("k"), default=50)
+    p.add_argument("--minibatch", type=_at_least_one("minibatch"), default=10_000)
+    p.add_argument("--restarts", type=_at_least_one("restarts"), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--codebook")
     p.add_argument("--dedup", action="store_true")
@@ -464,17 +482,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--out")
     p.add_argument("--backend", choices=("ngram", "attn"), default="ngram")
-    p.add_argument("--order", type=int, default=3)
+    p.add_argument("--order", type=int, default=3, choices=range(1, 7))
     p.add_argument("--smoothing", choices=("kneser_ney", "add_k"), default="kneser_ney")
     p.add_argument("--discount", type=float, default=0.75)
     p.add_argument("--add-k", type=float, default=1.0)
-    p.add_argument("--vocab-size", type=int, default=None)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--vocab-size", type=_at_least_one("vocab size"), default=None)
+    p.add_argument("--steps", type=_at_least_one("steps"), default=1000)
     p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--batch", type=_at_least_one("batch"), default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prompt", type=_tokens, default="")
-    p.add_argument("--beam", type=int, default=5)
+    p.add_argument("--beam", type=_at_least_one("beam"), default=5)
     p.add_argument("--temperature", type=float, default=1.5)
     p.add_argument("--max-len", type=int, default=64)
     p.add_argument("--embeddings")

@@ -1,8 +1,7 @@
 """End-to-end pipeline: synth -> segment -> features -> quantize -> ulm ->
-bench -> fad -> eval, with on-disk artifacts per stage and a deterministic
-report.
+bench -> eval, with on-disk artifacts per stage and a deterministic report.
 
-Each of the eight stages in STAGES writes in place under `<out>/<stage>/`.
+Each of the seven stages in STAGES writes in place under `<out>/<stage>/`.
 Once it returns, the runner commits it by atomically writing
 `<stage>/_done.json`, which holds the LAYOUT number, the config fingerprint
 and the size and sha256 of every file in the stage directory. A rerun reuses
@@ -16,11 +15,11 @@ out-dir, so a copied or moved out-dir reads its own audio. No stage after
 features reads `segment/windows.jsonl`. Each window is featurised and
 encoded once: its frames sit in
 `features/frames.npy`, and bench and eval read its units from quantize's
-`units_{split}.txt`, whose lines follow index.json order. The FAD block
-depends on the config alone; the fad stage writes it to `fad/fad.json`, which
-eval reads. Eval scores each distinct sequence once per effective context
-policy, for the pairs, the context grid and the perplexity alike: a policy
-that hides nothing from a sequence scores it as no policy does. Eval writes
+`units_{split}.txt`, whose lines follow index.json order. Eval computes the
+FAD block, which depends on the config alone. Eval scores each distinct
+sequence once per effective context policy, for the pairs, the context grid
+and the perplexity alike: a policy that hides nothing from a sequence scores
+it as no policy does. Eval writes
 the validated report to `eval/report.json`; the top-level `report.json` is
 an atomic byte copy of that committed file, so a rerun of a finished out-dir
 runs no stage. Every stage JSON file is read through
@@ -61,7 +60,7 @@ DONE_NAME = "_done.json"
 # written rather than relative to the out-dir.
 LAYOUT = 4
 FRAMES_NAME = "frames.npy"
-STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "fad", "eval")
+STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "eval")
 PER_SCENE_STAGES = ("synth", "segment", "features")
 
 
@@ -198,12 +197,14 @@ def _synth_phee(cfg: RunConfig, out: Path, fp: str) -> None:
                 fm_rate_hz=float(rng.uniform(0.5, 1.5)),
                 amplitude=float(rng.uniform(0.4, 0.6)),
             )
-            tone = synth_call(spec)
-            noise = np.random.default_rng(seed_for(cfg.seed, f"phee/{i}/{role}")).normal(
-                0, 10 ** (cfg["synth"]["noise_floor_db"] / 20.0), size=tone.shape[0]
-            )
+            wave, _ = synth_scene(SceneSpec(
+                total_s=phee_cfg[dur_key],
+                calls=((0.0, spec),),
+                noise_floor_db=cfg["synth"]["noise_floor_db"],
+                seed=seed_for(cfg.seed, f"phee/{i}/{role}"),
+            ))
             path = f"synth/phee/rec{i:04d}_{role}.wav"
-            dsp.write_wav(out / path, dsp.Waveform(tone + noise))
+            dsp.write_wav(out / path, wave)
             refs[role] = path
         records.append(
             bench.PheeRecord(
@@ -492,11 +493,6 @@ def eval_fad_groups(cfg: RunConfig, seed: int) -> dict:
     return {"embedding": kind, "n_per_group": group, "values": values}
 
 
-def stage_fad(cfg: RunConfig, out: Path) -> None:
-    """The FAD block depends on the config alone; eval reads it from fad.json."""
-    _save_json(out / "fad" / "fad.json", eval_fad_groups(cfg, seed_for(cfg.seed, "metrics/fad")), cfg)
-
-
 def _labeled_call_frames(cfg: RunConfig, out: Path, index: list[dict], window_units: dict[str, np.ndarray]):
     """(units, labels) per frame inside detected calls, then per call its
     units and pooled-frame embedding, with one label array for both."""
@@ -571,7 +567,7 @@ def stage_eval(cfg: RunConfig, out: Path) -> None:
     # each test window was scored above as a reversal positive
     ppl_value = ppl(model, test_units, None, scores) if test_units else None
     detection = _load_json(out / "segment" / "detection.json", cfg)
-    fad_block = _load_json(out / "fad" / "fad.json", cfg)
+    fad_block = eval_fad_groups(cfg, seed_for(cfg.seed, "metrics/fad"))
     fu, fl, cu, cl, emb, type_names = _labeled_call_frames(cfg, out, index, units)
     frame_up, frame_lp = metrics.purity(metrics.contingency_from_frames(fu, fl))
     call_up, call_lp = metrics.purity(metrics.contingency_from_calls(cu, cl))

@@ -41,3 +41,13 @@ def test_traced_hooks_install_and_uninstall(monkeypatch):
     after = _vocalm_attributes()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_traced_stages_are_the_pipeline_stages(monkeypatch):
+    # the per-stage table covers every stage, so its times add up to a run's
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import traced
+
+    from vocalm import pipeline
+
+    assert traced.STAGES == pipeline.STAGES

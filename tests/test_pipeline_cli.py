@@ -59,7 +59,6 @@ class TestPipeline:
             "quantize/units_train.txt",
             "ulm/model.json",
             "bench/pairs.jsonl",
-            "fad/fad.json",
             "eval/report.json",
             "report.json",
         ):
@@ -69,7 +68,7 @@ class TestPipeline:
         cfg, out, report = tiny_run
         fp = cfg.fingerprint()
         assert report["config_fingerprint"] == fp
-        for rel in ("segment/detection.json", "features/index.json", "ulm/model_meta.json", "fad/fad.json"):
+        for rel in ("segment/detection.json", "features/index.json", "ulm/model_meta.json"):
             assert json.loads((out / rel).read_text())["config_fingerprint"] == fp, rel
         for rel in ("synth/truth.jsonl", "synth/phee/phee.jsonl", "segment/windows.jsonl", "bench/pairs.jsonl"):
             rows = read_jsonl(out / rel)
@@ -111,15 +110,16 @@ RESUME_OVERRIDE = {
 
 # (stage, owner, attribute, call): the call-th call of owner.attribute returns
 # and then raises, so the stage fails with part of its output on disk.
+PHEE_RENDER = RESUME_OVERRIDE["synth"]["n_scenes"] + 3  # the third phee WAV, rendered after every scene
 INJECTIONS = [
     ("synth", pipeline, "synth_scene", 3),  # 2 scene WAVs written, no truth.jsonl
-    ("synth", pipeline, "synth_call", 3),  # inside _synth_phee, truth.jsonl complete
+    ("synth", pipeline, "synth_scene", PHEE_RENDER),  # inside _synth_phee, truth.jsonl complete
     ("segment", pipeline, "detect_calls", 3),  # no windows.jsonl
     ("features", pipeline, "_featurize", 3),
     ("quantize", quantizer, "write_units", 1),  # units_train.txt written
     ("ulm", NGramLM, "save", 1),  # model.json written, model_meta.json not
     ("bench", bench, "make_phee_pairs", 1),
-    ("fad", pipeline, "eval_fad_groups", 1),
+    ("eval", pipeline, "eval_fad_groups", 1),
     ("eval", pipeline, "train_probe", 1),
 ]
 
@@ -139,6 +139,11 @@ def _fail_after_call(monkeypatch, owner, attr, call):
 
 def _tree(root):
     return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _stage_tree(out):
+    """Every file under the out-dir's stage directories, top-level files left out."""
+    return {p: data for p, data in _tree(out).items() if p.parent != out}
 
 
 def _record_stages(monkeypatch) -> list[str]:
@@ -168,7 +173,9 @@ def clean_report(clean_run):
 
 class TestResume:
     @pytest.mark.parametrize(
-        "stage, owner, attr, call", INJECTIONS, ids=[f"{s}-{a}" for s, _, a, _ in INJECTIONS]
+        "stage, owner, attr, call",
+        INJECTIONS,
+        ids=[f"{s}-{a}" + ("-phee" if c == PHEE_RENDER else "") for s, _, a, c in INJECTIONS],
     )
     def test_rerun_after_failure_matches_clean_run(
         self, stage, owner, attr, call, clean_report, tmp_path, monkeypatch
@@ -219,7 +226,7 @@ class TestResume:
         pipeline_run(cfg, tmp_path, jobs=jobs)
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
-    @pytest.mark.parametrize("damage", ["truncate_windows", "flip_feature_byte", "edit_fad_value", "edit_eval_report"])
+    @pytest.mark.parametrize("damage", ["truncate_windows", "flip_feature_byte", "edit_eval_report"])
     def test_damaged_artifact_is_recomputed(self, damage, clean_report, tmp_path):
         cfg = RunConfig.from_dict(RESUME_OVERRIDE)
         pipeline_run(cfg, tmp_path)
@@ -234,13 +241,6 @@ class TestResume:
             path = tmp_path / "segment" / "windows.jsonl"
             good = path.read_bytes()
             path.write_bytes(b"".join(good.splitlines(keepends=True)[:2]))
-        elif damage == "edit_fad_value":
-            # still valid JSON with the right fingerprint, but not what was committed
-            path = tmp_path / "fad" / "fad.json"
-            good = path.read_bytes()
-            block = json.loads(good)
-            block["values"]["noise"] *= 2
-            path.write_text(json.dumps(block, sort_keys=True))
         else:
             path = tmp_path / "features" / "frames.npy"
             good = path.read_bytes()
@@ -268,19 +268,6 @@ class TestResume:
         assert _tree(feat) == good
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
-    def test_out_dir_without_fad_stage_computes_fad_and_eval(self, clean_run, clean_report, tmp_path, monkeypatch):
-        # synth..bench committed under the current layout, no fad/; eval comes
-        # after fad, so it is recomputed too
-        out = tmp_path / "out"
-        shutil.copytree(clean_run, out)
-        shutil.rmtree(out / "fad")
-        (out / "report.json").unlink()
-        ran = _record_stages(monkeypatch)
-        pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
-        assert ran == ["fad", "eval"]
-        assert (out / "fad" / "fad.json").read_bytes() == (clean_run / "fad" / "fad.json").read_bytes()
-        assert (out / "report.json").read_bytes() == clean_report
-
     def test_finished_out_dir_runs_no_stage(self, clean_run, clean_report, tmp_path, monkeypatch):
         # the report is eval's committed artifact, so a deleted top-level copy comes back from it
         out = tmp_path / "out"
@@ -294,8 +281,27 @@ class TestResume:
         assert (out / "report.json").read_bytes() == (out / "eval" / "report.json").read_bytes() == clean_report
         assert report == json.loads(clean_report)
 
+    def test_finished_out_dir_with_fad_stage_runs_no_stage(self, clean_run, clean_report, tmp_path, monkeypatch):
+        # an out-dir written when the FAD block was a stage of its own: fad/
+        # holds fad.json and a marker, which no stage reads
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        (out / "report.json").unlink()
+        cfg = RunConfig.from_dict(RESUME_OVERRIDE)
+        fad_dir = out / "fad"
+        fad_dir.mkdir()
+        pipeline._save_json(fad_dir / "fad.json", json.loads(clean_report)["fad"], cfg)
+        marker = {"layout": pipeline.LAYOUT, "config_fingerprint": cfg.fingerprint(), "files": pipeline._stage_files(fad_dir)}
+        (fad_dir / "_done.json").write_text(json.dumps(marker))
+        before = _stage_tree(out)
+        ran = _record_stages(monkeypatch)
+        pipeline_run(cfg, out)
+        assert ran == []
+        assert _stage_tree(out) == before
+        assert (out / "report.json").read_bytes() == clean_report
+
     def test_out_dir_without_eval_stage_computes_only_eval(self, clean_run, clean_report, tmp_path, monkeypatch):
-        # an out-dir written when eval was not a committed stage: synth..fad
+        # an out-dir written when eval was not a committed stage: synth..bench
         # committed, the report at the top level only
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
@@ -323,15 +329,11 @@ class TestResume:
         )
         marker = {"layout": pipeline.LAYOUT, "config_fingerprint": cfg.fingerprint(), "files": pipeline._stage_files(q_dir)}
         (q_dir / "_done.json").write_text(json.dumps(marker))
-
-        def stage_files():
-            return {p: data for p, data in _tree(out).items() if p.parent != out}
-
-        before = stage_files()
+        before = _stage_tree(out)
         ran = _record_stages(monkeypatch)
         pipeline_run(cfg, out)
         assert ran == []
-        assert stage_files() == before
+        assert _stage_tree(out) == before
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_layout_2_out_dir_is_recomputed_in_full(self, clean_run, clean_report, tmp_path, monkeypatch):
@@ -372,11 +374,11 @@ class TestResume:
         (out / "bench" / "_done.json").unlink()
         ran = _record_stages(monkeypatch)
         pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
-        assert ran == ["bench", "fad", "eval"]
+        assert ran == ["bench", "eval"]
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_resume_loads_no_scipy(self, clean_run, clean_report, tmp_path):
-        # eval reads the committed FAD block, so no k-means refit pulls in scipy.spatial
+        # a finished out-dir runs no stage, eval's FAD refit included, so no k-means pulls in scipy.spatial
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         code = (
@@ -592,7 +594,7 @@ BAD_SEGMENT_PARAMS = [(name, detector) for name, detector, _ in BAD_DETECTOR] + 
 # (test id, config override, the key the error names). Each used to pass the
 # config check and then stop a run midway with exit 3 (n_scenes, restarts,
 # minibatch and no_calls in quantize, heads_embed in ulm, fad_group_size in
-# fad, calls_per_scene in synth), or finish with no caller_change/
+# eval, calls_per_scene in synth), or finish with no caller_change/
 # receiver_change block (phee_per_record).
 BAD_BOUNDS = [
     ("n_scenes", {"synth": {"n_scenes": 0}}, "synth.n_scenes"),
@@ -931,6 +933,38 @@ MISSING_INPUTS = [
 ]
 
 
+# (test id, argv, what the error says): a flag value or an input line that a
+# command would otherwise crash on, or (a negative token for the attention LM)
+# silently accept. {long} holds 600 tokens on line 2, {neg} token -1 on line 1.
+BAD_FLAGS = [
+    ("ulm_train_attn_long_line", "ulm train --backend attn --units {long} --out {out}",
+     "{long} line 2 holds 600 tokens; the attention LM's context holds 511 plus BOS"),
+    ("ulm_train_vocab_size", "ulm train --vocab-size 4 --units {oov} --out {out}",
+     "{oov} line 2 holds token 9, outside the model's vocab of size 4"),
+    ("ulm_train_attn_vocab_size", "ulm train --backend attn --vocab-size 4 --units {oov} --out {out}",
+     "{oov} line 2 holds token 9, outside the model's vocab of size 4"),
+    ("ulm_train_attn_negative_token", "ulm train --backend attn --units {neg} --out {out}",
+     "{neg} line 1 holds token -1, outside the model's vocab of size 3"),
+    ("ulm_train_steps_0", "ulm train --backend attn --steps 0 --units {one} --out {out}",
+     "argument --steps: steps must be >= 1, got 0"),
+    ("ulm_train_order_9", "ulm train --order 9 --units {one} --out {out}", "argument --order: invalid choice: 9"),
+    ("ulm_train_vocab_size_0", "ulm train --vocab-size 0 --units {one} --out {out}",
+     "argument --vocab-size: vocab size must be >= 1, got 0"),
+    ("ulm_generate_beam_0", "ulm generate --model {ngram} --prompt 0 --beam 0", "argument --beam: beam must be >= 1, got 0"),
+    ("ulm_generate_negative_temperature", "ulm generate --model {ngram} --prompt 0 --temperature -1",
+     "--temperature must be >= 0 (0 selects greedy mode), got -1.0"),
+    ("quantize_fit_k_0", "quantize fit --features {csv} --k 0 --out {out}", "argument --k: k must be >= 1, got 0"),
+    ("quantize_fit_restarts_0", "quantize fit --features {csv} --k 2 --restarts 0 --out {out}",
+     "argument --restarts: restarts must be >= 1, got 0"),
+    ("quantize_fit_minibatch_0", "quantize fit --features {csv} --k 2 --minibatch 0 --out {out}",
+     "argument --minibatch: minibatch must be >= 1, got 0"),
+    ("features_mfcc_n_coeffs_3", "features --in {wav} --kind mfcc --n-coeffs 3 --out {out}",
+     "--n-coeffs must be in [8, 40] for --kind mfcc, got 3"),
+    ("features_lo_hz_above_hi_hz", "features --in {wav} --lo-hz 9000 --out {out}",
+     "--lo-hz 9000.0 and --hi-hz 8000.0 must satisfy 0 < lo < hi <= 8000.0, the Nyquist frequency of {wav}"),
+]
+
+
 def exit_code(argv) -> int:
     """main's exit code, whether it returns one or argparse exits."""
     try:
@@ -1076,6 +1110,20 @@ class TestCliInputs:
         assert exc.value.code == 2
         assert f"argument --jobs: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, message", [c[1:] for c in BAD_FLAGS], ids=[c[0] for c in BAD_FLAGS])
+    def test_bad_flag_or_line_exits_2_naming_it(self, cli_files, argv, message, capsys):
+        files = dict(cli_files, out=f"{cli_files['tmp']}/out", long=f"{cli_files['tmp']}/long.txt",
+                     neg=f"{cli_files['tmp']}/neg.txt", csv=f"{cli_files['tmp']}/f.csv", wav=f"{cli_files['tmp']}/s.wav")
+        quantizer.write_units(files["long"], [np.array([0, 1]), np.arange(600) % 4])
+        quantizer.write_units(files["neg"], [np.array([-1, 2]), np.array([1, 0])])
+        wave = dsp.Waveform(np.random.default_rng(0).normal(0, 0.1, size=8000))
+        dsp.write_wav(files["wav"], wave)
+        dsp.write_features_csv(files["csv"], dsp.features(wave, "linear_fb"))
+        assert exit_code(argv.format(**files).split()) == 2
+        err = capsys.readouterr().err
+        assert message.format(**files) in err and "Traceback" not in err
+        assert not Path(files["out"]).exists()
 
     def test_generate_uses_ctx(self, tmp_path, capsys):
         units, model = tmp_path / "u.txt", tmp_path / "m.json"
