@@ -318,4 +318,4 @@ def write_phee_jsonl(path, records: list[PheeRecord], fingerprint: str = "") -> 
 
 
 def read_phee_jsonl(path) -> list[PheeRecord]:
-    return [PheeRecord(**given_fields(PheeRecord, obj)) for obj in read_jsonl(path)]
+    return read_jsonl(path, lambda obj: PheeRecord(**given_fields(PheeRecord, obj)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
 from .errors import ConfigError, FingerprintMismatchError, StageFailureError, VocalmError
-from .manifest import RunConfig, given_fields, read_manifest, split_manifest, write_jsonl, write_manifest
+from .manifest import RunConfig, given_fields, read_json, read_manifest, split_manifest, write_jsonl, write_manifest
 from .pipeline import load_model, pipeline_run, validate_report
 from .segmenter import DetectorParams, detect_calls, pack_windows
 from .synthlab import CallSpec, MarkovChain, SceneSpec, markov_corpus, synth_scene
@@ -54,6 +54,19 @@ def _tokens(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"tokens must be integers, got {text!r}") from None
 
 
+def _ratios(text: str) -> tuple[float, ...]:
+    """--ratios checked as it is parsed, by split_manifest's own rule:
+    train/valid/test as fractions, or as percents when one exceeds 1."""
+    try:
+        ratios = tuple(float(x) for x in text.split("/"))
+        if max(ratios) > 1:
+            ratios = tuple(r / 100.0 for r in ratios)
+        split_manifest([], ratios)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return ratios
+
+
 def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ctx", type=_at_least_one("context window"), default=None, help="context window in tokens (default unlimited)")
     p.add_argument("--keep-first", type=int, default=0, choices=(0, 1, 5), help="always-visible first tokens")
@@ -63,12 +76,19 @@ def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec) as fh:
-        spec = json.load(fh)
+    spec = read_json(args.spec, "spec")
     out = Path(args.out)
+    try:
+        if args.what == "scene":
+            calls = tuple((c["onset_s"], CallSpec(**given_fields(CallSpec, c))) for c in spec.get("calls", []))
+            scene = SceneSpec(**{**given_fields(SceneSpec, spec), "calls": calls, "seed": args.seed})
+        else:
+            chain = MarkovChain(np.array(spec["pi"], dtype=float), np.array(spec["P"], dtype=float))
+    except KeyError as e:
+        raise ConfigError(f"spec file {args.spec} has no {e} key") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"spec file {args.spec}: {e}") from e
     if args.what == "scene":
-        calls = tuple((c["onset_s"], CallSpec(**given_fields(CallSpec, c))) for c in spec.get("calls", []))
-        scene = SceneSpec(**{**given_fields(SceneSpec, spec), "calls": calls, "seed": args.seed})
         wave, truth = synth_scene(scene)
         out.parent.mkdir(parents=True, exist_ok=True)
         dsp.write_wav(out, wave)
@@ -81,7 +101,6 @@ def cmd_synth(args) -> int:
             )
         print(f"wrote {out} and {truth_path}")
     else:  # corpus
-        chain = MarkovChain(np.array(spec["pi"], dtype=float), np.array(spec["P"], dtype=float))
         seqs = markov_corpus(chain, args.n_seqs, args.length, seed=args.seed)
         out.parent.mkdir(parents=True, exist_ok=True)
         quantizer.write_units(out, seqs)
@@ -97,11 +116,7 @@ def _detector_from_file(path) -> DetectorParams:
     and completed with defaults as the pipeline does."""
     block = {}
     if path:
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"params file {path} is not valid JSON: {e}") from e
+        obj = read_json(path, "params")
         block = obj.get("detector", obj) if isinstance(obj, dict) else obj
     return DetectorParams.from_dict(RunConfig.from_dict({"detector": block})["detector"])
 
@@ -383,10 +398,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_split(args) -> int:
     records = read_manifest(args.manifest)
-    ratios = tuple(float(x) for x in args.ratios.split("/"))
-    if max(ratios) > 1:
-        ratios = tuple(r / 100.0 for r in ratios)
-    out = split_manifest(records, ratios, seed=args.seed)
+    out = split_manifest(records, args.ratios, seed=args.seed)
     write_manifest(args.out, out)
     counts = {s: sum(1 for r in out if r.split == s) for s in ("train", "valid", "test")}
     print(json.dumps(counts))
@@ -444,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="JSON spec (scene layout or {pi, P} chain)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-seqs", type=int, default=10)
-    p.add_argument("--length", type=int, default=100)
+    p.add_argument("--n-seqs", type=_at_least_one("n-seqs"), default=10)
+    p.add_argument("--length", type=_at_least_one("length"), default=100)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("segment", help="detect calls and pack 10 s windows")
@@ -528,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="stratified train/valid/test manifest split")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--ratios", default="80/10/10")
+    p.add_argument("--ratios", type=_ratios, default="80/10/10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_split)

@@ -5,8 +5,11 @@ sub-streams (seed_for), and every artifact embeds the configuration
 fingerprint so that artifacts from different runs cannot be mixed silently.
 Every JSON-lines file is written by write_jsonl and read by read_jsonl; the
 pipeline's stage JSON files have one reader, which checks the fingerprint.
-RunConfig.from_dict holds every config rule, so a bad value stops a run
-before anything is written.
+RunConfig.from_dict checks a config before anything is written. A value a
+stage hands to a constructor is checked by calling that constructor with it,
+so the rule is stated once, by the stage's own code; the checks written here
+cover JSON types, least counts, [low, high] ranges and names that no
+constructor sees.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dsp import DEFAULT_SAMPLE_RATE, _feature_geometry, _highpass_design
+from .dsp import DEFAULT_SAMPLE_RATE, Waveform, _feature_geometry, _highpass_design, features
 from .errors import ConfigError, FingerprintMismatchError
 from .segmenter import WINDOW_SPAN_S, DetectorParams
+from .synthlab import CallSpec, SceneSpec
+from .ulm import AddK, ContextPolicy, KneserNey, NGramLM, ProbeClassifier
 
 SPLITS = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -66,15 +71,8 @@ DEFAULT_CONFIG: dict = {
             "gap_s": [0.5, 6.0],
         },
     },
-    "detector": {
-        "energy_floor": 0.02,
-        "noise_var_max": 2.0,
-        "noise_density_min": 0.5,
-        "noise_dur_band": [0.5, 2.0],
-        "call_dur_band": [0.25, 4.0],
-        "highpass_hz": 5000.0,
-        "boundary_comp_s": 0.008,
-    },
+    # the detector's own defaults, its bands as JSON lists
+    "detector": {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(DetectorParams()).items()},
     "features": {"kind": "linear_fb", "n_coeffs": 13, "lo_hz": 5000.0, "hi_hz": 8000.0},
     "quantizer": {"k": 50, "minibatch": 10000, "restarts": 20},
     "ulm": {
@@ -115,18 +113,36 @@ def write_jsonl(path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_jsonl(path) -> list[dict]:
-    """The rows of a JSON-lines file. Blank lines are skipped; a line that is
-    not JSON raises ConfigError naming the file and the line number."""
+def read_json(path, what: str):
+    """The JSON value in file `path`; when it is not JSON, a ConfigError that
+    names it as the `what` file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from e
+
+
+def read_jsonl(path, row=lambda obj: obj) -> list:
+    """The rows of a JSON-lines file, each passed through `row`. Blank lines
+    are skipped; a line that is not JSON, or whose object `row` rejects with a
+    KeyError, TypeError or ValueError, raises ConfigError naming the file and
+    the line number."""
     rows = []
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"{path} line {n} is not valid JSON: {e.msg}") from e
+            try:
+                rows.append(row(obj))
+            except KeyError as e:
+                raise ConfigError(f"{path} line {n} has no {e} key") from e
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"{path} line {n}: {e}") from e
     return rows
 
 
@@ -136,21 +152,20 @@ def given_fields(cls, row: dict) -> dict:
 
 
 def read_manifest(path) -> list[ManifestRecord]:
-    records = []
     seen = set()
-    for obj in read_jsonl(path):
+
+    def record(obj) -> ManifestRecord:
         if obj["path"] in seen:
             raise ValueError(f"duplicate manifest path {obj['path']!r}")
         seen.add(obj["path"])
-        records.append(
-            ManifestRecord(
-                path=obj["path"],
-                duration_s=float(obj.get("duration_s", 0.0)),
-                split=obj.get("split"),
-                labels=obj.get("labels", {}),
-            )
+        return ManifestRecord(
+            path=obj["path"],
+            duration_s=float(obj.get("duration_s", 0.0)),
+            split=obj.get("split"),
+            labels=obj.get("labels", {}),
         )
-    return records
+
+    return read_jsonl(path, record)
 
 
 def write_manifest(path, records: list[ManifestRecord]) -> None:
@@ -232,11 +247,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                override = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+        override = read_json(path, "config")
         if not isinstance(override, dict):
             raise ConfigError("config file must hold a JSON object")
         # a run's own config.json carries the fingerprint `save` added
@@ -295,14 +306,58 @@ _AT_LEAST = {
 }
 
 
+_CALL_RANGES = ("f0_hz", "duration_s", "fm_depth_hz", "fm_rate_hz", "amplitude")
+
+
 def _ranges(data: dict):
     """(key, value) of every [low, high] pair the synth stage samples from."""
     syn = data["synth"]
     yield "synth.calls_per_scene", syn["calls_per_scene"]
     yield "synth.phee.gap_s", syn["phee"]["gap_s"]
     for i, ct in enumerate(syn["call_types"]):
-        for key in ("f0_hz", "duration_s", "fm_depth_hz", "fm_rate_hz", "amplitude"):
+        for key in _CALL_RANGES:
             yield f"synth.call_types[{i}].{key}", ct.get(key) if isinstance(ct, dict) else None
+
+
+def _built(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), called as a stage calls it with config values;
+    the error it raises for a bad value becomes a ConfigError naming `where`."""
+    try:
+        return make(*args, **kwargs)
+    except (ArithmeticError, TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def _check_stages(data: dict) -> None:
+    """Build from the config what the stages build from it, so each stage's
+    own rules apply before any stage runs; nothing is rendered or trained."""
+    from .bench import PheeRecord  # bench imports this module
+
+    syn = data["synth"]
+    _built("synth.scene_s", SceneSpec, syn["scene_s"])
+    # Every CallSpec rule bounds a single field, so when both ends of each
+    # range make a valid call, so does every value the synth stage draws.
+    for i, ct in enumerate(syn["call_types"]):
+        for end in (0, 1):
+            _built(f"synth.call_types[{i}]", CallSpec, **{key: ct[key][end] for key in _CALL_RANGES})
+    phee = syn["phee"]
+    for key in ("call_s", "response_s"):
+        _built(f"synth.phee.{key}", CallSpec, duration_s=phee[key])
+    for gap in phee["gap_s"]:
+        _built("synth.phee.gap_s", PheeRecord, "caller", "receiver", "", "", gap_s=gap)
+    _built("detector.highpass_hz", _highpass_design, data["detector"]["highpass_hz"], DEFAULT_SAMPLE_RATE)
+    _built("detector", DetectorParams.from_dict, data["detector"])
+    f = data["features"]
+    _built("features", features, Waveform(np.zeros(0)), f["kind"], f["n_coeffs"], f["lo_hz"], f["hi_hz"])
+    sm = data["ulm"]["smoothing"]
+    smoothing = _built("ulm.smoothing.discount", KneserNey, sm["discount"]) if sm["kind"] == "kneser_ney" else AddK()
+    _built("ulm", NGramLM, data["ulm"]["order"], data["quantizer"]["k"], smoothing)
+    grid = data["context_grid"]
+    for window in grid["windows"]:
+        for keep_first in grid["keep_first"] if window is not None else ():
+            _built("context_grid", ContextPolicy, window, keep_first)
+    _built("probe.hidden", ProbeClassifier, 1, 2, tuple(data["probe"]["hidden"]))
+    _built("split.ratios", split_manifest, [], data["split"]["ratios"])
 
 
 def _check_attn(data: dict) -> None:
@@ -332,8 +387,6 @@ def _check_attn(data: dict) -> None:
 
 def _validate(data: dict) -> None:
     _check_types(data, DEFAULT_CONFIG)
-    if data["features"]["kind"] not in ("linear_fb", "mfcc"):
-        raise ConfigError(f"unknown feature kind {data['features']['kind']!r}")
     if data["ulm"]["backend"] not in ("ngram", "attn"):
         raise ConfigError(f"unknown ulm backend {data['ulm']['backend']!r}")
     sm = data["ulm"]["smoothing"]
@@ -341,8 +394,6 @@ def _validate(data: dict) -> None:
         raise ConfigError(f"unknown smoothing kind {sm['kind']!r}")
     if data["metrics"]["fad_embedding"] not in ("mv", "mvs"):
         raise ConfigError("fad_embedding must be 'mv' or 'mvs'")
-    if not 1 <= data["ulm"]["order"] <= 6:
-        raise ConfigError("ulm.order must be in [1, 6]")
     for where, least in _AT_LEAST.items():
         value = data
         for key in where.split("."):
@@ -355,18 +406,7 @@ def _validate(data: dict) -> None:
             raise ConfigError(f"{where} must be [low, high] with low <= high, got {pair!r}")
     if data["synth"]["calls_per_scene"][1] < 1:
         raise ConfigError(f"synth.calls_per_scene must allow at least 1 call, got {data['synth']['calls_per_scene']!r}")
-    ratios = data["split"]["ratios"]
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError("split.ratios must be three values summing to 1")
-    try:
-        # the segment stage's own rule: inside (0, Nyquist) and a stable design
-        _highpass_design(data["detector"]["highpass_hz"], DEFAULT_SAMPLE_RATE)
-    except ValueError as e:
-        raise ConfigError(f"detector.highpass_hz: {e}") from e
-    try:
-        DetectorParams.from_dict(data["detector"])
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"detector: {e}") from e
+    _check_stages(data)
     _check_attn(data)
 
 

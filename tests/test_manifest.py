@@ -72,7 +72,7 @@ class TestSplit:
         path.write_text(
             json.dumps({"path": "a.wav", "duration_s": 1}) + "\n" + json.dumps({"path": "a.wav", "duration_s": 1}) + "\n"
         )
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ConfigError, match="duplicate"):
             read_manifest(path)
 
 

@@ -606,6 +606,26 @@ BAD_BOUNDS = [
     ("no_calls", {"synth": {"calls_per_scene": [0, 0]}}, "synth.calls_per_scene"),
     ("heads_embed", {"ulm": {"backend": "attn", "attn": {"heads": 3, "embed": 8}}}, "ulm.attn.heads"),
 ]
+# Values a stage's own constructor rejects, checked at config time by calling
+# it: each used to pass the config check and stop a run midway with exit 3.
+_CALL_TYPE = DEFAULT_CONFIG["synth"]["call_types"][0]
+BAD_BOUNDS += [
+    ("discount", {"ulm": {"smoothing": {"discount": 1.5}}}, "ulm.smoothing.discount: Kneser-Ney discount"),
+    ("mfcc_n_coeffs", {"features": {"kind": "mfcc", "n_coeffs": 3}}, "features: n_coeffs must be in [8, 40]"),
+    ("lo_hz", {"features": {"lo_hz": 9000.0}}, "features: band [9000.0, 8000.0] Hz invalid"),
+    ("hidden", {"probe": {"hidden": [32, 64]}}, "probe.hidden: hidden widths must decrease"),
+    ("grid_windows", {"context_grid": {"enabled": True, "windows": [0]}}, "context_grid: context window must be >= 1"),
+    ("grid_keep_first", {"context_grid": {"enabled": True, "keep_first": [2]}}, "context_grid: keep_first must be one of"),
+    ("call_type_f0", {"synth": {"call_types": [{**_CALL_TYPE, "f0_hz": [11000.0, 12000.0]}]}},
+     "synth.call_types[0]: f0 11000.0 Hz"),
+    ("call_type_duration", {"synth": {"call_types": [{**_CALL_TYPE, "duration_s": [4.5, 5.0]}]}},
+     "synth.call_types[0]: duration 4.5s"),
+    ("call_type_amplitude", {"synth": {"call_types": [{**_CALL_TYPE, "amplitude": [0.0, 0.5]}]}},
+     "synth.call_types[0]: amplitude must be positive"),
+    ("phee_call_s", {"synth": {"phee": {"call_s": 5.0}}}, "synth.phee.call_s: duration 5.0s"),
+    ("scene_s", {"synth": {"scene_s": -1.0}}, "synth.scene_s: scene duration must be positive"),
+    ("phee_gap_s", {"synth": {"phee": {"gap_s": [12.0, 20.0]}}}, "synth.phee.gap_s: gap 12.0s"),
+]
 
 
 class TestCli:
@@ -1002,7 +1022,59 @@ NON_INTEGER_UNITS = [
 ]
 
 
+# (test id, argv, what the error says): each used to end in a traceback with
+# exit 1. {manifest} is a valid two-row manifest; {dup} repeats its path on
+# line 2; {no_path} has a blank line 2 and no path on line 3; {same} has a
+# caller who answers itself on line 1; {missing} has no receiver on line 2.
+BAD_INPUT_FILES = {
+    "manifest": '{"path": "a.wav"}\n{"path": "b.wav"}\n',
+    "dup": '{"path": "a.wav"}\n{"path": "a.wav"}\n',
+    "no_path": '{"path": "a.wav"}\n\n{"duration_s": 1.0}\n',
+    "same": '{"caller_id": "m0", "receiver_id": "m0", "call_ref": "a.wav", "response_ref": "b.wav"}\n',
+    "missing": '{"caller_id": "m0", "receiver_id": "m1", "call_ref": "a.wav", "response_ref": "b.wav"}\n'
+               '{"caller_id": "m0", "call_ref": "a.wav", "response_ref": "b.wav"}\n',
+    "scene": '{"total_s": 5.0, "calls": [{"onset_s": 1.0, "f0_hz": 12000}]}',
+    "chain": '{"pi": [0.5, 0.4], "P": [[0.9, 0.1], [0.2, 0.8]]}',
+    "good_chain": '{"pi": [0.5, 0.5], "P": [[0.9, 0.1], [0.2, 0.8]]}',
+    "not_json": '{"pi": [0.5, 0.5],',
+}
+BAD_INPUTS = [
+    ("split_ratios_two", "split --manifest {manifest} --ratios 50/50 --out {out}",
+     "argument --ratios: ratios must be three values summing to 1, got (0.5, 0.5)"),
+    ("split_ratios_text", "split --manifest {manifest} --ratios abc --out {out}",
+     "argument --ratios: could not convert string to float: 'abc'"),
+    ("split_ratios_sum", "split --manifest {manifest} --ratios 80/10/5 --out {out}",
+     "argument --ratios: ratios must be three values summing to 1, got (0.8, 0.1, 0.05)"),
+    ("split_duplicate_path", "split --manifest {dup} --out {out}", "{dup} line 2: duplicate manifest path 'a.wav'"),
+    ("split_no_path", "split --manifest {no_path} --out {out}", "{no_path} line 3 has no 'path' key"),
+    ("fad_duplicate_path", "metrics fad --ref {dup} --cand {manifest}", "{dup} line 2: duplicate manifest path 'a.wav'"),
+    ("fad_no_path", "metrics fad --ref {no_path} --cand {manifest}", "{no_path} line 3 has no 'path' key"),
+    ("phee_same_animal", "bench phee --records {same} --out {out}", "{same} line 1: caller and receiver must differ"),
+    ("phee_missing_field", "bench phee --records {missing} --out {out}", "{missing} line 2: PheeRecord"),
+    ("synth_scene_f0", "synth scene --spec {scene} --out {out}",
+     "spec file {scene}: f0 12000 Hz outside the 5.5-10 kHz phee band"),
+    ("synth_corpus_pi", "synth corpus --spec {chain} --out {out}", "spec file {chain}: pi sums to"),
+    ("synth_spec_not_json", "synth corpus --spec {not_json} --out {out}", "spec file {not_json} is not valid JSON"),
+    ("synth_length", "synth corpus --spec {good_chain} --length -1 --out {out}",
+     "argument --length: length must be >= 1, got -1"),
+    ("synth_n_seqs", "synth corpus --spec {good_chain} --n-seqs -1 --out {out}",
+     "argument --n-seqs: n-seqs must be >= 1, got -1"),
+]
+
+
 class TestCliInputs:
+    @pytest.mark.parametrize("argv, message", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
+    def test_bad_input_exits_2_naming_file_line_or_flag(self, tmp_path, argv, message, capsys):
+        files = {name: tmp_path / name for name in BAD_INPUT_FILES}
+        for name, text in BAD_INPUT_FILES.items():
+            files[name].write_text(text)
+        files["out"] = tmp_path / "out"
+        before = sorted(tmp_path.iterdir())
+        assert exit_code(argv.format(**files).split()) == 2
+        captured = capsys.readouterr()
+        assert message.format(**files) in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and sorted(tmp_path.iterdir()) == before  # no output written
+
     @pytest.mark.parametrize("argv", [c[1] for c in CTX_ZERO], ids=[c[0] for c in CTX_ZERO])
     def test_ctx_below_1_exits_2_naming_the_flag(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
