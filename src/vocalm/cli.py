@@ -147,15 +147,14 @@ def cmd_segment(args) -> int:
 
 
 def cmd_features(args) -> int:
-    if args.kind == "mfcc" and not 8 <= args.n_coeffs <= 40:
-        raise ConfigError(f"--n-coeffs must be in [8, 40] for --kind mfcc, got {args.n_coeffs}")
     wave = dsp.read_wav(args.input)
-    nyquist = wave.sample_rate / 2.0
-    if args.kind == "linear_fb" and not 0.0 < args.lo_hz < args.hi_hz <= nyquist:
+    try:  # the flags checked by the extractor's own rules, on no samples
+        dsp.features(dsp.Waveform(np.zeros(0), wave.sample_rate), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
+    except ValueError as e:
         raise ConfigError(
-            f"--lo-hz {args.lo_hz} and --hi-hz {args.hi_hz} must satisfy 0 < lo < hi <= {nyquist},"
-            f" the Nyquist frequency of {args.input}"
-        )
+            f"--kind {args.kind} --n-coeffs {args.n_coeffs} --lo-hz {args.lo_hz} --hi-hz {args.hi_hz}"
+            f" on {args.input}: {e}"
+        ) from None
     fm = dsp.features(wave, args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
     if args.pool:
         pooled = metrics.clip_embedding(fm, "mv")

@@ -194,6 +194,8 @@ def split_manifest(
     ratios = tuple(float(r) for r in ratios)
     if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3:
         raise ValueError(f"ratios must be three values summing to 1, got {ratios}")
+    if not all(r >= 0 for r in ratios):
+        raise ValueError(f"ratios must not be negative, got {ratios}")
     strata: dict[str, list[int]] = {}
     for i, rec in enumerate(records):
         strata.setdefault(_stratum_key(rec), []).append(i)
@@ -335,6 +337,8 @@ def _check_stages(data: dict) -> None:
 
     syn = data["synth"]
     _built("synth.scene_s", SceneSpec, syn["scene_s"])
+    if not syn["call_types"]:
+        raise ConfigError("synth.call_types must hold at least one call type")
     # Every CallSpec rule bounds a single field, so when both ends of each
     # range make a valid call, so does every value the synth stage draws.
     for i, ct in enumerate(syn["call_types"]):

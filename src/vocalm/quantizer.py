@@ -20,7 +20,10 @@ DEFAULT_MINIBATCH = 10_000
 DEFAULT_RESTARTS = 20
 MAX_EPOCHS = 100
 REL_TOL = 1e-4
-_ENCODE_CHUNK = 8192
+# Rows x K x D of one candidate product. OpenBLAS runs a product below 2^19
+# on one thread; at these shapes a second thread saves no wall time and its
+# spin-wait doubles the CPU time.
+_PRODUCT_SIZE = 2**18
 
 
 @dataclass(frozen=True)
@@ -56,25 +59,64 @@ def _as_rows(features) -> np.ndarray:
     return np.asarray(features, dtype=np.float64)
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
+
+
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # Direct (x - c)^2 form, summed in C without an (N, K, D) temporary: unlike
-    # the expanded |x|^2 - 2x.c + |c|^2 product it keeps exact ties exact,
-    # which the lowest-index tie-break relies on. Imported here to keep scipy
-    # off the import path of the CLI.
-    from scipy.spatial.distance import cdist
+    """Direct sum over d of (x_d - c_d)^2, added in d order, broadcast over
+    the leading axes. It is scipy's cdist(x, c, "sqeuclidean") bit for bit,
+    and it keeps exact ties exact, which the lowest-index tie-break needs."""
+    sq = x - centroids
+    sq *= sq
+    out = sq[..., 0].copy()
+    for d in range(1, sq.shape[-1]):
+        out += sq[..., d]
+    return out
 
-    return cdist(x, centroids, "sqeuclidean")
 
+def _nearest(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
+    """Index of the centroid nearest to each row under `_sq_dists`, ties to
+    the lowest index. `x_sq` is `_sq_norms(x)`.
 
-def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    A candidate pass scores |c|^2 - 2x.c with one BLAS product per chunk.
+    Plus |x|^2 it is |x - c|^2 up to rounding: it and `_sq_dists` differ by
+    at most (4D + 6)u(|x|^2 + max|c|^2) to first order (u = 2^-53), which
+    `slack` bounds with room to spare. So a row whose second best score is
+    more than twice the slack above its best has the same unique nearest
+    centroid under `_sq_dists`; any other row is re-scored with them.
+    """
+    k, dim = centroids.shape
+    c_sq = _sq_norms(centroids)[:, None]
+    neg2c = -2.0 * centroids
+    slack = 16 * (dim + 2) * 2.0**-53
+    # `tiny` covers the absolute error of products that underflow
+    tol = 2 * slack * (x_sq + c_sq.max()) + np.finfo(np.float64).tiny
     labels = np.empty(x.shape[0], dtype=np.int64)
-    dists = np.empty(x.shape[0], dtype=np.float64)
-    for start in range(0, x.shape[0], _ENCODE_CHUNK):
-        chunk = x[start : start + _ENCODE_CHUNK]
-        d = _sq_dists(chunk, centroids)
-        labels[start : start + chunk.shape[0]] = np.argmin(d, axis=1)
-        dists[start : start + chunk.shape[0]] = d[np.arange(chunk.shape[0]), labels[start : start + chunk.shape[0]]]
-    return labels, dists
+    ambiguous = np.empty(x.shape[0], dtype=bool)
+    rows = max(1, _PRODUCT_SIZE // (k * dim))
+    for start in range(0, x.shape[0], rows):
+        part = slice(start, start + rows)
+        # K x rows, so the reductions below run along the long axis
+        score = neg2c @ x[part].T
+        score += c_sq
+        close = score <= score.min(axis=0) + tol[part]
+        labels[part] = close.argmax(axis=0)
+        ambiguous[part] = np.count_nonzero(close, axis=0) > 1
+    redo = np.flatnonzero(ambiguous)
+    if redo.size:
+        labels[redo] = _sq_dists(x[redo, None, :], centroids).argmin(axis=1)
+    return labels
+
+
+def _assign(
+    x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of each row and the row's `_sq_dists` to it. `x_sq`
+    is `_sq_norms(x)`, passed in by a caller that assigns the same frames
+    many times."""
+    labels = _nearest(x, centroids, _sq_norms(x) if x_sq is None else x_sq)
+    return labels, _sq_dists(x, centroids[labels])
 
 
 def kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,12 +181,13 @@ def fit_codebook(
     n = x.shape[0]
     if n < k:
         raise InsufficientDataError(f"need at least {k} frames to fit K={k}, got {n}")
+    x_sq = _sq_norms(x)
     best_centroids = None
     best_inertia = np.inf
     for rng in _restart_seeds(seed, restarts):
         centroids = kmeans_pp_init(x, k, rng)
         counts = np.zeros(k)
-        labels, dists = _assign(x, centroids)
+        labels, dists = _assign(x, centroids, x_sq)
         prev = np.inf  # so pass 0, which only scores the start, never stops
         for epoch in range(MAX_EPOCHS + 1):
             cur = float(dists.sum())
@@ -158,7 +201,7 @@ def fit_codebook(
             for start in range(0, n, minibatch):
                 idx = order[start : start + minibatch]
                 batch = x[idx]
-                batch_labels = labels[idx] if start == 0 else _assign(batch, centroids)[0]
+                batch_labels = labels[idx] if start == 0 else _nearest(batch, centroids, x_sq[idx])
                 sums = np.column_stack(
                     [np.bincount(batch_labels, weights=col, minlength=k) for col in batch.T]
                 )
@@ -170,12 +213,12 @@ def fit_codebook(
                     counts[hit] + m[hit]
                 )[:, None]
                 counts += m
-            labels, dists = _assign(x, centroids)
+            labels, dists = _assign(x, centroids, x_sq)
             empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
             if empty.size:
                 centroids[empty] = x[np.argsort(dists)[::-1][: empty.size]]
                 counts[empty] = 0.0
-                labels, dists = _assign(x, centroids)
+                labels, dists = _assign(x, centroids, x_sq)
     return Codebook(
         best_centroids,
         feature_kind=feature_kind,

@@ -378,7 +378,7 @@ class TestResume:
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_resume_loads_no_scipy(self, clean_run, clean_report, tmp_path):
-        # a finished out-dir runs no stage, eval's FAD refit included, so no k-means pulls in scipy.spatial
+        # a finished out-dir runs no stage and loads no scipy
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         code = (
@@ -625,6 +625,9 @@ BAD_BOUNDS += [
     ("phee_call_s", {"synth": {"phee": {"call_s": 5.0}}}, "synth.phee.call_s: duration 5.0s"),
     ("scene_s", {"synth": {"scene_s": -1.0}}, "synth.scene_s: scene duration must be positive"),
     ("phee_gap_s", {"synth": {"phee": {"gap_s": [12.0, 20.0]}}}, "synth.phee.gap_s: gap 12.0s"),
+    ("split_ratios_negative", {"split": {"ratios": [-0.1, 0.6, 0.5]}},
+     "split.ratios: ratios must not be negative, got (-0.1, 0.6, 0.5)"),
+    ("call_types_empty", {"synth": {"call_types": []}}, "synth.call_types must hold at least one call type"),
 ]
 
 
@@ -893,19 +896,19 @@ class TestCli:
         assert "vocalm" in proc.stdout
 
     def test_import_loads_no_scipy(self):
-        # scipy.signal and scipy.spatial are imported by the functions that
-        # use them, so starting the CLI does not pay for them
+        # scipy.signal is imported by the one function that uses it (decimate),
+        # so starting the CLI does not pay for it
         code = "import sys, vocalm.cli, vocalm.pipeline; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_fresh_run_loads_no_scipy_signal(self, tmp_path):
-        # the segment stage's high-pass is numpy; scipy.signal also pulls in scipy.stats
+    def test_fresh_run_loads_no_scipy(self, tmp_path):
+        # the segment stage's high-pass and the k-means assignment are numpy
         code = (
             "import json, sys; from vocalm.manifest import RunConfig; from vocalm.pipeline import pipeline_run; "
             "pipeline_run(RunConfig.from_dict(json.loads(sys.argv[1])), sys.argv[2]); "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, json.dumps(TINY_OVERRIDE), str(tmp_path / "out")],
@@ -979,9 +982,9 @@ BAD_FLAGS = [
     ("quantize_fit_minibatch_0", "quantize fit --features {csv} --k 2 --minibatch 0 --out {out}",
      "argument --minibatch: minibatch must be >= 1, got 0"),
     ("features_mfcc_n_coeffs_3", "features --in {wav} --kind mfcc --n-coeffs 3 --out {out}",
-     "--n-coeffs must be in [8, 40] for --kind mfcc, got 3"),
+     "--kind mfcc --n-coeffs 3 --lo-hz 5000.0 --hi-hz 8000.0 on {wav}: n_coeffs must be in [8, 40], got 3"),
     ("features_lo_hz_above_hi_hz", "features --in {wav} --lo-hz 9000 --out {out}",
-     "--lo-hz 9000.0 and --hi-hz 8000.0 must satisfy 0 < lo < hi <= 8000.0, the Nyquist frequency of {wav}"),
+     "--kind linear_fb --n-coeffs 13 --lo-hz 9000.0 --hi-hz 8000.0 on {wav}: band [9000.0, 8000.0] Hz invalid for Nyquist 8000.0"),
 ]
 
 
@@ -1045,6 +1048,8 @@ BAD_INPUTS = [
      "argument --ratios: could not convert string to float: 'abc'"),
     ("split_ratios_sum", "split --manifest {manifest} --ratios 80/10/5 --out {out}",
      "argument --ratios: ratios must be three values summing to 1, got (0.8, 0.1, 0.05)"),
+    ("split_ratios_negative", "split --manifest {manifest} --ratios=-10/60/50 --out {out}",
+     "argument --ratios: ratios must not be negative, got (-0.1, 0.6, 0.5)"),
     ("split_duplicate_path", "split --manifest {dup} --out {out}", "{dup} line 2: duplicate manifest path 'a.wav'"),
     ("split_no_path", "split --manifest {no_path} --out {out}", "{no_path} line 3 has no 'path' key"),
     ("fad_duplicate_path", "metrics fad --ref {dup} --cand {manifest}", "{dup} line 2: duplicate manifest path 'a.wav'"),

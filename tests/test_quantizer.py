@@ -171,13 +171,14 @@ class TestOneAssignmentState:
         self, monkeypatch, make_x, kwargs, reseeds_per_epoch
     ):
         # With minibatch >= n a restart of E epochs and R reseeds sends
-        # n * (1 + E + R) rows to the distance kernel: the start, each epoch's
-        # full check and each reseed. The epoch's one batch reuses the check.
+        # n * (1 + E + R) rows to the nearest-centroid search: the start, each
+        # epoch's full check and each reseed. The epoch's one batch reuses the
+        # check.
         import vocalm.quantizer as q
 
         rows, epochs = [], []
-        sq_dists, restart_seeds = q._sq_dists, q._restart_seeds
-        monkeypatch.setattr(q, "_sq_dists", lambda x, c: rows.append(len(x)) or sq_dists(x, c))
+        nearest, restart_seeds = q._nearest, q._restart_seeds
+        monkeypatch.setattr(q, "_nearest", lambda x, c, x_sq: rows.append(len(x)) or nearest(x, c, x_sq))
         monkeypatch.setattr(
             q,
             "_restart_seeds",
@@ -290,9 +291,58 @@ class TestDistanceKernel:
 
         small = probe_block()[0][:2048]
         fast = fit_codebook(small, k=16, restarts=1, seed=0)
-        monkeypatch.setattr(q, "_sq_dists", broadcast_sq_dists)
+        # labels and distances both from the broadcast kernel
+        monkeypatch.setattr(q, "_nearest", lambda x, c, x_sq: broadcast_sq_dists(x, c).argmin(axis=1))
+        monkeypatch.setattr(q, "_sq_dists", lambda x, c: ((x - c) ** 2).sum(axis=-1))
         slow = fit_codebook(small, k=16, restarts=1, seed=0)
         assert np.array_equal(fast.centroids, slow.centroids)
+
+
+def d_ordered_sq_dists(x, centroids):
+    """(N, K) sums of (x_d - c_d)^2, added in d order."""
+    out = np.zeros((len(x), len(centroids)))
+    for d in range(x.shape[1]):
+        out += (x[:, None, d] - centroids[None, :, d]) ** 2
+    return out
+
+
+def kernel_inputs(dim):
+    """Frames and 16 centroids, three of them equal: random frames, frames
+    far from the origin (where |x|^2 - 2x.c + |c|^2 cancels most of its
+    digits), frames on centroids, coincident frames, and midpoints of
+    centroid pairs."""
+    rng = np.random.default_rng(dim)
+    cents = rng.normal(size=(16, dim))
+    far = 1e4 + rng.normal(scale=1e-3, size=(16, dim))
+    cents[[5, 11]], far[[5, 11]] = cents[2], far[2]
+    a, b = rng.integers(0, 16, size=(2, 500))
+    x = np.concatenate([
+        rng.normal(size=(3000, dim)),
+        cents[rng.integers(0, 16, size=300)],
+        np.repeat(rng.normal(size=(1, dim)), 200, axis=0),
+        (cents[a] + cents[b]) / 2,
+    ])
+    x_far = np.concatenate([
+        far[0] + rng.normal(scale=1e-3, size=(1000, dim)),
+        (far[a] + far[b]) / 2,
+    ])
+    return [(x, cents), (x_far, far)]
+
+
+class TestExactAssignment:
+    @pytest.mark.parametrize("dim", [13, 5])
+    def test_assign_equals_d_ordered_reference(self, dim):
+        # the reference is what the quantizer shipped with before: cdist
+        from scipy.spatial.distance import cdist
+        from vocalm.quantizer import _assign
+
+        for x, cents in kernel_inputs(dim):
+            ref = d_ordered_sq_dists(x, cents)
+            assert np.array_equal(ref, cdist(x, cents, "sqeuclidean"))
+            labels, dists = _assign(x, cents)
+            assert (labels == ref.argmin(axis=1)).all()
+            assert (dists == ref[np.arange(len(x)), labels]).all()
+            assert not np.isin(labels, [5, 11]).any()  # duplicates of centroid 2 never win
 
 
 class TestDedup:
