@@ -25,7 +25,8 @@ an atomic byte copy of that committed file, so a rerun of a finished out-dir
 runs no stage. Every stage JSON file is read through
 _load_json, which checks its config fingerprint. The report body contains no
 timestamps, so identical configs produce byte-identical reports; wall-clock
-metadata goes to run_meta.json instead.
+metadata goes to run_meta.json instead, with each stage's status (ran or
+reused), wall and CPU seconds and the peak RSS after it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -686,6 +688,19 @@ def _committed(stage_dir: Path, marker: dict | None) -> bool:
     )
 
 
+def _stage_usage(status: str, start: tuple[float, float]) -> dict:
+    """run_meta.json's entry for one stage: whether it ran or was reused,
+    the wall and process CPU seconds since `start` (a perf_counter,
+    process_time pair; CPU counts every thread), and the process's peak RSS
+    so far."""
+    return {
+        "status": status,
+        "wall_s": time.perf_counter() - start[0],
+        "cpu_s": time.process_time() - start[1],
+        "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    }
+
+
 def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
     """Run all stages, reusing committed ones; copy eval's committed report to
     `<out>/report.json` and return its body.
@@ -705,9 +720,15 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(out / "config.json")
     t0 = time.time()
+    stages: dict[str, dict] = {}
     todo = list(STAGES)
-    while todo and _committed(out / todo[0], markers[todo[0]]):
-        log.info("%s: reusing committed artifacts", todo.pop(0))
+    while todo:
+        start = (time.perf_counter(), time.process_time())
+        if not _committed(out / todo[0], markers[todo[0]]):
+            break
+        name = todo.pop(0)
+        log.info("%s: reusing committed artifacts", name)
+        stages[name] = _stage_usage("reused", start)
     try:
         # Empty every stage to be recomputed before running any of them, so an
         # interrupted rerun never leaves a stale later marker behind.
@@ -715,12 +736,14 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
             if (out / name).exists():
                 shutil.rmtree(out / name)
         for name in todo:
+            start = (time.perf_counter(), time.process_time())
             (out / name).mkdir()
             # looked up per call so wrappers installed on this module see every stage
             stage = globals()[f"stage_{name}"]
             stage(cfg, out, **({"jobs": jobs} if name in PER_SCENE_STAGES else {}))
             marker = {"layout": LAYOUT, "config_fingerprint": fp, "files": _stage_files(out / name)}
             _write_json_atomic(out / name / DONE_NAME, marker)
+            stages[name] = _stage_usage("ran", start)
     except FingerprintMismatchError:
         raise
     except Exception as e:
@@ -734,6 +757,6 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
         raise StageFailureError(f"stage {name!r} failed: {e}") from e
     _write_atomic(out / REPORT_NAME, (out / "eval" / REPORT_NAME).read_bytes())
     with open(out / "run_meta.json", "w") as fh:
-        json.dump({"elapsed_s": time.time() - t0, "finished_unix": time.time()}, fh)
+        json.dump({"elapsed_s": time.time() - t0, "finished_unix": time.time(), "stages": stages}, fh)
     # _load_json checks the fingerprint and drops it; the report body keeps it
     return {**_load_json(out / REPORT_NAME, cfg), "config_fingerprint": fp}

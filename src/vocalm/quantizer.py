@@ -20,10 +20,6 @@ DEFAULT_MINIBATCH = 10_000
 DEFAULT_RESTARTS = 20
 MAX_EPOCHS = 100
 REL_TOL = 1e-4
-# Rows x K x D of one candidate product. OpenBLAS runs a product below 2^19
-# on one thread; at these shapes a second thread saves no wall time and its
-# spin-wait doubles the CPU time.
-_PRODUCT_SIZE = 2**18
 
 
 @dataclass(frozen=True)
@@ -79,30 +75,25 @@ def _nearest(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> np.ndarr
     """Index of the centroid nearest to each row under `_sq_dists`, ties to
     the lowest index. `x_sq` is `_sq_norms(x)`.
 
-    A candidate pass scores |c|^2 - 2x.c with one BLAS product per chunk.
+    A candidate pass scores |c|^2 - 2x.c with one BLAS product.
     Plus |x|^2 it is |x - c|^2 up to rounding: it and `_sq_dists` differ by
     at most (4D + 6)u(|x|^2 + max|c|^2) to first order (u = 2^-53), which
     `slack` bounds with room to spare. So a row whose second best score is
     more than twice the slack above its best has the same unique nearest
     centroid under `_sq_dists`; any other row is re-scored with them.
     """
-    k, dim = centroids.shape
+    dim = centroids.shape[1]
     c_sq = _sq_norms(centroids)[:, None]
     neg2c = -2.0 * centroids
     slack = 16 * (dim + 2) * 2.0**-53
     # `tiny` covers the absolute error of products that underflow
     tol = 2 * slack * (x_sq + c_sq.max()) + np.finfo(np.float64).tiny
-    labels = np.empty(x.shape[0], dtype=np.int64)
-    ambiguous = np.empty(x.shape[0], dtype=bool)
-    rows = max(1, _PRODUCT_SIZE // (k * dim))
-    for start in range(0, x.shape[0], rows):
-        part = slice(start, start + rows)
-        # K x rows, so the reductions below run along the long axis
-        score = neg2c @ x[part].T
-        score += c_sq
-        close = score <= score.min(axis=0) + tol[part]
-        labels[part] = close.argmax(axis=0)
-        ambiguous[part] = np.count_nonzero(close, axis=0) > 1
+    # K x N, so the reductions below run along the long axis
+    score = neg2c @ x.T
+    score += c_sq
+    close = score <= score.min(axis=0) + tol
+    labels = close.argmax(axis=0)
+    ambiguous = np.count_nonzero(close, axis=0) > 1
     redo = np.flatnonzero(ambiguous)
     if redo.size:
         labels[redo] = _sq_dists(x[redo, None, :], centroids).argmin(axis=1)

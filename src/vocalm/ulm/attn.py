@@ -14,8 +14,10 @@ The (B, H, T, T) buffers are the model's own and are reused from call to call
 serves one thread at a time.
 
 The softmax and its backward run in blocks of ROW_BLOCK query rows over the
-keys before the block's end; the keys past it are the causal mask's, whose
-probability is the exact 0.0 that exp(-inf) gives and is written as such.
+block's live keys (see `_key_spans`); the keys past the block's end, and
+those older than a finite window for every row of the block, are hidden, so
+their probability is the exact 0.0 that exp(-inf) gives and is written as
+such.
 Every row sum still runs over the full row width, and every matmul keeps the
 operand shapes of the unblocked formulas, because the summation order (and
 OpenBLAS's, which depends on the call shape and thread split) sets the last
@@ -48,6 +50,22 @@ DEFAULT_MAX_CTX = 512
 INIT_SCALE = 0.02
 FORMAT_VERSION = "attnlm-v1"
 ROW_BLOCK = 64
+
+
+def _key_spans(r0: int, r1: int, t: int, cp: ContextPolicy | None) -> tuple[list[slice], list[slice]]:
+    """(live, dead) key slices of query rows r0:r1 of a t-key score matrix.
+
+    Dead keys are hidden from every row of the block: the future past r1
+    and, under a finite window, the keys older than the window of row r0
+    outside the kept-first block. Their probability is the exact 0.0 that
+    exp(-inf) gives. The live keys are the rest, in non-empty slices.
+    """
+    live, dead = [slice(0, r1)], [slice(r1, t)]
+    if cp is not None and cp.window is not None and r0 - cp.window > cp.keep_first:
+        old = slice(cp.keep_first, r0 - cp.window)
+        live = [slice(0, old.start), slice(old.stop, r1)]
+        dead.append(old)
+    return [keys for keys in live if keys.start < keys.stop], dead
 
 
 class AttnLM:
@@ -153,7 +171,7 @@ class AttnLM:
         hidden = self._policy_mask(T, cp)
 
         x = p["tok_emb"][tokens] + p["pos_emb"][:T]
-        cache: dict = {"tokens": tokens, "T": T, "B": B}
+        cache: dict = {"tokens": tokens, "T": T, "B": B, "cp": cp}
         h = x
         for i in range(self.layers):
             a, ln1_cache = layernorm_forward(h, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
@@ -166,13 +184,23 @@ class AttnLM:
             attn = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=self._buffer(f"attn{i}", (B, self.heads, T, T)))
             for r0 in range(0, T, ROW_BLOCK):
                 r1 = min(r0 + ROW_BLOCK, T)
-                blk = attn[:, :, r0:r1, :r1]
-                blk *= scale
-                np.copyto(blk, -np.inf, where=hidden[r0:r1, :r1])
-                blk -= blk.max(axis=-1, keepdims=True)
-                np.exp(blk, out=blk)
-                attn[:, :, r0:r1, r1:] = 0.0
-                blk /= attn[:, :, r0:r1].sum(axis=-1, keepdims=True)
+                rows = attn[:, :, r0:r1]
+                live, dead = _key_spans(r0, r1, T, cp)
+                segs = [rows[..., keys] for keys in live]
+                for keys, seg in zip(live, segs):
+                    seg *= scale
+                    np.copyto(seg, -np.inf, where=hidden[r0:r1, keys])
+                top = segs[0].max(axis=-1, keepdims=True)
+                for seg in segs[1:]:
+                    np.maximum(top, seg.max(axis=-1, keepdims=True), out=top)
+                for seg in segs:
+                    seg -= top
+                    np.exp(seg, out=seg)
+                for keys in dead:
+                    rows[..., keys] = 0.0
+                total = rows.sum(axis=-1, keepdims=True)
+                for seg in segs:
+                    seg /= total
             oh = attn @ vh
             o = oh.transpose(0, 2, 1, 3).reshape(B, T, self.embed)
             ao, _ = linear_forward(o, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
@@ -191,7 +219,7 @@ class AttnLM:
 
     def _backward(self, dlogits: np.ndarray, cache) -> dict:
         p = self.params
-        B, T = cache["B"], cache["T"]
+        B, T, cp = cache["B"], cache["T"], cache["cp"]
         d_head = self.embed // self.heads
         scale = 1.0 / np.sqrt(d_head)
         grads: dict[str, np.ndarray] = {}
@@ -217,10 +245,15 @@ class AttnLM:
                 r1 = min(r0 + ROW_BLOCK, T)
                 prod = self._buffer("prod", (B, self.heads, r1 - r0, T))
                 np.multiply(dattn[:, :, r0:r1], attn[:, :, r0:r1], out=prod)
-                blk = dattn[:, :, r0:r1, :r1]
-                blk -= prod.sum(axis=-1, keepdims=True)
-                np.multiply(attn[:, :, r0:r1, :r1], blk, out=blk)
-                dattn[:, :, r0:r1, r1:] = 0.0
+                total = prod.sum(axis=-1, keepdims=True)
+                rows, probs = dattn[:, :, r0:r1], attn[:, :, r0:r1]
+                live, dead = _key_spans(r0, r1, T, cp)
+                for keys in live:
+                    seg = rows[..., keys]
+                    seg -= total
+                    np.multiply(probs[..., keys], seg, out=seg)
+                for keys in dead:
+                    rows[..., keys] = 0.0
             dscores = dattn
             dqh = dscores @ kh * scale
             dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from vocalm.ulm import AttnLM, ContextPolicy, attn_train
-from vocalm.ulm.attn import _make_batch
+from vocalm.ulm.attn import ROW_BLOCK, _key_spans, _make_batch
 from vocalm.ulm.nn import cross_entropy, log_softmax
 
 
@@ -169,6 +173,31 @@ class TestTraining:
         expected = logp[0, 1] + logp[1, 4] + logp[2, 2] + logp[3, model.eos]
         assert model.score(seq) == pytest.approx(float(expected), rel=1e-12)
 
+    def test_idle_blas_workers_do_not_spin(self):
+        """Training at the attn workload's shape in a process that imports
+        vocalm first uses at most about 1.6 CPU seconds per wall second on
+        two BLAS threads: with OpenBLAS's default idle policy the second
+        thread spins between products and the ratio is about 2. Load from
+        other processes only lowers it."""
+        code = """
+import time
+import vocalm
+import numpy as np
+from vocalm.ulm import AttnLM, attn_train
+rng = np.random.default_rng(0)
+corpus = [rng.integers(0, 16, size=469) for _ in range(8)]
+model = AttnLM(16, layers=1, heads=1, embed=32, ffn=64, max_ctx=1024, seed=0)
+attn_train(model, corpus, steps=2, lr=0.003, batch=4, seed=0)
+wall, cpu = time.perf_counter(), time.process_time()
+attn_train(model, corpus, steps=20, lr=0.003, batch=4, seed=1)
+print((time.process_time() - cpu) / (time.perf_counter() - wall))
+"""
+        env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 1.6
+
 
 class TestIO:
     def test_roundtrip(self, tmp_path):
@@ -329,6 +358,29 @@ class TestInPlaceKernel:
         cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
         seed = t * 1000 + batch * 100 + (window or 0) * 10 + keep_first
         _assert_matches_reference(*_kernel_case(layers, heads, batch, t, seed), cp)
+
+    # 330 = 5 * 64 + 10: under these windows whole 64-key blocks are older
+    # than the window for every row of the later row blocks, past the kept
+    # first keys
+    @pytest.mark.parametrize("layers, heads", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("window, keep_first", [(5, 1), (5, 5), (64, 1), (64, 5)])
+    def test_keys_past_the_window_match_out_of_place_kernel(self, layers, heads, window, keep_first):
+        cp = ContextPolicy(window=window, keep_first=keep_first)
+        _assert_matches_reference(*_kernel_case(layers, heads, 3, 330, window * 10 + keep_first), cp)
+
+    @pytest.mark.parametrize("window, keep_first", BLOCKED_POLICIES + [(5, 5), (64, 1)])
+    @pytest.mark.parametrize("t", [12, 200, 330])
+    def test_dead_keys_are_hidden_from_every_row_of_the_block(self, t, window, keep_first):
+        cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
+        visible = _reference_mask(t, cp)
+        for r0 in range(0, t, ROW_BLOCK):
+            r1 = min(r0 + ROW_BLOCK, t)
+            live, dead = _key_spans(r0, r1, t, cp)
+            live_keys = np.concatenate([np.arange(t)[keys] for keys in live])
+            dead_keys = np.concatenate([np.arange(t)[keys] for keys in dead])
+            assert np.array_equal(np.sort(np.concatenate([live_keys, dead_keys])), np.arange(t))
+            assert np.array_equal(np.sort(dead_keys), np.flatnonzero(~visible[r0:r1].any(axis=0)))
+            assert all(keys.start < keys.stop for keys in live)
 
     @pytest.mark.parametrize("window, keep_first", [(None, 0), (7, 1)])
     def test_reused_buffers_match_a_fresh_model(self, window, keep_first):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -280,6 +281,31 @@ class TestResume:
         assert _tree(out / "eval") == before
         assert (out / "report.json").read_bytes() == (out / "eval" / "report.json").read_bytes() == clean_report
         assert report == json.loads(clean_report)
+
+    def test_run_meta_records_each_stage(self, clean_run, clean_report, tmp_path):
+        """run_meta.json holds each stage's status, wall and CPU seconds and
+        peak RSS after it, for a fresh run and a resumed one; none of it
+        reaches the report."""
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        shutil.rmtree(out / "eval")
+        pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
+        assert (out / "report.json").read_bytes() == clean_report
+        for run, statuses in ((clean_run, ["ran"] * 7), (out, ["reused"] * 6 + ["ran"])):
+            meta = json.loads((run / "run_meta.json").read_text())
+            assert set(meta) == {"elapsed_s", "finished_unix", "stages"}
+            assert list(meta["stages"]) == list(pipeline.STAGES)
+            rows = list(meta["stages"].values())
+            assert [row["status"] for row in rows] == statuses
+            for row in rows:
+                assert set(row) == {"status", "wall_s", "cpu_s", "ru_maxrss_kib"}
+                assert row["wall_s"] >= 0 and row["cpu_s"] >= 0
+                assert isinstance(row["ru_maxrss_kib"], int) and row["ru_maxrss_kib"] > 0
+            peaks = [row["ru_maxrss_kib"] for row in rows]
+            assert peaks == sorted(peaks)
+            assert sum(row["wall_s"] for row in rows) <= meta["elapsed_s"] + 1e-3
+        for key in ("stages", "wall_s", "cpu_s", "ru_maxrss"):
+            assert key not in clean_report.decode()
 
     def test_finished_out_dir_with_fad_stage_runs_no_stage(self, clean_run, clean_report, tmp_path, monkeypatch):
         # an out-dir written when the FAD block was a stage of its own: fad/
@@ -902,6 +928,18 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("given, expected", [(None, "4"), ("28", "28")])
+    def test_import_sets_blas_idle_timeout_before_numpy(self, given, expected):
+        # OpenBLAS reads the variable when numpy loads it, so importing vocalm
+        # must not load numpy; a value the caller set is kept
+        code = "import os, sys, vocalm; print('numpy' in sys.modules, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        if given is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = given
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", expected]
 
     def test_fresh_run_loads_no_scipy(self, tmp_path):
         # the segment stage's high-pass and the k-means assignment are numpy
