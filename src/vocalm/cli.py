@@ -17,11 +17,12 @@ import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
 from .errors import ConfigError, FingerprintMismatchError, StageFailureError, VocalmError
-from .manifest import RunConfig, given_fields, read_json, read_manifest, split_manifest, write_jsonl, write_manifest
-from .pipeline import load_model, pipeline_run, validate_report
-from .segmenter import DetectorParams, detect_calls, pack_windows
+from .manifest import DEFAULT_CONFIG, RunConfig, given_fields, read_json, read_manifest, split_manifest, write_jsonl
+from .manifest import write_manifest
+from .pipeline import load_model, pipeline_run, segment_wav, train_model, validate_report
+from .segmenter import DetectorParams
 from .synthlab import CallSpec, MarkovChain, SceneSpec, markov_corpus, synth_scene
-from .ulm import AddK, AttnLM, ContextPolicy, KneserNey, generate, ppl, train_ngram, train_probe
+from .ulm import ContextPolicy, generate, ppl, smoothing_from_dict, train_probe
 
 log = logging.getLogger("vocalm")
 
@@ -129,16 +130,8 @@ def cmd_segment(args) -> int:
     paths = sorted(src.glob("*.wav")) if src.is_dir() else [src]
     if not paths:
         raise ConfigError(f"no wav files under {src}")
-
-    def windows():
-        for path in paths:
-            wave = dsp.read_wav(path)
-            if wave.sample_rate != dsp.DEFAULT_SAMPLE_RATE:
-                wave = dsp.decimate(wave, dsp.DEFAULT_SAMPLE_RATE)
-            for win in pack_windows(wave, detect_calls(wave, params)):
-                yield win.record(path)
-
-    write_jsonl(args.out, windows())
+    # every WAV is read before --out is opened, so a bad one leaves no partial file
+    write_jsonl(args.out, [win.record(path) for path in paths for win in segment_wav(path, params)[1]])
     print(f"segmented {len(paths)} file(s) -> {args.out}")
     return 0
 
@@ -239,26 +232,32 @@ def _in_vocab(seqs, path, vocab_size: int) -> list[np.ndarray]:
 
 def cmd_ulm(args) -> int:
     if args.what == "train":
+        # the pipeline's ulm block, spelled by the flags, in the default attention shape
+        block = {
+            "backend": args.backend,
+            "order": args.order,
+            "smoothing": {"kind": args.smoothing, "discount": args.discount, "k": args.add_k},
+            "attn": {**DEFAULT_CONFIG["ulm"]["attn"], "steps": args.steps, "lr": args.lr, "batch": args.batch},
+        }
+        try:
+            smoothing_from_dict(block["smoothing"])
+        except ValueError as e:
+            raise ConfigError(
+                f"--smoothing {args.smoothing} --discount {args.discount} --add-k {args.add_k}: {e}"
+            ) from None
         seqs = quantizer.read_units(args.units)
         corpus = _nonempty(seqs, args.units)
         vocab = args.vocab_size or int(max(u.max() for u in corpus)) + 1
         _in_vocab(seqs, args.units, vocab)
-        if args.backend == "ngram":
-            smoothing = KneserNey(args.discount) if args.smoothing == "kneser_ney" else AddK(args.add_k)
-            model = train_ngram(corpus, args.order, smoothing, vocab_size=vocab)
-            model.save(args.out)
-        else:
-            model = AttnLM(vocab, seed=args.seed)
-            for line, seq in enumerate(seqs, 1):
-                if seq.size + 1 > model.max_ctx:
-                    raise ConfigError(
-                        f"{args.units} line {line} holds {seq.size} tokens; the attention LM's context holds"
-                        f" {model.max_ctx - 1} plus BOS"
-                    )
-            from .ulm import attn_train
-
-            attn_train(model, corpus, steps=args.steps, lr=args.lr, batch=args.batch, seed=args.seed)
-            model.save(args.out)
+        max_ctx = block["attn"]["max_ctx"]
+        for line, seq in enumerate(seqs, 1):
+            if args.backend == "attn" and seq.size + 1 > max_ctx:
+                raise ConfigError(
+                    f"{args.units} line {line} holds {seq.size} tokens; the attention LM's context holds"
+                    f" {max_ctx - 1} plus BOS"
+                )
+        # one --seed seeds both the attention LM's initialisation and its training
+        train_model(block, corpus, vocab, args.seed, args.seed).save(args.out)
         print(f"trained {args.backend} model -> {args.out}")
     elif args.what == "score":
         model = load_model(args.model)
@@ -518,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("shuffle", "concat", "reversal"), default="shuffle")
     p.add_argument("--records", help="phee manifest JSONL")
     p.add_argument("--mode", choices=("caller_change", "receiver_change"), default="caller_change")
-    p.add_argument("--per-record", type=int, default=5)
+    p.add_argument("--per-record", type=_at_least_one("per-record"), default=5)
     p.add_argument("--model")
     p.add_argument("--pairs")
     p.add_argument("--seed", type=int, default=0)

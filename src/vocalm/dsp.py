@@ -357,17 +357,25 @@ def decimate(w: Waveform, target_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
 
 
 def read_wav(path) -> Waveform:
-    """Read mono 16-bit PCM WAV; anything else is rejected."""
-    with wave.open(str(path), "rb") as fh:
-        n_channels = fh.getnchannels()
-        sampwidth = fh.getsampwidth()
-        rate = fh.getframerate()
-        n = fh.getnframes()
-        raw = fh.readframes(n)
+    """Read mono 16-bit PCM WAV; any other file, or one cut short, is a
+    ConfigError naming it."""
+    try:
+        with wave.open(str(path), "rb") as fh:
+            n_channels = fh.getnchannels()
+            sampwidth = fh.getsampwidth()
+            rate = fh.getframerate()
+            n = fh.getnframes()
+            raw = fh.readframes(n)
+    except EOFError:
+        raise ConfigError(f"{path}: not a WAV file, or cut short in its header") from None
+    except wave.Error as e:
+        raise ConfigError(f"{path}: not a WAV file: {e}") from None
     if n_channels != 1:
-        raise ValueError(f"{path}: expected mono audio, got {n_channels} channels")
+        raise ConfigError(f"{path}: expected mono audio, got {n_channels} channels")
     if sampwidth != 2:
-        raise ValueError(f"{path}: expected 16-bit PCM, got {8 * sampwidth}-bit")
+        raise ConfigError(f"{path}: expected 16-bit PCM, got {8 * sampwidth}-bit")
+    if len(raw) != 2 * n:
+        raise ConfigError(f"{path}: cut short, its header gives {n} samples but it holds {len(raw) // 2}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)
 

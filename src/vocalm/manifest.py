@@ -25,7 +25,7 @@ from .dsp import DEFAULT_SAMPLE_RATE, Waveform, _feature_geometry, _highpass_des
 from .errors import ConfigError, FingerprintMismatchError
 from .segmenter import WINDOW_SPAN_S, DetectorParams
 from .synthlab import CallSpec, SceneSpec
-from .ulm import AddK, ContextPolicy, KneserNey, NGramLM, ProbeClassifier
+from .ulm import ContextPolicy, NGramLM, ProbeClassifier, smoothing_from_dict
 
 SPLITS = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -353,8 +353,10 @@ def _check_stages(data: dict) -> None:
     _built("detector", DetectorParams.from_dict, data["detector"])
     f = data["features"]
     _built("features", features, Waveform(np.zeros(0)), f["kind"], f["n_coeffs"], f["lo_hz"], f["hi_hz"])
-    sm = data["ulm"]["smoothing"]
-    smoothing = _built("ulm.smoothing.discount", KneserNey, sm["discount"]) if sm["kind"] == "kneser_ney" else AddK()
+    try:  # the decoder's message leads with the key at fault
+        smoothing = smoothing_from_dict(data["ulm"]["smoothing"])
+    except ValueError as e:
+        raise ConfigError(f"ulm.smoothing.{e}") from e
     _built("ulm", NGramLM, data["ulm"]["order"], data["quantizer"]["k"], smoothing)
     grid = data["context_grid"]
     for window in grid["windows"]:
@@ -393,9 +395,6 @@ def _validate(data: dict) -> None:
     _check_types(data, DEFAULT_CONFIG)
     if data["ulm"]["backend"] not in ("ngram", "attn"):
         raise ConfigError(f"unknown ulm backend {data['ulm']['backend']!r}")
-    sm = data["ulm"]["smoothing"]
-    if sm["kind"] not in ("kneser_ney", "add_k"):
-        raise ConfigError(f"unknown smoothing kind {sm['kind']!r}")
     if data["metrics"]["fad_embedding"] not in ("mv", "mvs"):
         raise ConfigError("fad_embedding must be 'mv' or 'mvs'")
     for where, least in _AT_LEAST.items():

@@ -8,25 +8,26 @@ and the size and sha256 of every file in the stage directory. A rerun reuses
 a stage only when its marker has that layout and matches the directory file
 for file; any other stage, and every stage after it, is recomputed from an
 emptied directory. A marker written under a different config fingerprint
-raises FingerprintMismatchError before anything is deleted. The window
+raises FingerprintMismatchError before anything is deleted. Segment detects
+and packs each scene with segment_wav, and ulm trains with train_model: the
+CLI's `segment` and `ulm train` call the same two functions. The window
 table is `features/index.json`: each window's id, scene, split, span, calls
 and frame count. Stage files name WAVs by their path relative to the
 out-dir, so a copied or moved out-dir reads its own audio. No stage after
 features reads `segment/windows.jsonl`. Each window is featurised and
-encoded once: its frames sit in
-`features/frames.npy`, and bench and eval read its units from quantize's
-`units_{split}.txt`, whose lines follow index.json order. Eval computes the
-FAD block, which depends on the config alone. Eval scores each distinct
-sequence once per effective context policy, for the pairs, the context grid
-and the perplexity alike: a policy that hides nothing from a sequence scores
-it as no policy does. Eval writes
-the validated report to `eval/report.json`; the top-level `report.json` is
-an atomic byte copy of that committed file, so a rerun of a finished out-dir
-runs no stage. Every stage JSON file is read through
-_load_json, which checks its config fingerprint. The report body contains no
-timestamps, so identical configs produce byte-identical reports; wall-clock
-metadata goes to run_meta.json instead, with each stage's status (ran or
-reused), wall and CPU seconds and the peak RSS after it.
+encoded once: its frames sit in `features/frames.npy`, and bench and eval
+read its units from quantize's `units_{split}.txt`, whose lines follow
+index.json order. Eval computes the FAD block, which depends on the config
+alone. Eval scores each distinct sequence once per effective context policy,
+for the pairs, the context grid and the perplexity alike: a policy that
+hides nothing from a sequence scores it as no policy does. Eval writes the
+validated report to `eval/report.json`; the top-level `report.json` is an
+atomic byte copy of that committed file, so a rerun of a finished out-dir
+runs no stage. Every stage JSON file is read through _load_json, which
+checks its config fingerprint. The report body contains no timestamps, so
+identical configs produce byte-identical reports; wall-clock metadata goes
+to run_meta.json instead, with each stage's status (ran or reused), wall
+and CPU seconds and the peak RSS after it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .manifest import write_jsonl
 from .segmenter import BOUNDARY_TOL_S, CallSegment, DetectorParams, SegmentWindow, count_matches, detect_calls
 from .segmenter import pack_windows
 from .synthlab import CallSpec, SceneSpec, synth_call, synth_scene
-from .ulm import AddK, AttnLM, ContextPolicy, KneserNey, NGramLM, attn_train, ppl, train_ngram, train_probe
+from .ulm import AttnLM, ContextPolicy, NGramLM, attn_train, ppl, smoothing_from_dict, train_ngram, train_probe
 
 log = logging.getLogger(__name__)
 
@@ -72,11 +73,6 @@ PER_SCENE_STAGES = ("synth", "segment", "features")
 def _featurize(cfg: RunConfig, w: dsp.Waveform) -> dsp.FeatureMatrix:
     f = cfg["features"]
     return dsp.features(w, f["kind"], f["n_coeffs"], f["lo_hz"], f["hi_hz"])
-
-
-def _smoothing(cfg: RunConfig):
-    sm = cfg["ulm"]["smoothing"]
-    return AddK() if sm["kind"] == "add_k" else KneserNey(sm["discount"])
 
 
 def _sample_range(rng, lo_hi) -> float:
@@ -223,6 +219,14 @@ def _synth_phee(cfg: RunConfig, out: Path, fp: str) -> None:
 # -- segment stage -------------------------------------------------------------
 
 
+def segment_wav(path, params: DetectorParams) -> tuple[list[CallSegment], list[SegmentWindow]]:
+    """The calls detected in a WAV file and the windows packed around them;
+    audio at a multiple of 16 kHz is decimated to 16 kHz first."""
+    wave = dsp.decimate(dsp.read_wav(path))
+    calls = detect_calls(wave, params)
+    return calls, pack_windows(wave, calls)
+
+
 def stage_segment(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     fp = cfg.fingerprint()
     seg_dir = out / "segment"
@@ -230,10 +234,9 @@ def stage_segment(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
 
     def one(scene):
         """The scene's window rows and its (predicted, true, matched) call counts."""
-        wave = dsp.read_wav(out / scene["path"])
-        pred = detect_calls(wave, params)
+        pred, windows = segment_wav(out / scene["path"], params)
         truth = [CallSegment(c["onset_s"], c["offset_s"]) for c in scene["calls"]]
-        rows = [{**win.record(scene["path"]), "config_fingerprint": fp} for win in pack_windows(wave, pred)]
+        rows = [{**win.record(scene["path"]), "config_fingerprint": fp} for win in windows]
         return rows, (len(pred), len(truth), count_matches(pred, truth, BOUNDARY_TOL_S))
 
     per_scene = _map_scenes(one, read_jsonl(out / "synth" / "truth.jsonl"), jobs)
@@ -337,30 +340,27 @@ def _window_units(out: Path, index: list[dict]) -> dict[str, np.ndarray]:
 # -- ulm stage -------------------------------------------------------------
 
 
+def train_model(ulm: dict, corpus: list[np.ndarray], vocab_size: int, init_seed: int, train_seed: int):
+    """A unit LM over `vocab_size` tokens trained on `corpus` as a block
+    shaped like the config's `ulm` block says: an n-gram LM, or an attention
+    LM initialised from `init_seed` and trained on the `train_seed` stream."""
+    if ulm["backend"] == "ngram":
+        return train_ngram(corpus, ulm["order"], smoothing_from_dict(ulm["smoothing"]), vocab_size=vocab_size)
+    a = ulm["attn"]
+    model = AttnLM(vocab_size, a["layers"], a["heads"], a["embed"], a["ffn"], a["max_ctx"], seed=init_seed)
+    attn_train(model, corpus, steps=a["steps"], lr=a["lr"], batch=a["batch"], seed=train_seed)
+    return model
+
+
 def stage_ulm(cfg: RunConfig, out: Path) -> None:
     u_dir = out / "ulm"
-    train_units = quantizer.read_units(out / "quantize" / "units_train.txt")
-    train_units = [u for u in train_units if u.size > 0]
-    k = cfg["quantizer"]["k"]
+    corpus = [u for u in quantizer.read_units(out / "quantize" / "units_train.txt") if u.size]
     backend = cfg["ulm"]["backend"]
-    if backend == "ngram":
-        model = train_ngram(train_units, cfg["ulm"]["order"], _smoothing(cfg), vocab_size=k)
-        model.save(u_dir / "model.json")
-        model_file = "model.json"
-    else:
-        a = cfg["ulm"]["attn"]
-        model = AttnLM(
-            k, layers=a["layers"], heads=a["heads"], embed=a["embed"], ffn=a["ffn"],
-            max_ctx=a["max_ctx"], seed=seed_for(cfg.seed, "ulm/attn"),
-        )
-        attn_train(
-            model,
-            [u for u in train_units if u.shape[0] + 1 <= a["max_ctx"]],
-            steps=a["steps"], lr=a["lr"], batch=a["batch"],
-            seed=seed_for(cfg.seed, "ulm/attn/train"),
-        )
-        model.save(u_dir / "model.npz")
-        model_file = "model.npz"
+    model = train_model(
+        cfg["ulm"], corpus, cfg["quantizer"]["k"], seed_for(cfg.seed, "ulm/attn"), seed_for(cfg.seed, "ulm/attn/train")
+    )
+    model_file = "model.json" if backend == "ngram" else "model.npz"
+    model.save(u_dir / model_file)
     meta = {"backend": backend, "file": model_file}
     if backend == "attn":
         meta["n_params"] = model.n_params

@@ -2,7 +2,7 @@
 context policies, beam generation, and the pooled-feature probe classifier."""
 
 from .policy import ContextPolicy
-from .ngram import AddK, KneserNey, NGramLM, train_ngram
+from .ngram import AddK, KneserNey, NGramLM, smoothing_from_dict, train_ngram
 from .scoring import ppl
 from .attn import AttnLM, attn_train
 from .generate import generate
@@ -19,6 +19,7 @@ __all__ = [
     "generate",
     "ppl",
     "probe_eval",
+    "smoothing_from_dict",
     "train_ngram",
     "train_probe",
 ]

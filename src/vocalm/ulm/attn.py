@@ -42,11 +42,6 @@ from .nn import (
 )
 from .policy import ContextPolicy
 
-DEFAULT_LAYERS = 2
-DEFAULT_HEADS = 2
-DEFAULT_EMBED = 64
-DEFAULT_FFN = 256
-DEFAULT_MAX_CTX = 512
 INIT_SCALE = 0.02
 FORMAT_VERSION = "attnlm-v1"
 ROW_BLOCK = 64
@@ -71,16 +66,7 @@ def _key_spans(r0: int, r1: int, t: int, cp: ContextPolicy | None) -> tuple[list
 class AttnLM:
     """Causal transformer over unit tokens 0..K-1 with EOS = K, BOS = K + 1."""
 
-    def __init__(
-        self,
-        vocab_size: int,
-        layers: int = DEFAULT_LAYERS,
-        heads: int = DEFAULT_HEADS,
-        embed: int = DEFAULT_EMBED,
-        ffn: int = DEFAULT_FFN,
-        max_ctx: int = DEFAULT_MAX_CTX,
-        seed: int = 0,
-    ):
+    def __init__(self, vocab_size: int, layers: int, heads: int, embed: int, ffn: int, max_ctx: int, seed: int = 0):
         if embed % heads != 0:
             raise ValueError(f"embed dim {embed} must divide into {heads} heads")
         self.vocab_size = vocab_size

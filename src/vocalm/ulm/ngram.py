@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,6 +23,7 @@ FORMAT_VERSION = "ngram-v1"
 
 @dataclass(frozen=True)
 class AddK:
+    kind: ClassVar[str] = "add_k"
     k: float = 1.0
 
     def __post_init__(self):
@@ -31,11 +33,26 @@ class AddK:
 
 @dataclass(frozen=True)
 class KneserNey:
+    kind: ClassVar[str] = "kneser_ney"
     discount: float = 0.75
 
     def __post_init__(self):
         if not 0.0 < self.discount < 1.0:
             raise ValueError("Kneser-Ney discount must lie in (0, 1)")
+
+
+def smoothing_from_dict(block: dict):
+    """The smoothing a `{"kind": ..., <its field>: value}` block names, as the
+    config's `ulm.smoothing` and a saved model spell it; a field left out (a
+    config has no `k`) keeps its default. A ValueError leads with the bad key."""
+    cls = {c.kind: c for c in (AddK, KneserNey)}.get(block["kind"])
+    if cls is None:
+        raise ValueError(f"kind: unknown smoothing kind {block['kind']!r}")
+    (field,) = fields(cls)
+    try:
+        return cls(block.get(field.name, field.default))
+    except ValueError as e:
+        raise ValueError(f"{field.name}: {e}") from e
 
 
 class NGramLM:
@@ -185,16 +202,11 @@ class NGramLM:
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> None:
-        smoothing = (
-            {"kind": "add_k", "k": self.smoothing.k}
-            if isinstance(self.smoothing, AddK)
-            else {"kind": "kneser_ney", "discount": self.smoothing.discount}
-        )
         payload = {
             "version": FORMAT_VERSION,
             "order": self.order,
             "vocab_size": self.vocab_size,
-            "smoothing": smoothing,
+            "smoothing": {"kind": self.smoothing.kind, **asdict(self.smoothing)},
             "counts": [
                 {" ".join(map(str, ctx)): table for ctx, table in level.items()}
                 for level in self.counts
@@ -209,9 +221,7 @@ class NGramLM:
             obj = json.load(fh)
         if obj.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported model file version {obj.get('version')!r}")
-        sm = obj["smoothing"]
-        smoothing = AddK(sm["k"]) if sm["kind"] == "add_k" else KneserNey(sm["discount"])
-        model = cls(obj["order"], obj["vocab_size"], smoothing)
+        model = cls(obj["order"], obj["vocab_size"], smoothing_from_dict(obj["smoothing"]))
         for m, level in enumerate(obj["counts"]):
             for key, table in level.items():
                 ctx = tuple(int(x) for x in key.split()) if key else ()
@@ -221,23 +231,11 @@ class NGramLM:
         return model
 
 
-def train_ngram(corpus, n: int, smoothing, vocab_size: int | None = None) -> NGramLM:
-    """Accumulate BOS-padded, EOS-terminated counts over the corpus.
-
-    vocab_size defaults to 1 + the largest token observed.
-    """
+def train_ngram(corpus, n: int, smoothing, vocab_size: int) -> NGramLM:
+    """Accumulate BOS-padded, EOS-terminated counts over the corpus."""
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    if vocab_size is None:
-        highest = -1
-        for seq in corpus:
-            arr = np.asarray(seq)
-            if arr.size:
-                highest = max(highest, int(arr.max()))
-        if highest < 0:
-            raise ValueError("corpus contains no tokens; pass vocab_size explicitly")
-        vocab_size = highest + 1
     model = NGramLM(n, vocab_size, smoothing)
     for seq in corpus:
         model.add_sequence(seq)

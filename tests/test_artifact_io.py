@@ -3,13 +3,16 @@ manifest.write_jsonl/read_jsonl, stage JSON files through
 pipeline._save_json/_load_json."""
 
 import ast
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vocalm
 from vocalm import bench, pipeline
 from vocalm.bench import PheeRecord, read_pairs_jsonl, read_phee_jsonl, write_pairs_jsonl, write_phee_jsonl
 from vocalm.cli import main
@@ -173,3 +176,32 @@ def test_only_segment_and_features_name_windows_jsonl():
         pipeline, lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str) and "windows.jsonl" in node.value
     )
     assert sorted({func for func, _ in named}) == ["stage_features", "stage_segment"], named
+
+
+# The module each smoothing constructor, unit-LM trainer and detect-and-pack
+# step belongs to. Anywhere else in src/ it is called only by the shared
+# functions pipeline.train_model and pipeline.segment_wav, which the pipeline's
+# stages and the CLI both call.
+OWNERS = {
+    "AddK": "ngram", "KneserNey": "ngram", "train_ngram": "ngram", "attn_train": "attn",
+    "detect_calls": "segmenter", "pack_windows": "segmenter",
+}
+SHARED = {"train_model", "segment_wav"}
+
+
+def test_one_training_path_and_one_segment_path():
+    def called(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", None) or getattr(func, "attr", None)
+
+    stray = []
+    for info in pkgutil.walk_packages(vocalm.__path__, "vocalm."):
+        if info.name == "vocalm.__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(info.name)
+        own = info.name.rsplit(".", 1)[-1]
+        for name, owner in OWNERS.items():
+            for func, line in _enclosing(module, lambda node, name=name: called(node) == name):
+                if own != owner and not (module is pipeline and func in SHARED):
+                    stray.append((own, func, line, name))
+    assert stray == []

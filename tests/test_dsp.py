@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from vocalm import dsp
 from vocalm.dsp import FeatureMatrix, Waveform
-from vocalm.errors import EmptySpectrogramError
+from vocalm.errors import ConfigError, EmptySpectrogramError
 
 from oracles import highpass_response_db
 
@@ -273,7 +275,7 @@ class TestWavIO:
             fh.setsampwidth(2)
             fh.setframerate(SR)
             fh.writeframes(b"\x00\x00\x00\x00" * 100)
-        with pytest.raises(ValueError, match="mono"):
+        with pytest.raises(ConfigError, match="mono"):
             dsp.read_wav(path)
 
     def test_non_16bit_rejected(self, tmp_path):
@@ -285,7 +287,26 @@ class TestWavIO:
             fh.setsampwidth(1)
             fh.setframerate(SR)
             fh.writeframes(b"\x00" * 100)
-        with pytest.raises(ValueError, match="16-bit"):
+        with pytest.raises(ConfigError, match="16-bit"):
+            dsp.read_wav(path)
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [(0, "not a WAV file, or cut short in its header"), (30, "not a WAV file, or cut short in its header"),
+         (101, "cut short, its header gives 100 samples but it holds 28")],
+        ids=["empty", "header_cut", "data_cut"],
+    )
+    def test_file_cut_short_rejected(self, tmp_path, keep, message):
+        path = tmp_path / "cut.wav"
+        dsp.write_wav(path, Waveform(np.zeros(100), SR))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            dsp.read_wav(path)
+
+    def test_text_file_rejected(self, tmp_path):
+        path = tmp_path / "notes.wav"
+        path.write_text("not audio\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not a WAV file: file does not start with RIFF id")):
             dsp.read_wav(path)
 
 

@@ -278,4 +278,4 @@ class TestModelIO:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            train_ngram([], n=2, smoothing=AddK(1.0))
+            train_ngram([], n=2, smoothing=AddK(1.0), vocab_size=2)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import wave as wavemod
 from dataclasses import asdict
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from vocalm import bench, dsp, pipeline, quantizer
 from vocalm.cli import build_parser, main
 from vocalm.errors import ConfigError, FingerprintMismatchError, StageFailureError
-from vocalm.manifest import DEFAULT_CONFIG, RunConfig, read_jsonl, seed_for
+from vocalm.manifest import DEFAULT_CONFIG, RunConfig, read_jsonl, seed_for, write_jsonl
 from vocalm.pipeline import pipeline_run, validate_report, write_report
 from vocalm.segmenter import CallSegment, SegmentWindow
 from vocalm.synthlab import CallSpec, SceneSpec, synth_scene
@@ -65,6 +66,31 @@ class TestPipeline:
         ):
             assert (out / rel).exists(), rel
 
+    def test_cli_ulm_train_writes_the_stage_model(self, tiny_run, tmp_path):
+        """`ulm train` and the ulm stage train through one function, so with
+        the config's vocab size the CLI's defaults write the stage's file."""
+        cfg, out, _ = tiny_run
+        model = tmp_path / "model.json"
+        units = out / "quantize" / "units_train.txt"
+        assert main(["ulm", "train", "--units", str(units), "--vocab-size", str(cfg["quantizer"]["k"]),
+                     "--out", str(model)]) == 0
+        assert model.read_bytes() == (out / "ulm" / "model.json").read_bytes()
+
+    def test_cli_segment_writes_the_stage_rows(self, tiny_run, tmp_path):
+        """`segment` and the segment stage detect and pack through one
+        function: the CLI writes a scene's rows, named by the path it read."""
+        _, out, _ = tiny_run
+        rows = read_jsonl(out / "segment" / "windows.jsonl")
+        source = rows[0]["source"]
+        windows = tmp_path / "windows.jsonl"
+        assert main(["segment", "--in", str(out / source), "--out", str(windows)]) == 0
+        want = [
+            {**{k: v for k, v in row.items() if k != "config_fingerprint"}, "source": str(out / source)}
+            for row in rows
+            if row["source"] == source
+        ]
+        assert read_jsonl(windows) == want
+
     def test_fingerprint_embedded_everywhere(self, tiny_run):
         cfg, out, report = tiny_run
         fp = cfg.fingerprint()
@@ -91,6 +117,23 @@ class TestPipeline:
         assert partial["partial"] is True
         assert partial["failed_stage"] == "quantize"
         assert "InsufficientDataError" in partial["error"]
+
+    def test_unreadable_scene_wav_exits_3_as_a_stage_failure(self, tmp_path, monkeypatch, capsys):
+        """read_wav's ConfigError inside a stage fails the stage (exit 3);
+        only the CLI's own inputs exit 2."""
+        synth = pipeline.stage_synth
+
+        def synth_then_spoil(cfg, out, jobs=1):
+            synth(cfg, out, jobs)
+            (out / "synth" / "scene_0000.wav").write_text("not audio\n")
+
+        monkeypatch.setattr(pipeline, "stage_synth", synth_then_spoil)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_OVERRIDE, synth={"n_scenes": 2, "phee": {"n_records": 2}})))
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 3
+        assert "stage 'segment' failed" in capsys.readouterr().err
+        partial = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert partial["failed_stage"] == "segment" and "scene_0000.wav: not a WAV file" in partial["error"]
 
     def test_validate_report_rejects_missing_keys(self):
         with pytest.raises(StageFailureError):
@@ -559,7 +602,8 @@ class TestAttnBackend:
                 "attn": {"layers": 1, "heads": 2, "embed": 16, "ffn": 24, "max_ctx": 512, "steps": 25, "lr": 0.003, "batch": 4},
             },
         }
-        report = pipeline_run(RunConfig.from_dict(override), tmp_path)
+        cfg = RunConfig.from_dict(override)
+        report = pipeline_run(cfg, tmp_path)
         assert report["ppl"]["model"] == "attn"
         assert report["ppl"]["value"] > 1.0
         assert "reversal" in report["tasks"]
@@ -569,6 +613,14 @@ class TestAttnBackend:
         # the bound the config check uses for 5 s scenes covers every pair
         pairs, _ = bench.read_pairs_jsonl(tmp_path / "bench" / "pairs.jsonl")
         assert max(len(u) for p in pairs for u in (p.positive.units, p.distractor.units)) + 1 <= 500
+        # the stage trains through the shared trainer, on its two seed streams
+        corpus = [u for u in quantizer.read_units(tmp_path / "quantize" / "units_train.txt") if u.size]
+        seeds = seed_for(cfg.seed, "ulm/attn"), seed_for(cfg.seed, "ulm/attn/train")
+        pipeline.train_model(cfg["ulm"], corpus, cfg["quantizer"]["k"], *seeds).save(tmp_path / "again.npz")
+        with np.load(tmp_path / "ulm" / "model.npz") as stage, np.load(tmp_path / "again.npz") as again:
+            assert stage.files == again.files
+            for name in stage.files:
+                assert np.array_equal(stage[name], again[name]), name
 
     def test_short_max_ctx_exits_2_before_writing(self, tmp_path):
         quick = json.loads((Path(pipeline.__file__).parent / "configs" / "synthetic_quick.json").read_text())
@@ -1023,6 +1075,31 @@ BAD_FLAGS = [
      "--kind mfcc --n-coeffs 3 --lo-hz 5000.0 --hi-hz 8000.0 on {wav}: n_coeffs must be in [8, 40], got 3"),
     ("features_lo_hz_above_hi_hz", "features --in {wav} --lo-hz 9000 --out {out}",
      "--kind linear_fb --n-coeffs 13 --lo-hz 9000.0 --hi-hz 8000.0 on {wav}: band [9000.0, 8000.0] Hz invalid for Nyquist 8000.0"),
+    ("ulm_train_discount_1.5", "ulm train --discount 1.5 --units {one} --out {out}",
+     "--smoothing kneser_ney --discount 1.5 --add-k 1.0: discount: Kneser-Ney discount must lie in (0, 1)"),
+    ("ulm_train_add_k_-1", "ulm train --smoothing add_k --add-k -1 --units {one} --out {out}",
+     "--smoothing add_k --discount 0.75 --add-k -1.0: k: add-k constant must be >= 0"),
+    ("bench_phee_per_record_0", "bench phee --records {tmp}/phee.jsonl --per-record 0 --out {out}",
+     "argument --per-record: per-record must be >= 1, got 0"),
+    ("bench_phee_per_record_-1", "bench phee --records {tmp}/phee.jsonl --per-record -1 --out {out}",
+     "argument --per-record: per-record must be >= 1, got -1"),
+    # a.wav is good and read first; the text file b.wav still leaves no --out file
+    ("segment_dir_with_text_wav", "segment --in {wav_dir} --out {out}",
+     "{wav_dir}/b.wav: not a WAV file: file does not start with RIFF id"),
+]
+# (name, what the error says after the file's path) of a WAV that is not mono
+# 16-bit PCM, each refused by segment, features and metrics fad; {name}.jsonl
+# is a manifest naming it
+BAD_WAVS = [
+    ("stereo", "expected mono audio, got 2 channels"),
+    ("wav24", "expected 16-bit PCM, got 24-bit"),
+    ("text_wav", "not a WAV file: file does not start with RIFF id"),
+]
+BAD_FLAGS += [
+    (f"{command}_{name}", argv.replace("WAV", f"{{{name}}}"), f"{{{name}}}: {message}")
+    for name, message in BAD_WAVS
+    for command, argv in (("segment", "segment --in WAV --out {out}"), ("features", "features --in WAV --out {out}"),
+                          ("metrics_fad", "metrics fad --ref WAV.jsonl --cand WAV.jsonl"))
 ]
 
 
@@ -1235,6 +1312,21 @@ class TestCliInputs:
         wave = dsp.Waveform(np.random.default_rng(0).normal(0, 0.1, size=8000))
         dsp.write_wav(files["wav"], wave)
         dsp.write_features_csv(files["csv"], dsp.features(wave, "linear_fb"))
+        for name, channels, width in (("stereo", 2, 2), ("wav24", 1, 3)):
+            files[name] = f"{cli_files['tmp']}/{name}.wav"
+            with wavemod.open(files[name], "wb") as fh:
+                fh.setnchannels(channels)
+                fh.setsampwidth(width)
+                fh.setframerate(16000)
+                fh.writeframes(bytes(channels * width * 8000))
+        files["text_wav"] = f"{cli_files['tmp']}/text.wav"
+        Path(files["text_wav"]).write_text("not audio\n")
+        for name, _ in BAD_WAVS:
+            write_jsonl(f"{files[name]}.jsonl", [{"path": files[name]}])
+        files["wav_dir"] = f"{cli_files['tmp']}/wavs"
+        os.mkdir(files["wav_dir"])
+        dsp.write_wav(f"{files['wav_dir']}/a.wav", wave)
+        Path(files["wav_dir"], "b.wav").write_text("not audio\n")
         assert exit_code(argv.format(**files).split()) == 2
         err = capsys.readouterr().err
         assert message.format(**files) in err and "Traceback" not in err
