@@ -22,7 +22,7 @@ from .manifest import write_manifest
 from .pipeline import load_model, pipeline_run, segment_wav, train_model, validate_report
 from .segmenter import DetectorParams
 from .synthlab import CallSpec, MarkovChain, SceneSpec, markov_corpus, synth_scene
-from .ulm import ContextPolicy, generate, ppl, smoothing_from_dict, train_probe
+from .ulm import ContextPolicy, check_units, generate, ppl, smoothing_from_dict, train_probe
 
 log = logging.getLogger("vocalm")
 
@@ -140,15 +140,14 @@ def cmd_segment(args) -> int:
 
 
 def cmd_features(args) -> int:
-    wave = dsp.read_wav(args.input)
-    try:  # the flags checked by the extractor's own rules, on no samples
-        dsp.features(dsp.Waveform(np.zeros(0), wave.sample_rate), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
+    try:  # the flags checked by the extractor's own rules, on no samples at 16 kHz
+        dsp.features(dsp.Waveform(np.zeros(0)), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
     except ValueError as e:
         raise ConfigError(
             f"--kind {args.kind} --n-coeffs {args.n_coeffs} --lo-hz {args.lo_hz} --hi-hz {args.hi_hz}"
             f" on {args.input}: {e}"
         ) from None
-    fm = dsp.features(wave, args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
+    fm = dsp.features(dsp.read_audio(args.input), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
     if args.pool:
         pooled = metrics.clip_embedding(fm, "mv")
         fm = dsp.FeatureMatrix(pooled[None, :], feature_kind=f"{args.kind}_pooled")
@@ -203,10 +202,11 @@ def _nonempty(seqs, path, least: int = 1) -> list[np.ndarray]:
 
 
 def _check_vocab(vocab_size: int, units, where: str) -> None:
-    """ConfigError naming `where` when a token lies outside the model's vocabulary."""
-    bad = units[(units < 0) | (units >= vocab_size)]
-    if bad.size:
-        raise ConfigError(f"{where} holds token {int(bad[0])}, outside the model's vocab of size {vocab_size}")
+    """check_units' rule, as a ConfigError naming `where`."""
+    try:
+        check_units(units, vocab_size)
+    except ValueError as e:
+        raise ConfigError(f"{where} {e}") from None
 
 
 def _read_labels(path) -> list[int]:
@@ -326,7 +326,7 @@ def _manifest_embeddings(path: str, kind: str, embedding: str):
     records = read_manifest(path)
     embs = []
     for rec in records:
-        embs.append(metrics.clip_embedding(dsp.features(dsp.read_wav(rec.path), kind), embedding))
+        embs.append(metrics.clip_embedding(dsp.features(dsp.read_audio(rec.path), kind), embedding))
     return embs
 
 

@@ -341,21 +341,6 @@ def features(
     raise ValueError(f"unknown feature kind {kind!r}")
 
 
-def decimate(w: Waveform, target_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
-    """Integer-factor decimation with anti-alias filtering; no general resampling."""
-    if w.sample_rate == target_rate:
-        return w
-    if w.sample_rate % target_rate != 0:
-        raise ValueError(
-            f"rate {w.sample_rate} is not an integer multiple of {target_rate}"
-        )
-    factor = w.sample_rate // target_rate
-    from scipy import signal as sps
-
-    out = sps.decimate(w.samples, factor, ftype="fir", zero_phase=True)
-    return Waveform(out, target_rate)
-
-
 def read_wav(path) -> Waveform:
     """Read mono 16-bit PCM WAV; any other file, or one cut short, is a
     ConfigError naming it."""
@@ -378,6 +363,21 @@ def read_wav(path) -> Waveform:
         raise ConfigError(f"{path}: cut short, its header gives {n} samples but it holds {len(raw) // 2}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)
+
+
+def read_audio(path) -> Waveform:
+    """A WAV file as 16 kHz audio: read_wav's, decimated with anti-alias
+    filtering when its rate is an integer multiple of 16 kHz. Any other rate
+    is a ConfigError naming the file; there is no general resampling."""
+    w = read_wav(path)
+    if w.sample_rate == DEFAULT_SAMPLE_RATE:
+        return w
+    if w.sample_rate % DEFAULT_SAMPLE_RATE != 0:
+        raise ConfigError(f"{path}: sample rate {w.sample_rate} Hz is not a multiple of {DEFAULT_SAMPLE_RATE} Hz")
+    from scipy import signal as sps
+
+    out = sps.decimate(w.samples, w.sample_rate // DEFAULT_SAMPLE_RATE, ftype="fir", zero_phase=True)
+    return Waveform(out, DEFAULT_SAMPLE_RATE)
 
 
 def write_wav(path, w: Waveform) -> None:

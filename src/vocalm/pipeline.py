@@ -8,9 +8,10 @@ and the size and sha256 of every file in the stage directory. A rerun reuses
 a stage only when its marker has that layout and matches the directory file
 for file; any other stage, and every stage after it, is recomputed from an
 emptied directory. A marker written under a different config fingerprint
-raises FingerprintMismatchError before anything is deleted. Segment detects
-and packs each scene with segment_wav, and ulm trains with train_model: the
-CLI's `segment` and `ulm train` call the same two functions. The window
+raises FingerprintMismatchError before anything is deleted. Every stage
+reads a WAV through dsp.read_audio, so audio is 16 kHz wherever it enters.
+Segment detects and packs each scene with segment_wav, and ulm trains with
+train_model, as the CLI's `segment` and `ulm train` do. The window
 table is `features/index.json`: each window's id, scene, split, span, calls
 and frame count. Stage files name WAVs by their path relative to the
 out-dir, so a copied or moved out-dir reads its own audio. No stage after
@@ -220,9 +221,9 @@ def _synth_phee(cfg: RunConfig, out: Path, fp: str) -> None:
 
 
 def segment_wav(path, params: DetectorParams) -> tuple[list[CallSegment], list[SegmentWindow]]:
-    """The calls detected in a WAV file and the windows packed around them;
-    audio at a multiple of 16 kHz is decimated to 16 kHz first."""
-    wave = dsp.decimate(dsp.read_wav(path))
+    """The calls detected in a WAV file, read at 16 kHz by dsp.read_audio,
+    and the windows packed around them."""
+    wave = dsp.read_audio(path)
     calls = detect_calls(wave, params)
     return calls, pack_windows(wave, calls)
 
@@ -272,7 +273,7 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
 
     def one(source):
         # one scene's audio in memory per worker, not the whole corpus
-        wave = dsp.read_wav(out / source)
+        wave = dsp.read_audio(out / source)
         return [_featurize(cfg, _window_clip(wave, row)).rows for row in by_scene[source]]
 
     per_scene = _map_scenes(one, by_scene, jobs)
@@ -386,7 +387,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
     for row in index:
         if row["split"] in ("test", "valid"):
             if row["source"] not in scenes:
-                scenes[row["source"]] = dsp.read_wav(out / row["source"])
+                scenes[row["source"]] = dsp.read_audio(out / row["source"])
             segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in row["calls"])
             windows[row["id"]] = (
                 SegmentWindow(0.0, row["end_s"] - row["start_s"], segs),
@@ -424,7 +425,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
 
     def wav_units(path):
         if path not in ref_units:
-            ref_units[path] = units_of(dsp.read_wav(out / path))
+            ref_units[path] = units_of(dsp.read_audio(out / path))
         return ref_units[path]
 
     for mode in ("caller_change", "receiver_change"):

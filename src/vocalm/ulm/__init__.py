@@ -3,7 +3,7 @@ context policies, beam generation, and the pooled-feature probe classifier."""
 
 from .policy import ContextPolicy
 from .ngram import AddK, KneserNey, NGramLM, smoothing_from_dict, train_ngram
-from .scoring import ppl
+from .scoring import check_units, ppl
 from .attn import AttnLM, attn_train
 from .generate import generate
 from .probe import ProbeClassifier, probe_eval, train_probe
@@ -16,6 +16,7 @@ __all__ = [
     "NGramLM",
     "ProbeClassifier",
     "attn_train",
+    "check_units",
     "generate",
     "ppl",
     "probe_eval",

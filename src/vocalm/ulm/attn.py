@@ -41,6 +41,7 @@ from .nn import (
     log_softmax,
 )
 from .policy import ContextPolicy
+from .scoring import check_units
 
 INIT_SCALE = 0.02
 FORMAT_VERSION = "attnlm-v1"
@@ -261,22 +262,16 @@ class AttnLM:
 
     # -- public API ---------------------------------------------------------
 
-    def _symbolize(self, seq) -> np.ndarray:
-        toks = np.asarray(seq, dtype=np.int64).ravel()
-        if toks.size and (toks.min() < 0 or toks.max() >= self.vocab_size):
-            raise ValueError(f"token outside vocab of size {self.vocab_size}")
-        return toks
-
     def forward_logits(self, seq, cp: ContextPolicy | None = None) -> np.ndarray:
         """Per-position next-symbol logits for [BOS] + seq; shape (len+1, V)."""
-        toks = self._symbolize(seq)
+        toks = check_units(seq, self.vocab_size)
         inp = np.concatenate([[self.bos], toks]).astype(np.int64)[None, :]
         logits, _ = self._forward(inp, cp)
         return logits[0]
 
     def score(self, seq, cp: ContextPolicy | None = None) -> float:
         """Total log-probability of seq plus its EOS event."""
-        toks = self._symbolize(seq)
+        toks = check_units(seq, self.vocab_size)
         logits = self.forward_logits(toks, cp)
         targets = np.concatenate([toks, [self.eos]])
         logp = log_softmax(logits)
@@ -284,7 +279,7 @@ class AttnLM:
 
     def next_logprobs(self, prefix, cp: ContextPolicy | None = None) -> np.ndarray:
         """Log-probabilities over K+1 outcomes (tokens then EOS); BOS is barred."""
-        logits = self.forward_logits(self._symbolize(prefix), cp)[-1]
+        logits = self.forward_logits(prefix, cp)[-1]
         keep = np.concatenate([np.arange(self.vocab_size), [self.eos]])
         sub = logits[keep]
         return log_softmax(sub[None, :])[0]
@@ -354,7 +349,7 @@ def attn_train(
     """Cross-entropy next-token training; returns the per-step loss trace."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    corpus = list(corpus)
+    corpus = [check_units(seq, model.vocab_size) for seq in corpus]
     if not corpus:
         raise ValueError("corpus must be non-empty")
     rng = np.random.default_rng(seed)

@@ -17,6 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .policy import ContextPolicy, ngram_context
+from .scoring import check_units
 
 FORMAT_VERSION = "ngram-v1"
 
@@ -83,18 +84,10 @@ class NGramLM:
 
     # -- training ---------------------------------------------------------
 
-    def _check_tokens(self, tokens) -> list[int]:
-        toks = [int(t) for t in np.asarray(tokens).ravel()]
-        for t in toks:
-            if not 0 <= t < self.vocab_size:
-                raise ValueError(f"token {t} outside vocab of size {self.vocab_size}")
-        return toks
-
     def add_sequence(self, tokens) -> None:
-        toks = self._check_tokens(tokens)
+        padded = self._padded(tokens)
         self._memo.clear()
-        padded = [self.bos] * (self.order - 1) + toks
-        outcomes = toks + [self.eos]
+        outcomes = padded[self.order - 1 :] + (self.eos,)
         for i, outcome in enumerate(outcomes):
             hi = self.order - 1 + i
             for m in range(self.order):
@@ -169,7 +162,7 @@ class NGramLM:
         return p
 
     def _padded(self, tokens) -> tuple:
-        return (self.bos,) * (self.order - 1) + tuple(self._check_tokens(tokens))
+        return (self.bos,) * (self.order - 1) + tuple(check_units(tokens, self.vocab_size).tolist())
 
     def next_logprobs(self, prefix, cp: ContextPolicy | None = None) -> np.ndarray:
         """Log-probabilities over the K+1 outcomes for the next position."""

@@ -1,10 +1,19 @@
-"""Sequence scoring and perplexity over any model with a .score(seq, cp) method."""
+"""The unit-token range rule; scoring and perplexity over any model with a .score(seq, cp) method."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .policy import ContextPolicy
+
+
+def check_units(units, vocab_size: int) -> np.ndarray:
+    """`units` as a flat int64 array; ValueError naming its first token outside [0, vocab_size)."""
+    toks = np.asarray(units, dtype=np.int64).ravel()
+    bad = toks[(toks < 0) | (toks >= vocab_size)]
+    if bad.size:
+        raise ValueError(f"holds token {bad[0]}, outside the model's vocab of size {vocab_size}")
+    return toks
 
 
 def score_once(model, units, cp: ContextPolicy | None, scores: dict) -> float:

@@ -14,8 +14,11 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def standard_scene(seed: int, noise_db: float = -55.0, total_s: float = 10.0) -> SceneSpec:
-    """Scene sampler shared by segmenter and acceptance tests."""
+def standard_scene(
+    seed: int, noise_db: float = -55.0, total_s: float = 10.0, f0_hz: tuple[float, float] = (5800.0, 9500.0)
+) -> SceneSpec:
+    """Scene sampler shared by segmenter and acceptance tests; each call's f0
+    is drawn from the `f0_hz` range and its FM depth from 50-250 Hz."""
     r = np.random.default_rng(seed)
     calls = []
     t = r.uniform(0.3, 1.0)
@@ -27,7 +30,7 @@ def standard_scene(seed: int, noise_db: float = -55.0, total_s: float = 10.0) ->
             (
                 t,
                 CallSpec(
-                    f0_hz=r.uniform(5800, 9500),
+                    f0_hz=r.uniform(*f0_hz),
                     duration_s=round(dur, 3),
                     fm_depth_hz=r.uniform(50, 250),
                     fm_rate_hz=r.uniform(0.5, 1.5),

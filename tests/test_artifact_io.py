@@ -178,13 +178,14 @@ def test_only_segment_and_features_name_windows_jsonl():
     assert sorted({func for func, _ in named}) == ["stage_features", "stage_segment"], named
 
 
-# The module each smoothing constructor, unit-LM trainer and detect-and-pack
-# step belongs to. Anywhere else in src/ it is called only by the shared
-# functions pipeline.train_model and pipeline.segment_wav, which the pipeline's
-# stages and the CLI both call.
+# The module each smoothing constructor, unit-LM trainer, detect-and-pack
+# step and the WAV reader belongs to. Anywhere else in src/ it is called only
+# by the shared functions pipeline.train_model and pipeline.segment_wav, which
+# the pipeline's stages and the CLI both call; a WAV is read elsewhere only
+# through dsp.read_audio, which holds the 16 kHz rule.
 OWNERS = {
     "AddK": "ngram", "KneserNey": "ngram", "train_ngram": "ngram", "attn_train": "attn",
-    "detect_calls": "segmenter", "pack_windows": "segmenter",
+    "detect_calls": "segmenter", "pack_windows": "segmenter", "read_wav": "dsp",
 }
 SHARED = {"train_model", "segment_wav"}
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -158,6 +159,19 @@ class TestTraining:
         corpus = [np.array([0, 1] * 16)]
         trace = attn_train(model, corpus, steps=400, lr=3e-3, batch=2, seed=0)
         assert trace[-1] < 0.05
+
+    @pytest.mark.parametrize(
+        "corpus, token", [([[0, 1], [0, 1, 4, 5]], 4), ([[0, -1, 2]], -1), ([[0, 6]], 6)],
+        ids=["eos_and_bos_ids", "negative_indexes_bos_row", "past_bos"],
+    )
+    def test_token_outside_vocab_rejected_before_any_step(self, corpus, token):
+        # 4 and 5 are the EOS and BOS ids of a 4-token model, and -1 would index
+        # the BOS embedding row; the corpus is checked before training starts
+        model = AttnLM(4, layers=1, heads=1, embed=8, ffn=8, max_ctx=16)
+        before = {k: v.copy() for k, v in model.params.items()}
+        with pytest.raises(ValueError, match=re.escape(f"holds token {token}, outside the model's vocab of size 4")):
+            attn_train(model, [np.array(s) for s in corpus], steps=3, lr=1e-2)
+        assert all(np.array_equal(model.params[k], v) for k, v in before.items())
 
     def test_deterministic(self):
         corpus = [np.array([0, 1, 2, 0, 1, 2])]

@@ -322,13 +322,24 @@ class TestFeatureCsv:
 
 
 class TestDecimate:
-    def test_integer_factor(self):
-        w = tone(1000.0, 0.5, sr=48000)
-        out = dsp.decimate(w, 16000)
-        assert out.sample_rate == 16000
-        assert abs(len(out) - len(w) // 3) <= 1
+    """read_audio reads every WAV input at 16 kHz."""
 
-    def test_non_integer_rejected(self):
-        w = tone(1000.0, 0.1, sr=44100)
-        with pytest.raises(ValueError):
-            dsp.decimate(w, 16000)
+    def test_integer_factor(self, tmp_path):
+        for name, freq in (("tone", 1000.0), ("above_8k", 12000.0)):
+            dsp.write_wav(tmp_path / f"{name}.wav", tone(freq, 0.5, amp=0.5, sr=48000))
+        out = dsp.read_audio(tmp_path / "tone.wav")
+        assert out.sample_rate == 16000
+        assert abs(len(out) - 24000 // 3) <= 1
+        peak_hz = np.argmax(np.abs(np.fft.rfft(out.samples))) * 16000 / len(out)
+        assert abs(peak_hz - 1000.0) <= 2.0
+        # the anti-alias filter removes a 12 kHz tone instead of folding it to 4 kHz
+        folded = dsp.read_audio(tmp_path / "above_8k.wav").samples
+        assert np.sqrt(np.mean(folded[800:-800] ** 2)) < 1e-3
+        dsp.write_wav(tmp_path / "at_16k.wav", tone(1000.0, 0.5, amp=0.5))
+        assert np.array_equal(dsp.read_audio(tmp_path / "at_16k.wav").samples, dsp.read_wav(tmp_path / "at_16k.wav").samples)
+
+    def test_non_integer_rejected(self, tmp_path):
+        path = tmp_path / "t.wav"
+        dsp.write_wav(path, tone(1000.0, 0.1, amp=0.5, sr=44100))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: sample rate 44100 Hz is not a multiple of 16000 Hz")):
+            dsp.read_audio(path)

@@ -761,6 +761,17 @@ class TestCli:
         pairs = tmp_path / "pairs.jsonl"
         assert main(["bench", "make", "--task", "reversal", "--units", str(units), "--out", str(pairs)]) == 0
 
+    def test_features_reads_a_48k_wav_at_16k(self, tmp_path):
+        from scipy import signal as sps
+
+        wav, feats = tmp_path / "s48k.wav", tmp_path / "f.csv"
+        dsp.write_wav(wav, dsp.Waveform(np.random.default_rng(0).normal(0, 0.1, size=48000), 48000))
+        assert main(["features", "--in", str(wav), "--kind", "mfcc", "--out", str(feats)]) == 0
+        decimated = sps.decimate(dsp.read_wav(wav).samples, 3, ftype="fir", zero_phase=True)
+        want = dsp.features(dsp.Waveform(decimated, 16000), "mfcc")
+        assert want.n_frames == 49
+        assert np.array_equal(dsp.read_features_csv(feats).rows, want.rows)
+
     def test_quantize_dedup_flag(self, tmp_path):
         rng = np.random.default_rng(4)
         feats = tmp_path / "f.csv"
@@ -974,8 +985,9 @@ class TestCli:
         assert "vocalm" in proc.stdout
 
     def test_import_loads_no_scipy(self):
-        # scipy.signal is imported by the one function that uses it (decimate),
-        # so starting the CLI does not pay for it
+        # scipy.signal is imported by the one function that uses it
+        # (dsp.read_audio, for a WAV above 16 kHz), so starting the CLI does
+        # not pay for it
         code = "import sys, vocalm.cli, vocalm.pipeline; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -1088,12 +1100,13 @@ BAD_FLAGS = [
      "{wav_dir}/b.wav: not a WAV file: file does not start with RIFF id"),
 ]
 # (name, what the error says after the file's path) of a WAV that is not mono
-# 16-bit PCM, each refused by segment, features and metrics fad; {name}.jsonl
-# is a manifest naming it
+# 16-bit PCM at a multiple of 16 kHz, each refused by segment, features and
+# metrics fad; {name}.jsonl is a manifest naming it
 BAD_WAVS = [
     ("stereo", "expected mono audio, got 2 channels"),
     ("wav24", "expected 16-bit PCM, got 24-bit"),
     ("text_wav", "not a WAV file: file does not start with RIFF id"),
+    ("wav44k", "sample rate 44100 Hz is not a multiple of 16000 Hz"),
 ]
 BAD_FLAGS += [
     (f"{command}_{name}", argv.replace("WAV", f"{{{name}}}"), f"{{{name}}}: {message}")
@@ -1321,6 +1334,8 @@ class TestCliInputs:
                 fh.writeframes(bytes(channels * width * 8000))
         files["text_wav"] = f"{cli_files['tmp']}/text.wav"
         Path(files["text_wav"]).write_text("not audio\n")
+        files["wav44k"] = f"{cli_files['tmp']}/s44k.wav"
+        dsp.write_wav(files["wav44k"], dsp.Waveform(np.zeros(44100), 44100))
         for name, _ in BAD_WAVS:
             write_jsonl(f"{files[name]}.jsonl", [{"path": files[name]}])
         files["wav_dir"] = f"{cli_files['tmp']}/wavs"
