@@ -23,12 +23,13 @@ from .pipeline import load_model, pipeline_run, segment_wav, train_model, valida
 from .segmenter import DetectorParams
 from .synthlab import CallSpec, MarkovChain, SceneSpec, markov_corpus, synth_scene
 from .ulm import ContextPolicy, check_units, generate, ppl, smoothing_from_dict, train_probe
+from .ulm.policy import KEEP_FIRST_CHOICES
 
 log = logging.getLogger("vocalm")
 
 
 def _context_policy(args) -> ContextPolicy | None:
-    # an unlimited window shows every position, so keep_first changes nothing
+    # no --ctx is no policy, so keep_first changes nothing
     return None if args.ctx is None else ContextPolicy(window=args.ctx, keep_first=args.keep_first)
 
 
@@ -69,8 +70,8 @@ def _ratios(text: str) -> tuple[float, ...]:
 
 
 def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ctx", type=_at_least_one("context window"), default=None, help="context window in tokens (default unlimited)")
-    p.add_argument("--keep-first", type=int, default=0, choices=(0, 1, 5), help="always-visible first tokens")
+    p.add_argument("--ctx", type=_at_least_one("context window"), default=None, help="context window in tokens (default: no context policy)")
+    p.add_argument("--keep-first", type=int, default=0, choices=KEEP_FIRST_CHOICES, help="always-visible first tokens")
 
 
 # -- synth ----------------------------------------------------------------

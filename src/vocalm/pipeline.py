@@ -540,11 +540,9 @@ def _context_grid(cfg: RunConfig, model, pairs, scores: dict) -> list[dict]:
     grid_cfg = cfg["context_grid"]
     unit_tasks = [p for p in pairs if p.task in ("shuffle", "concat", "reversal")]
     rows = []
-    policies = [(None, 0)] + [
-        (w, kf) for w in grid_cfg["windows"] if w is not None for kf in grid_cfg["keep_first"]
-    ]
-    for window, keep_first in policies:
-        cp = ContextPolicy(window=window, keep_first=keep_first) if window is not None else None
+    windows = [w for w in grid_cfg["windows"] if w is not None]  # a null window is the no-policy row
+    for window, keep_first in [(None, 0)] + [(w, kf) for w in windows for kf in grid_cfg["keep_first"]]:
+        cp = None if window is None else ContextPolicy(window, keep_first)
         res = bench.pairwise_eval(model, unit_tasks, cp, scores)
         row = {"context": window, "keep_first": keep_first}
         for task in ("shuffle", "concat", "reversal"):

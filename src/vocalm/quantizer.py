@@ -14,6 +14,7 @@ import numpy as np
 
 from .dsp import FeatureMatrix
 from .errors import ConfigError, InsufficientDataError
+from .ulm import check_units
 
 DEFAULT_K = 50
 DEFAULT_MINIBATCH = 10_000
@@ -230,10 +231,7 @@ def encode(f, cb: Codebook) -> np.ndarray:
 
 def decode_features(tokens, cb: Codebook) -> FeatureMatrix:
     """Unit round-trip: replace each token with its centroid row."""
-    toks = np.asarray(tokens, dtype=np.int64)
-    if toks.size and (toks.min() < 0 or toks.max() >= cb.k):
-        raise ValueError("tokens out of codebook range")
-    return FeatureMatrix(cb.centroids[toks], feature_kind=cb.feature_kind)
+    return FeatureMatrix(cb.centroids[check_units(tokens, cb.k)], feature_kind=cb.feature_kind)
 
 
 def dedup(tokens) -> list[tuple[int, int]]:

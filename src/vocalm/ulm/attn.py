@@ -1,9 +1,10 @@
 """Toy causal-attention unit LM with a manual backward pass.
 
 Pre-norm residual blocks, learned positional embeddings, multi-head causal
-self-attention whose mask also applies the context policy (positions outside
-the recent window and the kept-first block get -inf attention logits), and a
-ReLU feed-forward. Sized for desk-scale experiments, not production training.
+self-attention whose mask also applies the context policy (the keys that
+`ContextPolicy.hidden_span` hides from a query row get -inf attention
+logits), and a ReLU feed-forward. Sized for desk-scale experiments, not
+production training.
 
 Each layer's attention softmax runs in place in one (B, H, T, T) buffer, and
 the backward pass reuses the attention-gradient buffer for the score gradient;
@@ -15,9 +16,8 @@ serves one thread at a time.
 
 The softmax and its backward run in blocks of ROW_BLOCK query rows over the
 block's live keys (see `_key_spans`); the keys past the block's end, and
-those older than a finite window for every row of the block, are hidden, so
-their probability is the exact 0.0 that exp(-inf) gives and is written as
-such.
+those the policy hides from every row of the block, are dead, so their
+probability is the exact 0.0 that exp(-inf) gives and is written as such.
 Every row sum still runs over the full row width, and every matmul keeps the
 operand shapes of the unblocked formulas, because the summation order (and
 OpenBLAS's, which depends on the call shape and thread split) sets the last
@@ -52,20 +52,34 @@ def _key_spans(r0: int, r1: int, t: int, cp: ContextPolicy | None) -> tuple[list
     """(live, dead) key slices of query rows r0:r1 of a t-key score matrix.
 
     Dead keys are hidden from every row of the block: the future past r1
-    and, under a finite window, the keys older than the window of row r0
-    outside the kept-first block. Their probability is the exact 0.0 that
-    exp(-inf) gives. The live keys are the rest, in non-empty slices.
+    and the span cp hides from row r0, which later rows hide too. Their
+    probability is the exact 0.0 that exp(-inf) gives. The live keys are the
+    rest, in non-empty slices.
     """
     live, dead = [slice(0, r1)], [slice(r1, t)]
-    if cp is not None and cp.window is not None and r0 - cp.window > cp.keep_first:
-        old = slice(cp.keep_first, r0 - cp.window)
-        live = [slice(0, old.start), slice(old.stop, r1)]
-        dead.append(old)
+    if cp is not None:
+        start, stop = cp.hidden_span(r0)
+        if start < stop:
+            live = [slice(0, start), slice(stop, r1)]
+            dead.append(slice(start, stop))
     return [keys for keys in live if keys.start < keys.stop], dead
+
+
+def _block_mask(r0: int, r1: int, cp: ContextPolicy | None) -> np.ndarray:
+    """Boolean (r1 - r0, r1): key j is hidden from query row i of r0:r1 (j > i, or in cp's span for i)."""
+    rows = np.arange(r0, r1)[:, None]
+    keys = np.arange(r1)
+    hidden = keys > rows
+    if cp is not None:
+        start, stop = cp.hidden_span(rows)
+        hidden |= (keys >= start) & (keys < stop)
+    return hidden
 
 
 class AttnLM:
     """Causal transformer over unit tokens 0..K-1 with EOS = K, BOS = K + 1."""
+
+    reach = None  # attends to every earlier position; see policy.effective_policy
 
     def __init__(self, vocab_size: int, layers: int, heads: int, embed: int, ffn: int, max_ctx: int, seed: int = 0):
         if embed % heads != 0:
@@ -122,29 +136,6 @@ class AttnLM:
             flat = self._buffers[name] = np.empty(n)
         return flat[:n].reshape(shape)
 
-    # -- masking ----------------------------------------------------------
-
-    def _policy_mask(self, t: int, cp: ContextPolicy | None) -> np.ndarray:
-        """Boolean (t, t) hidden set: query i may not attend key j.
-
-        Hidden are the future (j > i) and, under a finite window, the keys
-        older than the window (j < i - window) except the first keep_first.
-        """
-        hidden = ~np.tri(t, dtype=bool)
-        if cp is not None and cp.window is not None:
-            old = np.tri(t, k=-cp.window - 1, dtype=bool)
-            old[:, : cp.keep_first] = False
-            hidden |= old
-        return hidden
-
-    def effective_policy(self, cp: ContextPolicy | None, n: int) -> ContextPolicy | None:
-        """cp, or None when it hides nothing from a sequence of n tokens: the
-        old block of _policy_mask over its n + 1 positions is then empty
-        (n <= window + keep_first), so the score is the same."""
-        if cp is None or cp.window is None or n <= cp.window + cp.keep_first:
-            return None
-        return cp
-
     # -- forward / backward ------------------------------------------------
 
     def _forward(self, tokens: np.ndarray, cp: ContextPolicy | None):
@@ -155,7 +146,6 @@ class AttnLM:
         p = self.params
         d_head = self.embed // self.heads
         scale = 1.0 / np.sqrt(d_head)
-        hidden = self._policy_mask(T, cp)
 
         x = p["tok_emb"][tokens] + p["pos_emb"][:T]
         cache: dict = {"tokens": tokens, "T": T, "B": B, "cp": cp}
@@ -173,10 +163,11 @@ class AttnLM:
                 r1 = min(r0 + ROW_BLOCK, T)
                 rows = attn[:, :, r0:r1]
                 live, dead = _key_spans(r0, r1, T, cp)
+                hidden = _block_mask(r0, r1, cp)
                 segs = [rows[..., keys] for keys in live]
                 for keys, seg in zip(live, segs):
                     seg *= scale
-                    np.copyto(seg, -np.inf, where=hidden[r0:r1, keys])
+                    np.copyto(seg, -np.inf, where=hidden[:, keys])
                 top = segs[0].max(axis=-1, keepdims=True)
                 for seg in segs[1:]:
                     np.maximum(top, seg.max(axis=-1, keepdims=True), out=top)
@@ -271,11 +262,9 @@ class AttnLM:
 
     def score(self, seq, cp: ContextPolicy | None = None) -> float:
         """Total log-probability of seq plus its EOS event."""
-        toks = check_units(seq, self.vocab_size)
-        logits = self.forward_logits(toks, cp)
-        targets = np.concatenate([toks, [self.eos]])
-        logp = log_softmax(logits)
-        return float(logp[np.arange(targets.shape[0]), targets].sum())
+        symbols = np.concatenate([[self.bos], check_units(seq, self.vocab_size), [self.eos]])
+        logp = log_softmax(self._forward(symbols[None, :-1], cp)[0][0])
+        return float(logp[np.arange(symbols.shape[0] - 1), symbols[1:]].sum())
 
     def next_logprobs(self, prefix, cp: ContextPolicy | None = None) -> np.ndarray:
         """Log-probabilities over K+1 outcomes (tokens then EOS); BOS is barred."""
@@ -352,6 +341,8 @@ def attn_train(
     corpus = [check_units(seq, model.vocab_size) for seq in corpus]
     if not corpus:
         raise ValueError("corpus must be non-empty")
+    if (longest := max(seq.shape[0] for seq in corpus) + 1) > model.max_ctx:  # with BOS, before any step
+        raise ValueError(f"sequence of {longest} positions exceeds max context {model.max_ctx}")
     rng = np.random.default_rng(seed)
     opt = Adam(model.params, lr=lr)
     trace = np.empty(steps)

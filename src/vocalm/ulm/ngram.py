@@ -67,6 +67,7 @@ class NGramLM:
         if not isinstance(smoothing, (AddK, KneserNey)):
             raise ValueError(f"unsupported smoothing {smoothing!r}")
         self.order = order
+        self.reach = order - 1  # history symbols each prediction reads; see policy.effective_policy
         self.vocab_size = vocab_size
         self.smoothing = smoothing
         self.eos = vocab_size
@@ -172,14 +173,6 @@ class NGramLM:
         probs = np.array([self._memo_prob(ctx, o) for o in range(self.n_outcomes)])
         with np.errstate(divide="ignore"):
             return np.log(probs)
-
-    def effective_policy(self, cp: ContextPolicy | None, n: int) -> ContextPolicy | None:
-        """cp, or None when it hides nothing from a sequence of n tokens: its
-        window holds all order-1 symbols read, or every position past the
-        window is kept first (see ngram_context). score is then the same."""
-        if cp is None or cp.window is None or cp.window >= self.order - 1 or n <= cp.window + cp.keep_first:
-            return None
-        return cp
 
     def score(self, tokens, cp: ContextPolicy | None = None) -> float:
         """Total log-probability of the sequence including its EOS event."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .policy import ContextPolicy
+from .policy import ContextPolicy, effective_policy
 
 
 def check_units(units, vocab_size: int) -> np.ndarray:
@@ -18,13 +18,12 @@ def check_units(units, vocab_size: int) -> np.ndarray:
 
 def score_once(model, units, cp: ContextPolicy | None, scores: dict) -> float:
     """model.score(units, cp), kept in `scores` under (effective policy,
-    dtype, unit bytes), where the effective policy is
-    `model.effective_policy(cp, len(units))`: None when cp hides nothing from
-    the sequence, else cp. A sequence already in `scores` is not scored
+    dtype, unit bytes), the policy as `policy.effective_policy` gives it for
+    the units and `model.reach`. A sequence already in `scores` is not scored
     again, so callers that share one dict score each distinct (effective
     policy, sequence) once."""
     units = np.asarray(units)
-    eff = model.effective_policy(cp, units.shape[0])
+    eff = effective_policy(cp, units.shape[0], model.reach)
     key = (eff, units.dtype.str, units.tobytes())
     if key not in scores:
         scores[key] = model.score(units, eff)

@@ -206,3 +206,30 @@ def test_one_training_path_and_one_segment_path():
                 if own != owner and not (module is pipeline and func in SHARED):
                     stray.append((own, func, line, name))
     assert stray == []
+
+
+def test_context_policy_states_what_it_hides():
+    """ulm/policy.py is the one place that says what a context policy hides:
+    the models and the scoring helpers read no window or keep_first of a
+    policy, and no call in src/ builds a ContextPolicy with a None window,
+    because "no policy" is None."""
+    from vocalm.ulm import attn, ngram, scoring
+
+    def reads_policy_field(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("window", "keep_first")
+
+    reads = [(m.__name__, func, line) for m in (attn, ngram, scoring) for func, line in _enclosing(m, reads_policy_field)]
+    assert reads == []
+
+    def none_window(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (getattr(func, "id", None) or getattr(func, "attr", None)) != "ContextPolicy":
+            return False
+        window = node.args[0] if node.args else next((kw.value for kw in node.keywords if kw.arg == "window"), None)
+        return window is None or (isinstance(window, ast.Constant) and window.value is None)
+
+    built = []
+    for info in pkgutil.walk_packages(vocalm.__path__, "vocalm."):
+        if info.name != "vocalm.__main__":  # importing it runs the CLI
+            built += [(info.name, func, line) for func, line in _enclosing(importlib.import_module(info.name), none_window)]
+    assert built == []

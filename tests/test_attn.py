@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vocalm.ulm import AttnLM, ContextPolicy, attn_train
-from vocalm.ulm.attn import ROW_BLOCK, _key_spans, _make_batch
+from vocalm.ulm.attn import ROW_BLOCK, _block_mask, _key_spans, _make_batch
 from vocalm.ulm.nn import cross_entropy, log_softmax
 
 
@@ -171,6 +171,16 @@ class TestTraining:
         before = {k: v.copy() for k, v in model.params.items()}
         with pytest.raises(ValueError, match=re.escape(f"holds token {token}, outside the model's vocab of size 4")):
             attn_train(model, [np.array(s) for s in corpus], steps=3, lr=1e-2)
+        assert all(np.array_equal(model.params[k], v) for k, v in before.items())
+
+    def test_sequence_longer_than_context_rejected_before_any_step(self):
+        # 30 short lines would train for a few steps before the 12-token one
+        # came up in a batch; the corpus is checked before training starts
+        model = AttnLM(4, layers=1, heads=1, embed=8, ffn=8, max_ctx=8)
+        before = {k: v.copy() for k, v in model.params.items()}
+        corpus = [np.array([0, 1, 2])] * 30 + [np.arange(12) % 4]
+        with pytest.raises(ValueError, match=re.escape("sequence of 13 positions exceeds max context 8")):
+            attn_train(model, corpus, steps=50, lr=1e-2, batch=2)
         assert all(np.array_equal(model.params[k], v) for k, v in before.items())
 
     def test_deterministic(self):
@@ -418,6 +428,11 @@ class TestInPlaceKernel:
 
     @pytest.mark.parametrize("window, keep_first", POLICIES + [(3, 1), (6, 5)])
     def test_hidden_set_is_complement_of_visible(self, window, keep_first):
+        # each row block's mask over the keys before its end, in one block
+        # (T) and in several with a ragged tail
         cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
-        hidden = tiny_model()._policy_mask(self.T, cp)
-        assert np.array_equal(hidden, ~_reference_mask(self.T, cp))
+        for t in (self.T, 150):
+            visible = _reference_mask(t, cp)
+            for r0 in range(0, t, ROW_BLOCK):
+                r1 = min(r0 + ROW_BLOCK, t)
+                assert np.array_equal(_block_mask(r0, r1, cp), ~visible[r0:r1, :r1]), (t, r0)

@@ -308,8 +308,7 @@ class TestPairwiseEval:
             def __init__(self):
                 self.calls = []
 
-            def effective_policy(self, cp, n):
-                return cp
+            reach = None  # sees every earlier position, as AttnLM does
 
             def score(self, units, cp=None):
                 self.calls.append((cp, tuple(int(u) for u in units)))
@@ -336,8 +335,7 @@ class TestPairwiseEval:
 
     def test_shared_scores_key_on_dtype(self):
         class LenScorer:
-            def effective_policy(self, cp, n):
-                return cp
+            reach = None  # sees every earlier position, as AttnLM does
 
             def score(self, units, cp=None):
                 return float(len(units))

@@ -338,6 +338,27 @@ class TestDecimate:
         dsp.write_wav(tmp_path / "at_16k.wav", tone(1000.0, 0.5, amp=0.5))
         assert np.array_equal(dsp.read_audio(tmp_path / "at_16k.wav").samples, dsp.read_wav(tmp_path / "at_16k.wav").samples)
 
+    @pytest.mark.parametrize("rate", [32000, 48000])
+    def test_anti_alias_filter_keeps_folds_out_of_the_band(self, rate, tmp_path):
+        """Tones just above 8 kHz would fold into 5-8 kHz, the band linear_fb
+        reads; they come out at least 60 dB down, and tones below 7.5 kHz
+        within 0.5 dB."""
+
+        def level_db(path, lo_hz, hi_hz):
+            out = dsp.read_audio(path).samples
+            window = np.hanning(out.size)
+            spectrum = np.abs(np.fft.rfft(out * window)) / (window.sum() / 2)
+            freqs = np.fft.rfftfreq(out.size, 1 / 16000)
+            return 20 * np.log10(spectrum[(freqs >= lo_hz) & (freqs <= hi_hz)].max() / 0.5)
+
+        for freq in (8200.0, 8500.0, 9000.0, 5500.0, 7000.0, 7500.0):
+            path = tmp_path / f"{freq:.0f}.wav"
+            dsp.write_wav(path, tone(freq, 1.0, amp=0.5, sr=rate))
+            if freq > 8000:
+                assert level_db(path, 4900, 8000) <= -60.0, freq
+            else:
+                assert abs(level_db(path, freq - 5, freq + 5)) <= 0.5, freq
+
     def test_non_integer_rejected(self, tmp_path):
         path = tmp_path / "t.wav"
         dsp.write_wav(path, tone(1000.0, 0.1, amp=0.5, sr=44100))

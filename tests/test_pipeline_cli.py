@@ -762,13 +762,12 @@ class TestCli:
         assert main(["bench", "make", "--task", "reversal", "--units", str(units), "--out", str(pairs)]) == 0
 
     def test_features_reads_a_48k_wav_at_16k(self, tmp_path):
-        from scipy import signal as sps
-
         wav, feats = tmp_path / "s48k.wav", tmp_path / "f.csv"
         dsp.write_wav(wav, dsp.Waveform(np.random.default_rng(0).normal(0, 0.1, size=48000), 48000))
         assert main(["features", "--in", str(wav), "--kind", "mfcc", "--out", str(feats)]) == 0
-        decimated = sps.decimate(dsp.read_wav(wav).samples, 3, ftype="fir", zero_phase=True)
-        want = dsp.features(dsp.Waveform(decimated, 16000), "mfcc")
+        decimated = dsp.read_audio(wav)
+        assert decimated.sample_rate == 16000
+        want = dsp.features(decimated, "mfcc")
         assert want.n_frames == 49
         assert np.array_equal(dsp.read_features_csv(feats).rows, want.rows)
 

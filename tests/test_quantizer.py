@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,13 @@ class TestEncode:
         assert f.rows.shape == (4, 6)
         assert f.feature_kind == "mfcc"
         assert np.array_equal(f.rows[1], cb.centroids[3])
+
+    @pytest.mark.parametrize("token", [4, -1])
+    def test_decode_names_a_token_outside_the_codebook(self, rng, token):
+        # -1 would index the last centroid; decode checks by ulm.check_units
+        cb = Codebook(rng.normal(size=(4, 6)))
+        with pytest.raises(ValueError, match=re.escape(f"holds token {token}, outside the model's vocab of size 4")):
+            decode_features([0, token, 1], cb)
 
 
 def broadcast_sq_dists(x, centroids):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from vocalm.manifest import DEFAULT_CONFIG
+from vocalm import cli, pipeline
+from vocalm.bench import pairwise_eval, unit_pairs_from_corpus
+from vocalm.manifest import DEFAULT_CONFIG, RunConfig
 from vocalm.synthlab import MarkovChain, chain_ppl, markov_corpus
 from vocalm.ulm import AddK, AttnLM, ContextPolicy, KneserNey, ppl, train_ngram
+from vocalm.ulm.policy import effective_policy
 
 
 class TestPpl:
@@ -63,15 +66,25 @@ class TestScoreDispatch:
         assert ppl(m, [seq], cp) == pytest.approx(np.exp(-m.score(seq, cp) / (len(seq) + 1)), rel=1e-12)
 
 
-class TestUnlimitedPolicy:
-    def test_unlimited_window_scores_as_no_policy(self, rng):
+class TestNoPolicy:
+    def test_none_is_the_only_spelling_of_no_policy(self, rng):
+        # every ContextPolicy has a finite window; "no policy" is cp=None
+        with pytest.raises(ValueError, match="context window must be >= 1, got None"):
+            ContextPolicy(window=None)
         # the CLI passes no policy when --ctx is absent, whatever --keep-first says
-        corpus = [rng.integers(0, 4, size=20) for _ in range(5)]
-        seq = rng.integers(0, 4, size=12)
+        for argv in (["ulm", "ppl"], ["bench", "eval"]):
+            assert cli._context_policy(cli.build_parser().parse_args(argv + ["--keep-first", "5"])) is None
+        # a null window in the config's grid is its no-policy row, scored as None
+        corpus = [rng.integers(0, 4, size=n) for n in (6, 9, 12)]
+        pairs = [p for task in ("shuffle", "reversal", "concat") for p in unit_pairs_from_corpus(corpus, task, seed=1)]
         ngram = train_ngram(corpus, n=3, smoothing=KneserNey(0.75), vocab_size=4)
         attn = AttnLM(vocab_size=4, layers=1, heads=2, embed=8, ffn=12, max_ctx=32, seed=0)
+        cfg = RunConfig.from_dict({"context_grid": {"enabled": True, "windows": [None, 2], "keep_first": [0]}})
         for model in (ngram, attn):
-            assert model.score(seq, ContextPolicy(window=None, keep_first=0)) == model.score(seq, None)
+            rows = pipeline._context_grid(cfg, model, pairs, {})
+            assert [row["context"] for row in rows] == [None, 2]
+            by_task = pairwise_eval(model, pairs, None).by_task
+            assert all(rows[0][t] == by_task[t]["accuracy"] for t in ("shuffle", "concat", "reversal"))
 
 
 GRID = DEFAULT_CONFIG["context_grid"]
@@ -89,7 +102,7 @@ class TestEffectivePolicy:
         else:
             model = AttnLM(vocab_size=6, layers=1, heads=1, embed=8, ffn=8, max_ctx=512, seed=0)
 
-            def hides(cp, n):  # the old block of _policy_mask is non-empty
+            def hides(cp, n):  # the span hidden from the last query row is non-empty
                 return n > cp.window + cp.keep_first
 
         # the grid's windows, and windows on both sides of the 4-gram's 3-symbol reach
@@ -99,10 +112,9 @@ class TestEffectivePolicy:
             w, kf = cp.window, cp.keep_first
             for n in sorted({w - 1, w, w + 1, w + kf, w + kf + 1} - {0}):
                 seq = rng.integers(0, 6, size=n)
-                eff = model.effective_policy(cp, n)
+                eff = effective_policy(cp, n, model.reach)
                 assert eff is (cp if hides(cp, n) else None), (cp, n)
                 assert model.score(seq, cp) == model.score(seq, eff), (cp, n)
                 if eff is not None:  # what it hides moves the score, so None there would be wrong
                     assert model.score(seq, cp) != model.score(seq, None), (cp, n)
-        for cp in (None, ContextPolicy(window=None)):
-            assert model.effective_policy(cp, 7) is None
+        assert effective_policy(None, 7, model.reach) is None
