@@ -5,6 +5,12 @@ features, and WAV/feature-CSV I/O. All functions are pure: same input, same
 output. The one shared state is the high-pass kernel cache: the FFT of the
 filter's truncated impulse response, kept per (cutoff, rate, tap count) in a
 bounded LRU cache and read-only.
+
+The per-scene kernels (highpass, the STFT and the feature spectra) work
+through their rows in chunks of about CHUNK_BYTES, so beyond their input and
+output they hold a fixed amount of memory, however long the recording. Every
+transform runs along a row, so the output is that of the whole-array
+formulas bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +39,13 @@ HIGHPASS_TAIL = 1e-20
 HIGHPASS_MIN_BLOCK = 4096
 # Floor applied to filterbank/mel energies before the log; keeps silence finite.
 LOG_ENERGY_FLOOR = 1e-10
+# Bytes of float64 rows that a chunked kernel works on at a time.
+CHUNK_BYTES = 1 << 19
+
+
+def chunk_rows(row_len: int) -> int:
+    """Rows of `row_len` float64 values per chunk: those that fit in CHUNK_BYTES, at least one."""
+    return max(1, CHUNK_BYTES // (8 * row_len))
 
 
 @dataclass(frozen=True)
@@ -183,7 +196,11 @@ def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
     infinite past, so a constant input maps to zero with no onset click.
     Because the filter has zero DC gain, that is its response from rest to
     x - x[0], which needs no taps beyond the signal length. It is computed
-    by overlap-save FFT convolution with the truncated impulse response.
+    by overlap-save FFT convolution with the truncated impulse response:
+    x - x[0] behind n_taps - 1 zeros is cut into blocks that overlap by
+    n_taps - 1 samples, and each block's last `hop` outputs are its share.
+    The blocks run in chunks of chunk_rows(block), each written straight into
+    the one output array.
     """
     design = _highpass_design(cutoff_hz, w.sample_rate)
     n = len(w)
@@ -193,12 +210,23 @@ def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
     block, spectrum = _highpass_kernel(cutoff_hz, w.sample_rate, n_taps)
     hop = block - n_taps + 1
     n_blocks = -(-n // hop)
-    padded = np.zeros((n_blocks - 1) * hop + block)
-    padded[n_taps - 1 : n_taps - 1 + n] = w.samples - w.samples[0]
-    spec = np.fft.rfft(frame_signal(padded, block, hop), axis=1)
-    spec *= spectrum
-    out = np.fft.irfft(spec, block, axis=1)
-    return Waveform(out[:, n_taps - 1 :].ravel()[:n], w.sample_rate)
+    x = w.samples
+    out = np.empty(n_blocks * hop)
+    step = min(chunk_rows(block), n_blocks)
+    padded = np.empty((step - 1) * hop + block)  # the padded input of one chunk of blocks
+    for b0 in range(0, n_blocks, step):
+        rows = min(step, n_blocks - b0)
+        seg = padded[: (rows - 1) * hop + block]
+        first = b0 * hop - (n_taps - 1)  # the sample at seg[0]; before 0 or from n on, seg is 0
+        lo, hi = max(first, 0) - first, min(first + seg.shape[0], n) - first
+        seg[:lo] = 0.0
+        np.subtract(x[first + lo : first + hi], x[0], out=seg[lo:hi])
+        seg[hi:] = 0.0
+        spec = np.fft.rfft(frame_signal(seg, block, hop), axis=1)
+        spec *= spectrum
+        res = np.fft.irfft(spec, block, axis=1)
+        out[b0 * hop : (b0 + rows) * hop].reshape(rows, hop)[:] = res[:, n_taps - 1 :]
+    return Waveform(out[:n], w.sample_rate)
 
 
 def frame_signal(x: np.ndarray, window: int, hop: int) -> np.ndarray:
@@ -224,8 +252,26 @@ def _hann(window: int) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window + 1))[:-1]
 
 
+def _frame_magnitudes(x: np.ndarray, window: int, hop: int) -> np.ndarray:
+    """|rFFT| of every Hann-windowed frame of x, frames x (window // 2 + 1),
+    filled chunk_rows(window) frames at a time, so no frames x window copy or
+    whole complex spectrum is ever held."""
+    frames = frame_signal(x, window, hop)
+    win = _hann(window)
+    n_frames = frames.shape[0]
+    mags = np.empty((n_frames, window // 2 + 1))
+    step = max(1, min(chunk_rows(window), n_frames))
+    windowed = np.empty((step, window))
+    for r0 in range(0, n_frames, step):
+        rows = min(step, n_frames - r0)
+        np.multiply(frames[r0 : r0 + rows], win, out=windowed[:rows])
+        np.abs(np.fft.rfft(windowed[:rows], axis=1), out=mags[r0 : r0 + rows])
+    return mags
+
+
 def stft(w: Waveform, window: int = STFT_WINDOW, hop: int = STFT_HOP) -> Spectrogram:
-    """Hann-windowed magnitude STFT, scaled by 1/sqrt(window).
+    """Hann-windowed magnitude STFT, scaled by 1/sqrt(window), made in
+    fixed-size chunks of frames.
 
     With that scaling, Spectrogram.total_energy() equals the windowed-signal
     energy exactly (discrete Parseval).
@@ -236,10 +282,8 @@ def stft(w: Waveform, window: int = STFT_WINDOW, hop: int = STFT_HOP) -> Spectro
         raise EmptySpectrogramError(
             f"signal of {len(w)} samples is shorter than the {window}-sample window"
         )
-    frames = frame_signal(w.samples, window, hop)
-    win = _hann(window)
-    spec = np.fft.rfft(frames * win, axis=1)
-    mags = np.abs(spec) / np.sqrt(window)
+    mags = _frame_magnitudes(w.samples, window, hop)
+    mags /= np.sqrt(window)
     return Spectrogram(mags, hop=hop, window=window, sample_rate=w.sample_rate)
 
 
@@ -252,12 +296,10 @@ def _feature_geometry(sample_rate: int) -> tuple[int, int]:
 def _power_frames(w: Waveform) -> np.ndarray:
     """Windowed rFFT power spectra on the 20 ms feature grid."""
     window, hop = _feature_geometry(w.sample_rate)
-    frames = frame_signal(w.samples, window, hop)
-    if frames.shape[0] == 0:
-        return np.empty((0, window // 2 + 1))
-    win = _hann(window)
-    spec = np.fft.rfft(frames * win, axis=1)
-    return (np.abs(spec) ** 2) / window
+    power = _frame_magnitudes(w.samples, window, hop)
+    np.square(power, out=power)
+    power /= window
+    return power
 
 
 def _triangular_filters(edges_hz: np.ndarray, n_bins: int, sample_rate: int, window: int) -> np.ndarray:
@@ -385,14 +427,16 @@ def read_audio(path) -> Waveform:
 
 
 def write_wav(path, w: Waveform) -> None:
-    """Write mono 16-bit PCM WAV, clipping to [-1, 1)."""
-    clipped = np.clip(w.samples, -1.0, 32767.0 / 32768.0)
-    pcm = np.round(clipped * 32768.0).astype("<i2")
+    """Write mono 16-bit PCM WAV, clipping to [-1, 1); clip, scale and round
+    run in one float buffer."""
+    scaled = np.clip(w.samples, -1.0, 32767.0 / 32768.0)
+    scaled *= 32768.0
+    np.round(scaled, out=scaled)
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(w.sample_rate)
-        fh.writeframes(pcm.tobytes())
+        fh.writeframes(scaled.astype("<i2"))
 
 
 def write_features_csv(path, f: FeatureMatrix) -> None:

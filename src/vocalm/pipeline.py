@@ -34,6 +34,7 @@ and CPU seconds and the peak RSS after it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -378,21 +379,14 @@ def load_model(path):
 
 def stage_bench(cfg: RunConfig, out: Path) -> None:
     """Pairs for every task. Each window side is the window itself, so its
-    units come from quantize; only distractors and phee audio are encoded."""
+    units come from quantize; only distractors and phee audio are encoded.
+    The test and valid windows are visited scene by scene in index order:
+    each scene is read once and dropped after its windows, and the only
+    audio kept past its scene is the copies that concat pairs still need,
+    the first even-call window's and the latest one's."""
     cb = quantizer.load_codebook(out / "quantize" / "codebook.json")
     index = _read_feature_index(out, cfg)
     units = _window_units(out, index)
-    scenes: dict[str, dsp.Waveform] = {}
-    windows: dict[str, tuple[SegmentWindow, dsp.Waveform]] = {}  # eval windows, index order
-    for row in index:
-        if row["split"] in ("test", "valid"):
-            if row["source"] not in scenes:
-                scenes[row["source"]] = dsp.read_audio(out / row["source"])
-            segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in row["calls"])
-            windows[row["id"]] = (
-                SegmentWindow(0.0, row["end_s"] - row["start_s"], segs),
-                _window_clip(scenes[row["source"]], row),
-            )
 
     def units_of(wave):
         return quantizer.encode(_featurize(cfg, wave), cb)
@@ -403,22 +397,38 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
             seed, provenance,
         )
 
-    pairs = [
-        window_pair("reversal", wid, wid, f"{wid}:reversed", bench.reverse_audio(clip), {"window": wid})
-        for wid, (_, clip) in windows.items()
-    ]
-    multi = [wid for wid, (win, _) in windows.items() if len(win.calls) >= 2]
-    for wid in multi:
-        seed = seed_for(cfg.seed, f"bench/shuffle/{wid}")
-        shuffled, perm = bench.shuffle_audio(*windows[wid], seed=seed)
-        provenance = {"window": wid, "permutation": perm.tolist(), "n_calls": len(perm)}
-        pairs.append(window_pair("shuffle", wid, "window", "window:shuffled", shuffled, provenance, seed))
-    # any two distinct even-call-count windows are concat-eligible
-    even = [wid for wid in multi if len(windows[wid][0].calls) % 2 == 0]
-    if len(even) >= 2:
-        for wid, other in zip(even, even[1:] + even[:1]):
-            joined = bench.concat_audio(*windows[wid], *windows[other])
-            pairs.append(window_pair("concat", wid, "a", "a:1..n/2+b:n/2+1..n", joined, {"a": wid, "b": other}))
+    def concat_pair(a, b):
+        """The concat pair of two held (id, window, audio) windows."""
+        joined = bench.concat_audio(*a[1:], *b[1:])
+        return window_pair("concat", a[0], "a", "a:1..n/2+b:n/2+1..n", joined, {"a": a[0], "b": b[0]})
+
+    reversal, shuffle, concat = [], [], []
+    evens = []  # (id, window, audio) of the first even-call window and of the latest one
+
+    eval_rows = (row for row in index if row["split"] in ("test", "valid"))
+    for source, rows in itertools.groupby(eval_rows, key=lambda row: row["source"]):
+        wave = dsp.read_audio(out / source)
+        for row in rows:
+            wid, clip = row["id"], _window_clip(wave, row)
+            segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in row["calls"])
+            win = SegmentWindow(0.0, row["end_s"] - row["start_s"], segs)
+            reversal.append(
+                window_pair("reversal", wid, wid, f"{wid}:reversed", bench.reverse_audio(clip), {"window": wid})
+            )
+            if len(win.calls) < 2:
+                continue
+            seed = seed_for(cfg.seed, f"bench/shuffle/{wid}")
+            shuffled, perm = bench.shuffle_audio(win, clip, seed=seed)
+            provenance = {"window": wid, "permutation": perm.tolist(), "n_calls": len(perm)}
+            shuffle.append(window_pair("shuffle", wid, "window", "window:shuffled", shuffled, provenance, seed))
+            if len(win.calls) % 2 == 0:  # any two distinct even-call-count windows are concat-eligible
+                held = (wid, win, dsp.Waveform(clip.samples.copy(), clip.sample_rate))
+                if evens:
+                    concat.append(concat_pair(evens[-1], held))
+                evens[1:] = [held]
+    if len(evens) == 2:  # the even windows form a ring: the last pairs with the first
+        concat.append(concat_pair(evens[1], evens[0]))
+    pairs = reversal + shuffle + concat
     # phee pairs: each WAV is encoded once, however many pairs use it
     records = bench.read_phee_jsonl(out / "synth" / "phee" / "phee.jsonl")
     ref_units: dict[str, np.ndarray] = {}

@@ -118,10 +118,10 @@ def frame_stats(spec: "dsp.Spectrogram", params: DetectorParams) -> dict:
     """
     freqs = spec.bin_freqs_hz()
     band = (freqs >= BAND_LO_HZ) & (freqs <= BAND_HI_HZ)
-    mags = spec.magnitudes[:, band]
-    above = mags >= params.energy_floor
-    filtered = np.where(above, mags, 0.0)
-    if mags.shape[1]:
+    filtered = spec.magnitudes[:, band]  # a copy, thresholded in place
+    above = filtered >= params.energy_floor
+    np.copyto(filtered, 0.0, where=~above)
+    if filtered.shape[1]:
         density = above.mean(axis=1)
         mean = filtered.mean(axis=1)
         raw_var = filtered.var(axis=1)
@@ -155,13 +155,12 @@ def detect_calls(w: Waveform, params: DetectorParams | None = None) -> list[Call
         raise ValueError(
             f"detector expects {dsp.DEFAULT_SAMPLE_RATE} Hz audio, got {w.sample_rate}"
         )
-    filtered = dsp.highpass(w, params.highpass_hz)
     try:
-        spec = dsp.stft(filtered)
+        spec = dsp.stft(dsp.highpass(w, params.highpass_hz))
     except EmptySpectrogramError:
         return []
     stats = frame_stats(spec, params)
-    active = stats["active"].copy()
+    active = stats["active"]
     frame_s = spec.hop / spec.sample_rate
 
     # Noise-candidate runs outside the (0.5, 2.0) s duration band are noise.

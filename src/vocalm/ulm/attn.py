@@ -65,15 +65,20 @@ def _key_spans(r0: int, r1: int, t: int, cp: ContextPolicy | None) -> tuple[list
     return [keys for keys in live if keys.start < keys.stop], dead
 
 
-def _block_mask(r0: int, r1: int, cp: ContextPolicy | None) -> np.ndarray:
-    """Boolean (r1 - r0, r1): key j is hidden from query row i of r0:r1 (j > i, or in cp's span for i)."""
+def _block_mask(r0: int, r1: int, cp: ContextPolicy | None) -> tuple[int, np.ndarray]:
+    """(lo, hidden) for query rows r0:r1: every live key below lo is visible to
+    every row of the block, and hidden[i, j - lo] says whether key j of lo:r1
+    is hidden from row r0 + i (j > r0 + i, or in cp's span for that row).
+    Later rows hide no key below what cp hides from row r0, so lo is r0 with
+    no policy and min(r0, end of row r0's hidden span) with one."""
+    lo = r0 if cp is None else min(r0, cp.hidden_span(r0)[1])
     rows = np.arange(r0, r1)[:, None]
-    keys = np.arange(r1)
+    keys = np.arange(lo, r1)
     hidden = keys > rows
     if cp is not None:
         start, stop = cp.hidden_span(rows)
         hidden |= (keys >= start) & (keys < stop)
-    return hidden
+    return lo, hidden
 
 
 class AttnLM:
@@ -163,11 +168,14 @@ class AttnLM:
                 r1 = min(r0 + ROW_BLOCK, T)
                 rows = attn[:, :, r0:r1]
                 live, dead = _key_spans(r0, r1, T, cp)
-                hidden = _block_mask(r0, r1, cp)
+                lo, hidden = _block_mask(r0, r1, cp)
                 segs = [rows[..., keys] for keys in live]
                 for keys, seg in zip(live, segs):
                     seg *= scale
-                    np.copyto(seg, -np.inf, where=hidden[:, keys])
+                    first = max(keys.start, lo)  # keys below lo are visible to every row
+                    if first < keys.stop:
+                        where = hidden[:, first - lo : keys.stop - lo]
+                        np.copyto(seg[..., first - keys.start :], -np.inf, where=where)
                 top = segs[0].max(axis=-1, keepdims=True)
                 for seg in segs[1:]:
                     np.maximum(top, seg.max(axis=-1, keepdims=True), out=top)

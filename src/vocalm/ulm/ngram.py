@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .policy import ContextPolicy, ngram_context
+from .policy import ContextPolicy, ngram_context, ngram_contexts
 from .scoring import check_units
 
 FORMAT_VERSION = "ngram-v1"
@@ -180,8 +180,8 @@ class NGramLM:
         padded = self._padded(tokens)
         outcomes = padded[ctx_len:] + (self.eos,)
         total = 0.0
-        for t, outcome in enumerate(outcomes):
-            p = self._memo_prob(ngram_context(padded, t, ctx_len, cp), outcome)
+        for ctx, outcome in zip(ngram_contexts(padded, ctx_len, cp, len(outcomes)), outcomes):
+            p = self._memo_prob(ctx, outcome)
             total += math.log(p) if p > 0 else -math.inf
         return total
 

@@ -11,9 +11,10 @@ LN_EPS = 1e-5
 def layernorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     """Normalize over the last axis; returns output and a backward cache."""
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)  # x.var's own steps, reusing x - mu
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv_std
+    xhat *= inv_std
     return xhat * g + b, (xhat, inv_std, g)
 
 
@@ -29,7 +30,9 @@ def layernorm_backward(dy: np.ndarray, cache):
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    return x @ w + b, x
+    y = x @ w
+    y += b
+    return y, x
 
 
 def linear_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):

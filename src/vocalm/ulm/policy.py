@@ -6,6 +6,8 @@ nothing. "No policy" is None."""
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass
 
 KEEP_FIRST_CHOICES = (0, 1, 5)
@@ -57,3 +59,15 @@ def ngram_context(padded: tuple, t: int, ctx_len: int, cp: ContextPolicy | None)
     if effective_policy(cp, t, ctx_len) is None:
         return padded[t:end]
     return padded[end - cp.window : end]
+
+
+def ngram_contexts(padded: tuple, ctx_len: int, cp: ContextPolicy | None, n: int) -> list[tuple]:
+    """ngram_context for each of positions 0 .. n - 1, with the policy
+    resolved once for the sequence: a hidden span only grows with t, so cp
+    hides something from every position from the first one it hides
+    something from, which bisection finds."""
+    cp = effective_policy(cp, n - 1, ctx_len) if n else None
+    first = n if cp is None else bisect.bisect_left(range(n), True, key=lambda t: operator.lt(*cp.hidden_span(t)))
+    return [padded[t : t + ctx_len] for t in range(first)] + [
+        padded[t + ctx_len - cp.window : t + ctx_len] for t in range(first, n)
+    ]

@@ -332,7 +332,7 @@ def test_criterion_08_context_masking():
 # -- 9: FAD identities and ordering ---------------------------------------------
 
 
-def _sweep_clip(rng, reverse=False, noise_only=False, clip_s=5.5):
+def _sweep_clip(rng, noise_only=False, clip_s=5.5):
     n = int(clip_s * SR)
     x = rng.normal(0, 10 ** (-55 / 20.0), size=n)
     if noise_only:
@@ -348,8 +348,6 @@ def _sweep_clip(rng, reverse=False, noise_only=False, clip_s=5.5):
     tone = synth_call(spec)
     onset = int(rng.uniform(0.7, 0.9) * SR)
     x[onset : onset + tone.shape[0]] += tone
-    if reverse:
-        x = x[::-1].copy()
     return Waveform(x)
 
 
@@ -366,11 +364,11 @@ def test_criterion_09_fad():
     n = 1000  # 2k-clip corpus: disjoint reference A and manipulated B
     rng = np.random.default_rng(3)
     feats_a = [dsp.linear_fb(_sweep_clip(rng)) for _ in range(n)]
-    feats_b = [dsp.linear_fb(_sweep_clip(rng)) for _ in range(n)]
-    rng_rev = np.random.default_rng(3)
+    feats_b, feats_rev = [], []  # each reversed clip is its B clip played backwards
     for _ in range(n):
-        _sweep_clip(rng_rev)  # replay the A draws so reversed-B matches B in law
-    feats_rev = [dsp.linear_fb(_sweep_clip(rng_rev, reverse=True)) for _ in range(n)]
+        clip = _sweep_clip(rng)
+        feats_b.append(dsp.linear_fb(clip))
+        feats_rev.append(dsp.linear_fb(Waveform(clip.samples[::-1].copy())))
     feats_noise = [dsp.linear_fb(_sweep_clip(rng, noise_only=True)) for _ in range(n)]
     frames_a = np.vstack([f.rows for f in feats_a])
     sub = frames_a[np.random.default_rng(5).choice(frames_a.shape[0], size=40_000, replace=False)]

@@ -8,7 +8,7 @@ import pytest
 
 from vocalm.ulm import AttnLM, ContextPolicy, attn_train
 from vocalm.ulm.attn import ROW_BLOCK, _block_mask, _key_spans, _make_batch
-from vocalm.ulm.nn import cross_entropy, log_softmax
+from vocalm.ulm.nn import LN_EPS, cross_entropy, layernorm_forward, linear_forward, log_softmax
 
 
 def tiny_model(seed=3):
@@ -84,6 +84,27 @@ class TestGradients:
                 continue  # structurally null gradient (e.g. key bias): both zero
             rel = np.linalg.norm(fd - an) / scale_norm
             assert rel < 1e-4, f"{key}: ||fd-an||/||.|| = {rel}"
+
+
+class TestNnForward:
+    """linear_forward adds its bias in place and layernorm_forward computes
+    x - mu once; both equal the out-of-place formulas bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(4, 479, 32), (1, 3, 8), (7, 13)])
+    def test_equal_out_of_place_formulas(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(1.0, 3.0, size=shape)
+        w, b = rng.normal(size=(shape[-1], 5)), rng.normal(size=5)
+        y, cached = linear_forward(x, w, b)
+        assert np.array_equal(y, x @ w + b) and cached is x
+        g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        out, (xhat, inv_std, _) = layernorm_forward(x, g, b)
+        mu = x.mean(axis=-1, keepdims=True)
+        want_inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
+        want_xhat = (x - mu) * want_inv_std
+        assert np.array_equal(inv_std, want_inv_std)
+        assert np.array_equal(xhat, want_xhat)
+        assert np.array_equal(out, want_xhat * g + b)
 
 
 class TestCausality:
@@ -428,11 +449,16 @@ class TestInPlaceKernel:
 
     @pytest.mark.parametrize("window, keep_first", POLICIES + [(3, 1), (6, 5)])
     def test_hidden_set_is_complement_of_visible(self, window, keep_first):
-        # each row block's mask over the keys before its end, in one block
-        # (T) and in several with a ragged tail
+        # each row block's mask over keys lo:r1, in one block (T) and in
+        # several with a ragged tail; every live key below lo is visible to
+        # every row of its block, so the mask leaves none of them out
         cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
         for t in (self.T, 150):
             visible = _reference_mask(t, cp)
             for r0 in range(0, t, ROW_BLOCK):
                 r1 = min(r0 + ROW_BLOCK, t)
-                assert np.array_equal(_block_mask(r0, r1, cp), ~visible[r0:r1, :r1]), (t, r0)
+                lo, hidden = _block_mask(r0, r1, cp)
+                assert np.array_equal(hidden, ~visible[r0:r1, lo:r1]), (t, r0)
+                live, _ = _key_spans(r0, r1, t, cp)
+                below = [j for keys in live for j in range(keys.start, min(keys.stop, lo))]
+                assert visible[r0:r1, below].all(), (t, r0)

@@ -186,6 +186,94 @@ class TestStft:
         assert np.array_equal(dsp._hann(window), windows.hann(window, sym=False))
 
 
+def _stft_whole(x, window, hop):
+    """The whole-array STFT formula: every frame windowed at once."""
+    frames = dsp.frame_signal(x, window, hop)
+    return np.abs(np.fft.rfft(frames * dsp._hann(window), axis=1)) / np.sqrt(window)
+
+
+def _highpass_whole(w, cutoff_hz):
+    """The whole-array overlap-save formula: one padded signal, every block's
+    spectrum and inverse at once, then each block's hop of output."""
+    n = len(w)
+    n_taps = min(dsp._highpass_design(cutoff_hz, w.sample_rate).n_taps, n)
+    block, spectrum = dsp._highpass_kernel(cutoff_hz, w.sample_rate, n_taps)
+    hop = block - n_taps + 1
+    n_blocks = -(-n // hop)
+    padded = np.zeros((n_blocks - 1) * hop + block)
+    padded[n_taps - 1 : n_taps - 1 + n] = w.samples - w.samples[0]
+    spec = np.fft.rfft(dsp.frame_signal(padded, block, hop), axis=1)
+    spec *= spectrum
+    out = np.fft.irfft(spec, block, axis=1)
+    return out[:, n_taps - 1 :].ravel()[:n]
+
+
+def _highpass_hop(cutoff_hz, n):
+    """Output samples per overlap-save block for an n-sample signal."""
+    n_taps = min(dsp._highpass_design(cutoff_hz, SR).n_taps, n)
+    block, _ = dsp._highpass_kernel(cutoff_hz, SR, n_taps)
+    return block, block - n_taps + 1
+
+
+class TestChunkedKernels:
+    """stft, the feature power spectra and highpass work in chunks of
+    dsp.chunk_rows rows; their output is that of the whole-array formulas bit
+    for bit, at any length."""
+
+    WINDOW, HOP = dsp.STFT_WINDOW, dsp.STFT_HOP
+    STFT_CHUNK = dsp.chunk_rows(dsp.STFT_WINDOW)
+
+    @pytest.mark.parametrize(
+        "n_frames, extra",
+        [(1, 0), (STFT_CHUNK - 1, 0), (STFT_CHUNK, 0), (STFT_CHUNK + 1, 0), (2 * STFT_CHUNK + 7, 300)],
+        ids=["one_window", "chunk-1", "chunk", "chunk+1", "ragged_tail"],
+    )
+    def test_stft_equals_whole_array_formula(self, rng, n_frames, extra):
+        x = rng.normal(0, 0.3, self.WINDOW + (n_frames - 1) * self.HOP + extra)
+        spec = dsp.stft(Waveform(x, SR))
+        assert spec.n_frames == n_frames
+        assert np.array_equal(spec.magnitudes, _stft_whole(x, self.WINDOW, self.HOP))
+
+    @pytest.mark.parametrize("window, hop", [(256, 64), (1024, 1000)])
+    def test_stft_other_geometry_equals_whole_array_formula(self, rng, window, hop):
+        x = rng.normal(0, 0.3, window + (3 * dsp.chunk_rows(window) + 1) * hop + 5)
+        assert np.array_equal(dsp.stft(Waveform(x, SR), window, hop).magnitudes, _stft_whole(x, window, hop))
+
+    @pytest.mark.parametrize("cutoff", [5000.0, 300.0])
+    @pytest.mark.parametrize("length", ["one_window", "chunk-1", "chunk", "chunk+1", "ragged_tail"])
+    def test_highpass_equals_whole_array_formula(self, rng, cutoff, length):
+        block, hop = _highpass_hop(cutoff, 10 * SR)
+        chunk = dsp.chunk_rows(block) * hop
+        n = {
+            "one_window": self.WINDOW,
+            "chunk-1": chunk - 1,
+            "chunk": chunk,
+            "chunk+1": chunk + 1,
+            "ragged_tail": 3 * chunk + hop // 3,
+        }[length]
+        w = Waveform(rng.normal(0, 0.3, n) + 0.4, SR)
+        out = dsp.highpass(w, cutoff)
+        assert len(out) == n
+        assert np.array_equal(out.samples, _highpass_whole(w, cutoff))
+
+    @pytest.mark.parametrize("n_frames", [0, 1, 162, 163, 164, 400])
+    def test_feature_power_equals_whole_array_formula(self, rng, n_frames):
+        window, hop = dsp._feature_geometry(SR)
+        assert dsp.chunk_rows(window) == 163
+        x = rng.normal(0, 0.3, window + (n_frames - 1) * hop + 3 if n_frames else window - 1)
+        frames = dsp.frame_signal(x, window, hop)
+        want = (np.abs(np.fft.rfft(frames * dsp._hann(window), axis=1)) ** 2) / window
+        power = dsp._power_frames(Waveform(x, SR))
+        assert power.shape == (n_frames, window // 2 + 1)
+        assert np.array_equal(power, want)
+
+    def test_sixty_seconds_equal_whole_array_formulas(self, rng):
+        w = Waveform(rng.normal(0, 0.3, 60 * SR), SR)
+        filtered = dsp.highpass(w, 5000.0)
+        assert np.array_equal(filtered.samples, _highpass_whole(w, 5000.0))
+        assert np.array_equal(dsp.stft(filtered).magnitudes, _stft_whole(filtered.samples, self.WINDOW, self.HOP))
+
+
 class TestMfcc:
     def test_silence_constant_rows(self):
         f = dsp.mfcc(Waveform(np.zeros(SR), SR))
@@ -265,6 +353,14 @@ class TestWavIO:
         back = dsp.read_wav(path)
         assert back.sample_rate == SR
         assert np.max(np.abs(back.samples - x)) < 1.0 / 32768
+
+    def test_samples_are_clipped_scaled_and_rounded(self, rng, tmp_path):
+        x = rng.normal(size=SR) * 0.8  # some samples clip at each end
+        path = tmp_path / "t.wav"
+        dsp.write_wav(path, Waveform(x, SR))
+        with open(path, "rb") as fh:
+            pcm = np.frombuffer(fh.read()[44:], dtype="<i2")
+        assert np.array_equal(pcm, np.round(np.clip(x, -1.0, 32767.0 / 32768.0) * 32768.0).astype("<i2"))
 
     def test_multichannel_rejected(self, tmp_path):
         import wave as wavemod

@@ -111,6 +111,51 @@ class TestDetectCalls:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
+def _frame_stats_whole(spec, params):
+    """The whole-band formulas: the 5-10 kHz band, thresholded into a second
+    array by np.where, then row statistics."""
+    freqs = spec.bin_freqs_hz()
+    mags = spec.magnitudes[:, (freqs >= 5000.0) & (freqs <= 10000.0)]
+    above = mags >= params.energy_floor
+    filtered = np.where(above, mags, 0.0)
+    mean = filtered.mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        variance = np.where(mean > 0, filtered.var(axis=1) / np.maximum(mean, 1e-300) ** 2, 0.0)
+    return {"active": above.any(axis=1), "density": above.mean(axis=1), "variance": variance}
+
+
+class TestBoundedMemory:
+    """frame_stats thresholds one copy of the band in place; detect_calls'
+    working memory is the audio's high-passed copy, its magnitudes and
+    fixed-size chunks."""
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 40, 313])
+    def test_frame_stats_equal_whole_band_formulas(self, rng, n_frames):
+        x = rng.normal(0, 0.05, dsp.STFT_WINDOW + (n_frames - 1) * dsp.STFT_HOP)
+        x[: x.size // 2] += np.sin(2 * np.pi * 6500.0 * np.arange(x.size // 2) / SR)
+        spec = dsp.stft(dsp.highpass(Waveform(x, SR), 5000.0))
+        assert spec.n_frames == n_frames
+        params = DetectorParams()
+        got, want = frame_stats(spec, params), _frame_stats_whole(spec, params)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_detect_calls_on_sixty_seconds_peaks_below_four_times_the_audio(self, scene_factory):
+        import tracemalloc
+
+        scenes = [synth_scene(scene_factory(seed))[0].samples for seed in range(6)]
+        w = Waveform(np.concatenate(scenes), SR)
+        assert w.duration_s == 60.0
+        tracemalloc.start()
+        try:
+            calls = detect_calls(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls
+        assert peak <= 4 * w.samples.nbytes, peak / w.samples.nbytes
+
+
 class TestSegmentWav:
     def test_48k_scenes_meet_criterion_01(self, scene_factory, tmp_path):
         """Scenes rendered at 48 kHz and read back at 16 kHz by segment_wav are
