@@ -1,7 +1,13 @@
 """Command-line interface.
 
-Subcommands: synth, segment, features, quantize, ulm, bench, metrics,
-pipeline, report. Exit codes: 0 success, 2 invalid configuration or
+Commands: synth, segment, features, quantize, ulm, bench, metrics, split,
+pipeline, report. synth, quantize, ulm, bench and metrics take an action
+after the command (`vocalm ulm train ...`); each action, and each command
+without actions, has its own parser with exactly the flags its
+`cmd_<command>[_<action>]` function reads (`COMMANDS`), written after the
+action name. Each flag's spec is declared once (`FLAGS`): every input and
+output path is required, and a default the pipeline config also holds is
+read from `DEFAULT_CONFIG`. Exit codes: 0 success, 2 invalid configuration or
 arguments, 3 stage failure (including fingerprint mismatches).
 """
 
@@ -69,44 +75,50 @@ def _ratios(text: str) -> tuple[float, ...]:
     return ratios
 
 
-def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ctx", type=_at_least_one("context window"), default=None, help="context window in tokens (default: no context policy)")
-    p.add_argument("--keep-first", type=int, default=0, choices=KEEP_FIRST_CHOICES, help="always-visible first tokens")
-
-
 # -- synth ----------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    spec = read_json(args.spec, "spec")
-    out = Path(args.out)
+def _from_spec(path, build):
+    """build(spec) on the JSON spec in file `path`; a missing key, or a value
+    the constructors reject, is a ConfigError naming the file."""
+    spec = read_json(path, "spec")
     try:
-        if args.what == "scene":
-            calls = tuple((c["onset_s"], CallSpec(**given_fields(CallSpec, c))) for c in spec.get("calls", []))
-            scene = SceneSpec(**{**given_fields(SceneSpec, spec), "calls": calls, "seed": args.seed})
-        else:
-            chain = MarkovChain(np.array(spec["pi"], dtype=float), np.array(spec["P"], dtype=float))
+        return build(spec)
     except KeyError as e:
-        raise ConfigError(f"spec file {args.spec} has no {e} key") from e
+        raise ConfigError(f"spec file {path} has no {e} key") from e
     except (AttributeError, TypeError, ValueError) as e:
-        raise ConfigError(f"spec file {args.spec}: {e}") from e
-    if args.what == "scene":
-        wave, truth = synth_scene(scene)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        dsp.write_wav(out, wave)
-        truth_path = out.with_suffix(".truth.json")
-        with open(truth_path, "w") as fh:
-            json.dump(
-                {"path": str(out), "calls": [{"onset_s": c.onset_s, "offset_s": c.offset_s} for c in truth]},
-                fh,
-                sort_keys=True,
-            )
-        print(f"wrote {out} and {truth_path}")
-    else:  # corpus
-        seqs = markov_corpus(chain, args.n_seqs, args.length, seed=args.seed)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        quantizer.write_units(out, seqs)
-        print(f"wrote {len(seqs)} sequences to {out}")
+        raise ConfigError(f"spec file {path}: {e}") from e
+
+
+def cmd_synth_scene(args) -> int:
+    def scene(spec) -> SceneSpec:
+        calls = tuple((c["onset_s"], CallSpec(**given_fields(CallSpec, c))) for c in spec.get("calls", []))
+        return SceneSpec(**{**given_fields(SceneSpec, spec), "calls": calls, "seed": args.seed})
+
+    wave, truth = synth_scene(_from_spec(args.spec, scene))
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    dsp.write_wav(out, wave)
+    truth_path = out.with_suffix(".truth.json")
+    with open(truth_path, "w") as fh:
+        json.dump(
+            {"path": str(out), "calls": [{"onset_s": c.onset_s, "offset_s": c.offset_s} for c in truth]},
+            fh,
+            sort_keys=True,
+        )
+    print(f"wrote {out} and {truth_path}")
+    return 0
+
+
+def cmd_synth_corpus(args) -> int:
+    chain = _from_spec(
+        args.spec, lambda spec: MarkovChain(np.array(spec["pi"], dtype=float), np.array(spec["P"], dtype=float))
+    )
+    seqs = markov_corpus(chain, args.n_seqs, args.length, seed=args.seed)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    quantizer.write_units(out, seqs)
+    print(f"wrote {len(seqs)} sequences to {out}")
     return 0
 
 
@@ -157,36 +169,38 @@ def cmd_features(args) -> int:
     return 0
 
 
-def cmd_quantize(args) -> int:
-    if args.what == "fit":
-        feats = [dsp.read_features_csv(p) for p in args.features]
-        kind = feats[0].feature_kind
-        for path, f in zip(args.features, feats):
-            if f.feature_kind != kind:
-                raise ConfigError(f"{path} holds {f.feature_kind} features, {args.features[0]} {kind}; fit one codebook per kind")
-        cb = quantizer.fit_codebook(
-            np.vstack([f.rows for f in feats]),
-            k=args.k,
-            minibatch=args.minibatch,
-            restarts=args.restarts,
-            seed=args.seed,
-            feature_kind=kind,
-        )
-        quantizer.save_codebook(args.out, cb)
-        print(f"fit K={cb.k} codebook on {sum(f.n_frames for f in feats)} frames -> {args.out}")
-    else:  # encode
-        cb = quantizer.load_codebook(args.codebook)
-        seqs = []
-        for path in args.features:
-            f = dsp.read_features_csv(path)
-            if f.feature_kind != cb.feature_kind:
-                raise ConfigError(f"{path} holds {f.feature_kind} features; codebook {args.codebook} is {cb.feature_kind}")
-            seqs.append(quantizer.encode(f, cb))
-        if args.dedup:
-            # run-length collapse for the dedup ablation; run lengths are dropped
-            seqs = [np.array([t for t, _ in quantizer.dedup(s)], dtype=np.int32) for s in seqs]
-        quantizer.write_units(args.out, seqs)
-        print(f"encoded {len(seqs)} sequence(s) -> {args.out}")
+def cmd_quantize_fit(args) -> int:
+    feats = [dsp.read_features_csv(p) for p in args.features]
+    kind = feats[0].feature_kind
+    for path, f in zip(args.features, feats):
+        if f.feature_kind != kind:
+            raise ConfigError(f"{path} holds {f.feature_kind} features, {args.features[0]} {kind}; fit one codebook per kind")
+    cb = quantizer.fit_codebook(
+        np.vstack([f.rows for f in feats]),
+        k=args.k,
+        minibatch=args.minibatch,
+        restarts=args.restarts,
+        seed=args.seed,
+        feature_kind=kind,
+    )
+    quantizer.save_codebook(args.out, cb)
+    print(f"fit K={cb.k} codebook on {sum(f.n_frames for f in feats)} frames -> {args.out}")
+    return 0
+
+
+def cmd_quantize_encode(args) -> int:
+    cb = quantizer.load_codebook(args.codebook)
+    seqs = []
+    for path in args.features:
+        f = dsp.read_features_csv(path)
+        if f.feature_kind != cb.feature_kind:
+            raise ConfigError(f"{path} holds {f.feature_kind} features; codebook {args.codebook} is {cb.feature_kind}")
+        seqs.append(quantizer.encode(f, cb))
+    if args.dedup:
+        # run-length collapse for the dedup ablation; run lengths are dropped
+        seqs = [np.array([t for t, _ in quantizer.dedup(s)], dtype=np.int32) for s in seqs]
+    quantizer.write_units(args.out, seqs)
+    print(f"encoded {len(seqs)} sequence(s) -> {args.out}")
     return 0
 
 
@@ -231,92 +245,106 @@ def _in_vocab(seqs, path, vocab_size: int) -> list[np.ndarray]:
     return seqs
 
 
-def cmd_ulm(args) -> int:
-    if args.what == "train":
-        # the pipeline's ulm block, spelled by the flags, in the default attention shape
-        block = {
-            "backend": args.backend,
-            "order": args.order,
-            "smoothing": {"kind": args.smoothing, "discount": args.discount, "k": args.add_k},
-            "attn": {**DEFAULT_CONFIG["ulm"]["attn"], "steps": args.steps, "lr": args.lr, "batch": args.batch},
-        }
-        try:
-            smoothing_from_dict(block["smoothing"])
-        except ValueError as e:
+def cmd_ulm_train(args) -> int:
+    # the pipeline's ulm block, spelled by the flags, in the default attention shape
+    block = {
+        "backend": args.backend,
+        "order": args.order,
+        "smoothing": {"kind": args.smoothing, "discount": args.discount, "k": args.add_k},
+        "attn": {**DEFAULT_CONFIG["ulm"]["attn"], "steps": args.steps, "lr": args.lr, "batch": args.batch},
+    }
+    try:
+        smoothing_from_dict(block["smoothing"])
+    except ValueError as e:
+        raise ConfigError(f"--smoothing {args.smoothing} --discount {args.discount} --add-k {args.add_k}: {e}") from None
+    seqs = quantizer.read_units(args.units)
+    corpus = _nonempty(seqs, args.units)
+    vocab = args.vocab_size or int(max(u.max() for u in corpus)) + 1
+    _in_vocab(seqs, args.units, vocab)
+    max_ctx = block["attn"]["max_ctx"]
+    for line, seq in enumerate(seqs, 1):
+        if args.backend == "attn" and seq.size + 1 > max_ctx:
             raise ConfigError(
-                f"--smoothing {args.smoothing} --discount {args.discount} --add-k {args.add_k}: {e}"
-            ) from None
-        seqs = quantizer.read_units(args.units)
-        corpus = _nonempty(seqs, args.units)
-        vocab = args.vocab_size or int(max(u.max() for u in corpus)) + 1
-        _in_vocab(seqs, args.units, vocab)
-        max_ctx = block["attn"]["max_ctx"]
-        for line, seq in enumerate(seqs, 1):
-            if args.backend == "attn" and seq.size + 1 > max_ctx:
-                raise ConfigError(
-                    f"{args.units} line {line} holds {seq.size} tokens; the attention LM's context holds"
-                    f" {max_ctx - 1} plus BOS"
-                )
-        # one --seed seeds both the attention LM's initialisation and its training
-        train_model(block, corpus, vocab, args.seed, args.seed).save(args.out)
-        print(f"trained {args.backend} model -> {args.out}")
-    elif args.what == "score":
-        model = load_model(args.model)
-        cp = _context_policy(args)
-        for seq in _in_vocab(quantizer.read_units(args.units), args.units, model.vocab_size):
-            print(model.score(seq, cp))
-    elif args.what == "ppl":
-        model = load_model(args.model)
-        corpus = _nonempty(_in_vocab(quantizer.read_units(args.units), args.units, model.vocab_size), args.units)
-        print(json.dumps({"ppl": ppl(model, corpus, _context_policy(args)), "n_sequences": len(corpus)}))
-    elif args.what == "generate":
-        if not args.temperature >= 0:  # NaN fails too
-            raise ConfigError(f"--temperature must be >= 0 (0 selects greedy mode), got {args.temperature}")
-        model = load_model(args.model)
-        _check_vocab(model.vocab_size, np.array(args.prompt, dtype=np.int64), "--prompt")
-        out = generate(
-            model, args.prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len, cp=_context_policy(args)
-        )
-        print(" ".join(str(int(t)) for t in out))
-    else:  # probe
-        emb = dsp.read_features_csv(args.embeddings).rows
-        result = train_probe(emb, np.array(_read_labels(args.labels)), epochs=args.epochs, seed=args.seed)
-        recall, precision, f1 = result.val_metrics
-        print(json.dumps({"recall": recall, "precision": precision, "f1": f1}))
+                f"{args.units} line {line} holds {seq.size} tokens; the attention LM's context holds"
+                f" {max_ctx - 1} plus BOS"
+            )
+    # one --seed seeds both the attention LM's initialisation and its training
+    train_model(block, corpus, vocab, args.seed, args.seed).save(args.out)
+    print(f"trained {args.backend} model -> {args.out}")
+    return 0
+
+
+def cmd_ulm_score(args) -> int:
+    model = load_model(args.model)
+    cp = _context_policy(args)
+    for seq in _in_vocab(quantizer.read_units(args.units), args.units, model.vocab_size):
+        print(model.score(seq, cp))
+    return 0
+
+
+def cmd_ulm_ppl(args) -> int:
+    model = load_model(args.model)
+    corpus = _nonempty(_in_vocab(quantizer.read_units(args.units), args.units, model.vocab_size), args.units)
+    print(json.dumps({"ppl": ppl(model, corpus, _context_policy(args)), "n_sequences": len(corpus)}))
+    return 0
+
+
+def cmd_ulm_generate(args) -> int:
+    if not args.temperature >= 0:  # NaN fails too
+        raise ConfigError(f"--temperature must be >= 0 (0 selects greedy mode), got {args.temperature}")
+    model = load_model(args.model)
+    _check_vocab(model.vocab_size, np.array(args.prompt, dtype=np.int64), "--prompt")
+    out = generate(
+        model, args.prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len, cp=_context_policy(args)
+    )
+    print(" ".join(str(int(t)) for t in out))
+    return 0
+
+
+def cmd_ulm_probe(args) -> int:
+    emb = dsp.read_features_csv(args.embeddings).rows
+    result = train_probe(emb, np.array(_read_labels(args.labels)), epochs=args.epochs, seed=args.seed)
+    recall, precision, f1 = result.val_metrics
+    print(json.dumps({"recall": recall, "precision": precision, "f1": f1}))
     return 0
 
 
 # -- bench --------------------------------------------------------------------
 
 
-def cmd_bench(args) -> int:
-    if args.what == "make":
-        seqs = quantizer.read_units(args.units)
-        if args.task == "shuffle":
-            for line, seq in enumerate(seqs, 1):
-                if seq.size == 1:
-                    raise ConfigError(f"{args.units} line {line} holds 1 token; shuffle needs at least 2")
-        corpus = _nonempty(seqs, args.units, least=2 if args.task == "concat" else 1)
-        pairs = bench.unit_pairs_from_corpus(corpus, args.task, seed=args.seed)
-        bench.write_pairs_jsonl(args.out, pairs)
-        print(f"wrote {len(pairs)} {args.task} pairs -> {args.out}")
-    elif args.what == "phee":
-        records = bench.read_phee_jsonl(args.records)
-        pairs = bench.make_phee_pairs(records, args.mode, seed=args.seed, per_record=args.per_record)
-        bench.write_pairs_jsonl(args.out, pairs)
-        print(f"wrote {len(pairs)} {args.mode} pairs -> {args.out}")
-    else:  # eval
-        model = load_model(args.model)
-        pairs, _ = bench.read_pairs_jsonl(args.pairs)
-        if not pairs:
-            raise ConfigError(f"{args.pairs} holds no pairs")
-        for i, p in enumerate(pairs, 1):
-            if p.positive.units is None or p.distractor.units is None:
-                raise ConfigError(f"{args.pairs}: pair {i} has no units on one side; ref-only pairs (as bench phee writes) cannot be scored")
-            for side in (p.positive, p.distractor):
-                _check_vocab(model.vocab_size, side.units, f"{args.pairs}: pair {i}")
-        res = bench.pairwise_eval(model, pairs, _context_policy(args))
-        print(json.dumps({"accuracy": res.accuracy, "n": res.n_pairs, "by_task": res.by_task}))
+def cmd_bench_make(args) -> int:
+    seqs = quantizer.read_units(args.units)
+    if args.task == "shuffle":
+        for line, seq in enumerate(seqs, 1):
+            if seq.size == 1:
+                raise ConfigError(f"{args.units} line {line} holds 1 token; shuffle needs at least 2")
+    corpus = _nonempty(seqs, args.units, least=2 if args.task == "concat" else 1)
+    pairs = bench.unit_pairs_from_corpus(corpus, args.task, seed=args.seed)
+    bench.write_pairs_jsonl(args.out, pairs)
+    print(f"wrote {len(pairs)} {args.task} pairs -> {args.out}")
+    return 0
+
+
+def cmd_bench_phee(args) -> int:
+    records = bench.read_phee_jsonl(args.records)
+    pairs = bench.make_phee_pairs(records, args.mode, seed=args.seed, per_record=args.per_record)
+    bench.write_pairs_jsonl(args.out, pairs)
+    print(f"wrote {len(pairs)} {args.mode} pairs -> {args.out}")
+    return 0
+
+
+def cmd_bench_eval(args) -> int:
+    model = load_model(args.model)
+    pairs, _ = bench.read_pairs_jsonl(args.pairs)
+    if not pairs:
+        raise ConfigError(f"{args.pairs} holds no pairs")
+    for i, p in enumerate(pairs, 1):
+        if p.positive.units is None or p.distractor.units is None:
+            raise ConfigError(f"{args.pairs}: pair {i} has no units on one side; ref-only pairs (as bench phee writes) cannot be scored")
+        for side in (p.positive, p.distractor):
+            _check_vocab(model.vocab_size, side.units, f"{args.pairs}: pair {i}")
+    res = bench.pairwise_eval(model, pairs, _context_policy(args))
+    print(json.dumps({"accuracy": res.accuracy, "n": res.n_pairs, "by_task": res.by_task}))
     return 0
 
 
@@ -331,47 +359,49 @@ def _manifest_embeddings(path: str, kind: str, embedding: str):
     return embs
 
 
-def cmd_metrics(args) -> int:
-    if args.what == "fad":
-        config = {"features": args.kind, "embedding": args.embedding}
-        ref = metrics.fit_gaussian(_manifest_embeddings(args.ref, args.kind, args.embedding))
-        cand = metrics.fit_gaussian(_manifest_embeddings(args.cand, args.kind, args.embedding))
-        value = metrics.fad(ref, cand)
-        print(
-            json.dumps(
-                {
-                    "metric": "fad",
-                    "value": value,
-                    "n": {"ref": ref.n, "cand": cand.n},
-                    "config_fingerprint": _dict_fingerprint(config),
-                }
-            )
+def cmd_metrics_fad(args) -> int:
+    config = {"features": args.kind, "embedding": args.embedding}
+    ref = metrics.fit_gaussian(_manifest_embeddings(args.ref, args.kind, args.embedding))
+    cand = metrics.fit_gaussian(_manifest_embeddings(args.cand, args.kind, args.embedding))
+    value = metrics.fad(ref, cand)
+    print(
+        json.dumps(
+            {
+                "metric": "fad",
+                "value": value,
+                "n": {"ref": ref.n, "cand": cand.n},
+                "config_fingerprint": _dict_fingerprint(config),
+            }
         )
-    else:  # purity
-        units = quantizer.read_units(args.units)
-        labels = _read_labels(args.labels)
-        if args.level == "frame":
-            flat_units = np.concatenate([u for u in units if u.size])
-            if len(labels) != flat_units.shape[0]:
-                raise ConfigError(
-                    f"frame-level purity needs one label per frame: {flat_units.shape[0]} frames vs {len(labels)} labels"
-                )
-            table = metrics.contingency_from_frames(flat_units, labels)
-        else:
-            if len(labels) != len(units):
-                raise ConfigError("call-level purity needs one label per sequence")
-            table = metrics.contingency_from_calls(units, labels)
-        up, lp = metrics.purity(table)
-        print(
-            json.dumps(
-                {
-                    "metric": "purity",
-                    "value": {"unit_purity": up, "label_purity": lp},
-                    "n": table.total,
-                    "config_fingerprint": _dict_fingerprint({"level": args.level}),
-                }
+    )
+    return 0
+
+
+def cmd_metrics_purity(args) -> int:
+    units = quantizer.read_units(args.units)
+    labels = _read_labels(args.labels)
+    if args.level == "frame":
+        flat_units = np.concatenate([u for u in units if u.size])
+        if len(labels) != flat_units.shape[0]:
+            raise ConfigError(
+                f"frame-level purity needs one label per frame: {flat_units.shape[0]} frames vs {len(labels)} labels"
             )
+        table = metrics.contingency_from_frames(flat_units, labels)
+    else:
+        if len(labels) != len(units):
+            raise ConfigError("call-level purity needs one label per sequence")
+        table = metrics.contingency_from_calls(units, labels)
+    up, lp = metrics.purity(table)
+    print(
+        json.dumps(
+            {
+                "metric": "purity",
+                "value": {"unit_purity": up, "label_purity": lp},
+                "n": table.total,
+                "config_fingerprint": _dict_fingerprint({"level": args.level}),
+            }
         )
+    )
     return 0
 
 
@@ -444,117 +474,122 @@ def cmd_report(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+_ULM = DEFAULT_CONFIG["ulm"]
+
+# Each flag's spec, once: name -> (option string, add_argument keywords).
+# Defaults the pipeline config also holds are read from DEFAULT_CONFIG.
+FLAGS = {
+    "spec": ("--spec", dict(required=True, help="JSON spec (scene layout or {pi, P} chain)")),
+    "seed": ("--seed", dict(type=int, default=DEFAULT_CONFIG["seed"])),
+    "out": ("--out", dict(required=True, help="output file")),
+    "n_seqs": ("--n-seqs", dict(type=_at_least_one("n-seqs"), default=10)),
+    "length": ("--length", dict(type=_at_least_one("length"), default=100)),
+    "input": ("--in", dict(dest="input", required=True, help="wav file (segment: or a directory of them)")),
+    "params": ("--params", dict(default=None, help="JSON file with detector parameters")),
+    "kind": ("--kind", dict(choices=("mfcc", "linear_fb"), default=DEFAULT_CONFIG["features"]["kind"])),
+    "n_coeffs": ("--n-coeffs", dict(type=_at_least_one("n-coeffs"), default=DEFAULT_CONFIG["features"]["n_coeffs"])),
+    "lo_hz": ("--lo-hz", dict(type=float, default=DEFAULT_CONFIG["features"]["lo_hz"])),
+    "hi_hz": ("--hi-hz", dict(type=float, default=DEFAULT_CONFIG["features"]["hi_hz"])),
+    "pool": ("--pool", dict(action="store_true", help="emit one pooled mean+variance row instead of frames")),
+    "features": ("--features", dict(nargs="+", required=True, help="feature CSV file(s)")),
+    "k": ("--k", dict(type=_at_least_one("k"), default=DEFAULT_CONFIG["quantizer"]["k"])),
+    "minibatch": ("--minibatch", dict(type=_at_least_one("minibatch"), default=DEFAULT_CONFIG["quantizer"]["minibatch"])),
+    "restarts": ("--restarts", dict(type=_at_least_one("restarts"), default=DEFAULT_CONFIG["quantizer"]["restarts"])),
+    "codebook": ("--codebook", dict(required=True)),
+    "dedup": ("--dedup", dict(action="store_true")),
+    "units": ("--units", dict(required=True)),
+    "model": ("--model", dict(required=True)),
+    "backend": ("--backend", dict(choices=("ngram", "attn"), default=_ULM["backend"])),
+    "order": ("--order", dict(type=int, default=_ULM["order"], choices=range(1, 7))),
+    "smoothing": ("--smoothing", dict(choices=("kneser_ney", "add_k"), default=_ULM["smoothing"]["kind"])),
+    "discount": ("--discount", dict(type=float, default=_ULM["smoothing"]["discount"])),
+    "add_k": ("--add-k", dict(type=float, default=1.0)),
+    "vocab_size": ("--vocab-size", dict(type=_at_least_one("vocab size"), default=None)),
+    "steps": ("--steps", dict(type=_at_least_one("steps"), default=_ULM["attn"]["steps"])),
+    "lr": ("--lr", dict(type=float, default=_ULM["attn"]["lr"])),
+    "batch": ("--batch", dict(type=_at_least_one("batch"), default=_ULM["attn"]["batch"])),
+    "prompt": ("--prompt", dict(type=_tokens, default="")),
+    "beam": ("--beam", dict(type=_at_least_one("beam"), default=5)),
+    "temperature": ("--temperature", dict(type=float, default=1.5)),
+    "max_len": ("--max-len", dict(type=int, default=64)),
+    "embeddings": ("--embeddings", dict(required=True)),
+    "labels": ("--labels", dict(required=True)),
+    "epochs": ("--epochs", dict(type=int, default=DEFAULT_CONFIG["probe"]["epochs"])),
+    "ctx": ("--ctx", dict(type=_at_least_one("context window"), default=None, help="context window in tokens (default: no context policy)")),
+    "keep_first": ("--keep-first", dict(type=int, default=0, choices=KEEP_FIRST_CHOICES, help="always-visible first tokens")),
+    "task": ("--task", dict(choices=("shuffle", "concat", "reversal"), default="shuffle")),
+    "records": ("--records", dict(required=True, help="phee manifest JSONL")),
+    "mode": ("--mode", dict(choices=("caller_change", "receiver_change"), default="caller_change")),
+    "per_record": ("--per-record", dict(type=_at_least_one("per-record"), default=DEFAULT_CONFIG["bench"]["phee_per_record"])),
+    "pairs": ("--pairs", dict(required=True)),
+    "ref": ("--ref", dict(required=True, help="reference manifest JSONL")),
+    "cand": ("--cand", dict(required=True, help="candidate manifest JSONL")),
+    "embedding": ("--embedding", dict(choices=("mv", "mvs"), default="mv")),
+    "level": ("--level", dict(choices=("frame", "call"), default="frame")),
+    "manifest": ("--manifest", dict(required=True)),
+    "ratios": ("--ratios", dict(type=_ratios, default=tuple(DEFAULT_CONFIG["split"]["ratios"]))),
+    "config": ("--config", dict(default=None, help="JSON config (defaults apply)")),
+    "out_dir": ("--out-dir", dict(required=True)),
+    "config_seed": ("--seed", dict(type=int, default=None, help="override the config seed")),
+    "jobs": ("--jobs", dict(type=_at_least_one("jobs"), default=1, help="threads for synth, segment and features (no output depends on it)")),
+    "path": ("--path", dict(required=True)),
+}
+
+# command -> (help, (function, flag names)) for a command without actions,
+# or (help, {action: (function, flag names)}) for one with them
+COMMANDS = {
+    "synth": ("synthetic scenes and Markov corpora", {
+        "scene": (cmd_synth_scene, "spec seed out"),
+        "corpus": (cmd_synth_corpus, "spec seed n_seqs length out"),
+    }),
+    "segment": ("detect calls and pack 10 s windows", (cmd_segment, "input params out")),
+    "features": ("MFCC or linear filterbank features", (cmd_features, "input kind n_coeffs lo_hz hi_hz pool out")),
+    "quantize": ("fit or apply a unit codebook", {
+        "fit": (cmd_quantize_fit, "features k minibatch restarts seed out"),
+        "encode": (cmd_quantize_encode, "features codebook dedup out"),
+    }),
+    "ulm": ("unit language models", {
+        "train": (cmd_ulm_train, "units out backend order smoothing discount add_k vocab_size steps lr batch seed"),
+        "score": (cmd_ulm_score, "model units ctx keep_first"),
+        "ppl": (cmd_ulm_ppl, "model units ctx keep_first"),
+        "generate": (cmd_ulm_generate, "model prompt beam temperature max_len ctx keep_first"),
+        "probe": (cmd_ulm_probe, "embeddings labels epochs seed"),
+    }),
+    "bench": ("zero-shot benchmark pairs and evaluation", {
+        "make": (cmd_bench_make, "units task seed out"),
+        "phee": (cmd_bench_phee, "records mode per_record seed out"),
+        "eval": (cmd_bench_eval, "model pairs ctx keep_first"),
+    }),
+    "metrics": ("FAD and purity", {
+        "fad": (cmd_metrics_fad, "ref cand kind embedding"),
+        "purity": (cmd_metrics_purity, "units labels level"),
+    }),
+    "split": ("stratified train/valid/test manifest split", (cmd_split, "manifest ratios seed out")),
+    "pipeline": ("run the full synthetic pipeline", (cmd_pipeline, "config out_dir config_seed jobs")),
+    "report": ("validate and render a report", (cmd_report, "path")),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, fn, names: str) -> None:
+    for name in names.split():
+        flag, spec = FLAGS[name]
+        p.add_argument(flag, **spec)
+    p.set_defaults(fn=fn)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vocalm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"vocalm {__version__}")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="synthetic scenes and Markov corpora")
-    p.add_argument("what", choices=("scene", "corpus"))
-    p.add_argument("--spec", required=True, help="JSON spec (scene layout or {pi, P} chain)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-seqs", type=_at_least_one("n-seqs"), default=10)
-    p.add_argument("--length", type=_at_least_one("length"), default=100)
-    p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("segment", help="detect calls and pack 10 s windows")
-    p.add_argument("--in", dest="input", required=True, help="wav file or directory")
-    p.add_argument("--params", default=None, help="JSON file with detector parameters")
-    p.add_argument("--out", required=True, help="output JSONL")
-    p.set_defaults(fn=cmd_segment)
-
-    p = sub.add_parser("features", help="MFCC or linear filterbank features")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--kind", choices=("mfcc", "linear_fb"), default="linear_fb")
-    p.add_argument("--n-coeffs", type=_at_least_one("n-coeffs"), default=13)
-    p.add_argument("--lo-hz", type=float, default=5000.0)
-    p.add_argument("--hi-hz", type=float, default=8000.0)
-    p.add_argument("--pool", action="store_true", help="emit one pooled mean+variance row instead of frames")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_features)
-
-    p = sub.add_parser("quantize", help="fit or apply a unit codebook")
-    p.add_argument("what", choices=("fit", "encode"))
-    p.add_argument("--features", nargs="+", required=True, help="feature CSV file(s)")
-    p.add_argument("--k", type=_at_least_one("k"), default=50)
-    p.add_argument("--minibatch", type=_at_least_one("minibatch"), default=10_000)
-    p.add_argument("--restarts", type=_at_least_one("restarts"), default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--codebook")
-    p.add_argument("--dedup", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_quantize)
-
-    p = sub.add_parser("ulm", help="unit language models")
-    p.add_argument("what", choices=("train", "score", "ppl", "generate", "probe"))
-    p.add_argument("--units")
-    p.add_argument("--model")
-    p.add_argument("--out")
-    p.add_argument("--backend", choices=("ngram", "attn"), default="ngram")
-    p.add_argument("--order", type=int, default=3, choices=range(1, 7))
-    p.add_argument("--smoothing", choices=("kneser_ney", "add_k"), default="kneser_ney")
-    p.add_argument("--discount", type=float, default=0.75)
-    p.add_argument("--add-k", type=float, default=1.0)
-    p.add_argument("--vocab-size", type=_at_least_one("vocab size"), default=None)
-    p.add_argument("--steps", type=_at_least_one("steps"), default=1000)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--batch", type=_at_least_one("batch"), default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prompt", type=_tokens, default="")
-    p.add_argument("--beam", type=_at_least_one("beam"), default=5)
-    p.add_argument("--temperature", type=float, default=1.5)
-    p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--embeddings")
-    p.add_argument("--labels")
-    p.add_argument("--epochs", type=int, default=20)
-    _add_ctx_flags(p)
-    p.set_defaults(fn=cmd_ulm)
-
-    p = sub.add_parser("bench", help="zero-shot benchmark pairs and evaluation")
-    p.add_argument("what", choices=("make", "phee", "eval"))
-    p.add_argument("--units")
-    p.add_argument("--task", choices=("shuffle", "concat", "reversal"), default="shuffle")
-    p.add_argument("--records", help="phee manifest JSONL")
-    p.add_argument("--mode", choices=("caller_change", "receiver_change"), default="caller_change")
-    p.add_argument("--per-record", type=_at_least_one("per-record"), default=5)
-    p.add_argument("--model")
-    p.add_argument("--pairs")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    _add_ctx_flags(p)
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("metrics", help="FAD and purity")
-    p.add_argument("what", choices=("fad", "purity"))
-    p.add_argument("--ref", help="reference manifest JSONL")
-    p.add_argument("--cand", help="candidate manifest JSONL")
-    p.add_argument("--kind", choices=("mfcc", "linear_fb"), default="linear_fb")
-    p.add_argument("--embedding", choices=("mv", "mvs"), default="mv")
-    p.add_argument("--units")
-    p.add_argument("--labels")
-    p.add_argument("--level", choices=("frame", "call"), default="frame")
-    p.set_defaults(fn=cmd_metrics)
-
-    p = sub.add_parser("split", help="stratified train/valid/test manifest split")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--ratios", type=_ratios, default="80/10/10")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_split)
-
-    p = sub.add_parser("pipeline", help="run the full synthetic pipeline")
-    p.add_argument("--config", default=None, help="JSON config (defaults apply)")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--jobs", type=_at_least_one("jobs"), default=1, help="threads for synth, segment and features (no output depends on it)")
-    p.set_defaults(fn=cmd_pipeline)
-
-    p = sub.add_parser("report", help="validate and render a report")
-    p.add_argument("--path", required=True)
-    p.set_defaults(fn=cmd_report)
-
+    for command, (help_text, actions) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if isinstance(actions, dict):
+            by_action = p.add_subparsers(dest="action", required=True)
+            for action, (fn, names) in actions.items():
+                _add_flags(by_action.add_parser(action), fn, names)
+        else:
+            _add_flags(p, *actions)
     return parser
 
 

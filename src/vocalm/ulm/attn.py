@@ -15,9 +15,10 @@ The (B, H, T, T) buffers are the model's own and are reused from call to call
 serves one thread at a time.
 
 The softmax and its backward run in blocks of ROW_BLOCK query rows over the
-block's live keys (see `_key_spans`); the keys past the block's end, and
-those the policy hides from every row of the block, are dead, so their
-probability is the exact 0.0 that exp(-inf) gives and is written as such.
+block's live keys (see `_block_plan`, built once per forward pass); the keys
+past the block's end, and those the policy hides from every row of the block,
+are dead, so their probability is the exact 0.0 that exp(-inf) gives and is
+written as such.
 Every row sum still runs over the full row width, and every matmul keeps the
 operand shapes of the unblocked formulas, because the summation order (and
 OpenBLAS's, which depends on the call shape and thread split) sets the last
@@ -48,37 +49,38 @@ FORMAT_VERSION = "attnlm-v1"
 ROW_BLOCK = 64
 
 
-def _key_spans(r0: int, r1: int, t: int, cp: ContextPolicy | None) -> tuple[list[slice], list[slice]]:
-    """(live, dead) key slices of query rows r0:r1 of a t-key score matrix.
+def _block_plan(t: int, cp: ContextPolicy | None) -> list[tuple[slice, list[slice], list[slice], int, np.ndarray]]:
+    """(rows, live, dead, lo, hidden) for each ROW_BLOCK of query rows
+    r0:r1 of a t-key score matrix.
 
     Dead keys are hidden from every row of the block: the future past r1
     and the span cp hides from row r0, which later rows hide too. Their
     probability is the exact 0.0 that exp(-inf) gives. The live keys are the
-    rest, in non-empty slices.
+    rest, in non-empty slices. Every live key below lo is visible to every
+    row of the block, and hidden[i, j - lo] says whether key j of lo:r1 is
+    hidden from row r0 + i (j > r0 + i, or in cp's span for that row). Later
+    rows hide no key below what cp hides from row r0, so lo is r0 with no
+    policy and min(r0, end of row r0's hidden span) with one.
     """
-    live, dead = [slice(0, r1)], [slice(r1, t)]
-    if cp is not None:
-        start, stop = cp.hidden_span(r0)
-        if start < stop:
-            live = [slice(0, start), slice(stop, r1)]
-            dead.append(slice(start, stop))
-    return [keys for keys in live if keys.start < keys.stop], dead
-
-
-def _block_mask(r0: int, r1: int, cp: ContextPolicy | None) -> tuple[int, np.ndarray]:
-    """(lo, hidden) for query rows r0:r1: every live key below lo is visible to
-    every row of the block, and hidden[i, j - lo] says whether key j of lo:r1
-    is hidden from row r0 + i (j > r0 + i, or in cp's span for that row).
-    Later rows hide no key below what cp hides from row r0, so lo is r0 with
-    no policy and min(r0, end of row r0's hidden span) with one."""
-    lo = r0 if cp is None else min(r0, cp.hidden_span(r0)[1])
-    rows = np.arange(r0, r1)[:, None]
-    keys = np.arange(lo, r1)
-    hidden = keys > rows
-    if cp is not None:
-        start, stop = cp.hidden_span(rows)
-        hidden |= (keys >= start) & (keys < stop)
-    return lo, hidden
+    plan = []
+    for r0 in range(0, t, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, t)
+        rows = np.arange(r0, r1)[:, None]
+        live, dead = [slice(0, r1)], [slice(r1, t)]
+        if cp is None:
+            lo = r0
+            hidden = np.arange(lo, r1) > rows
+        else:
+            start, stop = cp.hidden_span(r0)
+            lo = min(r0, stop)
+            if start < stop:
+                live = [slice(0, start), slice(stop, r1)]
+                dead.append(slice(start, stop))
+            keys = np.arange(lo, r1)
+            start, stop = cp.hidden_span(rows)
+            hidden = (keys > rows) | ((keys >= start) & (keys < stop))
+        plan.append((slice(r0, r1), [span for span in live if span.start < span.stop], dead, lo, hidden))
+    return plan
 
 
 class AttnLM:
@@ -153,7 +155,8 @@ class AttnLM:
         scale = 1.0 / np.sqrt(d_head)
 
         x = p["tok_emb"][tokens] + p["pos_emb"][:T]
-        cache: dict = {"tokens": tokens, "T": T, "B": B, "cp": cp}
+        plan = _block_plan(T, cp)
+        cache: dict = {"tokens": tokens, "T": T, "B": B, "plan": plan}
         h = x
         for i in range(self.layers):
             a, ln1_cache = layernorm_forward(h, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
@@ -164,11 +167,8 @@ class AttnLM:
             kh = k.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
             vh = v.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
             attn = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=self._buffer(f"attn{i}", (B, self.heads, T, T)))
-            for r0 in range(0, T, ROW_BLOCK):
-                r1 = min(r0 + ROW_BLOCK, T)
-                rows = attn[:, :, r0:r1]
-                live, dead = _key_spans(r0, r1, T, cp)
-                lo, hidden = _block_mask(r0, r1, cp)
+            for block, live, dead, lo, hidden in plan:
+                rows = attn[:, :, block]
                 segs = [rows[..., keys] for keys in live]
                 for keys, seg in zip(live, segs):
                     seg *= scale
@@ -205,7 +205,7 @@ class AttnLM:
 
     def _backward(self, dlogits: np.ndarray, cache) -> dict:
         p = self.params
-        B, T, cp = cache["B"], cache["T"], cache["cp"]
+        B, T = cache["B"], cache["T"]
         d_head = self.embed // self.heads
         scale = 1.0 / np.sqrt(d_head)
         grads: dict[str, np.ndarray] = {}
@@ -227,13 +227,11 @@ class AttnLM:
             doh = do.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
             dattn = np.matmul(doh, vh.transpose(0, 1, 3, 2), out=self._buffer("dattn", attn.shape))
             dvh = attn.transpose(0, 1, 3, 2) @ doh
-            for r0 in range(0, T, ROW_BLOCK):
-                r1 = min(r0 + ROW_BLOCK, T)
-                prod = self._buffer("prod", (B, self.heads, r1 - r0, T))
-                np.multiply(dattn[:, :, r0:r1], attn[:, :, r0:r1], out=prod)
+            for block, live, dead, _, _ in cache["plan"]:
+                rows, probs = dattn[:, :, block], attn[:, :, block]
+                prod = self._buffer("prod", rows.shape)
+                np.multiply(rows, probs, out=prod)
                 total = prod.sum(axis=-1, keepdims=True)
-                rows, probs = dattn[:, :, r0:r1], attn[:, :, r0:r1]
-                live, dead = _key_spans(r0, r1, T, cp)
                 for keys in live:
                     seg = rows[..., keys]
                     seg -= total

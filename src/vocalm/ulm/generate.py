@@ -41,7 +41,7 @@ def generate(
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    if temperature < 0:
+    if not temperature >= 0:  # NaN fails too
         raise ValueError("temperature must be >= 0 (0 selects greedy mode)")
     vocab = getattr(model, "vocab_size", None)
     if vocab is not None and vocab < 1:

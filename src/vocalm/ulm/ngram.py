@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .policy import ContextPolicy, ngram_context, ngram_contexts
+from .policy import ContextPolicy, ngram_contexts
 from .scoring import check_units
 
 FORMAT_VERSION = "ngram-v1"
@@ -169,7 +169,7 @@ class NGramLM:
         """Log-probabilities over the K+1 outcomes for the next position."""
         ctx_len = self.order - 1
         padded = self._padded(prefix)
-        ctx = ngram_context(padded, len(padded) - ctx_len, ctx_len, cp)
+        ctx = ngram_contexts(padded, ctx_len, cp, len(padded) - ctx_len + 1)[-1]
         probs = np.array([self._memo_prob(ctx, o) for o in range(self.n_outcomes)])
         with np.errstate(divide="ignore"):
             return np.log(probs)

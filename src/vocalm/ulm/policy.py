@@ -45,27 +45,18 @@ def effective_policy(cp: ContextPolicy | None, n: int, reach: int | None) -> Con
     return cp if start < stop else None
 
 
-def ngram_context(padded: tuple, t: int, ctx_len: int, cp: ContextPolicy | None) -> tuple:
-    """Visible n-gram context (as a tuple) for predicting position t.
+def ngram_contexts(padded: tuple, ctx_len: int, cp: ContextPolicy | None, n: int) -> list[tuple]:
+    """Visible n-gram contexts (as tuples) for predicting positions 0 .. n - 1.
 
     `padded` is the token history behind ctx_len BOS symbols, built once per
     sequence, so the usual BOS-padded last `ctx_len` symbols before t are
     padded[t : t + ctx_len]. An n-gram can only condition on a contiguous
     suffix, so where cp hides anything from t the context truncates to the
     window itself; kept-first tokens take effect exactly when the window
-    reaches them.
+    reaches them. The policy is resolved once for the sequence: a hidden
+    span only grows with t, so cp hides something from every position from
+    the first one it hides something from, which bisection finds.
     """
-    end = t + ctx_len
-    if effective_policy(cp, t, ctx_len) is None:
-        return padded[t:end]
-    return padded[end - cp.window : end]
-
-
-def ngram_contexts(padded: tuple, ctx_len: int, cp: ContextPolicy | None, n: int) -> list[tuple]:
-    """ngram_context for each of positions 0 .. n - 1, with the policy
-    resolved once for the sequence: a hidden span only grows with t, so cp
-    hides something from every position from the first one it hides
-    something from, which bisection finds."""
     cp = effective_policy(cp, n - 1, ctx_len) if n else None
     first = n if cp is None else bisect.bisect_left(range(n), True, key=lambda t: operator.lt(*cp.hidden_span(t)))
     return [padded[t : t + ctx_len] for t in range(first)] + [

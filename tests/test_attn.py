@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vocalm.ulm import AttnLM, ContextPolicy, attn_train
-from vocalm.ulm.attn import ROW_BLOCK, _block_mask, _key_spans, _make_batch
+from vocalm.ulm.attn import _block_plan, _make_batch
 from vocalm.ulm.nn import LN_EPS, cross_entropy, layernorm_forward, linear_forward, log_softmax
 
 
@@ -418,13 +418,11 @@ class TestInPlaceKernel:
     def test_dead_keys_are_hidden_from_every_row_of_the_block(self, t, window, keep_first):
         cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
         visible = _reference_mask(t, cp)
-        for r0 in range(0, t, ROW_BLOCK):
-            r1 = min(r0 + ROW_BLOCK, t)
-            live, dead = _key_spans(r0, r1, t, cp)
+        for rows, live, dead, _, _ in _block_plan(t, cp):
             live_keys = np.concatenate([np.arange(t)[keys] for keys in live])
             dead_keys = np.concatenate([np.arange(t)[keys] for keys in dead])
             assert np.array_equal(np.sort(np.concatenate([live_keys, dead_keys])), np.arange(t))
-            assert np.array_equal(np.sort(dead_keys), np.flatnonzero(~visible[r0:r1].any(axis=0)))
+            assert np.array_equal(np.sort(dead_keys), np.flatnonzero(~visible[rows].any(axis=0)))
             assert all(keys.start < keys.stop for keys in live)
 
     @pytest.mark.parametrize("window, keep_first", [(None, 0), (7, 1)])
@@ -455,10 +453,7 @@ class TestInPlaceKernel:
         cp = None if window is None else ContextPolicy(window=window, keep_first=keep_first)
         for t in (self.T, 150):
             visible = _reference_mask(t, cp)
-            for r0 in range(0, t, ROW_BLOCK):
-                r1 = min(r0 + ROW_BLOCK, t)
-                lo, hidden = _block_mask(r0, r1, cp)
-                assert np.array_equal(hidden, ~visible[r0:r1, lo:r1]), (t, r0)
-                live, _ = _key_spans(r0, r1, t, cp)
+            for rows, live, _, lo, hidden in _block_plan(t, cp):
+                assert np.array_equal(hidden, ~visible[rows, lo : rows.stop]), (t, rows)
                 below = [j for keys in live for j in range(keys.start, min(keys.stop, lo))]
-                assert visible[r0:r1, below].all(), (t, r0)
+                assert visible[rows, below].all(), (t, rows)

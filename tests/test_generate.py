@@ -42,6 +42,10 @@ class TestGreedy:
         with pytest.raises(ValueError):
             generate(constant_model(), [3], temperature=-1.0)
 
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            generate(constant_model(), [0], temperature=float("nan"), max_len=8)
+
     def test_prompt_never_truncated(self):
         out = generate(constant_model(), [3, 3, 3, 3], beam=2, temperature=1.0, max_len=2)
         assert out.tolist() == [3, 3, 3, 3]

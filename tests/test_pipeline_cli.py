@@ -1194,6 +1194,88 @@ BAD_INPUTS = [
 ]
 
 
+# (command and action, argv holding every flag it requires, each naming a
+# real file): each row leaves out one of those flags. {name} is a cli_files
+# file or one that parse_files makes.
+REQUIRED_ARGV = [
+    ("synth scene", "--spec {scene} --out {out}"),
+    ("synth corpus", "--spec {chain} --out {out}"),
+    ("segment", "--in {wav} --out {out}"),
+    ("features", "--in {wav} --out {out}"),
+    ("quantize fit", "--features {csv} --out {out}"),
+    ("quantize encode", "--features {csv} --codebook {codebook} --out {out}"),
+    ("ulm train", "--units {units} --out {out}"),
+    ("ulm score", "--model {ngram} --units {units}"),
+    ("ulm ppl", "--model {ngram} --units {units}"),
+    ("ulm generate", "--model {ngram}"),
+    ("ulm probe", "--embeddings {csv} --labels {labels}"),
+    ("bench make", "--units {units} --out {out}"),
+    ("bench phee", "--records {records} --out {out}"),
+    ("bench eval", "--model {ngram} --pairs {pairs}"),
+    ("metrics fad", "--ref {manifest} --cand {manifest}"),
+    ("metrics purity", "--units {units} --labels {labels}"),
+    ("split", "--manifest {manifest} --out {out}"),
+    ("pipeline", "--out-dir {out}"),
+    ("report", "--path {tmp}/report.json"),
+]
+
+
+def _without(argv: str, flag: str) -> str:
+    words = argv.split()
+    i = words.index(flag)
+    return " ".join(words[:i] + words[i + 2 :])
+
+
+# (test id, argv without the flag, the flag)
+REQUIRED_FLAGS = [
+    (f"{command.replace(' ', '_')}_{flag[2:]}", f"{command} {_without(argv, flag)}", flag)
+    for command, argv in REQUIRED_ARGV
+    for flag in argv.split()[::2]
+]
+
+# (test id, argv passing a flag of a sibling action, that flag)
+SIBLING_FLAGS = [
+    ("synth_scene", "synth scene --spec {scene} --out {out} --n-seqs 5", "--n-seqs"),
+    ("quantize_fit", "quantize fit --features {csv} --out {out} --codebook {codebook}", "--codebook"),
+    ("quantize_encode", "quantize encode --features {csv} --codebook {codebook} --out {out} --k 2", "--k"),
+    ("ulm_train", "ulm train --units {units} --out {out} --model {ngram}", "--model"),
+    ("ulm_score", "ulm score --model {ngram} --units {units} --steps 5", "--steps"),
+    ("ulm_ppl", "ulm ppl --model {ngram} --units {units} --prompt 0", "--prompt"),
+    ("ulm_generate", "ulm generate --model {ngram} --units {units}", "--units"),
+    ("ulm_probe", "ulm probe --embeddings {csv} --labels {labels} --model {ngram}", "--model"),
+    ("bench_make", "bench make --units {units} --out {out} --pairs {pairs}", "--pairs"),
+    ("bench_phee", "bench phee --records {records} --out {out} --task concat", "--task"),
+    ("bench_eval", "bench eval --model {ngram} --pairs {pairs} --units {units}", "--units"),
+    ("metrics_fad", "metrics fad --ref {manifest} --cand {manifest} --units {units}", "--units"),
+    ("metrics_purity", "metrics purity --units {units} --labels {labels} --ref {manifest}", "--ref"),
+]
+
+
+@pytest.fixture
+def parse_files(cli_files):
+    """cli_files plus a valid file for each other input flag of the actions,
+    so each REQUIRED_ARGV row, with no flag left out, runs its action."""
+    names = {"scene": "scene.json", "chain": "chain.json", "wav": "s.wav", "wav2": "s2.wav", "csv": "f.csv",
+             "codebook": "codebook.json", "units": "units.txt", "labels": "labels.txt", "records": "phee.jsonl",
+             "pairs": "pairs.jsonl", "manifest": "manifest.jsonl"}
+    files = dict(cli_files, out=f"{cli_files['tmp']}/out")
+    files.update({name: f"{cli_files['tmp']}/{file_name}" for name, file_name in names.items()})
+    Path(files["scene"]).write_text('{"total_s": 2.0}')
+    Path(files["chain"]).write_text('{"pi": [0.5, 0.5], "P": [[0.9, 0.1], [0.2, 0.8]]}')
+    rng = np.random.default_rng(0)
+    for name in ("wav", "wav2"):
+        dsp.write_wav(files[name], dsp.Waveform(rng.normal(0, 0.1, size=24000)))
+    feats = dsp.features(dsp.read_audio(files["wav"]), "linear_fb")  # enough frames for the default K
+    dsp.write_features_csv(files["csv"], feats)
+    quantizer.save_codebook(files["codebook"], quantizer.fit_codebook(feats.rows, k=2, restarts=1, seed=0))
+    quantizer.write_units(files["units"], [np.arange(feats.n_frames) % 4])  # a label per frame and per feature row
+    Path(files["labels"]).write_text("".join(f"{i % 2}\n" for i in range(feats.n_frames)))
+    write_jsonl(files["records"], [{"caller_id": "m0", "receiver_id": "m1", "call_ref": "a.wav", "response_ref": "b.wav"}])
+    bench.write_pairs_jsonl(files["pairs"], bench.unit_pairs_from_corpus([np.array([0, 1, 2])], "reversal"))
+    write_jsonl(files["manifest"], [{"path": files["wav"]}, {"path": files["wav2"]}])
+    return files
+
+
 class TestCliInputs:
     @pytest.mark.parametrize("argv, message", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
     def test_bad_input_exits_2_naming_file_line_or_flag(self, tmp_path, argv, message, capsys):
@@ -1314,6 +1396,22 @@ class TestCliInputs:
         assert exc.value.code == 2
         assert f"argument --jobs: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, flag", [c[1:] for c in REQUIRED_FLAGS], ids=[c[0] for c in REQUIRED_FLAGS])
+    def test_missing_required_flag_exits_2_naming_it(self, parse_files, argv, flag, capsys):
+        before = sorted(Path(parse_files["tmp"]).iterdir())
+        assert exit_code(argv.format(**parse_files).split()) == 2
+        err = capsys.readouterr().err
+        assert f"the following arguments are required: {flag}" in err and "Traceback" not in err
+        assert sorted(Path(parse_files["tmp"]).iterdir()) == before  # no output written
+
+    @pytest.mark.parametrize("argv, flag", [c[1:] for c in SIBLING_FLAGS], ids=[c[0] for c in SIBLING_FLAGS])
+    def test_sibling_action_flag_exits_2(self, parse_files, argv, flag, capsys):
+        before = sorted(Path(parse_files["tmp"]).iterdir())
+        assert exit_code(argv.format(**parse_files).split()) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert sorted(Path(parse_files["tmp"]).iterdir()) == before  # no output written
 
     @pytest.mark.parametrize("argv, message", [c[1:] for c in BAD_FLAGS], ids=[c[0] for c in BAD_FLAGS])
     def test_bad_flag_or_line_exits_2_naming_it(self, cli_files, argv, message, capsys):

@@ -72,7 +72,9 @@ class TestNoPolicy:
         with pytest.raises(ValueError, match="context window must be >= 1, got None"):
             ContextPolicy(window=None)
         # the CLI passes no policy when --ctx is absent, whatever --keep-first says
-        for argv in (["ulm", "ppl"], ["bench", "eval"]):
+        # (parsing only: no file is opened)
+        for argv in (["ulm", "ppl", "--model", "m.json", "--units", "u.txt"],
+                     ["bench", "eval", "--model", "m.json", "--pairs", "p.jsonl"]):
             assert cli._context_policy(cli.build_parser().parse_args(argv + ["--keep-first", "5"])) is None
         # a null window in the config's grid is its no-policy row, scored as None
         corpus = [rng.integers(0, 4, size=n) for n in (6, 9, 12)]
@@ -97,7 +99,7 @@ class TestEffectivePolicy:
             corpus = [rng.integers(0, 6, size=300) for _ in range(4)]
             model = train_ngram(corpus, n=4, smoothing=KneserNey(0.75), vocab_size=6)
 
-            def hides(cp, n):  # the n-gram reads order-1 symbols; see ngram_context
+            def hides(cp, n):  # the n-gram reads order-1 symbols; see ngram_contexts
                 return cp.window < model.order - 1 and n > cp.window + cp.keep_first
         else:
             model = AttnLM(vocab_size=6, layers=1, heads=1, embed=8, ffn=8, max_ctx=512, seed=0)
