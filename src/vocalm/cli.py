@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
-from .errors import ConfigError, FingerprintMismatchError, StageFailureError, VocalmError
+from .errors import ConfigError, FingerprintMismatchError, InsufficientDataError, StageFailureError, VocalmError
 from .manifest import DEFAULT_CONFIG, RunConfig, given_fields, read_json, read_manifest, split_manifest, write_jsonl
 from .manifest import write_manifest
 from .pipeline import load_model, pipeline_run, segment_wav, train_model, validate_report
@@ -175,14 +175,17 @@ def cmd_quantize_fit(args) -> int:
     for path, f in zip(args.features, feats):
         if f.feature_kind != kind:
             raise ConfigError(f"{path} holds {f.feature_kind} features, {args.features[0]} {kind}; fit one codebook per kind")
-    cb = quantizer.fit_codebook(
-        np.vstack([f.rows for f in feats]),
-        k=args.k,
-        minibatch=args.minibatch,
-        restarts=args.restarts,
-        seed=args.seed,
-        feature_kind=kind,
-    )
+    try:
+        cb = quantizer.fit_codebook(
+            np.vstack([f.rows for f in feats]),
+            k=args.k,
+            minibatch=args.minibatch,
+            restarts=args.restarts,
+            seed=args.seed,
+            feature_kind=kind,
+        )
+    except InsufficientDataError as e:
+        raise ConfigError(f"{', '.join(args.features)}: {e}") from None
     quantizer.save_codebook(args.out, cb)
     print(f"fit K={cb.k} codebook on {sum(f.n_frames for f in feats)} frames -> {args.out}")
     return 0
@@ -303,7 +306,14 @@ def cmd_ulm_generate(args) -> int:
 
 def cmd_ulm_probe(args) -> int:
     emb = dsp.read_features_csv(args.embeddings).rows
-    result = train_probe(emb, np.array(_read_labels(args.labels)), epochs=args.epochs, seed=args.seed)
+    labels = np.array(_read_labels(args.labels))
+    if labels.shape[0] != emb.shape[0]:
+        raise ConfigError(
+            f"{args.labels} holds {labels.shape[0]} labels, {args.embeddings} {emb.shape[0]} rows; the probe needs one label a row"
+        )
+    if (classes := np.unique(labels)).shape[0] < 2:
+        raise ConfigError(f"{args.labels} holds the labels of {classes.tolist()} only; the probe needs at least 2 classes")
+    result = train_probe(emb, labels, epochs=args.epochs, seed=args.seed)
     recall, precision, f1 = result.val_metrics
     print(json.dumps({"recall": recall, "precision": precision, "f1": f1}))
     return 0
@@ -351,18 +361,20 @@ def cmd_bench_eval(args) -> int:
 # -- metrics --------------------------------------------------------------------
 
 
-def _manifest_embeddings(path: str, kind: str, embedding: str):
-    records = read_manifest(path)
-    embs = []
-    for rec in records:
-        embs.append(metrics.clip_embedding(dsp.features(dsp.read_audio(rec.path), kind), embedding))
-    return embs
+def _manifest_gaussian(path: str, kind: str, embedding: str):
+    """fit_gaussian over a manifest's clip embeddings; ConfigError naming the
+    manifest when it holds too few clips."""
+    embs = [metrics.clip_embedding(dsp.features(dsp.read_audio(rec.path), kind), embedding) for rec in read_manifest(path)]
+    try:
+        return metrics.fit_gaussian(embs)
+    except InsufficientDataError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def cmd_metrics_fad(args) -> int:
     config = {"features": args.kind, "embedding": args.embedding}
-    ref = metrics.fit_gaussian(_manifest_embeddings(args.ref, args.kind, args.embedding))
-    cand = metrics.fit_gaussian(_manifest_embeddings(args.cand, args.kind, args.embedding))
+    ref = _manifest_gaussian(args.ref, args.kind, args.embedding)
+    cand = _manifest_gaussian(args.cand, args.kind, args.embedding)
     value = metrics.fad(ref, cand)
     print(
         json.dumps(

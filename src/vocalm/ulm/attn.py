@@ -6,13 +6,17 @@ self-attention whose mask also applies the context policy (the keys that
 logits), and a ReLU feed-forward. Sized for desk-scale experiments, not
 production training.
 
-Each layer's attention softmax runs in place in one (B, H, T, T) buffer, and
-the backward pass reuses the attention-gradient buffer for the score gradient;
-the values are those of the out-of-place formulas, operation for operation.
-The (B, H, T, T) buffers are the model's own and are reused from call to call
-(see `_buffer`), so the cache `_forward` returns aliases them: its
-`_backward` must run before the model's next forward pass, and one model
-serves one thread at a time.
+Each layer's attention softmax runs in place in one (B, H, T, T) probability
+buffer. The backward pass takes one sequence at a time: its attention
+gradient and then its score gradient live in one (H, T, T) workspace, and
+every product is the (T, T) product per head that a stacked product makes,
+so the values are those of the out-of-place formulas, operation for
+operation. The cache `_forward` returns holds only what `_backward` reads,
+and `_backward` consumes it, dropping each activation after its last use.
+The probability buffers and workspaces are the model's own and are reused
+from call to call (see `_buffer`), so the cache aliases them: its `_backward`
+must run before the model's next forward pass, and one model serves one
+thread at a time.
 
 The softmax and its backward run in blocks of ROW_BLOCK query rows over the
 block's live keys (see `_block_plan`, built once per forward pass); the keys
@@ -154,10 +158,9 @@ class AttnLM:
         d_head = self.embed // self.heads
         scale = 1.0 / np.sqrt(d_head)
 
-        x = p["tok_emb"][tokens] + p["pos_emb"][:T]
         plan = _block_plan(T, cp)
         cache: dict = {"tokens": tokens, "T": T, "B": B, "plan": plan}
-        h = x
+        h = p["tok_emb"][tokens] + p["pos_emb"][:T]
         for i in range(self.layers):
             a, ln1_cache = layernorm_forward(h, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
             q, _ = linear_forward(a, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
@@ -187,74 +190,90 @@ class AttnLM:
                 total = rows.sum(axis=-1, keepdims=True)
                 for seg in segs:
                     seg /= total
-            oh = attn @ vh
-            o = oh.transpose(0, 2, 1, 3).reshape(B, T, self.embed)
-            ao, _ = linear_forward(o, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
-            h1 = h + ao
+            o = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, T, self.embed)
+            # the residual sums h1 = h + ao and h2 = h1 + f2 run in place on
+            # ao and f2, so no layer keeps a dead copy of the stream
+            h1, _ = linear_forward(o, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
+            h1 += h
             a2, ln2_cache = layernorm_forward(h1, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
-            f1, _ = linear_forward(a2, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"])
-            r = np.maximum(f1, 0.0)
-            f2, _ = linear_forward(r, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
-            h2 = h1 + f2
-            cache[f"l{i}"] = (a, ln1_cache, qh, kh, vh, attn, o, ln2_cache, a2, f1, r, h, h1)
-            h = h2
+            r, _ = linear_forward(a2, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"])
+            np.maximum(r, 0.0, out=r)
+            h, _ = linear_forward(r, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
+            h += h1
+            cache[f"l{i}"] = (a, ln1_cache, qh, kh, vh, attn, o, ln2_cache, a2, r)
         hf, lnf_cache = layernorm_forward(h, p["lnf.g"], p["lnf.b"])
         logits, _ = linear_forward(hf, p["out.w"], p["out.b"])
         cache["lnf"] = (lnf_cache, hf)
         return logits, cache
 
     def _backward(self, dlogits: np.ndarray, cache) -> dict:
+        """Gradients of every parameter. The pass pops each layer's
+        activations from `cache` and drops each after its last use; `dh`, the
+        gradient of the residual stream, is accumulated in place."""
         p = self.params
-        B, T = cache["B"], cache["T"]
-        d_head = self.embed // self.heads
+        B, T, H = cache["B"], cache["T"], self.heads
+        d_head = self.embed // H
         scale = 1.0 / np.sqrt(d_head)
         grads: dict[str, np.ndarray] = {}
-        lnf_cache, hf = cache["lnf"]
+        lnf_cache, hf = cache.pop("lnf")
         dhf, grads["out.w"], grads["out.b"] = linear_backward(dlogits, hf, p["out.w"])
+        del hf
         dh, grads["lnf.g"], grads["lnf.b"] = layernorm_backward(dhf, lnf_cache)
+        del dhf, lnf_cache
         for i in reversed(range(self.layers)):
-            a, ln1_cache, qh, kh, vh, attn, o, ln2_cache, a2, f1, r, h_in, h1 = cache[f"l{i}"]
+            a, ln1_cache, qh, kh, vh, attn, o, ln2_cache, a2, r = cache.pop(f"l{i}")
             # FFN branch: h2 = h1 + W2 relu(W1 a2 + b1) + b2
-            df2 = dh
-            dr, grads[f"l{i}.ffn.w2"], grads[f"l{i}.ffn.b2"] = linear_backward(df2, r, p[f"l{i}.ffn.w2"])
-            df1 = dr * (f1 > 0)
-            da2, grads[f"l{i}.ffn.w1"], grads[f"l{i}.ffn.b1"] = linear_backward(df1, a2, p[f"l{i}.ffn.w1"])
-            dh1, grads[f"l{i}.ln2.g"], grads[f"l{i}.ln2.b"] = layernorm_backward(da2, ln2_cache)
-            dh1 = dh1 + dh
+            dr, grads[f"l{i}.ffn.w2"], grads[f"l{i}.ffn.b2"] = linear_backward(dh, r, p[f"l{i}.ffn.w2"])
+            dr *= r > 0  # r = max(f1, 0) is positive exactly where f1 is
+            del r
+            da2, grads[f"l{i}.ffn.w1"], grads[f"l{i}.ffn.b1"] = linear_backward(dr, a2, p[f"l{i}.ffn.w1"])
+            del dr, a2
+            d, grads[f"l{i}.ln2.g"], grads[f"l{i}.ln2.b"] = layernorm_backward(da2, ln2_cache)
+            del da2, ln2_cache
+            dh += d  # now the gradient at h1
             # Attention branch: h1 = h_in + Wo concat_heads(attn @ v)
-            dao = dh1
-            do, grads[f"l{i}.attn.wo"], grads[f"l{i}.attn.bo"] = linear_backward(dao, o, p[f"l{i}.attn.wo"])
-            doh = do.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
-            dattn = np.matmul(doh, vh.transpose(0, 1, 3, 2), out=self._buffer("dattn", attn.shape))
-            dvh = attn.transpose(0, 1, 3, 2) @ doh
-            for block, live, dead, _, _ in cache["plan"]:
-                rows, probs = dattn[:, :, block], attn[:, :, block]
-                prod = self._buffer("prod", rows.shape)
-                np.multiply(rows, probs, out=prod)
-                total = prod.sum(axis=-1, keepdims=True)
-                for keys in live:
-                    seg = rows[..., keys]
-                    seg -= total
-                    np.multiply(probs[..., keys], seg, out=seg)
-                for keys in dead:
-                    rows[..., keys] = 0.0
-            dscores = dattn
-            dqh = dscores @ kh * scale
-            dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
-            dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, self.embed)
-            dk = dkh.transpose(0, 2, 1, 3).reshape(B, T, self.embed)
-            dv = dvh.transpose(0, 2, 1, 3).reshape(B, T, self.embed)
-            da_q, grads[f"l{i}.attn.wq"], grads[f"l{i}.attn.bq"] = linear_backward(dq, a, p[f"l{i}.attn.wq"])
-            da_k, grads[f"l{i}.attn.wk"], grads[f"l{i}.attn.bk"] = linear_backward(dk, a, p[f"l{i}.attn.wk"])
-            da_v, grads[f"l{i}.attn.wv"], grads[f"l{i}.attn.bv"] = linear_backward(dv, a, p[f"l{i}.attn.wv"])
-            da = da_q + da_k + da_v
-            dh_in, grads[f"l{i}.ln1.g"], grads[f"l{i}.ln1.b"] = layernorm_backward(da, ln1_cache)
-            dh = dh_in + dh1
-        dx = dh
+            do, grads[f"l{i}.attn.wo"], grads[f"l{i}.attn.bo"] = linear_backward(dh, o, p[f"l{i}.attn.wo"])
+            del o
+            # one sequence at a time, in the (H, T, T) dattn workspace; dq, dk
+            # and dv are written in (B, T, E) order through per-head views
+            doh = do.reshape(B, T, H, d_head).transpose(0, 2, 1, 3)
+            dq, dk, dv = (np.empty((B, T, self.embed)) for _ in range(3))
+            dqh, dkh, dvh = (z.reshape(B, T, H, d_head).transpose(0, 2, 1, 3) for z in (dq, dk, dv))
+            dattn = self._buffer("dattn", (H, T, T))
+            for b in range(B):
+                np.matmul(doh[b], vh[b].transpose(0, 2, 1), out=dattn)
+                np.matmul(attn[b].transpose(0, 2, 1), doh[b], out=dvh[b])
+                for block, live, dead, _, _ in cache["plan"]:
+                    rows, probs = dattn[:, block], attn[b, :, block]
+                    prod = self._buffer("prod", rows.shape)
+                    np.multiply(rows, probs, out=prod)
+                    total = prod.sum(axis=-1, keepdims=True)
+                    for keys in live:
+                        seg = rows[..., keys]
+                        seg -= total
+                        np.multiply(probs[..., keys], seg, out=seg)
+                    for keys in dead:
+                        rows[..., keys] = 0.0
+                np.matmul(dattn, kh[b], out=dqh[b])
+                np.matmul(dattn.transpose(0, 2, 1), qh[b], out=dkh[b])
+            del do, doh, qh, kh, vh, attn, dqh, dkh, dvh
+            dq *= scale
+            dk *= scale
+            da, grads[f"l{i}.attn.wq"], grads[f"l{i}.attn.bq"] = linear_backward(dq, a, p[f"l{i}.attn.wq"])
+            del dq
+            d, grads[f"l{i}.attn.wk"], grads[f"l{i}.attn.bk"] = linear_backward(dk, a, p[f"l{i}.attn.wk"])
+            del dk
+            da += d
+            d, grads[f"l{i}.attn.wv"], grads[f"l{i}.attn.bv"] = linear_backward(dv, a, p[f"l{i}.attn.wv"])
+            del dv, a
+            da += d
+            d, grads[f"l{i}.ln1.g"], grads[f"l{i}.ln1.b"] = layernorm_backward(da, ln1_cache)
+            del da, ln1_cache
+            dh += d  # now the gradient at the layer's input
         grads["tok_emb"] = np.zeros_like(p["tok_emb"])
-        np.add.at(grads["tok_emb"], cache["tokens"], dx)
+        np.add.at(grads["tok_emb"], cache["tokens"], dh)
         grads["pos_emb"] = np.zeros_like(p["pos_emb"])
-        grads["pos_emb"][:T] = dx.sum(axis=0)
+        grads["pos_emb"][:T] = dh.sum(axis=0)
         return grads
 
     # -- public API ---------------------------------------------------------

@@ -19,13 +19,22 @@ def layernorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 
 def layernorm_backward(dy: np.ndarray, cache):
+    """dx, dg, db. The pass overwrites the cache's xhat, so it runs once per
+    forward; dx is dy * g, turned into the gradient in place, and one more
+    array holds the two products that are summed. The values are those of
+    inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), operation for
+    operation."""
     xhat, inv_std, g = cache
-    dg = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
+    prod = dy * xhat
+    dg = prod.reshape(-1, xhat.shape[-1]).sum(axis=0)
     db = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dxhat = dy * g
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    dx = dy * g
+    mean_dxhat = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=prod)
+    xhat *= prod.mean(axis=-1, keepdims=True)
+    dx -= mean_dxhat
+    dx -= xhat
+    dx *= inv_std
     return dx, dg, db
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from vocalm.ulm import AttnLM, ContextPolicy, attn_train
 from vocalm.ulm.attn import _block_plan, _make_batch
-from vocalm.ulm.nn import LN_EPS, cross_entropy, layernorm_forward, linear_forward, log_softmax
+from vocalm.ulm.nn import LN_EPS, cross_entropy, layernorm_backward, layernorm_forward, linear_forward, log_softmax
 
 
 def tiny_model(seed=3):
@@ -87,8 +87,9 @@ class TestGradients:
 
 
 class TestNnForward:
-    """linear_forward adds its bias in place and layernorm_forward computes
-    x - mu once; both equal the out-of-place formulas bit for bit."""
+    """linear_forward adds its bias in place, layernorm_forward computes
+    x - mu once and layernorm_backward works in place on its own arrays;
+    each equals the out-of-place formulas bit for bit."""
 
     @pytest.mark.parametrize("shape", [(4, 479, 32), (1, 3, 8), (7, 13)])
     def test_equal_out_of_place_formulas(self, shape):
@@ -105,6 +106,16 @@ class TestNnForward:
         assert np.array_equal(inv_std, want_inv_std)
         assert np.array_equal(xhat, want_xhat)
         assert np.array_equal(out, want_xhat * g + b)
+        dy = rng.normal(size=shape)
+        dxhat = dy * g
+        want_dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        want_dg = (dy * xhat).reshape(-1, shape[-1]).sum(axis=0)
+        dy_before = dy.copy()
+        dx, dg, db = layernorm_backward(dy, (xhat, inv_std, g))
+        assert np.array_equal(dx, want_dx) and np.array_equal(dg, want_dg)
+        assert np.array_equal(db, dy.reshape(-1, shape[-1]).sum(axis=0))
+        assert np.array_equal(dy, dy_before)  # only the cache is consumed
 
 
 class TestCausality:
@@ -444,6 +455,29 @@ class TestInPlaceKernel:
             for key, g in grads.items():
                 assert np.array_equal(g, ref_grads[key]), (t, key)
         assert used._buffers["attn0"].size == 3 * 2 * 200 * 200
+        assert used._buffers["dattn"].size == 2 * 200 * 200  # one sequence's (H, T, T), not (B, H, T, T)
+
+    def test_training_step_memory_is_bounded(self):
+        """One loss_and_grads call from a fresh model allocates its (B, H, T, T)
+        probability buffer per layer, two (H, T, T)-sized gradient workspaces
+        and at most C (B, T, max(E, FFN)) activations. C = 16: at FFN = 2E each
+        layer caches eight (B, T, E) activations and one (B, T, FFN), five
+        units, and the step's own temporaries need the rest; a (B, H, T, T)
+        gradient buffer would alone take 12.5 of them."""
+        import tracemalloc
+
+        layers, heads, batch, t, embed, ffn, c = 2, 2, 4, 200, 16, 32, 16
+        model = AttnLM(vocab_size=5, layers=layers, heads=heads, embed=embed, ffn=ffn, max_ctx=t, seed=1)
+        _, tokens, targets, valid = _kernel_case(layers, heads, batch, t, seed=0)
+        bound = 8 * (layers * batch * heads * t * t + 2 * heads * t * t + c * batch * t * max(embed, ffn))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model.loss_and_grads(tokens, targets, valid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
     @pytest.mark.parametrize("window, keep_first", POLICIES + [(3, 1), (6, 5)])
     def test_hidden_set_is_complement_of_visible(self, window, keep_first):

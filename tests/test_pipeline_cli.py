@@ -118,6 +118,14 @@ class TestPipeline:
         assert partial["failed_stage"] == "quantize"
         assert "InsufficientDataError" in partial["error"]
 
+    def test_too_few_frames_in_a_stage_exits_3(self, tmp_path, capsys):
+        """A stage's InsufficientDataError fails the stage (exit 3); only the
+        CLI's own too-small inputs exit 2."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY_OVERRIDE, quantizer={"k": 100000, "restarts": 1})))
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 3
+        assert "stage 'quantize' failed" in capsys.readouterr().err
+
     def test_unreadable_scene_wav_exits_3_as_a_stage_failure(self, tmp_path, monkeypatch, capsys):
         """read_wav's ConfigError inside a stage fails the stage (exit 3);
         only the CLI's own inputs exit 2."""
@@ -1058,8 +1066,10 @@ MISSING_INPUTS = [
 
 
 # (test id, argv, what the error says): a flag value or an input line that a
-# command would otherwise crash on, or (a negative token for the attention LM)
-# silently accept. {long} holds 600 tokens on line 2, {neg} token -1 on line 1.
+# command would otherwise crash on, or (a negative token for the attention LM,
+# fewer labels than probe rows) silently accept. {long} holds 600 tokens on
+# line 2, {neg} token -1 on line 1; {csv} holds 24 frames, {labels6} 6 labels,
+# {one_class} 24 labels of class 0, and {wav}.jsonl is a one-clip manifest.
 BAD_FLAGS = [
     ("ulm_train_attn_long_line", "ulm train --backend attn --units {long} --out {out}",
      "{long} line 2 holds 600 tokens; the attention LM's context holds 511 plus BOS"),
@@ -1082,6 +1092,14 @@ BAD_FLAGS = [
      "argument --restarts: restarts must be >= 1, got 0"),
     ("quantize_fit_minibatch_0", "quantize fit --features {csv} --k 2 --minibatch 0 --out {out}",
      "argument --minibatch: minibatch must be >= 1, got 0"),
+    ("quantize_fit_too_few_frames", "quantize fit --features {csv} --out {out}",
+     "{csv}: need at least 50 frames to fit K=50, got 24"),
+    ("ulm_probe_label_count", "ulm probe --embeddings {csv} --labels {labels6}",
+     "{labels6} holds 6 labels, {csv} 24 rows; the probe needs one label a row"),
+    ("ulm_probe_one_class", "ulm probe --embeddings {csv} --labels {one_class}",
+     "{one_class} holds the labels of [0] only; the probe needs at least 2 classes"),
+    ("metrics_fad_one_clip", "metrics fad --ref {wav}.jsonl --cand {wav}.jsonl",
+     "{wav}.jsonl: need at least 2 embeddings to fit a Gaussian"),
     ("features_mfcc_n_coeffs_3", "features --in {wav} --kind mfcc --n-coeffs 3 --out {out}",
      "--kind mfcc --n-coeffs 3 --lo-hz 5000.0 --hi-hz 8000.0 on {wav}: n_coeffs must be in [8, 40], got 3"),
     ("features_lo_hz_above_hi_hz", "features --in {wav} --lo-hz 9000 --out {out}",
@@ -1422,6 +1440,9 @@ class TestCliInputs:
         wave = dsp.Waveform(np.random.default_rng(0).normal(0, 0.1, size=8000))
         dsp.write_wav(files["wav"], wave)
         dsp.write_features_csv(files["csv"], dsp.features(wave, "linear_fb"))
+        files["labels6"], files["one_class"] = f"{cli_files['tmp']}/labels6.txt", f"{cli_files['tmp']}/one_class.txt"
+        Path(files["labels6"]).write_text("0\n1\n" * 3)
+        Path(files["one_class"]).write_text("0\n" * 24)
         for name, channels, width in (("stereo", 2, 2), ("wav24", 1, 3)):
             files[name] = f"{cli_files['tmp']}/{name}.wav"
             with wavemod.open(files[name], "wb") as fh:
@@ -1433,7 +1454,7 @@ class TestCliInputs:
         Path(files["text_wav"]).write_text("not audio\n")
         files["wav44k"] = f"{cli_files['tmp']}/s44k.wav"
         dsp.write_wav(files["wav44k"], dsp.Waveform(np.zeros(44100), 44100))
-        for name, _ in BAD_WAVS:
+        for name in [name for name, _ in BAD_WAVS] + ["wav"]:
             write_jsonl(f"{files[name]}.jsonl", [{"path": files[name]}])
         files["wav_dir"] = f"{cli_files['tmp']}/wavs"
         os.mkdir(files["wav_dir"])
