@@ -28,7 +28,7 @@ runs no stage. Every stage JSON file is read through _load_json, which
 checks its config fingerprint. The report body contains no timestamps, so
 identical configs produce byte-identical reports; wall-clock metadata goes
 to run_meta.json instead, with each stage's status (ran or reused), wall
-and CPU seconds and the peak RSS after it.
+and CPU seconds, the peak RSS after it and the RSS at its end.
 """
 
 from __future__ import annotations
@@ -381,9 +381,13 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
     """Pairs for every task. Each window side is the window itself, so its
     units come from quantize; only distractors and phee audio are encoded.
     The test and valid windows are visited scene by scene in index order:
-    each scene is read once and dropped after its windows, and the only
-    audio kept past its scene is the copies that concat pairs still need,
-    the first even-call window's and the latest one's."""
+    each scene is read once and dropped after its windows. Of the windows
+    with an even call count, only (id, window, scene, index row) is kept;
+    once every scene is done they form a ring of concat pairs, consecutive
+    ones and then the last with the first. Each pair reads its two sides'
+    scenes again, one at a time, keeping only a copy of each window. So the
+    stage holds one scene and a window's distractor, or one scene and two
+    windows, however many scenes there are."""
     cb = quantizer.load_codebook(out / "quantize" / "codebook.json")
     index = _read_feature_index(out, cfg)
     units = _window_units(out, index)
@@ -397,13 +401,20 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
             seed, provenance,
         )
 
+    def window_audio(held):
+        """(window, audio) of a kept (id, window, source, row): its scene is
+        read again and dropped once a copy of the window is cut from it."""
+        _, win, source, row = held
+        clip = _window_clip(dsp.read_audio(out / source), row)
+        return win, dsp.Waveform(clip.samples.copy(), clip.sample_rate)
+
     def concat_pair(a, b):
-        """The concat pair of two held (id, window, audio) windows."""
-        joined = bench.concat_audio(*a[1:], *b[1:])
+        """The concat pair of two kept windows; both scenes are dropped before the distractor is encoded."""
+        joined = bench.concat_audio(*window_audio(a), *window_audio(b))
         return window_pair("concat", a[0], "a", "a:1..n/2+b:n/2+1..n", joined, {"a": a[0], "b": b[0]})
 
-    reversal, shuffle, concat = [], [], []
-    evens = []  # (id, window, audio) of the first even-call window and of the latest one
+    reversal, shuffle = [], []
+    evens = []  # (id, window, source, row) of each even-call window
 
     eval_rows = (row for row in index if row["split"] in ("test", "valid"))
     for source, rows in itertools.groupby(eval_rows, key=lambda row: row["source"]):
@@ -421,13 +432,13 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
             shuffled, perm = bench.shuffle_audio(win, clip, seed=seed)
             provenance = {"window": wid, "permutation": perm.tolist(), "n_calls": len(perm)}
             shuffle.append(window_pair("shuffle", wid, "window", "window:shuffled", shuffled, provenance, seed))
+            del shuffled  # now, not when the next window rebinds it beside its own distractor
             if len(win.calls) % 2 == 0:  # any two distinct even-call-count windows are concat-eligible
-                held = (wid, win, dsp.Waveform(clip.samples.copy(), clip.sample_rate))
-                if evens:
-                    concat.append(concat_pair(evens[-1], held))
-                evens[1:] = [held]
-    if len(evens) == 2:  # the even windows form a ring: the last pairs with the first
-        concat.append(concat_pair(evens[1], evens[0]))
+                evens.append((wid, win, source, row))
+        del wave, clip  # before the next scene is read
+    # the even windows form a ring: each pairs with the next, and the last with the first
+    ring = zip(evens, evens[1:] + evens[:1]) if len(evens) > 1 else []
+    concat = [concat_pair(a, b) for a, b in ring]
     pairs = reversal + shuffle + concat
     # phee pairs: each WAV is encoded once, however many pairs use it
     records = bench.read_phee_jsonl(out / "synth" / "phee" / "phee.jsonl")
@@ -478,9 +489,11 @@ def eval_fad_groups(cfg: RunConfig, seed: int) -> dict:
     f_lo, f_hi = 5600.0, 7800.0
 
     set_a = [_featurize(cfg, _fad_clip(rng, f_lo, f_hi, m["fad_clip_s"])) for _ in range(group)]
-    waves_b = [_fad_clip(rng, f_lo, f_hi, m["fad_clip_s"]) for _ in range(group)]
-    set_b = [_featurize(cfg, w) for w in waves_b]
-    rev_b = [_featurize(cfg, dsp.Waveform(w.samples[::-1].copy())) for w in waves_b]
+    set_b, rev_b = [], []
+    for _ in range(group):  # each clip is featurised as drawn, so one clip's audio is held at a time
+        w = _fad_clip(rng, f_lo, f_hi, m["fad_clip_s"])
+        set_b.append(_featurize(cfg, w))
+        rev_b.append(_featurize(cfg, dsp.Waveform(w.samples[::-1].copy())))
     noise_b = [
         _featurize(cfg, _fad_clip(rng, f_lo, f_hi, m["fad_clip_s"], noise_only=True)) for _ in range(group)
     ]
@@ -697,16 +710,29 @@ def _committed(stage_dir: Path, marker: dict | None) -> bool:
     )
 
 
+def _rss_kib() -> int | None:
+    """The process's resident set now, in KiB, from /proc/self/statm; None
+    where that file is absent."""
+    try:
+        with open("/proc/self/statm") as fh:
+            pages = int(fh.read().split()[1])
+    except OSError:
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") // 1024
+
+
 def _stage_usage(status: str, start: tuple[float, float]) -> dict:
     """run_meta.json's entry for one stage: whether it ran or was reused,
     the wall and process CPU seconds since `start` (a perf_counter,
-    process_time pair; CPU counts every thread), and the process's peak RSS
-    so far."""
+    process_time pair; CPU counts every thread), the process's peak RSS so
+    far and its RSS at the stage's end. A stage's peak above the RSS the
+    stages before it left is its transient working memory."""
     return {
         "status": status,
         "wall_s": time.perf_counter() - start[0],
         "cpu_s": time.process_time() - start[1],
         "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "rss_end_kib": _rss_kib(),
     }
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import FeatureMatrix
+from .dsp import FeatureMatrix, chunk_rows
 from .errors import ConfigError, InsufficientDataError
 from .ulm import check_units
 
@@ -72,6 +72,13 @@ def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_chunks(n: int, width: int) -> list[slice]:
+    """Slices of dsp.chunk_rows(width) rows covering n rows: a rows x width
+    float64 block is about dsp.CHUNK_BYTES."""
+    step = chunk_rows(width)
+    return [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
+
+
 def _nearest(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
     """Index of the centroid nearest to each row under `_sq_dists`, ties to
     the lowest index. `x_sq` is `_sq_norms(x)`.
@@ -81,42 +88,53 @@ def _nearest(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> np.ndarr
     at most (4D + 6)u(|x|^2 + max|c|^2) to first order (u = 2^-53), which
     `slack` bounds with room to spare. So a row whose second best score is
     more than twice the slack above its best has the same unique nearest
-    centroid under `_sq_dists`; any other row is re-scored with them.
+    centroid under `_sq_dists`; any other row is re-scored with them. Each
+    row's label depends on that row alone, so the rows are scored in chunks
+    of K x chunk_rows(K) scores.
     """
     dim = centroids.shape[1]
     c_sq = _sq_norms(centroids)[:, None]
     neg2c = -2.0 * centroids
     slack = 16 * (dim + 2) * 2.0**-53
-    # `tiny` covers the absolute error of products that underflow
-    tol = 2 * slack * (x_sq + c_sq.max()) + np.finfo(np.float64).tiny
-    # K x N, so the reductions below run along the long axis
-    score = neg2c @ x.T
-    score += c_sq
-    close = score <= score.min(axis=0) + tol
-    labels = close.argmax(axis=0)
-    ambiguous = np.count_nonzero(close, axis=0) > 1
-    redo = np.flatnonzero(ambiguous)
-    if redo.size:
-        labels[redo] = _sq_dists(x[redo, None, :], centroids).argmin(axis=1)
+    labels = np.empty(x.shape[0], dtype=np.intp)
+    for rows in _row_chunks(x.shape[0], centroids.shape[0]):
+        # `tiny` covers the absolute error of products that underflow
+        tol = 2 * slack * (x_sq[rows] + c_sq.max()) + np.finfo(np.float64).tiny
+        # K x rows, so the reductions below run along the long axis
+        score = neg2c @ x[rows].T
+        score += c_sq
+        close = score <= score.min(axis=0) + tol
+        chunk = close.argmax(axis=0, out=labels[rows])
+        redo = np.flatnonzero(np.count_nonzero(close, axis=0) > 1)
+        if redo.size:
+            chunk[redo] = _sq_dists(x[rows][redo, None, :], centroids).argmin(axis=1)
     return labels
 
 
 def _assign(
     x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid of each row and the row's `_sq_dists` to it. `x_sq`
-    is `_sq_norms(x)`, passed in by a caller that assigns the same frames
-    many times."""
+    """Nearest centroid of each row and the row's `_sq_dists` to it, written
+    into two (N,) arrays one chunk of rows at a time. `x_sq` is
+    `_sq_norms(x)`, passed in by a caller that assigns the same frames many
+    times."""
     labels = _nearest(x, centroids, _sq_norms(x) if x_sq is None else x_sq)
-    return labels, _sq_dists(x, centroids[labels])
+    dists = np.empty(x.shape[0])
+    for rows in _row_chunks(x.shape[0], x.shape[1]):
+        dists[rows] = _sq_dists(x[rows], centroids[labels[rows]])
+    return labels, dists
 
 
 def kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard k-means++ D^2 seeding."""
+    """Standard k-means++ D^2 seeding. The squared distances to the newest
+    centroid are made chunk_rows(D) rows at a time."""
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
     centroids[0] = x[rng.integers(n)]
-    closest = ((x - centroids[0]) ** 2).sum(axis=1)
+    chunks = _row_chunks(n, x.shape[1])
+    closest = np.empty(n)
+    for rows in chunks:
+        closest[rows] = ((x[rows] - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -125,7 +143,8 @@ def kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             r = rng.random() * total
             idx = int(np.searchsorted(np.cumsum(closest), r))
             centroids[j] = x[min(idx, n - 1)]
-        closest = np.minimum(closest, ((x - centroids[j]) ** 2).sum(axis=1))
+        for rows in chunks:
+            np.minimum(closest[rows], ((x[rows] - centroids[j]) ** 2).sum(axis=1), out=closest[rows])
     return centroids
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from vocalm.ulm import AttnLM, ContextPolicy, attn_train
 from vocalm.ulm.attn import _block_plan, _make_batch
-from vocalm.ulm.nn import LN_EPS, cross_entropy, layernorm_backward, layernorm_forward, linear_forward, log_softmax
+from vocalm.ulm.nn import LN_EPS, cross_entropy, layernorm_backward, layernorm_forward, linear_backward, linear_forward
+from vocalm.ulm.nn import log_softmax
 
 
 def tiny_model(seed=3):
@@ -86,10 +87,36 @@ class TestGradients:
             assert rel < 1e-4, f"{key}: ||fd-an||/||.|| = {rel}"
 
 
+def _ref_layernorm(x, g, b):
+    """Layer norm over the last axis, out of place: the output and the
+    (xhat, inv_std, g) the backward formula reads."""
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv_std
+    return xhat * g + b, (xhat, inv_std, g)
+
+
+def _ref_layernorm_backward(dy, cache):
+    """dx, dg, db of _ref_layernorm, out of place."""
+    xhat, inv_std, g = cache
+    dxhat = dy * g
+    dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0), dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+
+
+def _ref_linear(x, w, b):
+    return x @ w + b
+
+
+def _ref_linear_backward(dy, x, w):
+    """dx, dw, db of _ref_linear."""
+    flat_x, flat_dy = x.reshape(-1, x.shape[-1]), dy.reshape(-1, dy.shape[-1])
+    return dy @ w.T, flat_x.T @ flat_dy, flat_dy.sum(axis=0)
+
+
 class TestNnForward:
     """linear_forward adds its bias in place, layernorm_forward computes
     x - mu once and layernorm_backward works in place on its own arrays;
-    each equals the out-of-place formulas bit for bit."""
+    each, and linear_backward, equals the out-of-place formulas bit for bit."""
 
     @pytest.mark.parametrize("shape", [(4, 479, 32), (1, 3, 8), (7, 13)])
     def test_equal_out_of_place_formulas(self, shape):
@@ -97,24 +124,21 @@ class TestNnForward:
         x = rng.normal(1.0, 3.0, size=shape)
         w, b = rng.normal(size=(shape[-1], 5)), rng.normal(size=5)
         y, cached = linear_forward(x, w, b)
-        assert np.array_equal(y, x @ w + b) and cached is x
+        assert np.array_equal(y, _ref_linear(x, w, b)) and cached is x
+        dy = rng.normal(size=y.shape)
+        for got, want in zip(linear_backward(dy, x, w), _ref_linear_backward(dy, x, w)):
+            assert np.array_equal(got, want)
         g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
         out, (xhat, inv_std, _) = layernorm_forward(x, g, b)
-        mu = x.mean(axis=-1, keepdims=True)
-        want_inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
-        want_xhat = (x - mu) * want_inv_std
+        want_out, (want_xhat, want_inv_std, _) = _ref_layernorm(x, g, b)
         assert np.array_equal(inv_std, want_inv_std)
         assert np.array_equal(xhat, want_xhat)
-        assert np.array_equal(out, want_xhat * g + b)
+        assert np.array_equal(out, want_out)
         dy = rng.normal(size=shape)
-        dxhat = dy * g
-        want_dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        want_dg = (dy * xhat).reshape(-1, shape[-1]).sum(axis=0)
+        want = _ref_layernorm_backward(dy, (xhat, inv_std, g))
         dy_before = dy.copy()
-        dx, dg, db = layernorm_backward(dy, (xhat, inv_std, g))
-        assert np.array_equal(dx, want_dx) and np.array_equal(dg, want_dg)
-        assert np.array_equal(db, dy.reshape(-1, shape[-1]).sum(axis=0))
+        for got, want_part in zip(layernorm_backward(dy, (xhat, inv_std, g)), want):
+            assert np.array_equal(got, want_part)
         assert np.array_equal(dy, dy_before)  # only the cache is consumed
 
 
@@ -280,8 +304,8 @@ def _reference_mask(t, cp):
 
 
 def _reference_forward(model, tokens, cp):
-    from vocalm.ulm.nn import layernorm_forward, linear_forward
-
+    """The attention LM's forward from the test-local formulas above, so it
+    shares no kernel with the model."""
     B, T = tokens.shape
     p = model.params
     d_head = model.embed // model.heads
@@ -290,10 +314,10 @@ def _reference_forward(model, tokens, cp):
     h = p["tok_emb"][tokens] + p["pos_emb"][:T]
     cache = {"tokens": tokens, "T": T, "B": B}
     for i in range(model.layers):
-        a, ln1_cache = layernorm_forward(h, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
-        q, _ = linear_forward(a, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
-        k, _ = linear_forward(a, p[f"l{i}.attn.wk"], p[f"l{i}.attn.bk"])
-        v, _ = linear_forward(a, p[f"l{i}.attn.wv"], p[f"l{i}.attn.bv"])
+        a, ln1_cache = _ref_layernorm(h, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
+        q = _ref_linear(a, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
+        k = _ref_linear(a, p[f"l{i}.attn.wk"], p[f"l{i}.attn.bk"])
+        v = _ref_linear(a, p[f"l{i}.attn.wv"], p[f"l{i}.attn.bv"])
         qh = q.reshape(B, T, model.heads, d_head).transpose(0, 2, 1, 3)
         kh = k.reshape(B, T, model.heads, d_head).transpose(0, 2, 1, 3)
         vh = v.reshape(B, T, model.heads, d_head).transpose(0, 2, 1, 3)
@@ -302,38 +326,37 @@ def _reference_forward(model, tokens, cp):
         e = np.exp(shifted)
         attn = e / e.sum(axis=-1, keepdims=True)
         o = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, T, model.embed)
-        ao, _ = linear_forward(o, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
+        ao = _ref_linear(o, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
         h1 = h + ao
-        a2, ln2_cache = layernorm_forward(h1, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
-        f1, _ = linear_forward(a2, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"])
+        a2, ln2_cache = _ref_layernorm(h1, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
+        f1 = _ref_linear(a2, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"])
         r = np.maximum(f1, 0.0)
-        f2, _ = linear_forward(r, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
+        f2 = _ref_linear(r, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
         cache[f"l{i}"] = (a, ln1_cache, qh, kh, vh, attn, o, ln2_cache, a2, f1, r, h, h1)
         h = h1 + f2
-    hf, lnf_cache = layernorm_forward(h, p["lnf.g"], p["lnf.b"])
-    logits, _ = linear_forward(hf, p["out.w"], p["out.b"])
+    hf, lnf_cache = _ref_layernorm(h, p["lnf.g"], p["lnf.b"])
+    logits = _ref_linear(hf, p["out.w"], p["out.b"])
     cache["lnf"] = (lnf_cache, hf)
     return logits, cache
 
 
 def _reference_backward(model, dlogits, cache):
-    from vocalm.ulm.nn import layernorm_backward, linear_backward
-
+    """The gradients of _reference_forward's loss, from the test-local formulas."""
     p = model.params
     B, T = cache["B"], cache["T"]
     d_head = model.embed // model.heads
     scale = 1.0 / np.sqrt(d_head)
     grads = {}
     lnf_cache, hf = cache["lnf"]
-    dhf, grads["out.w"], grads["out.b"] = linear_backward(dlogits, hf, p["out.w"])
-    dh, grads["lnf.g"], grads["lnf.b"] = layernorm_backward(dhf, lnf_cache)
+    dhf, grads["out.w"], grads["out.b"] = _ref_linear_backward(dlogits, hf, p["out.w"])
+    dh, grads["lnf.g"], grads["lnf.b"] = _ref_layernorm_backward(dhf, lnf_cache)
     for i in reversed(range(model.layers)):
         a, ln1_cache, qh, kh, vh, attn, o, ln2_cache, a2, f1, r, h_in, h1 = cache[f"l{i}"]
-        dr, grads[f"l{i}.ffn.w2"], grads[f"l{i}.ffn.b2"] = linear_backward(dh, r, p[f"l{i}.ffn.w2"])
-        da2, grads[f"l{i}.ffn.w1"], grads[f"l{i}.ffn.b1"] = linear_backward(dr * (f1 > 0), a2, p[f"l{i}.ffn.w1"])
-        dh1, grads[f"l{i}.ln2.g"], grads[f"l{i}.ln2.b"] = layernorm_backward(da2, ln2_cache)
+        dr, grads[f"l{i}.ffn.w2"], grads[f"l{i}.ffn.b2"] = _ref_linear_backward(dh, r, p[f"l{i}.ffn.w2"])
+        da2, grads[f"l{i}.ffn.w1"], grads[f"l{i}.ffn.b1"] = _ref_linear_backward(dr * (f1 > 0), a2, p[f"l{i}.ffn.w1"])
+        dh1, grads[f"l{i}.ln2.g"], grads[f"l{i}.ln2.b"] = _ref_layernorm_backward(da2, ln2_cache)
         dh1 = dh1 + dh
-        do, grads[f"l{i}.attn.wo"], grads[f"l{i}.attn.bo"] = linear_backward(dh1, o, p[f"l{i}.attn.wo"])
+        do, grads[f"l{i}.attn.wo"], grads[f"l{i}.attn.bo"] = _ref_linear_backward(dh1, o, p[f"l{i}.attn.wo"])
         doh = do.reshape(B, T, model.heads, d_head).transpose(0, 2, 1, 3)
         dattn = doh @ vh.transpose(0, 1, 3, 2)
         dvh = attn.transpose(0, 1, 3, 2) @ doh
@@ -343,10 +366,10 @@ def _reference_backward(model, dlogits, cache):
         dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, model.embed)
         dk = dkh.transpose(0, 2, 1, 3).reshape(B, T, model.embed)
         dv = dvh.transpose(0, 2, 1, 3).reshape(B, T, model.embed)
-        da_q, grads[f"l{i}.attn.wq"], grads[f"l{i}.attn.bq"] = linear_backward(dq, a, p[f"l{i}.attn.wq"])
-        da_k, grads[f"l{i}.attn.wk"], grads[f"l{i}.attn.bk"] = linear_backward(dk, a, p[f"l{i}.attn.wk"])
-        da_v, grads[f"l{i}.attn.wv"], grads[f"l{i}.attn.bv"] = linear_backward(dv, a, p[f"l{i}.attn.wv"])
-        dh_in, grads[f"l{i}.ln1.g"], grads[f"l{i}.ln1.b"] = layernorm_backward(da_q + da_k + da_v, ln1_cache)
+        da_q, grads[f"l{i}.attn.wq"], grads[f"l{i}.attn.bq"] = _ref_linear_backward(dq, a, p[f"l{i}.attn.wq"])
+        da_k, grads[f"l{i}.attn.wk"], grads[f"l{i}.attn.bk"] = _ref_linear_backward(dk, a, p[f"l{i}.attn.wk"])
+        da_v, grads[f"l{i}.attn.wv"], grads[f"l{i}.attn.bv"] = _ref_linear_backward(dv, a, p[f"l{i}.attn.wv"])
+        dh_in, grads[f"l{i}.ln1.g"], grads[f"l{i}.ln1.b"] = _ref_layernorm_backward(da_q + da_k + da_v, ln1_cache)
         dh = dh_in + dh1
     grads["tok_emb"] = np.zeros_like(p["tok_emb"])
     np.add.at(grads["tok_emb"], cache["tokens"], dh)

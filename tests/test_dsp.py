@@ -361,6 +361,7 @@ class TestWavIO:
         with open(path, "rb") as fh:
             pcm = np.frombuffer(fh.read()[44:], dtype="<i2")
         assert np.array_equal(pcm, np.round(np.clip(x, -1.0, 32767.0 / 32768.0) * 32768.0).astype("<i2"))
+        assert np.array_equal(dsp.read_wav(path).samples, pcm.astype(np.float64) / 32768.0)
 
     def test_multichannel_rejected(self, tmp_path):
         import wave as wavemod
@@ -454,6 +455,25 @@ class TestDecimate:
                 assert level_db(path, 4900, 8000) <= -60.0, freq
             else:
                 assert abs(level_db(path, freq - 5, freq + 5)) <= 0.5, freq
+
+    def test_sixty_seconds_at_48k_peak_below_five_times_the_output(self, rng, tmp_path):
+        """Reading a 48 kHz WAV holds its float64 samples (3x the 16 kHz
+        output) and resample_poly's work: 4.13x measured. Counting the first
+        import of scipy.signal as well would read about 10x."""
+        import tracemalloc
+
+        from scipy import signal  # noqa: F401  imported before tracing: the import is not read_audio's work
+
+        path = tmp_path / "long.wav"
+        dsp.write_wav(path, Waveform(rng.normal(0, 0.2, 60 * 48000), 48000))
+        tracemalloc.start()
+        try:
+            out = dsp.read_audio(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 60 * SR
+        assert peak <= 5 * out.samples.nbytes, peak / out.samples.nbytes
 
     def test_non_integer_rejected(self, tmp_path):
         path = tmp_path / "t.wav"

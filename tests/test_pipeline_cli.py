@@ -334,9 +334,9 @@ class TestResume:
         assert report == json.loads(clean_report)
 
     def test_run_meta_records_each_stage(self, clean_run, clean_report, tmp_path):
-        """run_meta.json holds each stage's status, wall and CPU seconds and
-        peak RSS after it, for a fresh run and a resumed one; none of it
-        reaches the report."""
+        """run_meta.json holds each stage's status, wall and CPU seconds, peak
+        RSS after it and RSS at its end, for a fresh run and a resumed one;
+        none of it reaches the report."""
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         shutil.rmtree(out / "eval")
@@ -349,14 +349,32 @@ class TestResume:
             rows = list(meta["stages"].values())
             assert [row["status"] for row in rows] == statuses
             for row in rows:
-                assert set(row) == {"status", "wall_s", "cpu_s", "ru_maxrss_kib"}
+                assert set(row) == {"status", "wall_s", "cpu_s", "ru_maxrss_kib", "rss_end_kib"}
                 assert row["wall_s"] >= 0 and row["cpu_s"] >= 0
                 assert isinstance(row["ru_maxrss_kib"], int) and row["ru_maxrss_kib"] > 0
+                # the kernel's RSS counters are approximate, so it may read a
+                # little above ru_maxrss
+                if os.path.exists("/proc/self/statm"):
+                    assert isinstance(row["rss_end_kib"], int) and row["rss_end_kib"] > 0
+                else:
+                    assert row["rss_end_kib"] is None
             peaks = [row["ru_maxrss_kib"] for row in rows]
             assert peaks == sorted(peaks)
             assert sum(row["wall_s"] for row in rows) <= meta["elapsed_s"] + 1e-3
-        for key in ("stages", "wall_s", "cpu_s", "ru_maxrss"):
+        for key in ("stages", "wall_s", "cpu_s", "ru_maxrss", "rss_end"):
             assert key not in clean_report.decode()
+
+    def test_rss_end_is_null_where_proc_statm_is_absent(self, monkeypatch):
+        real_open = open
+
+        def no_proc(path, *args, **kwargs):
+            if str(path) == "/proc/self/statm":
+                raise FileNotFoundError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", no_proc)
+        row = pipeline._stage_usage("ran", (time.perf_counter(), time.process_time()))
+        assert row["rss_end_kib"] is None and row["ru_maxrss_kib"] > 0
 
     def test_finished_out_dir_with_fad_stage_runs_no_stage(self, clean_run, clean_report, tmp_path, monkeypatch):
         # an out-dir written when the FAD block was a stage of its own: fad/
@@ -547,6 +565,105 @@ class TestComputedOnce:
             assert np.array_equal(encode(distractor), p.distractor.units), (p.task, wid)
             checked.add(p.task)
         assert checked == {"reversal", "shuffle", "concat"}
+
+    @staticmethod
+    def _bench_out(out, tmp_path):
+        """A copy of a finished out-dir with an empty bench stage."""
+        work = tmp_path / "out"
+        shutil.copytree(out, work, ignore=shutil.ignore_patterns("bench", "eval"))
+        (work / "bench").mkdir()
+        return work
+
+    @pytest.mark.parametrize("n_even", [1, 2, 4])
+    def test_concat_ring_order_and_units(self, tiny_run, tmp_path, monkeypatch, n_even):
+        """The even-call test and valid windows form a ring in index order:
+        each pairs with the next, then the last with the first, and one such
+        window makes no pair. Each distractor holds the encoded concat of the
+        two windows' audio. Windows past the first n_even lose a call."""
+        cfg, out, _ = tiny_run
+        index = pipeline._read_feature_index(out, cfg)
+        evens = [row for row in index if row["split"] in ("test", "valid") and len(row["calls"]) % 2 == 0]
+        assert len(evens) == 4
+        for row in evens[n_even:]:
+            row["calls"] = row["calls"][:-1]
+        monkeypatch.setattr(pipeline, "_read_feature_index", lambda out, cfg: index)
+        work = self._bench_out(out, tmp_path)
+        pipeline.stage_bench(cfg, work)
+        pairs = [p for p in bench.read_pairs_jsonl(work / "bench" / "pairs.jsonl")[0] if p.task == "concat"]
+        ids = [row["id"] for row in evens[:n_even]]
+        ring = list(zip(ids, ids[1:] + ids[:1])) if n_even > 1 else []
+        assert [(p.provenance["a"], p.provenance["b"]) for p in pairs] == ring
+        units = pipeline._window_units(out, index)
+        cb = quantizer.load_codebook(out / "quantize" / "codebook.json")
+        rows = {row["id"]: row for row in index}
+
+        def window(wid):
+            row = rows[wid]
+            segs = tuple(CallSegment(c["onset_s"], c["offset_s"]) for c in row["calls"])
+            return SegmentWindow(0.0, row["end_s"] - row["start_s"], segs), pipeline._window_clip(
+                dsp.read_wav(out / row["source"]), row
+            )
+
+        for p, (a, b) in zip(pairs, ring):
+            assert np.array_equal(p.positive.units, units[a])
+            joined = bench.concat_audio(*window(a), *window(b))
+            assert np.array_equal(p.distractor.units, quantizer.encode(pipeline._featurize(cfg, joined), cb))
+
+    def _bench_peak_in_scenes(self, cfg, out, tmp_path):
+        """stage_bench's tracemalloc peak on a copy of `out`, in scenes of
+        float64 audio; its pairs.jsonl must equal the one in `out`."""
+        import tracemalloc
+
+        work = self._bench_out(out, tmp_path)
+        scene = dsp.read_audio(work / "synth" / "scene_0000.wav").samples.nbytes
+        tracemalloc.start()
+        try:
+            pipeline.stage_bench(cfg, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (work / "bench" / "pairs.jsonl").read_bytes() == (out / "bench" / "pairs.jsonl").read_bytes()
+        return peak / scene
+
+    def test_bench_holds_under_four_scenes_of_audio(self, tiny_run, tmp_path):
+        """stage_bench holds one scene and its window's distractor at a time,
+        and a concat pair's scenes one at a time, each only until its window
+        is copied out: its tracemalloc peak is 3.46 scenes' float64 audio on
+        this run of 10 s scenes, where each scene is about one window. Holding
+        copies of the windows that concat pairs still needed took 7.21."""
+        cfg, out, _ = tiny_run
+        assert self._bench_peak_in_scenes(cfg, out, tmp_path) <= 4
+
+    def test_bench_holds_one_long_scene_plus_windows(self, tmp_path):
+        """With 30 s scenes, several windows long, the peak is 1.83 scenes:
+        one scene plus windows. Holding window copies took 3.39, and a concat
+        pair holding both its scenes at once took 2.54."""
+        cfg = RunConfig.from_dict(dict(
+            TINY_OVERRIDE, synth={"n_scenes": 6, "scene_s": 30.0, "phee": {"n_records": 4}}, metrics={"fad_group_size": 8}
+        ))
+        out = tmp_path / "long"
+        pipeline_run(cfg, out)
+        pairs = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")[0]
+        assert sum(p.task == "concat" for p in pairs) >= 2
+        assert self._bench_peak_in_scenes(cfg, out, tmp_path) <= 2.2
+
+    def test_fad_groups_hold_one_clip_at_a_time(self):
+        """eval_fad_groups featurises each clip as it is drawn: with 16 clips
+        per group its tracemalloc peak is 6.7-6.9 clips' float64 audio, where
+        holding the "b" clips alone would take 16. What remains grows with
+        the group: each clip's feature frames and the codebook fit."""
+        import tracemalloc
+
+        cfg = RunConfig.from_dict({"seed": 11, "quantizer": {"k": 16}, "metrics": {"fad_group_size": 16}})
+        clip = int(cfg["metrics"]["fad_clip_s"] * dsp.DEFAULT_SAMPLE_RATE) * 8
+        tracemalloc.start()
+        try:
+            block = pipeline.eval_fad_groups(cfg, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block["n_per_group"] == 16
+        assert peak <= 8 * clip, peak / clip
 
     def test_jobs_do_not_change_outputs(self, clean_run, tmp_path, monkeypatch):
         """--jobs 2 writes the report and every synth, segment and features

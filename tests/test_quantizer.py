@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vocalm import dsp
 from vocalm.errors import InsufficientDataError
 from vocalm.quantizer import (
     Codebook,
@@ -352,6 +353,64 @@ class TestExactAssignment:
             assert (labels == ref.argmin(axis=1)).all()
             assert (dists == ref[np.arange(len(x)), labels]).all()
             assert not np.isin(labels, [5, 11]).any()  # duplicates of centroid 2 never win
+
+
+class TestChunkedAssignment:
+    """Assignment, k-means++ seeding and the mini-batch labels work through
+    dsp.chunk_rows(K) rows at a time; labels, distances and centroids are
+    those of one whole-array pass bit for bit."""
+
+    K = 50
+    CHUNK = dsp.chunk_rows(K)
+
+    def frames(self, n):
+        """n frames and K centroids, centroid 9 three times over, with frames
+        on it and at exact midpoints of centroid pairs on both sides of
+        every chunk boundary."""
+        rng = np.random.default_rng(n)
+        cents = rng.normal(size=(self.K, 13))
+        cents[[17, 31]] = cents[9]
+        x = rng.normal(size=(n, 13))
+        x[::5] = cents[9]
+        x[2::7] = (cents[3] + cents[4]) / 2
+        return x, cents
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_assign_equals_one_whole_array_pass(self, offset, monkeypatch):
+        from vocalm.quantizer import _assign, _row_chunks
+
+        x, cents = self.frames(self.CHUNK + offset)
+        assert len(_row_chunks(len(x), self.K)) == (1 if offset <= 0 else 2)
+        labels, dists = _assign(x, cents)
+        ref = d_ordered_sq_dists(x, cents)
+        assert np.array_equal(labels, ref.argmin(axis=1))
+        assert np.array_equal(dists, ref[np.arange(len(x)), labels])
+        monkeypatch.setattr(dsp, "CHUNK_BYTES", 1 << 40)  # every row in one chunk
+        whole_labels, whole_dists = _assign(x, cents)
+        assert np.array_equal(labels, whole_labels) and np.array_equal(dists, whole_dists)
+        assert np.array_equal(encode(x, Codebook(cents)), labels)
+
+    def test_fit_codebook_keeps_its_centroid_bytes(self, monkeypatch):
+        """4000 frames are 4 chunks of assignment and 1000-frame mini-batches
+        straddle chunk boundaries. The hash is that of the centroids the
+        whole-array kernels gave."""
+        import hashlib
+
+        rng = np.random.default_rng(26)
+        x = np.concatenate([rng.normal(c, 0.5, size=(800, 13)) for c in range(5)])
+        x[::9] = x[4]
+
+        def fit():
+            return fit_codebook(x, k=self.K, minibatch=1000, restarts=2, seed=3).centroids
+
+        chunked = fit()
+        assert hashlib.sha256(chunked.tobytes()).hexdigest() == (
+            "45695bb57b1a79574a2a4d6b40b3d5128c2d2e1f7319931114a76aa9445d67c9"
+        )
+        init = kmeans_pp_init(x, self.K, np.random.default_rng(1))
+        monkeypatch.setattr(dsp, "CHUNK_BYTES", 1 << 40)
+        assert np.array_equal(fit(), chunked)
+        assert np.array_equal(kmeans_pp_init(x, self.K, np.random.default_rng(1)), init)
 
 
 class TestDedup:
