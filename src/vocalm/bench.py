@@ -288,33 +288,27 @@ def pairwise_eval(model, pairs: list[BenchmarkPair], cp=None, scores: dict | Non
 # -- manifests ----------------------------------------------------------------
 
 
-def write_pairs_jsonl(path, pairs: list[BenchmarkPair], fingerprint: str = "") -> None:
+def write_pairs_jsonl(path, pairs: list[BenchmarkPair]) -> None:
     rows = (
         {"task": p.task, "positive": p.positive.record(), "distractor": p.distractor.record(),
-         "seed": p.seed, "provenance": p.provenance, "config_fingerprint": fingerprint}
+         "seed": p.seed, "provenance": p.provenance}
         for p in pairs
     )
     write_jsonl(path, rows)
 
 
-def read_pairs_jsonl(path) -> tuple[list[BenchmarkPair], str]:
-    """The pairs and the fingerprint of the last row ("" when there is none)."""
-    rows = read_jsonl(path)
-    pairs = [
-        BenchmarkPair(
-            task=obj["task"],
-            positive=PairItem.from_record(obj["positive"]),
-            distractor=PairItem.from_record(obj["distractor"]),
-            seed=obj.get("seed", 0),
-            provenance=obj.get("provenance", {}),
-        )
-        for obj in rows
-    ]
-    return pairs, rows[-1].get("config_fingerprint", "") if rows else ""
+def read_pairs_jsonl(path) -> list[BenchmarkPair]:
+    return read_jsonl(path, lambda obj: BenchmarkPair(
+        task=obj["task"],
+        positive=PairItem.from_record(obj["positive"]),
+        distractor=PairItem.from_record(obj["distractor"]),
+        seed=obj.get("seed", 0),
+        provenance=obj.get("provenance", {}),
+    ))
 
 
-def write_phee_jsonl(path, records: list[PheeRecord], fingerprint: str = "") -> None:
-    write_jsonl(path, ({**asdict(r), "config_fingerprint": fingerprint} for r in records))
+def write_phee_jsonl(path, records: list[PheeRecord]) -> None:
+    write_jsonl(path, (asdict(r) for r in records))
 
 
 def read_phee_jsonl(path) -> list[PheeRecord]:

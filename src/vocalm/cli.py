@@ -345,7 +345,7 @@ def cmd_bench_phee(args) -> int:
 
 def cmd_bench_eval(args) -> int:
     model = load_model(args.model)
-    pairs, _ = bench.read_pairs_jsonl(args.pairs)
+    pairs = bench.read_pairs_jsonl(args.pairs)
     if not pairs:
         raise ConfigError(f"{args.pairs} holds no pairs")
     for i, p in enumerate(pairs, 1):

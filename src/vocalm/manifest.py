@@ -1,10 +1,10 @@
 """Corpus manifests, dataset splits, run configuration, and fingerprinting.
 
 All randomness across the pipeline flows from one root seed through named
-sub-streams (seed_for), and every artifact embeds the configuration
-fingerprint so that artifacts from different runs cannot be mixed silently.
-Every JSON-lines file is written by write_jsonl and read by read_jsonl; the
-pipeline's stage JSON files have one reader, which checks the fingerprint.
+sub-streams (seed_for). RunConfig.fingerprint names a configuration; the
+pipeline's stage markers carry it, so that artifacts from different runs
+cannot be mixed silently. Every JSON-lines file is written by write_jsonl and
+read by read_jsonl; the pipeline reads its stage JSON files with read_json.
 RunConfig.from_dict checks a config before anything is written. A value a
 stage hands to a constructor is checked by calling that constructor with it,
 so the rule is stated once, by the stage's own code; the checks written here
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .dsp import DEFAULT_SAMPLE_RATE, Waveform, _feature_geometry, _highpass_design, features
-from .errors import ConfigError, FingerprintMismatchError
+from .errors import ConfigError
 from .segmenter import WINDOW_SPAN_S, DetectorParams
 from .synthlab import CallSpec, SceneSpec
 from .ulm import ContextPolicy, NGramLM, ProbeClassifier, smoothing_from_dict
@@ -418,10 +418,3 @@ def seed_for(root_seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{root_seed}/{name}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
-
-def check_fingerprint(found: str, expected: str, what: str) -> None:
-    if found != expected:
-        raise FingerprintMismatchError(
-            f"{what} carries fingerprint {found!r} but the active config is {expected!r}; "
-            "artifacts from different configurations cannot be mixed"
-        )

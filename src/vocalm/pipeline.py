@@ -24,11 +24,12 @@ for the pairs, the context grid and the perplexity alike: a policy that
 hides nothing from a sequence scores it as no policy does. Eval writes the
 validated report to `eval/report.json`; the top-level `report.json` is an
 atomic byte copy of that committed file, so a rerun of a finished out-dir
-runs no stage. Every stage JSON file is read through _load_json, which
-checks its config fingerprint. The report body contains no timestamps, so
-identical configs produce byte-identical reports; wall-clock metadata goes
-to run_meta.json instead, with each stage's status (ran or reused), wall
-and CPU seconds, the peak RSS after it and the RSS at its end.
+runs no stage. Of the stage files, only the markers and the report carry
+the config fingerprint, and only the markers' is checked. The report body
+contains no timestamps, so identical configs produce byte-identical reports;
+wall-clock metadata goes to run_meta.json instead, with each stage's status
+(ran or reused), wall and CPU seconds, the peak RSS after it and the RSS at
+its end.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
 from .errors import FingerprintMismatchError, StageFailureError
-from .manifest import SPLITS, ManifestRecord, RunConfig, check_fingerprint, read_jsonl, seed_for, split_manifest
+from .manifest import SPLITS, ManifestRecord, RunConfig, read_json, read_jsonl, seed_for, split_manifest
 from .manifest import write_jsonl
 from .segmenter import BOUNDARY_TOL_S, CallSegment, DetectorParams, SegmentWindow, count_matches, detect_calls
 from .segmenter import pack_windows
@@ -62,8 +63,9 @@ DONE_NAME = "_done.json"
 # Bumped whenever a stage's files change shape, so a marker written under an
 # older layout is never reused: none for per-window feature CSVs, 2 for
 # index.json rows without their window's calls, 3 for WAV paths named as
-# written rather than relative to the out-dir.
-LAYOUT = 4
+# written rather than relative to the out-dir, 4 for stage files that each
+# carried the config fingerprint beside the marker's.
+LAYOUT = 5
 FRAMES_NAME = "frames.npy"
 STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "eval")
 PER_SCENE_STAGES = ("synth", "segment", "features")
@@ -93,19 +95,10 @@ def _map_scenes(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _save_json(path: Path, body: dict, cfg: RunConfig) -> None:
-    """Write a stage JSON file: the body plus the config fingerprint."""
+def _save_json(path: Path, body: dict) -> None:
+    """Write a stage JSON file with sorted keys; manifest.read_json reads it."""
     with open(path, "w") as fh:
-        json.dump({**body, "config_fingerprint": cfg.fingerprint()}, fh, sort_keys=True)
-
-
-def _load_json(path: Path, cfg: RunConfig) -> dict:
-    """A stage JSON file's body, once its fingerprint matches the active
-    config's; otherwise FingerprintMismatchError naming the file."""
-    with open(path) as fh:
-        body = json.load(fh)
-    check_fingerprint(body.pop("config_fingerprint", ""), cfg.fingerprint(), str(path))
-    return body
+        json.dump(body, fh, sort_keys=True)
 
 
 # -- synth stage ---------------------------------------------------------------
@@ -146,7 +139,6 @@ def _scene_plan(cfg: RunConfig) -> list[dict]:
 
 
 def stage_synth(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
-    fp = cfg.fingerprint()
     syn = cfg["synth"]
 
     def one(plan):
@@ -166,19 +158,18 @@ def stage_synth(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
                 {"onset_s": seg.onset_s, "offset_s": seg.offset_s, "call_type": c["call_type"]}
                 for seg, c in zip(truth, plan["calls"])
             ],
-            "config_fingerprint": fp,
         }
 
     # every plan is drawn from the one plan rng before any scene renders
     write_jsonl(out / "synth" / "truth.jsonl", _map_scenes(one, _scene_plan(cfg), jobs))
-    _synth_phee(cfg, out, fp)
+    _synth_phee(cfg, out)
 
 
 def _phee_signature_f0(idx: int, n: int) -> float:
     return 5800.0 + (9200.0 - 5800.0) * idx / max(n - 1, 1)
 
 
-def _synth_phee(cfg: RunConfig, out: Path, fp: str) -> None:
+def _synth_phee(cfg: RunConfig, out: Path) -> None:
     phee_cfg = cfg["synth"]["phee"]
     phee_dir = out / "synth" / "phee"
     phee_dir.mkdir(exist_ok=True)
@@ -215,7 +206,7 @@ def _synth_phee(cfg: RunConfig, out: Path, fp: str) -> None:
                 gap_s=round(_sample_range(rng, phee_cfg["gap_s"]), 3),
             )
         )
-    bench.write_phee_jsonl(phee_dir / "phee.jsonl", records, fingerprint=fp)
+    bench.write_phee_jsonl(phee_dir / "phee.jsonl", records)
 
 
 # -- segment stage -------------------------------------------------------------
@@ -230,7 +221,6 @@ def segment_wav(path, params: DetectorParams) -> tuple[list[CallSegment], list[S
 
 
 def stage_segment(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
-    fp = cfg.fingerprint()
     seg_dir = out / "segment"
     params = DetectorParams.from_dict(cfg["detector"])
 
@@ -238,7 +228,7 @@ def stage_segment(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
         """The scene's window rows and its (predicted, true, matched) call counts."""
         pred, windows = segment_wav(out / scene["path"], params)
         truth = [CallSegment(c["onset_s"], c["offset_s"]) for c in scene["calls"]]
-        rows = [{**win.record(scene["path"]), "config_fingerprint": fp} for win in windows]
+        rows = [win.record(scene["path"]) for win in windows]
         return rows, (len(pred), len(truth), count_matches(pred, truth, BOUNDARY_TOL_S))
 
     per_scene = _map_scenes(one, read_jsonl(out / "synth" / "truth.jsonl"), jobs)
@@ -250,7 +240,7 @@ def stage_segment(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
         "n_scenes": len(per_scene),
         "tol_s": BOUNDARY_TOL_S,
     }
-    _save_json(seg_dir / "detection.json", detection, cfg)
+    _save_json(seg_dir / "detection.json", detection)
 
 
 def _window_clip(wave: dsp.Waveform, row: dict) -> dsp.Waveform:
@@ -294,11 +284,11 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     ]
     # with no windows this is a (0, D) matrix and quantize reports the failure
     np.save(feat_dir / FRAMES_NAME, np.vstack([np.empty((0, cfg["features"]["n_coeffs"]))] + frames))
-    _save_json(feat_dir / "index.json", {"windows": index}, cfg)
+    _save_json(feat_dir / "index.json", {"windows": index})
 
 
-def _read_feature_index(out: Path, cfg: RunConfig) -> list[dict]:
-    return _load_json(out / "features" / "index.json", cfg)["windows"]
+def _read_feature_index(out: Path) -> list[dict]:
+    return read_json(out / "features" / "index.json", "feature index")["windows"]
 
 
 def _window_frames(out: Path, index: list[dict]) -> list[np.ndarray]:
@@ -313,7 +303,7 @@ def _window_frames(out: Path, index: list[dict]) -> list[np.ndarray]:
 def stage_quantize(cfg: RunConfig, out: Path) -> None:
     """codebook.json, then units_{split}.txt: the split's windows in index.json order."""
     q_dir = out / "quantize"
-    index = _read_feature_index(out, cfg)
+    index = _read_feature_index(out)
     frames = _window_frames(out, index)
     q = cfg["quantizer"]
     cb = quantizer.fit_codebook(
@@ -366,7 +356,7 @@ def stage_ulm(cfg: RunConfig, out: Path) -> None:
     meta = {"backend": backend, "file": model_file}
     if backend == "attn":
         meta["n_params"] = model.n_params
-    _save_json(u_dir / "model_meta.json", meta, cfg)
+    _save_json(u_dir / "model_meta.json", meta)
 
 
 def load_model(path):
@@ -389,7 +379,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
     stage holds one scene and a window's distractor, or one scene and two
     windows, however many scenes there are."""
     cb = quantizer.load_codebook(out / "quantize" / "codebook.json")
-    index = _read_feature_index(out, cfg)
+    index = _read_feature_index(out)
     units = _window_units(out, index)
 
     def units_of(wave):
@@ -454,7 +444,7 @@ def stage_bench(cfg: RunConfig, out: Path) -> None:
             records, mode, seed=seed_for(cfg.seed, f"bench/phee/{mode}"),
             per_record=cfg["bench"]["phee_per_record"], units_of=wav_units,
         ))
-    bench.write_pairs_jsonl(out / "bench" / "pairs.jsonl", pairs, fingerprint=cfg.fingerprint())
+    bench.write_pairs_jsonl(out / "bench" / "pairs.jsonl", pairs)
 
 
 # -- eval stage ------------------------------------------------------------
@@ -577,20 +567,18 @@ def _context_grid(cfg: RunConfig, model, pairs, scores: dict) -> list[dict]:
 
 def stage_eval(cfg: RunConfig, out: Path) -> None:
     """The validated report, written to eval/report.json."""
-    fp = cfg.fingerprint()
-    model = load_model(out / "ulm" / _load_json(out / "ulm" / "model_meta.json", cfg)["file"])
-    pairs, pairs_fp = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
-    check_fingerprint(pairs_fp, fp, "bench pairs")
+    model = load_model(out / "ulm" / read_json(out / "ulm" / "model_meta.json", "model meta")["file"])
+    pairs = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
     # one score per distinct (effective policy, sequence), shared with the context grid
     scores: dict = {}
     result = bench.pairwise_eval(model, pairs, None, scores)
-    index = _read_feature_index(out, cfg)
+    index = _read_feature_index(out)
     units = _window_units(out, index)
     # units_test.txt order: the test windows in index order
     test_units = [units[w["id"]] for w in index if w["split"] == "test" and units[w["id"]].size]
     # each test window was scored above as a reversal positive
     ppl_value = ppl(model, test_units, None, scores) if test_units else None
-    detection = _load_json(out / "segment" / "detection.json", cfg)
+    detection = read_json(out / "segment" / "detection.json", "detection")
     fad_block = eval_fad_groups(cfg, seed_for(cfg.seed, "metrics/fad"))
     fu, fl, cu, cl, emb, type_names = _labeled_call_frames(cfg, out, index, units)
     frame_up, frame_lp = metrics.purity(metrics.contingency_from_frames(fu, fl))
@@ -607,7 +595,7 @@ def stage_eval(cfg: RunConfig, out: Path) -> None:
     recall, precision, f1 = probe_res.val_metrics
     report = {
         "tool": {"name": "vocalm", "version": __version__},
-        "config_fingerprint": fp,
+        "config_fingerprint": cfg.fingerprint(),
         "seed": cfg.seed,
         "segmentation": detection,
         "ppl": {
@@ -750,8 +738,12 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
     fp = cfg.fingerprint()
     markers = {name: _read_marker(out / name) for name in STAGES}
     for name, marker in markers.items():
-        if marker is not None:
-            check_fingerprint(marker.get("config_fingerprint", ""), fp, f"{name} stage output")
+        found = fp if marker is None else marker.get("config_fingerprint", "")
+        if found != fp:
+            raise FingerprintMismatchError(
+                f"{name} stage output carries fingerprint {found!r} but the active config is {fp!r}; "
+                "artifacts from different configurations cannot be mixed"
+            )
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(out / "config.json")
     t0 = time.time()
@@ -779,8 +771,6 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
             marker = {"layout": LAYOUT, "config_fingerprint": fp, "files": _stage_files(out / name)}
             _write_json_atomic(out / name / DONE_NAME, marker)
             stages[name] = _stage_usage("ran", start)
-    except FingerprintMismatchError:
-        raise
     except Exception as e:
         partial = {
             "partial": True,
@@ -793,5 +783,4 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
     _write_atomic(out / REPORT_NAME, (out / "eval" / REPORT_NAME).read_bytes())
     with open(out / "run_meta.json", "w") as fh:
         json.dump({"elapsed_s": time.time() - t0, "finished_unix": time.time(), "stages": stages}, fh)
-    # _load_json checks the fingerprint and drops it; the report body keeps it
-    return {**_load_json(out / REPORT_NAME, cfg), "config_fingerprint": fp}
+    return read_json(out / REPORT_NAME, "report")

@@ -1,6 +1,7 @@
 """One codec per on-disk format: JSON-lines files go through
 manifest.write_jsonl/read_jsonl, stage JSON files through
-pipeline._save_json/_load_json."""
+pipeline._save_json and manifest.read_json. The stage markers are the one
+carrier of the config fingerprint that a run checks."""
 
 import ast
 import importlib
@@ -16,8 +17,8 @@ import vocalm
 from vocalm import bench, pipeline
 from vocalm.bench import PheeRecord, read_pairs_jsonl, read_phee_jsonl, write_pairs_jsonl, write_phee_jsonl
 from vocalm.cli import main
-from vocalm.errors import ConfigError, FingerprintMismatchError
-from vocalm.manifest import ManifestRecord, RunConfig, read_jsonl, read_manifest, write_jsonl, write_manifest
+from vocalm.errors import ConfigError
+from vocalm.manifest import ManifestRecord, read_jsonl, read_manifest, write_jsonl, write_manifest
 from vocalm.ulm import KneserNey, train_ngram
 
 
@@ -36,15 +37,15 @@ class TestJsonLines:
 
     def test_blank_lines_skipped_in_every_reader(self, tmp_path):
         pairs = bench.unit_pairs_from_corpus([np.arange(6), np.arange(5)[::-1]], "reversal", seed=1)
-        write_pairs_jsonl(tmp_path / "pairs.jsonl", pairs, fingerprint="abc")
+        write_pairs_jsonl(tmp_path / "pairs.jsonl", pairs)
         records = [PheeRecord("m0", "m1", "a.wav", "b.wav", 1.5), PheeRecord("m1", "m0", "c.wav", "d.wav")]
         write_phee_jsonl(tmp_path / "phee.jsonl", records)
         manifest = [ManifestRecord("x.wav", 1.0, "train", {"caller_id": "m0"}), ManifestRecord("y.wav", 2.0)]
         write_manifest(tmp_path / "m.jsonl", manifest)
         for name in ("pairs.jsonl", "phee.jsonl", "m.jsonl"):
             _with_blank_lines(tmp_path / name)
-        back, fp = read_pairs_jsonl(tmp_path / "pairs.jsonl")
-        assert fp == "abc" and len(back) == len(pairs)
+        back = read_pairs_jsonl(tmp_path / "pairs.jsonl")
+        assert len(back) == len(pairs)
         for p, q in zip(pairs, back):
             assert (p.task, p.positive.ref, p.distractor.ref) == (q.task, q.positive.ref, q.distractor.ref)
             assert np.array_equal(p.positive.units, q.positive.units)
@@ -60,10 +61,9 @@ class TestJsonLines:
 
     def test_phee_rows_are_the_record_fields(self, tmp_path):
         path = tmp_path / "phee.jsonl"
-        write_phee_jsonl(path, [PheeRecord("m0", "m1", "a.wav", "b.wav", 1.5)], fingerprint="abc")
+        write_phee_jsonl(path, [PheeRecord("m0", "m1", "a.wav", "b.wav", 1.5)])
         assert json.loads(path.read_text()) == {
             "caller_id": "m0", "receiver_id": "m1", "call_ref": "a.wav", "response_ref": "b.wav", "gap_s": 1.5,
-            "config_fingerprint": "abc",
         }
 
 
@@ -93,6 +93,12 @@ class TestBenchEvalCli:
         assert main(["bench", "eval", "--model", str(model), "--pairs", str(pairs)]) == 2
         assert f"{pairs} line 7" in capsys.readouterr().err
 
+    def test_row_without_a_task_exits_2(self, model_and_pairs, capsys):
+        model, pairs = model_and_pairs
+        pairs.write_text(pairs.read_text() + '{"positive": {}, "distractor": {}}\n')
+        assert main(["bench", "eval", "--model", str(model), "--pairs", str(pairs)]) == 2
+        assert f"{pairs} line 7 has no 'task' key" in capsys.readouterr().err
+
     def test_ref_only_phee_pairs_exit_2(self, model_and_pairs, tmp_path, capsys):
         model, _ = model_and_pairs
         records, pairs = tmp_path / "phee.jsonl", tmp_path / "phee_pairs.jsonl"
@@ -105,24 +111,9 @@ class TestBenchEvalCli:
         assert f"{pairs}: pair 1 " in capsys.readouterr().err
 
 
-class TestStageJson:
-    def test_load_json_checks_the_fingerprint(self, tmp_path):
-        mine, other = RunConfig.from_dict({}), RunConfig.from_dict({"seed": 1})
-        path = tmp_path / "features" / "index.json"
-        path.parent.mkdir()
-        pipeline._save_json(path, {"windows": []}, other)
-        assert json.loads(path.read_text()) == {"windows": [], "config_fingerprint": other.fingerprint()}
-        assert pipeline._load_json(path, other) == {"windows": []}
-        with pytest.raises(FingerprintMismatchError, match=re.escape(str(path))):
-            pipeline._load_json(path, mine)
-        # the quantize, bench and eval stages read index.json through the check
-        with pytest.raises(FingerprintMismatchError, match=re.escape(str(path))):
-            pipeline._read_feature_index(tmp_path, mine)
-
-
 # The functions allowed to call json.dump/dumps/load/loads in pipeline.py and
 # bench.py; pipeline_run may make one such call, the run_meta.json write.
-CODECS = {"_save_json", "_load_json", "_write_json_atomic", "_read_marker"}
+CODECS = {"_save_json", "_write_json_atomic", "_read_marker"}
 
 
 def _enclosing(module, matches) -> list[tuple[str, int]]:
@@ -167,6 +158,26 @@ def test_json_is_read_and_written_only_by_the_codecs():
         if func not in CODECS
     ]
     assert [func for _, func, _ in stray] == ["pipeline_run"], stray
+
+
+def test_only_the_runner_and_the_report_name_the_fingerprint():
+    """The stage markers carry the config fingerprint: bench.py names no
+    config_fingerprint, and in pipeline.py only pipeline_run (the markers
+    and the partial report), stage_eval's report and REPORT_REQUIRED do."""
+
+    def names_it(node):
+        return isinstance(node, ast.Constant) and node.value == "config_fingerprint"
+
+    assert _enclosing(bench, names_it) == []
+    module = ast.parse(Path(pipeline.__file__).read_text())
+    required = next(
+        node for node in module.body if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "REPORT_REQUIRED"
+    )
+    owners = {
+        "REPORT_REQUIRED" if func == "<module>" and required.lineno <= line <= required.end_lineno else func
+        for func, line in _enclosing(pipeline, names_it)
+    }
+    assert owners == {"REPORT_REQUIRED", "pipeline_run", "stage_eval"}
 
 
 def test_only_segment_and_features_name_windows_jsonl():

@@ -386,9 +386,8 @@ class TestManifests:
             )
         ]
         path = tmp_path / "pairs.jsonl"
-        write_pairs_jsonl(path, pairs, fingerprint="abc123")
-        back, fp = read_pairs_jsonl(path)
-        assert fp == "abc123"
+        write_pairs_jsonl(path, pairs)
+        back = read_pairs_jsonl(path)
         assert back[0].task == "concat"
         assert np.array_equal(back[0].positive.units, pairs[0].positive.units)
         assert back[0].provenance == {"a_calls": 6}

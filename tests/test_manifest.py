@@ -6,13 +6,12 @@ from pathlib import Path
 import pytest
 
 import vocalm
-from vocalm.errors import ConfigError, FingerprintMismatchError
+from vocalm.errors import ConfigError
 from vocalm.manifest import (
     DEFAULT_CONFIG,
     ManifestRecord,
     RunConfig,
     _AT_LEAST,
-    check_fingerprint,
     read_manifest,
     seed_for,
     split_manifest,
@@ -224,8 +223,3 @@ class TestSeeds:
         assert seed_for(0, "quantizer") != seed_for(0, "segmenter")
         assert seed_for(0, "quantizer") != seed_for(1, "quantizer")
         assert seed_for(5, "x") == seed_for(5, "x")
-
-    def test_check_fingerprint(self):
-        check_fingerprint("abc", "abc", "thing")
-        with pytest.raises(FingerprintMismatchError):
-            check_fingerprint("abc", "def", "thing")

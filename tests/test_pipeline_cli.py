@@ -84,22 +84,21 @@ class TestPipeline:
         source = rows[0]["source"]
         windows = tmp_path / "windows.jsonl"
         assert main(["segment", "--in", str(out / source), "--out", str(windows)]) == 0
-        want = [
-            {**{k: v for k, v in row.items() if k != "config_fingerprint"}, "source": str(out / source)}
-            for row in rows
-            if row["source"] == source
-        ]
+        want = [{**row, "source": str(out / source)} for row in rows if row["source"] == source]
         assert read_jsonl(windows) == want
 
-    def test_fingerprint_embedded_everywhere(self, tiny_run):
+    def test_fingerprint_only_in_config_markers_and_report(self, tiny_run):
+        """The stage markers carry the config fingerprint; config.json and
+        the report name it too, and no other file under the out-dir does."""
         cfg, out, report = tiny_run
         fp = cfg.fingerprint()
         assert report["config_fingerprint"] == fp
-        for rel in ("segment/detection.json", "features/index.json", "ulm/model_meta.json"):
-            assert json.loads((out / rel).read_text())["config_fingerprint"] == fp, rel
-        for rel in ("synth/truth.jsonl", "synth/phee/phee.jsonl", "segment/windows.jsonl", "bench/pairs.jsonl"):
-            rows = read_jsonl(out / rel)
-            assert rows and all(row["config_fingerprint"] == fp for row in rows), rel
+        assert all(json.loads((out / s / "_done.json").read_text())["config_fingerprint"] == fp for s in pipeline.STAGES)
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        reports = ["eval/report.json", "report.json"]
+        markers = [f"{s}/_done.json" for s in pipeline.STAGES]
+        assert sorted(rel for rel, data in files.items() if fp.encode() in data) == sorted(["config.json"] + markers + reports)
+        assert sorted(rel for rel, data in files.items() if b"config_fingerprint" in data) == sorted(markers + reports)
 
     def test_purity_values_in_unit_interval(self, tiny_run):
         _, _, report = tiny_run
@@ -385,7 +384,7 @@ class TestResume:
         cfg = RunConfig.from_dict(RESUME_OVERRIDE)
         fad_dir = out / "fad"
         fad_dir.mkdir()
-        pipeline._save_json(fad_dir / "fad.json", json.loads(clean_report)["fad"], cfg)
+        pipeline._save_json(fad_dir / "fad.json", json.loads(clean_report)["fad"])
         marker = {"layout": pipeline.LAYOUT, "config_fingerprint": cfg.fingerprint(), "files": pipeline._stage_files(fad_dir)}
         (fad_dir / "_done.json").write_text(json.dumps(marker))
         before = _stage_tree(out)
@@ -431,30 +430,54 @@ class TestResume:
         assert _stage_tree(out) == before
         assert (out / "report.json").read_bytes() == clean_report
 
-    def test_layout_2_out_dir_is_recomputed_in_full(self, clean_run, clean_report, tmp_path, monkeypatch):
-        # an out-dir committed under layout 2, whose index.json rows carry no calls
+    @pytest.mark.parametrize("layout", [2, 4])
+    def test_older_layout_out_dir_is_recomputed_in_full(self, layout, clean_run, clean_report, tmp_path, monkeypatch):
+        """An out-dir committed under layout 2, whose index.json rows carry no
+        calls, or under layout 4, whose stage JSON files and JSON-lines rows
+        each carry the config fingerprint: every stage runs again, and each
+        stage file and the report come out as a clean run writes them."""
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         (out / "report.json").unlink()
         cfg = RunConfig.from_dict(RESUME_OVERRIDE)
-        index = pipeline._load_json(out / "features" / "index.json", cfg)
-        for row in index["windows"]:
-            del row["calls"]
-        pipeline._save_json(out / "features" / "index.json", index, cfg)
+        fp = cfg.fingerprint()
+
+        def legacy(rel, row=lambda obj: obj):
+            """Rewrite a stage file with each of its objects passed through
+            `row` and given the config fingerprint."""
+            path = out / rel
+            if path.suffix == ".json":
+                path.write_text(json.dumps({**row(json.loads(path.read_text())), "config_fingerprint": fp}, sort_keys=True))
+            else:
+                rows = [{**row(obj), "config_fingerprint": fp} for obj in read_jsonl(path)]
+                path.write_text("".join(json.dumps(obj, sort_keys=True) + "\n" for obj in rows))
+
+        if layout == 2:
+            legacy("features/index.json", lambda index: {"windows": [
+                {k: v for k, v in w.items() if k != "calls"} for w in index["windows"]
+            ]})
+        else:
+            for rel in ("synth/truth.jsonl", "synth/phee/phee.jsonl", "segment/windows.jsonl", "segment/detection.json",
+                        "features/index.json", "ulm/model_meta.json", "bench/pairs.jsonl"):
+                legacy(rel)
         for name in pipeline.STAGES:
-            marker = {"layout": 2, "config_fingerprint": cfg.fingerprint(), "files": pipeline._stage_files(out / name)}
+            marker = {"layout": layout, "config_fingerprint": fp, "files": pipeline._stage_files(out / name)}
             (out / name / "_done.json").write_text(json.dumps(marker))
         ran = _record_stages(monkeypatch)
         pipeline_run(cfg, out)
         assert ran == list(pipeline.STAGES)
-        assert all("calls" in row for row in pipeline._read_feature_index(out, cfg))
+
+        def relative(root):
+            return {p.relative_to(root): data for p, data in _stage_tree(root).items()}
+
+        assert relative(out) == relative(clean_run)
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_out_dir_path_with_plus_matches_clean_run(self, clean_report, tmp_path):
         # phee refs join two WAV paths with "+"; the out-dir is not part of them
         out = tmp_path / "plus+dir" / "out"
         pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
-        pairs, _ = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
+        pairs = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
         refs = [p.positive.ref for p in pairs if p.task == "caller_change"]
         assert refs and all(ref.count("+") == 1 and "plus+dir" not in ref for ref in refs)
         assert (out / "report.json").read_bytes() == clean_report
@@ -545,7 +568,7 @@ class TestComputedOnce:
         def encode(wave):
             return quantizer.encode(pipeline._featurize(cfg, wave), cb)
 
-        pairs, _ = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
+        pairs = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
         checked = set()
         for p in pairs:
             if p.task not in ("reversal", "shuffle", "concat"):
@@ -581,15 +604,15 @@ class TestComputedOnce:
         window makes no pair. Each distractor holds the encoded concat of the
         two windows' audio. Windows past the first n_even lose a call."""
         cfg, out, _ = tiny_run
-        index = pipeline._read_feature_index(out, cfg)
+        index = pipeline._read_feature_index(out)
         evens = [row for row in index if row["split"] in ("test", "valid") and len(row["calls"]) % 2 == 0]
         assert len(evens) == 4
         for row in evens[n_even:]:
             row["calls"] = row["calls"][:-1]
-        monkeypatch.setattr(pipeline, "_read_feature_index", lambda out, cfg: index)
+        monkeypatch.setattr(pipeline, "_read_feature_index", lambda out: index)
         work = self._bench_out(out, tmp_path)
         pipeline.stage_bench(cfg, work)
-        pairs = [p for p in bench.read_pairs_jsonl(work / "bench" / "pairs.jsonl")[0] if p.task == "concat"]
+        pairs = [p for p in bench.read_pairs_jsonl(work / "bench" / "pairs.jsonl") if p.task == "concat"]
         ids = [row["id"] for row in evens[:n_even]]
         ring = list(zip(ids, ids[1:] + ids[:1])) if n_even > 1 else []
         assert [(p.provenance["a"], p.provenance["b"]) for p in pairs] == ring
@@ -643,7 +666,7 @@ class TestComputedOnce:
         ))
         out = tmp_path / "long"
         pipeline_run(cfg, out)
-        pairs = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")[0]
+        pairs = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
         assert sum(p.task == "concat" for p in pairs) >= 2
         assert self._bench_peak_in_scenes(cfg, out, tmp_path) <= 2.2
 
@@ -736,7 +759,7 @@ class TestAttnBackend:
             meta = json.load(fh)
         assert meta["backend"] == "attn" and meta["n_params"] > 0
         # the bound the config check uses for 5 s scenes covers every pair
-        pairs, _ = bench.read_pairs_jsonl(tmp_path / "bench" / "pairs.jsonl")
+        pairs = bench.read_pairs_jsonl(tmp_path / "bench" / "pairs.jsonl")
         assert max(len(u) for p in pairs for u in (p.positive.units, p.distractor.units)) + 1 <= 500
         # the stage trains through the shared trainer, on its two seed streams
         corpus = [u for u in quantizer.read_units(tmp_path / "quantize" / "units_train.txt") if u.size]
