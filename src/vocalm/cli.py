@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
 from .errors import ConfigError, FingerprintMismatchError, InsufficientDataError, StageFailureError, VocalmError
-from .manifest import DEFAULT_CONFIG, RunConfig, given_fields, read_json, read_manifest, split_manifest, write_jsonl
-from .manifest import write_manifest
+from .jsonio import read_json, write_json, write_jsonl
+from .manifest import DEFAULT_CONFIG, RunConfig, given_fields, read_manifest, split_manifest, write_manifest
 from .pipeline import load_model, pipeline_run, segment_wav, train_model, validate_report
 from .segmenter import DetectorParams
 from .synthlab import CallSpec, MarkovChain, SceneSpec, markov_corpus, synth_scene
@@ -78,41 +78,24 @@ def _ratios(text: str) -> tuple[float, ...]:
 # -- synth ----------------------------------------------------------------
 
 
-def _from_spec(path, build):
-    """build(spec) on the JSON spec in file `path`; a missing key, or a value
-    the constructors reject, is a ConfigError naming the file."""
-    spec = read_json(path, "spec")
-    try:
-        return build(spec)
-    except KeyError as e:
-        raise ConfigError(f"spec file {path} has no {e} key") from e
-    except (AttributeError, TypeError, ValueError) as e:
-        raise ConfigError(f"spec file {path}: {e}") from e
-
-
 def cmd_synth_scene(args) -> int:
     def scene(spec) -> SceneSpec:
         calls = tuple((c["onset_s"], CallSpec(**given_fields(CallSpec, c))) for c in spec.get("calls", []))
         return SceneSpec(**{**given_fields(SceneSpec, spec), "calls": calls, "seed": args.seed})
 
-    wave, truth = synth_scene(_from_spec(args.spec, scene))
+    wave, truth = synth_scene(read_json(args.spec, "spec", scene))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dsp.write_wav(out, wave)
     truth_path = out.with_suffix(".truth.json")
-    with open(truth_path, "w") as fh:
-        json.dump(
-            {"path": str(out), "calls": [{"onset_s": c.onset_s, "offset_s": c.offset_s} for c in truth]},
-            fh,
-            sort_keys=True,
-        )
+    write_json(truth_path, {"path": str(out), "calls": [{"onset_s": c.onset_s, "offset_s": c.offset_s} for c in truth]})
     print(f"wrote {out} and {truth_path}")
     return 0
 
 
 def cmd_synth_corpus(args) -> int:
-    chain = _from_spec(
-        args.spec, lambda spec: MarkovChain(np.array(spec["pi"], dtype=float), np.array(spec["P"], dtype=float))
+    chain = read_json(
+        args.spec, "spec", lambda spec: MarkovChain(np.array(spec["pi"], dtype=float), np.array(spec["P"], dtype=float))
     )
     seqs = markov_corpus(chain, args.n_seqs, args.length, seed=args.seed)
     out = Path(args.out)
@@ -372,20 +355,10 @@ def _manifest_gaussian(path: str, kind: str, embedding: str):
 
 
 def cmd_metrics_fad(args) -> int:
-    config = {"features": args.kind, "embedding": args.embedding}
     ref = _manifest_gaussian(args.ref, args.kind, args.embedding)
     cand = _manifest_gaussian(args.cand, args.kind, args.embedding)
     value = metrics.fad(ref, cand)
-    print(
-        json.dumps(
-            {
-                "metric": "fad",
-                "value": value,
-                "n": {"ref": ref.n, "cand": cand.n},
-                "config_fingerprint": _dict_fingerprint(config),
-            }
-        )
-    )
+    print(json.dumps({"metric": "fad", "value": value, "n": {"ref": ref.n, "cand": cand.n}}))
     return 0
 
 
@@ -404,23 +377,8 @@ def cmd_metrics_purity(args) -> int:
             raise ConfigError("call-level purity needs one label per sequence")
         table = metrics.contingency_from_calls(units, labels)
     up, lp = metrics.purity(table)
-    print(
-        json.dumps(
-            {
-                "metric": "purity",
-                "value": {"unit_purity": up, "label_purity": lp},
-                "n": table.total,
-                "config_fingerprint": _dict_fingerprint({"level": args.level}),
-            }
-        )
-    )
+    print(json.dumps({"metric": "purity", "value": {"unit_purity": up, "label_purity": lp}, "n": table.total}))
     return 0
-
-
-def _dict_fingerprint(obj: dict) -> str:
-    import hashlib
-
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # -- pipeline / report ---------------------------------------------------------
@@ -446,41 +404,50 @@ def cmd_split(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    with open(args.path) as fh:
-        report = json.load(fh)
+def _report_lines(report) -> tuple[int, list[str]]:
+    """The exit code of `report` and the lines it prints for a report body: 3
+    and one line for a partial report. A body that validate_report rejects
+    raises ValueError, so read_json names the file."""
     if report.get("partial"):
-        print(f"PARTIAL report: stage {report['failed_stage']!r} failed: {report['error']}")
-        return 3
-    validate_report(report)
-    print(f"vocalm report  (config {report['config_fingerprint']}, seed {report['seed']})")
+        return 3, [f"PARTIAL report: stage {report['failed_stage']!r} failed: {report['error']}"]
+    try:
+        validate_report(report)
+    except StageFailureError as e:
+        raise ValueError(e) from None
+    lines = [f"vocalm report  (config {report['config_fingerprint']}, seed {report['seed']})"]
     seg = report["segmentation"]
-    print(f"  segmentation: precision {seg['precision']:.3f}  recall {seg['recall']:.3f}  ({seg['n_scenes']} scenes)")
+    lines.append(f"  segmentation: precision {seg['precision']:.3f}  recall {seg['recall']:.3f}  ({seg['n_scenes']} scenes)")
     ppl_value = report["ppl"]["value"]
     ppl_text = f"{ppl_value:.4f}" if ppl_value is not None else "n/a (no held-out units)"
-    print(f"  ppl ({report['ppl']['model']}): {ppl_text}")
-    print("  task accuracies:")
+    lines.append(f"  ppl ({report['ppl']['model']}): {ppl_text}")
+    lines.append("  task accuracies:")
     for task, stats in sorted(report["tasks"].items()):
-        print(f"    {task:16s} {stats['accuracy']:.4f}  (n={stats['n']})")
-    print("  fad (" + report["fad"]["embedding"] + "):")
+        lines.append(f"    {task:16s} {stats['accuracy']:.4f}  (n={stats['n']})")
+    lines.append("  fad (" + report["fad"]["embedding"] + "):")
     for name, value in report["fad"]["values"].items():
-        print(f"    {name:16s} {value:.4f}")
+        lines.append(f"    {name:16s} {value:.4f}")
     pur = report["purity"]
-    print(
+    lines.append(
         f"  purity: frame unit={pur['frame']['unit_purity']:.3f} label={pur['frame']['label_purity']:.3f}"
         f" | call unit={pur['call']['unit_purity']:.3f} label={pur['call']['label_purity']:.3f}"
     )
     probe = report["probe"]
-    print(f"  probe: recall {probe['recall']:.3f}  precision {probe['precision']:.3f}  f1 {probe['f1']:.3f}")
+    lines.append(f"  probe: recall {probe['recall']:.3f}  precision {probe['precision']:.3f}  f1 {probe['f1']:.3f}")
     if "context_grid" in report:
-        print("  context grid:")
+        lines.append("  context grid:")
         for row in report["context_grid"]:
             ctx = "inf" if row["context"] is None else row["context"]
             cells = "  ".join(
                 f"{t}={row[t]:.3f}" for t in ("shuffle", "concat", "reversal") if t in row
             )
-            print(f"    ctx={ctx:>4} keep={row['keep_first']}: {cells}")
-    return 0
+            lines.append(f"    ctx={ctx:>4} keep={row['keep_first']}: {cells}")
+    return 0, lines
+
+
+def cmd_report(args) -> int:
+    rc, lines = read_json(args.path, "report", _report_lines)
+    print("\n".join(lines))
+    return rc
 
 
 # -- parser ---------------------------------------------------------------------

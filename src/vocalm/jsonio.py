@@ -1,0 +1,92 @@
+"""The package's one JSON codec.
+
+Every JSON file is written by write_json (sorted keys, indent 2 and a final
+newline) and read by read_json; every JSON-lines file is written by
+write_jsonl (one sorted-key object per line) and read by read_jsonl. Both
+writers write through a sibling `.tmp` file and os.replace, so a reader never
+sees half a file. Both readers name the file they read: one that is not JSON,
+or whose value the caller's `build` callback rejects with a KeyError,
+AttributeError, TypeError or ValueError (a missing key, a value of the wrong
+JSON type, one a constructor refuses), raises ConfigError naming it.
+
+The module imports nothing of the package but its errors, so every other
+module can use it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+from .errors import ConfigError
+
+
+def _same(obj):
+    return obj
+
+
+@contextmanager
+def _replacing(path):
+    """A text file handle on `<path>.tmp`, renamed over `path` once the block
+    ends; a block that raises leaves `path` as it was and no `.tmp` file."""
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path, obj) -> None:
+    """`obj` as JSON with sorted keys, indent 2 and a final newline."""
+    with _replacing(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_jsonl(path, rows) -> None:
+    """One sorted-key JSON object per line, for any iterable of dicts."""
+    with _replacing(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def checked(where: str, build, *args):
+    """build(*args), with the KeyError, AttributeError, TypeError or
+    ValueError it raises turned into a ConfigError that names `where`."""
+    try:
+        return build(*args)
+    except KeyError as e:
+        raise ConfigError(f"{where} has no {e} key") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def read_json(path, what: str, build=_same):
+    """build(value) on the JSON value in file `path`, which errors name as
+    the `what` file."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except ValueError as e:  # a JSONDecodeError, or a UnicodeDecodeError on bytes that are not text
+        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from e
+    return checked(f"{what} file {path}", build, obj)
+
+
+def read_jsonl(path, row=_same) -> list:
+    """The rows of a JSON-lines file, each passed through `row`. Blank lines
+    are skipped; a line that is not JSON, or whose object `row` rejects,
+    raises ConfigError naming the file and the line number."""
+    rows = []
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{path} line {n} is not valid JSON: {e.msg}") from e
+            rows.append(checked(f"{path} line {n}", row, obj))
+    return rows

@@ -3,8 +3,8 @@
 All randomness across the pipeline flows from one root seed through named
 sub-streams (seed_for). RunConfig.fingerprint names a configuration; the
 pipeline's stage markers carry it, so that artifacts from different runs
-cannot be mixed silently. Every JSON-lines file is written by write_jsonl and
-read by read_jsonl; the pipeline reads its stage JSON files with read_json.
+cannot be mixed silently. Manifests and configs are read and written
+through the package's one JSON codec (vocalm.jsonio).
 RunConfig.from_dict checks a config before anything is written. A value a
 stage hands to a constructor is checked by calling that constructor with it,
 so the rule is stated once, by the stage's own code; the checks written here
@@ -23,6 +23,7 @@ import numpy as np
 
 from .dsp import DEFAULT_SAMPLE_RATE, Waveform, _feature_geometry, _highpass_design, features
 from .errors import ConfigError
+from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 from .segmenter import WINDOW_SPAN_S, DetectorParams
 from .synthlab import CallSpec, SceneSpec
 from .ulm import ContextPolicy, NGramLM, ProbeClassifier, smoothing_from_dict
@@ -104,46 +105,6 @@ class ManifestRecord:
     duration_s: float
     split: str | None = None
     labels: dict = field(default_factory=dict)
-
-
-def write_jsonl(path, rows) -> None:
-    """One sorted-key JSON object per line, for any iterable of dicts."""
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def read_json(path, what: str):
-    """The JSON value in file `path`; when it is not JSON, a ConfigError that
-    names it as the `what` file."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from e
-
-
-def read_jsonl(path, row=lambda obj: obj) -> list:
-    """The rows of a JSON-lines file, each passed through `row`. Blank lines
-    are skipped; a line that is not JSON, or whose object `row` rejects with a
-    KeyError, TypeError or ValueError, raises ConfigError naming the file and
-    the line number."""
-    rows = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path} line {n} is not valid JSON: {e.msg}") from e
-            try:
-                rows.append(row(obj))
-            except KeyError as e:
-                raise ConfigError(f"{path} line {n} has no {e} key") from e
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"{path} line {n}: {e}") from e
-    return rows
 
 
 def given_fields(cls, row: dict) -> dict:
@@ -273,10 +234,7 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def save(self, path) -> None:
-        payload = dict(self.data)
-        payload["_fingerprint"] = self.fingerprint()
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_json(path, {**self.data, "_fingerprint": self.fingerprint()})
 
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", list: "a list"}

@@ -22,21 +22,23 @@ index.json order. Eval computes the FAD block, which depends on the config
 alone. Eval scores each distinct sequence once per effective context policy,
 for the pairs, the context grid and the perplexity alike: a policy that
 hides nothing from a sequence scores it as no policy does. Eval writes the
-validated report to `eval/report.json`; the top-level `report.json` is an
-atomic byte copy of that committed file, so a rerun of a finished out-dir
-runs no stage. Of the stage files, only the markers and the report carry
-the config fingerprint, and only the markers' is checked. The report body
-contains no timestamps, so identical configs produce byte-identical reports;
-wall-clock metadata goes to run_meta.json instead, with each stage's status
-(ran or reused), wall and CPU seconds, the peak RSS after it and the RSS at
-its end.
+validated report to `eval/report.json`; the top-level `report.json` is that
+committed report written again, byte for byte, so a rerun of a finished
+out-dir runs no stage. Of the stage files, only the markers and the report
+carry the config fingerprint, and only the markers' is checked. The report
+body contains no timestamps, so identical configs produce byte-identical
+reports; wall-clock metadata goes to run_meta.json instead, a row per stage
+in run order with its name, status (ran or reused), wall and CPU seconds,
+the peak RSS after it and the RSS at its end. Every JSON and JSON-lines file
+a run writes or reads goes through the one codec, vocalm.jsonio, so each is
+written atomically in one format, and a marker that is missing or not JSON
+reads as no marker.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import logging
 import os
 import resource
@@ -48,9 +50,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
-from .errors import FingerprintMismatchError, StageFailureError
-from .manifest import SPLITS, ManifestRecord, RunConfig, read_json, read_jsonl, seed_for, split_manifest
-from .manifest import write_jsonl
+from .errors import ConfigError, FingerprintMismatchError, StageFailureError
+from .jsonio import read_json, read_jsonl, write_json, write_jsonl
+from .manifest import SPLITS, ManifestRecord, RunConfig, seed_for, split_manifest
 from .segmenter import BOUNDARY_TOL_S, CallSegment, DetectorParams, SegmentWindow, count_matches, detect_calls
 from .segmenter import pack_windows
 from .synthlab import CallSpec, SceneSpec, synth_call, synth_scene
@@ -67,6 +69,8 @@ DONE_NAME = "_done.json"
 # carried the config fingerprint beside the marker's.
 LAYOUT = 5
 FRAMES_NAME = "frames.npy"
+# the ulm stage's model file, by `ulm.backend`
+MODEL_FILES = {"ngram": "model.json", "attn": "model.npz"}
 STAGES = ("synth", "segment", "features", "quantize", "ulm", "bench", "eval")
 PER_SCENE_STAGES = ("synth", "segment", "features")
 
@@ -93,12 +97,6 @@ def _map_scenes(fn, items, jobs: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
-
-
-def _save_json(path: Path, body: dict) -> None:
-    """Write a stage JSON file with sorted keys; manifest.read_json reads it."""
-    with open(path, "w") as fh:
-        json.dump(body, fh, sort_keys=True)
 
 
 # -- synth stage ---------------------------------------------------------------
@@ -240,7 +238,7 @@ def stage_segment(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
         "n_scenes": len(per_scene),
         "tol_s": BOUNDARY_TOL_S,
     }
-    _save_json(seg_dir / "detection.json", detection)
+    write_json(seg_dir / "detection.json", detection)
 
 
 def _window_clip(wave: dsp.Waveform, row: dict) -> dsp.Waveform:
@@ -284,7 +282,7 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     ]
     # with no windows this is a (0, D) matrix and quantize reports the failure
     np.save(feat_dir / FRAMES_NAME, np.vstack([np.empty((0, cfg["features"]["n_coeffs"]))] + frames))
-    _save_json(feat_dir / "index.json", {"windows": index})
+    write_json(feat_dir / "index.json", {"windows": index})
 
 
 def _read_feature_index(out: Path) -> list[dict]:
@@ -347,16 +345,10 @@ def train_model(ulm: dict, corpus: list[np.ndarray], vocab_size: int, init_seed:
 def stage_ulm(cfg: RunConfig, out: Path) -> None:
     u_dir = out / "ulm"
     corpus = [u for u in quantizer.read_units(out / "quantize" / "units_train.txt") if u.size]
-    backend = cfg["ulm"]["backend"]
     model = train_model(
         cfg["ulm"], corpus, cfg["quantizer"]["k"], seed_for(cfg.seed, "ulm/attn"), seed_for(cfg.seed, "ulm/attn/train")
     )
-    model_file = "model.json" if backend == "ngram" else "model.npz"
-    model.save(u_dir / model_file)
-    meta = {"backend": backend, "file": model_file}
-    if backend == "attn":
-        meta["n_params"] = model.n_params
-    _save_json(u_dir / "model_meta.json", meta)
+    model.save(u_dir / MODEL_FILES[cfg["ulm"]["backend"]])
 
 
 def load_model(path):
@@ -567,7 +559,7 @@ def _context_grid(cfg: RunConfig, model, pairs, scores: dict) -> list[dict]:
 
 def stage_eval(cfg: RunConfig, out: Path) -> None:
     """The validated report, written to eval/report.json."""
-    model = load_model(out / "ulm" / read_json(out / "ulm" / "model_meta.json", "model meta")["file"])
+    model = load_model(out / "ulm" / MODEL_FILES[cfg["ulm"]["backend"]])
     pairs = bench.read_pairs_jsonl(out / "bench" / "pairs.jsonl")
     # one score per distinct (effective policy, sequence), shared with the context grid
     scores: dict = {}
@@ -620,7 +612,7 @@ def stage_eval(cfg: RunConfig, out: Path) -> None:
     if cfg["context_grid"]["enabled"]:
         report["context_grid"] = _context_grid(cfg, model, pairs, scores)
     validate_report(report)
-    write_report(report, out / "eval")
+    write_json(out / "eval" / REPORT_NAME, report)
 
 
 # -- report ---------------------------------------------------------------
@@ -652,21 +644,6 @@ def validate_report(report: dict) -> None:
         raise StageFailureError("fad block missing values")
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write via a sibling .tmp file and os.replace, so readers never see half a file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def _write_json_atomic(path: Path, obj: dict) -> None:
-    _write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
-
-
-def write_report(report: dict, out: Path) -> None:
-    _write_json_atomic(out / REPORT_NAME, report)
-
-
 def _stage_files(stage_dir: Path) -> dict:
     """Size and sha256 of every file under a stage directory except its marker."""
     return {
@@ -680,10 +657,10 @@ def _stage_files(stage_dir: Path) -> dict:
 
 
 def _read_marker(stage_dir: Path) -> dict | None:
+    """The stage's marker; None when it is missing, not JSON or not an object."""
     try:
-        with open(stage_dir / DONE_NAME) as fh:
-            marker = json.load(fh)
-    except (OSError, ValueError):
+        marker = read_json(stage_dir / DONE_NAME, "marker")
+    except (OSError, ConfigError):
         return None
     return marker if isinstance(marker, dict) else None
 
@@ -725,8 +702,8 @@ def _stage_usage(status: str, start: tuple[float, float]) -> dict:
 
 
 def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
-    """Run all stages, reusing committed ones; copy eval's committed report to
-    `<out>/report.json` and return its body.
+    """Run all stages, reusing committed ones; write eval's committed report
+    again to `<out>/report.json` and return its body.
 
     Failures produce a partial report (failed stage + diagnostics) and raise
     StageFailureError; a stage committed under another config fingerprint
@@ -747,7 +724,7 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(out / "config.json")
     t0 = time.time()
-    stages: dict[str, dict] = {}
+    stages: list[dict] = []
     todo = list(STAGES)
     while todo:
         start = (time.perf_counter(), time.process_time())
@@ -755,7 +732,7 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
             break
         name = todo.pop(0)
         log.info("%s: reusing committed artifacts", name)
-        stages[name] = _stage_usage("reused", start)
+        stages.append({"stage": name, **_stage_usage("reused", start)})
     try:
         # Empty every stage to be recomputed before running any of them, so an
         # interrupted rerun never leaves a stale later marker behind.
@@ -769,8 +746,8 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
             stage = globals()[f"stage_{name}"]
             stage(cfg, out, **({"jobs": jobs} if name in PER_SCENE_STAGES else {}))
             marker = {"layout": LAYOUT, "config_fingerprint": fp, "files": _stage_files(out / name)}
-            _write_json_atomic(out / name / DONE_NAME, marker)
-            stages[name] = _stage_usage("ran", start)
+            write_json(out / name / DONE_NAME, marker)
+            stages.append({"stage": name, **_stage_usage("ran", start)})
     except Exception as e:
         partial = {
             "partial": True,
@@ -778,9 +755,9 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
             "error": f"{type(e).__name__}: {e}",
             "config_fingerprint": fp,
         }
-        write_report(partial, out)
+        write_json(out / REPORT_NAME, partial)
         raise StageFailureError(f"stage {name!r} failed: {e}") from e
-    _write_atomic(out / REPORT_NAME, (out / "eval" / REPORT_NAME).read_bytes())
-    with open(out / "run_meta.json", "w") as fh:
-        json.dump({"elapsed_s": time.time() - t0, "finished_unix": time.time(), "stages": stages}, fh)
-    return read_json(out / REPORT_NAME, "report")
+    report = read_json(out / "eval" / REPORT_NAME, "report")
+    write_json(out / REPORT_NAME, report)
+    write_json(out / "run_meta.json", {"elapsed_s": time.time() - t0, "finished_unix": time.time(), "stages": stages})
+    return report

@@ -7,13 +7,13 @@ dedup ablation but loses duration information.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import FeatureMatrix, chunk_rows
 from .errors import ConfigError, InsufficientDataError
+from .jsonio import read_json, write_json
 from .ulm import check_units
 
 DEFAULT_K = 50
@@ -25,13 +25,10 @@ REL_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Codebook:
-    """K x D centroid matrix plus the fingerprint of the fit that made it."""
+    """K x D centroid matrix and the kind of features it was fit on."""
 
     centroids: np.ndarray
     feature_kind: str = "linear_fb"
-    seed: int = 0
-    restarts: int = DEFAULT_RESTARTS
-    minibatch: int = DEFAULT_MINIBATCH
 
     def __post_init__(self):
         cents = np.asarray(self.centroids, dtype=np.float64)
@@ -230,13 +227,7 @@ def fit_codebook(
                 centroids[empty] = x[np.argsort(dists)[::-1][: empty.size]]
                 counts[empty] = 0.0
                 labels, dists = _assign(x, centroids, x_sq)
-    return Codebook(
-        best_centroids,
-        feature_kind=feature_kind,
-        seed=seed,
-        restarts=restarts,
-        minibatch=minibatch,
-    )
+    return Codebook(best_centroids, feature_kind=feature_kind)
 
 
 def encode(f, cb: Codebook) -> np.ndarray:
@@ -265,28 +256,14 @@ def dedup(tokens) -> list[tuple[int, int]]:
 
 
 def save_codebook(path, cb: Codebook) -> None:
-    payload = {
-        "K": cb.k,
-        "D": cb.dim,
-        "feature_kind": cb.feature_kind,
-        "seed": cb.seed,
-        "restarts": cb.restarts,
-        "minibatch": cb.minibatch,
-        "centroids": cb.centroids.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    write_json(path, {"K": cb.k, "D": cb.dim, "feature_kind": cb.feature_kind, "centroids": cb.centroids.tolist()})
 
 
 def load_codebook(path) -> Codebook:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return Codebook(
-        np.array(obj["centroids"], dtype=np.float64),
-        feature_kind=obj["feature_kind"],
-        seed=obj["seed"],
-        restarts=obj.get("restarts", DEFAULT_RESTARTS),
-        minibatch=obj.get("minibatch", DEFAULT_MINIBATCH),
+    """The codebook in file `path`; ConfigError naming the file when it is not
+    one (not JSON, no `centroids` or `feature_kind`, centroids not K x D)."""
+    return read_json(
+        path, "codebook", lambda obj: Codebook(np.array(obj["centroids"], dtype=np.float64), obj["feature_kind"])
     )
 
 

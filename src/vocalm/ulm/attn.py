@@ -36,6 +36,7 @@ import math
 
 import numpy as np
 
+from ..jsonio import checked
 from .nn import (
     Adam,
     cross_entropy,
@@ -319,8 +320,19 @@ class AttnLM:
 
     @classmethod
     def load(cls, path) -> "AttnLM":
-        data = np.load(path)
-        meta = json.loads(bytes(data["__meta__"]).decode())
+        """The model in file `path`; ConfigError naming the file, as
+        jsonio.read_json does, when it is not an attention-LM `.npz` of this
+        version (not an npz archive, no `__meta__` or parameter array)."""
+        return checked(f"attention-LM file {path}", cls._from_npz, path)
+
+    @classmethod
+    def _from_npz(cls, path) -> "AttnLM":
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":  # np.load would try a text file as a pickle
+                raise ValueError("not an npz archive")
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
         if meta.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported model file version {meta.get('version')!r}")
         model = cls(
@@ -333,7 +345,7 @@ class AttnLM:
             seed=meta["seed"],
         )
         for key in model.params:
-            model.params[key] = data[key]
+            model.params[key] = arrays[key]
         return model
 
 

@@ -9,13 +9,13 @@ conditional.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
+from ..jsonio import read_json, write_json
 from .policy import ContextPolicy, ngram_contexts
 from .scoring import check_units
 
@@ -198,13 +198,16 @@ class NGramLM:
                 for level in self.counts
             ],
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        write_json(path, payload)
 
     @classmethod
     def load(cls, path) -> "NGramLM":
-        with open(path) as fh:
-            obj = json.load(fh)
+        """The model in file `path`; ConfigError naming the file when it is
+        not an n-gram model file of this version."""
+        return read_json(path, "n-gram model", cls._from_dict)
+
+    @classmethod
+    def _from_dict(cls, obj: dict) -> "NGramLM":
         if obj.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported model file version {obj.get('version')!r}")
         model = cls(obj["order"], obj["vocab_size"], smoothing_from_dict(obj["smoothing"]))

@@ -271,10 +271,4 @@ def reference_fit_codebook(
         if restart_best_inertia < best_inertia:
             best_inertia = restart_best_inertia
             best_centroids = restart_best
-    return Codebook(
-        best_centroids,
-        feature_kind=feature_kind,
-        seed=seed,
-        restarts=restarts,
-        minibatch=minibatch,
-    )
+    return Codebook(best_centroids, feature_kind=feature_kind)

@@ -1,7 +1,7 @@
-"""One codec per on-disk format: JSON-lines files go through
-manifest.write_jsonl/read_jsonl, stage JSON files through
-pipeline._save_json and manifest.read_json. The stage markers are the one
-carrier of the config fingerprint that a run checks."""
+"""One JSON codec: every JSON file goes through jsonio.write_json and
+read_json, every JSON-lines file through jsonio.write_jsonl and read_jsonl.
+The stage markers are the one carrier of the config fingerprint that a run
+checks."""
 
 import ast
 import importlib
@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import vocalm
-from vocalm import bench, pipeline
+from vocalm import bench, jsonio, pipeline
 from vocalm.bench import PheeRecord, read_pairs_jsonl, read_phee_jsonl, write_pairs_jsonl, write_phee_jsonl
 from vocalm.cli import main
 from vocalm.errors import ConfigError
-from vocalm.manifest import ManifestRecord, read_jsonl, read_manifest, write_jsonl, write_manifest
+from vocalm.jsonio import read_json, read_jsonl, write_json, write_jsonl
+from vocalm.manifest import ManifestRecord, read_manifest, write_manifest
 from vocalm.ulm import KneserNey, train_ngram
 
 
@@ -67,6 +68,43 @@ class TestJsonLines:
         }
 
 
+class TestJson:
+    def test_sorted_keys_indent_2_and_a_final_newline(self, tmp_path):
+        path = tmp_path / "obj.json"
+        write_json(path, {"b": 1, "a": [None, 0.5]})
+        assert path.read_text() == '{\n  "a": [\n    null,\n    0.5\n  ],\n  "b": 1\n}\n'
+        assert read_json(path, "test") == {"a": [None, 0.5], "b": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["obj.json"]
+
+    @pytest.mark.parametrize("write", [lambda path: write_json(path, {"a": object()}),
+                                       lambda path: write_jsonl(path, ({"a": i} if i < 2 else 1 / 0 for i in range(3)))],
+                             ids=["json", "jsonl"])
+    def test_a_failed_write_leaves_the_old_file_and_no_tmp(self, tmp_path, write):
+        path = tmp_path / "obj.json"
+        path.write_text("old\n")
+        with pytest.raises((TypeError, ZeroDivisionError)):
+            write(path)
+        assert path.read_text() == "old\n" and [p.name for p in tmp_path.iterdir()] == ["obj.json"]
+
+    @pytest.mark.parametrize("text, build, message", [
+        ('{"a": ', lambda obj: obj, "thing file {path} is not valid JSON"),
+        ('{"a": 1}', lambda obj: obj["b"], "thing file {path} has no 'b' key"),
+        ('[1]', lambda obj: obj.get("a"), "thing file {path}: 'list' object has no attribute 'get'"),
+        ('{"a": "x"}', lambda obj: int(obj["a"]), "thing file {path}: invalid literal for int()"),
+    ], ids=["not_json", "no_key", "wrong_type", "rejected_value"])
+    def test_read_json_names_the_file(self, tmp_path, text, build, message):
+        path = tmp_path / "obj.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message.format(path=path))):
+            read_json(path, "thing", build)
+
+    def test_bytes_that_are_not_text_are_not_json(self, tmp_path):
+        path = tmp_path / "obj.json"
+        path.write_bytes(b"\x93NUMPY\xff\xfe")
+        with pytest.raises(ConfigError, match=re.escape(f"thing file {path} is not valid JSON")):
+            read_json(path, "thing")
+
+
 class TestBenchEvalCli:
     @pytest.fixture
     def model_and_pairs(self, tmp_path):
@@ -111,9 +149,11 @@ class TestBenchEvalCli:
         assert f"{pairs}: pair 1 " in capsys.readouterr().err
 
 
-# The functions allowed to call json.dump/dumps/load/loads in pipeline.py and
-# bench.py; pipeline_run may make one such call, the run_meta.json write.
-CODECS = {"_save_json", "_write_json_atomic", "_read_marker"}
+def _modules():
+    """(short name, module) of every module of the package."""
+    for info in pkgutil.walk_packages(vocalm.__path__, "vocalm."):
+        if info.name != "vocalm.__main__":  # importing it runs the CLI
+            yield info.name.rsplit(".", 1)[-1], importlib.import_module(info.name)
 
 
 def _enclosing(module, matches) -> list[tuple[str, int]]:
@@ -134,30 +174,43 @@ def _enclosing(module, matches) -> list[tuple[str, int]]:
     return found
 
 
-def _json_calls(module) -> list[tuple[str, int]]:
-    """(innermost enclosing function, line) of each json codec call, and of
-    each `from json import`, in a module."""
+def _json_calls(module) -> list[tuple[str, int, str, bool]]:
+    """(innermost enclosing function, line, name, whether it is an argument
+    of print) of each json.dump, dumps, load or loads call in a module, and
+    (function, line, "import", False) of each `from json import`."""
+    found = []
 
-    def is_codec(node):
-        call = node.func if isinstance(node, ast.Call) else None
-        return (
-            isinstance(call, ast.Attribute)
-            and isinstance(call.value, ast.Name)
-            and call.value.id == "json"
-            and call.attr in ("dump", "dumps", "load", "loads")
-        ) or (isinstance(node, ast.ImportFrom) and node.module == "json")
+    def visit(node, func, printed):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            call = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(call, ast.Attribute) and isinstance(call.value, ast.Name) and call.value.id == "json"
+                    and call.attr in ("dump", "dumps", "load", "loads")):
+                found.append((inner, child.lineno, call.attr, child in printed))
+            elif isinstance(child, ast.ImportFrom) and child.module == "json":
+                found.append((inner, child.lineno, "import", False))
+            visit(child, inner, child.args if isinstance(call, ast.Name) and call.id == "print" else [])
 
-    return _enclosing(module, is_codec)
+    visit(ast.parse(Path(module.__file__).read_text()), "<module>", [])
+    return found
+
+
+# Beside the codec (jsonio), the functions that may turn a value into JSON
+# text or back: RunConfig.fingerprint's canonical form and the attention LM's
+# npz header. The CLI may also print a json.dumps line to stdout.
+JSON_TEXT = {("manifest", "fingerprint"), ("attn", "save"), ("attn", "_from_npz")}
 
 
 def test_json_is_read_and_written_only_by_the_codecs():
     stray = [
-        (Path(module.__file__).name, func, line)
-        for module in (pipeline, bench)
-        for func, line in _json_calls(module)
-        if func not in CODECS
+        (own, func, line, name)
+        for own, module in _modules()
+        if own != "jsonio"
+        for func, line, name, printed in _json_calls(module)
+        if not (name in ("dumps", "loads") and ((own, func) in JSON_TEXT or (own == "cli" and printed)))
     ]
-    assert [func for _, func, _ in stray] == ["pipeline_run"], stray
+    assert stray == []
+    assert {name for _, _, name, _ in _json_calls(jsonio)} == {"dumps", "load", "loads"}  # the walk sees the codec
 
 
 def test_only_the_runner_and_the_report_name_the_fingerprint():
@@ -207,11 +260,7 @@ def test_one_training_path_and_one_segment_path():
         return getattr(func, "id", None) or getattr(func, "attr", None)
 
     stray = []
-    for info in pkgutil.walk_packages(vocalm.__path__, "vocalm."):
-        if info.name == "vocalm.__main__":  # importing it runs the CLI
-            continue
-        module = importlib.import_module(info.name)
-        own = info.name.rsplit(".", 1)[-1]
+    for own, module in _modules():
         for name, owner in OWNERS.items():
             for func, line in _enclosing(module, lambda node, name=name: called(node) == name):
                 if own != owner and not (module is pipeline and func in SHARED):
@@ -239,8 +288,5 @@ def test_context_policy_states_what_it_hides():
         window = node.args[0] if node.args else next((kw.value for kw in node.keywords if kw.arg == "window"), None)
         return window is None or (isinstance(window, ast.Constant) and window.value is None)
 
-    built = []
-    for info in pkgutil.walk_packages(vocalm.__path__, "vocalm."):
-        if info.name != "vocalm.__main__":  # importing it runs the CLI
-            built += [(info.name, func, line) for func, line in _enclosing(importlib.import_module(info.name), none_window)]
+    built = [(own, func, line) for own, module in _modules() for func, line in _enclosing(module, none_window)]
     assert built == []

@@ -17,8 +17,9 @@ import pytest
 from vocalm import bench, dsp, pipeline, quantizer
 from vocalm.cli import build_parser, main
 from vocalm.errors import ConfigError, FingerprintMismatchError, StageFailureError
-from vocalm.manifest import DEFAULT_CONFIG, RunConfig, read_jsonl, seed_for, write_jsonl
-from vocalm.pipeline import pipeline_run, validate_report, write_report
+from vocalm.jsonio import read_jsonl, write_json, write_jsonl
+from vocalm.manifest import DEFAULT_CONFIG, RunConfig, seed_for
+from vocalm.pipeline import pipeline_run, validate_report
 from vocalm.segmenter import CallSegment, SegmentWindow
 from vocalm.synthlab import CallSpec, SceneSpec, synth_scene
 from vocalm.ulm import AttnLM, ContextPolicy, KneserNey, NGramLM, generate, train_ngram
@@ -168,7 +169,7 @@ INJECTIONS = [
     ("segment", pipeline, "detect_calls", 3),  # no windows.jsonl
     ("features", pipeline, "_featurize", 3),
     ("quantize", quantizer, "write_units", 1),  # units_train.txt written
-    ("ulm", NGramLM, "save", 1),  # model.json written, model_meta.json not
+    ("ulm", NGramLM, "save", 1),  # model.json written, the stage not committed
     ("bench", bench, "make_phee_pairs", 1),
     ("eval", pipeline, "eval_fad_groups", 1),
     ("eval", pipeline, "train_probe", 1),
@@ -287,7 +288,7 @@ class TestResume:
             good = path.read_bytes()
             report = json.loads(good)
             report["tasks"]["reversal"]["n"] += 1
-            write_report(report, tmp_path / "eval")
+            write_json(path, report)
         elif damage == "truncate_windows":
             path = tmp_path / "segment" / "windows.jsonl"
             good = path.read_bytes()
@@ -344,11 +345,11 @@ class TestResume:
         for run, statuses in ((clean_run, ["ran"] * 7), (out, ["reused"] * 6 + ["ran"])):
             meta = json.loads((run / "run_meta.json").read_text())
             assert set(meta) == {"elapsed_s", "finished_unix", "stages"}
-            assert list(meta["stages"]) == list(pipeline.STAGES)
-            rows = list(meta["stages"].values())
+            rows = meta["stages"]
+            assert [row["stage"] for row in rows] == list(pipeline.STAGES)
             assert [row["status"] for row in rows] == statuses
             for row in rows:
-                assert set(row) == {"status", "wall_s", "cpu_s", "ru_maxrss_kib", "rss_end_kib"}
+                assert set(row) == {"stage", "status", "wall_s", "cpu_s", "ru_maxrss_kib", "rss_end_kib"}
                 assert row["wall_s"] >= 0 and row["cpu_s"] >= 0
                 assert isinstance(row["ru_maxrss_kib"], int) and row["ru_maxrss_kib"] > 0
                 # the kernel's RSS counters are approximate, so it may read a
@@ -376,15 +377,16 @@ class TestResume:
         assert row["rss_end_kib"] is None and row["ru_maxrss_kib"] > 0
 
     def test_finished_out_dir_with_fad_stage_runs_no_stage(self, clean_run, clean_report, tmp_path, monkeypatch):
-        # an out-dir written when the FAD block was a stage of its own: fad/
-        # holds fad.json and a marker, which no stage reads
+        # a directory beside the stages that holds a current-layout marker
+        # (fad/, shaped as the FAD block's own stage once wrote it) is no
+        # stage: the run reads nothing of it, runs no stage and leaves it be
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         (out / "report.json").unlink()
         cfg = RunConfig.from_dict(RESUME_OVERRIDE)
         fad_dir = out / "fad"
         fad_dir.mkdir()
-        pipeline._save_json(fad_dir / "fad.json", json.loads(clean_report)["fad"])
+        write_json(fad_dir / "fad.json", json.loads(clean_report)["fad"])
         marker = {"layout": pipeline.LAYOUT, "config_fingerprint": cfg.fingerprint(), "files": pipeline._stage_files(fad_dir)}
         (fad_dir / "_done.json").write_text(json.dumps(marker))
         before = _stage_tree(out)
@@ -395,8 +397,8 @@ class TestResume:
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_out_dir_without_eval_stage_computes_only_eval(self, clean_run, clean_report, tmp_path, monkeypatch):
-        # an out-dir written when eval was not a committed stage: synth..bench
-        # committed, the report at the top level only
+        # an out-dir whose eval directory is gone, synth..bench committed and
+        # the report at the top level only: eval alone runs, to the same report
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         shutil.rmtree(out / "eval")
@@ -407,10 +409,10 @@ class TestResume:
         assert (out / "report.json").read_bytes() == clean_report
 
     def test_out_dir_with_units_index_reuses_every_stage(self, clean_run, clean_report, tmp_path, monkeypatch):
-        # a committed quantize stage that also holds units_index.json (each
-        # split's window ids in index.json order), which no stage reads: the
-        # file sits in the quantize marker, so the stage is reused and the file
-        # is ignored
+        # a file that no stage reads (units_index.json: each split's window
+        # ids in index.json order), listed in a current-layout quantize
+        # marker: the marker matches the directory, so every stage is reused
+        # and the file is left be
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         (out / "report.json").unlink()
@@ -458,8 +460,11 @@ class TestResume:
             ]})
         else:
             for rel in ("synth/truth.jsonl", "synth/phee/phee.jsonl", "segment/windows.jsonl", "segment/detection.json",
-                        "features/index.json", "ulm/model_meta.json", "bench/pairs.jsonl"):
+                        "features/index.json", "bench/pairs.jsonl"):
                 legacy(rel)
+            (out / "ulm" / "model_meta.json").write_text(
+                json.dumps({"backend": "ngram", "config_fingerprint": fp, "file": "model.json"}, sort_keys=True)
+            )
         for name in pipeline.STAGES:
             marker = {"layout": layout, "config_fingerprint": fp, "files": pipeline._stage_files(out / name)}
             (out / name / "_done.json").write_text(json.dumps(marker))
@@ -521,6 +526,57 @@ class TestResume:
         with pytest.raises(FingerprintMismatchError, match="bench"):
             pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), tmp_path)
         assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("marker", [b'{"layout": 5, ', b"\x93NUMPY\xff", b"[]"], ids=["truncated", "bytes", "list"])
+    def test_marker_that_is_not_a_json_object_recomputes_its_stage(
+        self, marker, clean_run, clean_report, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        (out / "ulm" / "_done.json").write_bytes(marker)
+        ran = _record_stages(monkeypatch)
+        pipeline_run(RunConfig.from_dict(RESUME_OVERRIDE), out)
+        assert ran == ["ulm", "bench", "eval"]
+        assert (out / "report.json").read_bytes() == clean_report
+
+    def test_out_dir_in_the_older_file_formats_resumes(self, clean_run, clean_report, tmp_path, monkeypatch):
+        """An out-dir whose stage JSON files are in the formats written before
+        every JSON file went through jsonio.write_json (compact, and here the
+        model's and codebook's keys in reverse order), whose codebook.json
+        still holds the fit's seed,
+        restarts and minibatch, and whose ulm stage holds model_meta.json:
+        under the same layout, every stage is reused, and an eval run again
+        reads those files to the same report."""
+        out = tmp_path / "out"
+        shutil.copytree(clean_run, out)
+        cfg = RunConfig.from_dict(RESUME_OVERRIDE)
+
+        def rewrite(rel, edit=lambda obj: obj, sort_keys=True):
+            path = out / rel
+            path.write_text(json.dumps(edit(json.loads(path.read_text())), sort_keys=sort_keys))
+
+        def reverse(obj):
+            if isinstance(obj, dict):
+                return {k: reverse(v) for k, v in reversed(obj.items())}
+            return [reverse(v) for v in obj] if isinstance(obj, list) else obj
+
+        q = cfg["quantizer"]
+        rewrite("quantize/codebook.json",
+                lambda cb: reverse({**cb, "seed": 7, "restarts": q["restarts"], "minibatch": q["minibatch"]}), sort_keys=False)
+        rewrite("ulm/model.json", reverse, sort_keys=False)
+        rewrite("segment/detection.json")
+        rewrite("features/index.json")
+        (out / "ulm" / "model_meta.json").write_text(json.dumps({"backend": "ngram", "file": "model.json"}, sort_keys=True))
+        for name in ("segment", "features", "quantize", "ulm", "bench", "eval"):
+            marker = {"layout": pipeline.LAYOUT, "config_fingerprint": cfg.fingerprint(), "files": pipeline._stage_files(out / name)}
+            (out / name / "_done.json").write_text(json.dumps(marker, indent=2, sort_keys=True) + "\n")
+        ran = _record_stages(monkeypatch)
+        pipeline_run(cfg, out)
+        assert ran == []
+        (out / "eval" / "_done.json").unlink()
+        pipeline_run(cfg, out)
+        assert ran == ["eval"]
+        assert (out / "report.json").read_bytes() == clean_report
 
 
 class TestComputedOnce:
@@ -755,9 +811,8 @@ class TestAttnBackend:
         assert report["ppl"]["model"] == "attn"
         assert report["ppl"]["value"] > 1.0
         assert "reversal" in report["tasks"]
-        with open(tmp_path / "ulm" / "model_meta.json") as fh:
-            meta = json.load(fh)
-        assert meta["backend"] == "attn" and meta["n_params"] > 0
+        assert sorted(p.name for p in (tmp_path / "ulm").iterdir()) == ["_done.json", "model.npz"]
+        assert AttnLM.load(tmp_path / "ulm" / "model.npz").n_params > 0
         # the bound the config check uses for 5 s scenes covers every pair
         pairs = bench.read_pairs_jsonl(tmp_path / "bench" / "pairs.jsonl")
         assert max(len(u) for p in pairs for u in (p.positive.units, p.distractor.units)) + 1 <= 500
@@ -1119,7 +1174,7 @@ class TestCli:
         assert list(out.iterdir()) == []
 
     def test_report_cli_on_partial(self, tmp_path, capsys):
-        write_report({"partial": True, "failed_stage": "ulm", "error": "boom", "config_fingerprint": "x"}, tmp_path)
+        write_json(tmp_path / "report.json", {"partial": True, "failed_stage": "ulm", "error": "boom", "config_fingerprint": "x"})
         rc = main(["report", "--path", str(tmp_path / "report.json")])
         assert rc == 3
         assert "PARTIAL" in capsys.readouterr().out
@@ -1352,6 +1407,34 @@ BAD_INPUTS = [
 ]
 
 
+# (test id, argv, the input's file name, what the file holds, what the error
+# says): a model, codebook or report file that is not one. Each used to end
+# in a traceback with exit 1, or with exit 3 for a report without a key.
+_ENCODE = "quantize encode --features {csv} --codebook {bad} --out {out}"
+_SCORE = "ulm score --model {bad} --units {units}"
+_EVAL = "bench eval --model {bad} --pairs {pairs}"
+_NOT_JSON = '{"K": 2,'
+_NGRAM_WITHOUT_VOCAB = '{"version": "ngram-v1", "order": 2}'
+BAD_JSON_INPUTS = [
+    ("quantize_encode_not_json", _ENCODE, "codebook.json", _NOT_JSON, "codebook file {bad} is not valid JSON"),
+    ("quantize_encode_no_key", _ENCODE, "codebook.json", '{"K": 2, "D": 13, "feature_kind": "linear_fb"}',
+     "codebook file {bad} has no 'centroids' key"),
+    ("quantize_encode_not_2d", _ENCODE, "codebook.json", '{"centroids": [1.0, 2.0], "feature_kind": "linear_fb"}',
+     "codebook file {bad}: centroids must be K x D"),
+    ("ulm_score_not_json", _SCORE, "model.json", _NOT_JSON, "n-gram model file {bad} is not valid JSON"),
+    ("ulm_score_no_key", _SCORE, "model.json", _NGRAM_WITHOUT_VOCAB, "n-gram model file {bad} has no 'vocab_size' key"),
+    ("ulm_score_version", _SCORE, "model.json", '{"version": "ngram-v0"}',
+     "n-gram model file {bad}: unsupported model file version 'ngram-v0'"),
+    ("bench_eval_not_json", _EVAL, "model.json", _NOT_JSON, "n-gram model file {bad} is not valid JSON"),
+    ("bench_eval_no_key", _EVAL, "model.json", _NGRAM_WITHOUT_VOCAB, "n-gram model file {bad} has no 'vocab_size' key"),
+    ("ulm_score_attn_text", _SCORE, "model.npz", "not a model\n", "attention-LM file {bad}: not an npz archive"),
+    ("report_not_json", "report --path {bad}", "report.json", _NOT_JSON, "report file {bad} is not valid JSON"),
+    ("report_no_key", "report --path {bad}", "report.json", '{"tool": {}}',
+     "report file {bad}: report is missing required key 'config_fingerprint'"),
+    ("report_list", "report --path {bad}", "report.json", "[]", "report file {bad}: 'list' object has no attribute 'get'"),
+]
+
+
 # (command and action, argv holding every flag it requires, each naming a
 # real file): each row leaves out one of those flags. {name} is a cli_files
 # file or one that parse_files makes.
@@ -1435,6 +1518,23 @@ def parse_files(cli_files):
 
 
 class TestCliInputs:
+    @pytest.mark.parametrize("argv, name, text, message", [c[1:] for c in BAD_JSON_INPUTS],
+                             ids=[c[0] for c in BAD_JSON_INPUTS])
+    def test_bad_model_codebook_or_report_exits_2_naming_it(self, parse_files, argv, name, text, message, capsys):
+        files = dict(parse_files, bad=f"{parse_files['tmp']}/bad_{name}")
+        Path(files["bad"]).write_text(text)
+        before = sorted(Path(files["tmp"]).iterdir())
+        assert exit_code(argv.format(**files).split()) == 2
+        captured = capsys.readouterr()
+        assert message.format(**files) in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and sorted(Path(files["tmp"]).iterdir()) == before  # no output written
+
+    def test_npz_without_meta_exits_2_naming_it(self, parse_files, capsys):
+        model = f"{parse_files['tmp']}/model.npz"
+        np.savez(model, tok_emb=np.zeros((4, 8)))
+        assert main(["ulm", "ppl", "--model", model, "--units", parse_files["units"]]) == 2
+        assert f"attention-LM file {model} has no '__meta__' key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
     def test_bad_input_exits_2_naming_file_line_or_flag(self, tmp_path, argv, message, capsys):
         files = {name: tmp_path / name for name in BAD_INPUT_FILES}
