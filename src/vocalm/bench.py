@@ -19,7 +19,7 @@ import numpy as np
 
 from .dsp import Waveform
 from .errors import IneligibleWindowError
-from .jsonio import read_jsonl, write_jsonl
+from .fileio import read_jsonl, write_jsonl
 from .manifest import given_fields
 from .segmenter import SegmentWindow
 from .ulm.scoring import score_once

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
 from .errors import ConfigError, FingerprintMismatchError, InsufficientDataError, StageFailureError, VocalmError
-from .jsonio import read_json, write_json, write_jsonl
+from .fileio import read_json, text_lines, write_json, write_jsonl
 from .manifest import DEFAULT_CONFIG, RunConfig, given_fields, read_manifest, split_manifest, write_manifest
 from .pipeline import load_model, pipeline_run, segment_wav, train_model, validate_report
 from .segmenter import DetectorParams
@@ -85,7 +85,6 @@ def cmd_synth_scene(args) -> int:
 
     wave, truth = synth_scene(read_json(args.spec, "spec", scene))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     dsp.write_wav(out, wave)
     truth_path = out.with_suffix(".truth.json")
     write_json(truth_path, {"path": str(out), "calls": [{"onset_s": c.onset_s, "offset_s": c.offset_s} for c in truth]})
@@ -98,10 +97,8 @@ def cmd_synth_corpus(args) -> int:
         args.spec, "spec", lambda spec: MarkovChain(np.array(spec["pi"], dtype=float), np.array(spec["P"], dtype=float))
     )
     seqs = markov_corpus(chain, args.n_seqs, args.length, seed=args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    quantizer.write_units(out, seqs)
-    print(f"wrote {len(seqs)} sequences to {out}")
+    quantizer.write_units(args.out, seqs)
+    print(f"wrote {len(seqs)} sequences to {args.out}")
     return 0
 
 
@@ -121,12 +118,9 @@ def _detector_from_file(path) -> DetectorParams:
 def cmd_segment(args) -> int:
     params = _detector_from_file(args.params)
     src = Path(args.input)
-    if not src.exists():  # checked before --out is opened, so no empty output is left
-        raise ConfigError(f"no such file or directory: {src}")
     paths = sorted(src.glob("*.wav")) if src.is_dir() else [src]
     if not paths:
         raise ConfigError(f"no wav files under {src}")
-    # every WAV is read before --out is opened, so a bad one leaves no partial file
     write_jsonl(args.out, [win.record(path) for path in paths for win in segment_wav(path, params)[1]])
     print(f"segmented {len(paths)} file(s) -> {args.out}")
     return 0
@@ -136,14 +130,13 @@ def cmd_segment(args) -> int:
 
 
 def cmd_features(args) -> int:
-    try:  # the flags checked by the extractor's own rules, on no samples at 16 kHz
-        dsp.features(dsp.Waveform(np.zeros(0)), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
+    try:  # the flags checked by the extractor's own rules
+        fm = dsp.features(dsp.read_audio(args.input), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
     except ValueError as e:
         raise ConfigError(
             f"--kind {args.kind} --n-coeffs {args.n_coeffs} --lo-hz {args.lo_hz} --hi-hz {args.hi_hz}"
             f" on {args.input}: {e}"
         ) from None
-    fm = dsp.features(dsp.read_audio(args.input), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
     if args.pool:
         pooled = metrics.clip_embedding(fm, "mv")
         fm = dsp.FeatureMatrix(pooled[None, :], feature_kind=f"{args.kind}_pooled")
@@ -154,10 +147,13 @@ def cmd_features(args) -> int:
 
 def cmd_quantize_fit(args) -> int:
     feats = [dsp.read_features_csv(p) for p in args.features]
-    kind = feats[0].feature_kind
+    kind, dim = feats[0].feature_kind, feats[0].dim
     for path, f in zip(args.features, feats):
-        if f.feature_kind != kind:
-            raise ConfigError(f"{path} holds {f.feature_kind} features, {args.features[0]} {kind}; fit one codebook per kind")
+        if (f.feature_kind, f.dim) != (kind, dim):
+            raise ConfigError(
+                f"{path} holds dim-{f.dim} {f.feature_kind} features, {args.features[0]} dim-{dim} {kind};"
+                " fit one codebook per kind and dim"
+            )
     try:
         cb = quantizer.fit_codebook(
             np.vstack([f.rows for f in feats]),
@@ -179,8 +175,10 @@ def cmd_quantize_encode(args) -> int:
     seqs = []
     for path in args.features:
         f = dsp.read_features_csv(path)
-        if f.feature_kind != cb.feature_kind:
-            raise ConfigError(f"{path} holds {f.feature_kind} features; codebook {args.codebook} is {cb.feature_kind}")
+        if (f.feature_kind, f.dim) != (cb.feature_kind, cb.dim):
+            raise ConfigError(
+                f"{path} holds dim-{f.dim} {f.feature_kind} features; codebook {args.codebook} is dim-{cb.dim} {cb.feature_kind}"
+            )
         seqs.append(quantizer.encode(f, cb))
     if args.dedup:
         # run-length collapse for the dedup ablation; run lengths are dropped
@@ -214,13 +212,12 @@ def _read_labels(path) -> list[int]:
     """The integer labels of a labels file, one a line; blank lines are
     skipped but counted. ConfigError naming the file and line otherwise."""
     labels = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    labels.append(int(line))
-                except ValueError:
-                    raise ConfigError(f"{path} line {line_no} holds {line.strip()!r}, not an integer label") from None
+    for line_no, line in text_lines(path):
+        if line.strip():
+            try:
+                labels.append(int(line))
+            except ValueError:
+                raise ConfigError(f"{path} line {line_no} holds {line.strip()!r}, not an integer label") from None
     return labels
 
 
@@ -254,6 +251,8 @@ def cmd_ulm_train(args) -> int:
                 f"{args.units} line {line} holds {seq.size} tokens; the attention LM's context holds"
                 f" {max_ctx - 1} plus BOS"
             )
+    if (args.backend == "attn") != args.out.endswith(".npz"):  # the suffix load_model reads the backend from
+        raise ConfigError(f"--out {args.out}: an attn model is saved to a .npz path and an ngram model to any other")
     # one --seed seeds both the attention LM's initialisation and its training
     train_model(block, corpus, vocab, args.seed, args.seed).save(args.out)
     print(f"trained {args.backend} model -> {args.out}")

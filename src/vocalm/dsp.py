@@ -1,10 +1,10 @@
 """Deterministic signal-processing primitives.
 
 High-pass filtering, STFT magnitudes, MFCC and linear 5-8 kHz filterbank
-features, and WAV/feature-CSV I/O. All functions are pure: same input, same
-output. The one shared state is the high-pass kernel cache: the FFT of the
-filter's truncated impulse response, kept per (cutoff, rate, tap count) in a
-bounded LRU cache and read-only.
+features, and WAV/feature-CSV I/O, written and read through vocalm.fileio.
+All functions are pure: same input, same output. The one shared state is the
+high-pass kernel cache: the FFT of the filter's truncated impulse response,
+kept per (cutoff, rate, tap count) in a bounded LRU cache and read-only.
 
 The per-scene kernels (highpass, the STFT and the feature spectra) work
 through their rows in chunks of about CHUNK_BYTES, so beyond their input and
@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EmptySpectrogramError
+from .fileio import replacing, text_lines
 
 DEFAULT_SAMPLE_RATE = 16000
 STFT_WINDOW = 2048
@@ -432,7 +433,7 @@ def write_wav(path, w: Waveform) -> None:
     scaled = np.clip(w.samples, -1.0, 32767.0 / 32768.0)
     scaled *= 32768.0
     np.round(scaled, out=scaled)
-    with wave.open(str(path), "wb") as fh:
+    with replacing(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(w.sample_rate)
@@ -441,7 +442,7 @@ def write_wav(path, w: Waveform) -> None:
 
 def write_features_csv(path, f: FeatureMatrix) -> None:
     """One frame per line, comma-separated; header names kind and stride."""
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(f"# feature_kind={f.feature_kind} frame_stride_ms={f.frame_stride_ms:g} dim={f.dim}\n")
         for row in f.rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -451,21 +452,21 @@ def read_features_csv(path) -> FeatureMatrix:
     """A feature CSV as write_features_csv writes it. ConfigError naming the
     file when its first line is not that header, and the line when a row is
     not `dim` comma-separated numbers."""
-    with open(path) as fh:
-        header = fh.readline()
-        fields = dict(part.partition("=")[::2] for part in header[2:].split()) if header.startswith("# ") else {}
+    lines = text_lines(path)
+    _, header = next(lines, (1, ""))
+    fields = dict(part.partition("=")[::2] for part in header[2:].split()) if header.startswith("# ") else {}
+    try:
+        kind, stride, dim = fields["feature_kind"], float(fields["frame_stride_ms"]), int(fields["dim"])
+    except (KeyError, ValueError):
+        raise ConfigError(f"{path}: missing feature header line") from None
+    rows = []
+    for n, line in lines:
+        if not line.strip():
+            continue
         try:
-            kind, stride, dim = fields["feature_kind"], float(fields["frame_stride_ms"]), int(fields["dim"])
-        except (KeyError, ValueError):
-            raise ConfigError(f"{path}: missing feature header line") from None
-        rows = []
-        for n, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                raise ConfigError(f"{path} line {n} is not a row of comma-separated numbers") from None
-            if len(rows[-1]) != dim:
-                raise ConfigError(f"{path} line {n} holds {len(rows[-1])} values, not dim={dim}")
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise ConfigError(f"{path} line {n} is not a row of comma-separated numbers") from None
+        if len(rows[-1]) != dim:
+            raise ConfigError(f"{path} line {n} holds {len(rows[-1])} values, not dim={dim}")
     return FeatureMatrix(np.array(rows, dtype=np.float64).reshape(len(rows), dim), frame_stride_ms=stride, feature_kind=kind)

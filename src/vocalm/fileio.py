@@ -1,13 +1,15 @@
-"""The package's one JSON codec.
+"""The package's one file codec.
 
-Every JSON file is written by write_json (sorted keys, indent 2 and a final
-newline) and read by read_json; every JSON-lines file is written by
-write_jsonl (one sorted-key object per line) and read by read_jsonl. Both
-writers write through a sibling `.tmp` file and os.replace, so a reader never
-sees half a file. Both readers name the file they read: one that is not JSON,
-or whose value the caller's `build` callback rejects with a KeyError,
-AttributeError, TypeError or ValueError (a missing key, a value of the wrong
-JSON type, one a constructor refuses), raises ConfigError naming it.
+Every file is written through `replacing`, to a sibling `<path>.tmp` file
+renamed over `path` (os.replace) once it is whole, in a directory made if
+missing, so a reader never sees half a file. Every text input is read through
+`text_lines`, which names a file whose bytes are not UTF-8 text. JSON files
+are written by write_json (sorted keys, indent 2, a final newline) and read by
+read_json; JSON-lines files are written by write_jsonl (one sorted-key object
+per line) and read by read_jsonl. Both readers name the file they read: one
+that is not JSON, or whose value the caller's `build` callback rejects with a
+KeyError, AttributeError, TypeError or ValueError (a missing key, a value of
+the wrong JSON type, one a constructor refuses), raises ConfigError naming it.
 
 The module imports nothing of the package but its errors, so every other
 module can use it.
@@ -28,27 +30,39 @@ def _same(obj):
 
 
 @contextmanager
-def _replacing(path):
-    """A text file handle on `<path>.tmp`, renamed over `path` once the block
-    ends; a block that raises leaves `path` as it was and no `.tmp` file."""
+def replacing(path, mode="w"):
+    """A file handle (`mode` "w" or "wb") on `<path>.tmp`, renamed over `path`
+    once the block ends; a block that raises leaves `path` as it was and no
+    `.tmp` file. A missing parent directory is created."""
     tmp = Path(path).with_name(Path(path).name + ".tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
+def text_lines(path):
+    """(line number from 1, line) of each line of text file `path`; ConfigError
+    naming the file when its bytes are not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, 1)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text: {e}") from None
+
+
 def write_json(path, obj) -> None:
     """`obj` as JSON with sorted keys, indent 2 and a final newline."""
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_jsonl(path, rows) -> None:
     """One sorted-key JSON object per line, for any iterable of dicts."""
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
@@ -80,13 +94,12 @@ def read_jsonl(path, row=_same) -> list:
     are skipped; a line that is not JSON, or whose object `row` rejects,
     raises ConfigError naming the file and the line number."""
     rows = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path} line {n} is not valid JSON: {e.msg}") from e
-            rows.append(checked(f"{path} line {n}", row, obj))
+    for n, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path} line {n} is not valid JSON: {e.msg}") from e
+        rows.append(checked(f"{path} line {n}", row, obj))
     return rows

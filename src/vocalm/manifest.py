@@ -4,7 +4,7 @@ All randomness across the pipeline flows from one root seed through named
 sub-streams (seed_for). RunConfig.fingerprint names a configuration; the
 pipeline's stage markers carry it, so that artifacts from different runs
 cannot be mixed silently. Manifests and configs are read and written
-through the package's one JSON codec (vocalm.jsonio).
+through the package's one file codec (vocalm.fileio).
 RunConfig.from_dict checks a config before anything is written. A value a
 stage hands to a constructor is checked by calling that constructor with it,
 so the rule is stated once, by the stage's own code; the checks written here
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dsp import DEFAULT_SAMPLE_RATE, Waveform, _feature_geometry, _highpass_design, features
 from .errors import ConfigError
-from .jsonio import read_json, read_jsonl, write_json, write_jsonl
+from .fileio import read_json, read_jsonl, write_json, write_jsonl
 from .segmenter import WINDOW_SPAN_S, DetectorParams
 from .synthlab import CallSpec, SceneSpec
 from .ulm import ContextPolicy, NGramLM, ProbeClassifier, smoothing_from_dict

@@ -29,10 +29,10 @@ carry the config fingerprint, and only the markers' is checked. The report
 body contains no timestamps, so identical configs produce byte-identical
 reports; wall-clock metadata goes to run_meta.json instead, a row per stage
 in run order with its name, status (ran or reused), wall and CPU seconds,
-the peak RSS after it and the RSS at its end. Every JSON and JSON-lines file
-a run writes or reads goes through the one codec, vocalm.jsonio, so each is
-written atomically in one format, and a marker that is missing or not JSON
-reads as no marker.
+the peak RSS after it and the RSS at its end. Every file a run writes, and
+every JSON and JSON-lines file it reads, goes through the one codec,
+vocalm.fileio, so each is written atomically, each JSON file in one format,
+and a marker that is missing or not JSON reads as no marker.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
 from .errors import ConfigError, FingerprintMismatchError, StageFailureError
-from .jsonio import read_json, read_jsonl, write_json, write_jsonl
+from .fileio import read_json, read_jsonl, replacing, write_json, write_jsonl
 from .manifest import SPLITS, ManifestRecord, RunConfig, seed_for, split_manifest
 from .segmenter import BOUNDARY_TOL_S, CallSegment, DetectorParams, SegmentWindow, count_matches, detect_calls
 from .segmenter import pack_windows
@@ -169,8 +169,6 @@ def _phee_signature_f0(idx: int, n: int) -> float:
 
 def _synth_phee(cfg: RunConfig, out: Path) -> None:
     phee_cfg = cfg["synth"]["phee"]
-    phee_dir = out / "synth" / "phee"
-    phee_dir.mkdir(exist_ok=True)
     rng = np.random.default_rng(seed_for(cfg.seed, "synth/phee"))
     n_ind = phee_cfg["n_individuals"]
     animals = [f"m{j}" for j in range(n_ind)]
@@ -204,7 +202,7 @@ def _synth_phee(cfg: RunConfig, out: Path) -> None:
                 gap_s=round(_sample_range(rng, phee_cfg["gap_s"]), 3),
             )
         )
-    bench.write_phee_jsonl(phee_dir / "phee.jsonl", records)
+    bench.write_phee_jsonl(out / "synth" / "phee" / "phee.jsonl", records)
 
 
 # -- segment stage -------------------------------------------------------------
@@ -281,7 +279,8 @@ def stage_features(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
         for j, (row, rows) in enumerate(zip(by_scene[source], scene_frames))
     ]
     # with no windows this is a (0, D) matrix and quantize reports the failure
-    np.save(feat_dir / FRAMES_NAME, np.vstack([np.empty((0, cfg["features"]["n_coeffs"]))] + frames))
+    with replacing(feat_dir / FRAMES_NAME, "wb") as fh:
+        np.save(fh, np.vstack([np.empty((0, cfg["features"]["n_coeffs"]))] + frames))
     write_json(feat_dir / "index.json", {"windows": index})
 
 

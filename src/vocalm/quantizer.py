@@ -1,5 +1,5 @@
 """Vocalization-to-unit stage: mini-batch k-means with k-means++ restarts,
-frame encoding, run-length dedup, and the codebook/unit file formats.
+frame encoding, run-length dedup, and codebook/unit files via vocalm.fileio.
 
 Repetitions are kept by default; run-length collapsing is provided for the
 dedup ablation but loses duration information.
@@ -13,7 +13,7 @@ import numpy as np
 
 from .dsp import FeatureMatrix, chunk_rows
 from .errors import ConfigError, InsufficientDataError
-from .jsonio import read_json, write_json
+from .fileio import read_json, replacing, text_lines, write_json
 from .ulm import check_units
 
 DEFAULT_K = 50
@@ -269,7 +269,7 @@ def load_codebook(path) -> Codebook:
 
 def write_units(path, sequences) -> None:
     """One sequence per line, space-separated integer tokens."""
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         for seq in sequences:
             fh.write(" ".join(str(int(t)) for t in np.asarray(seq)) + "\n")
 
@@ -278,10 +278,9 @@ def read_units(path) -> list[np.ndarray]:
     """One sequence per line; a blank line is an empty sequence. A token that
     is not an int32 integer raises ConfigError naming the file and the line."""
     out = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            try:
-                out.append(np.array([int(t) for t in line.split()], dtype=np.int32))
-            except (ValueError, OverflowError) as e:
-                raise ConfigError(f"{path} line {n} is not a line of int32 unit tokens: {e}") from None
+    for n, line in text_lines(path):
+        try:
+            out.append(np.array([int(t) for t in line.split()], dtype=np.int32))
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"{path} line {n} is not a line of int32 unit tokens: {e}") from None
     return out

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 
 import numpy as np
 
-from ..jsonio import checked
+from ..fileio import checked, replacing
 from .nn import (
     Adam,
     cross_entropy,
@@ -316,13 +317,15 @@ class AttnLM:
             "seed": self.seed,
         }
         blob = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, __meta__=blob, **self.params)
+        with replacing(path, "wb") as fh:
+            np.savez(fh, __meta__=blob, **self.params)
 
     @classmethod
     def load(cls, path) -> "AttnLM":
         """The model in file `path`; ConfigError naming the file, as
-        jsonio.read_json does, when it is not an attention-LM `.npz` of this
-        version (not an npz archive, no `__meta__` or parameter array)."""
+        fileio.read_json does, when it is not an attention-LM `.npz` of this
+        version (not an npz archive or a damaged one, no `__meta__` or
+        parameter array)."""
         return checked(f"attention-LM file {path}", cls._from_npz, path)
 
     @classmethod
@@ -330,8 +333,11 @@ class AttnLM:
         with open(path, "rb") as fh:
             if fh.read(4) != b"PK\x03\x04":  # np.load would try a text file as a pickle
                 raise ValueError("not an npz archive")
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
+        try:
+            with np.load(path) as data:
+                arrays = {name: data[name] for name in data.files}
+        except zipfile.BadZipFile as e:  # cut short or damaged after its magic
+            raise ValueError(f"damaged npz archive: {e}") from None
         meta = json.loads(bytes(arrays["__meta__"]).decode())
         if meta.get("version") != FORMAT_VERSION:
             raise ValueError(f"unsupported model file version {meta.get('version')!r}")

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..jsonio import read_json, write_json
+from ..fileio import read_json, write_json
 from .policy import ContextPolicy, ngram_contexts
 from .scoring import check_units
 

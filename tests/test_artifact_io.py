@@ -1,26 +1,28 @@
-"""One JSON codec: every JSON file goes through jsonio.write_json and
-read_json, every JSON-lines file through jsonio.write_jsonl and read_jsonl.
-The stage markers are the one carrier of the config fingerprint that a run
-checks."""
+"""One file codec: every file is committed by fileio.replacing, every JSON
+file goes through fileio.write_json and read_json, every JSON-lines file
+through fileio.write_jsonl and read_jsonl. The stage markers are the one
+carrier of the config fingerprint that a run checks."""
 
 import ast
 import importlib
 import json
 import pkgutil
 import re
+import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import vocalm
-from vocalm import bench, jsonio, pipeline
+from vocalm import bench, dsp, fileio, pipeline, quantizer
 from vocalm.bench import PheeRecord, read_pairs_jsonl, read_phee_jsonl, write_pairs_jsonl, write_phee_jsonl
 from vocalm.cli import main
 from vocalm.errors import ConfigError
-from vocalm.jsonio import read_json, read_jsonl, write_json, write_jsonl
+from vocalm.fileio import read_json, read_jsonl, write_json, write_jsonl
 from vocalm.manifest import ManifestRecord, read_manifest, write_manifest
-from vocalm.ulm import KneserNey, train_ngram
+from vocalm.ulm import AttnLM, KneserNey, train_ngram
 
 
 def _with_blank_lines(path: Path) -> None:
@@ -68,6 +70,36 @@ class TestJsonLines:
         }
 
 
+def _two_rows_then_an_error():
+    """Two one-value rows, then a ZeroDivisionError."""
+    return (np.ones(1, dtype=int) if i < 2 else 1 / 0 for i in range(3))
+
+
+class _NoArray:
+    def __array__(self, *args, **kwargs):
+        raise ZeroDivisionError
+
+
+def _save_failing_attn(path) -> None:
+    model = AttnLM(4, layers=1, heads=1, embed=8, ffn=8, max_ctx=32)
+    model.params["last"] = _NoArray()  # saved after the model's own arrays
+    model.save(path)
+
+
+# (test id, a write that fails part way, what it raises): each writer of the
+# package, failing after its file is opened
+FAILED_WRITES = [
+    ("json", lambda path: write_json(path, {"a": object()}), TypeError),
+    ("jsonl", lambda path: write_jsonl(path, ({"a": i} if i < 2 else 1 / 0 for i in range(3))), ZeroDivisionError),
+    ("units", lambda path: quantizer.write_units(path, _two_rows_then_an_error()), ZeroDivisionError),
+    ("wav", lambda path: dsp.write_wav(path, dsp.Waveform(np.zeros(8), 2**32)), struct.error),  # no 32-bit header rate
+    ("features_csv", lambda path: dsp.write_features_csv(
+        path, SimpleNamespace(feature_kind="mfcc", frame_stride_ms=20.0, dim=1, rows=_two_rows_then_an_error())),
+     ZeroDivisionError),
+    ("attn_model", _save_failing_attn, ZeroDivisionError),
+]
+
+
 class TestJson:
     def test_sorted_keys_indent_2_and_a_final_newline(self, tmp_path):
         path = tmp_path / "obj.json"
@@ -76,13 +108,11 @@ class TestJson:
         assert read_json(path, "test") == {"a": [None, 0.5], "b": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["obj.json"]
 
-    @pytest.mark.parametrize("write", [lambda path: write_json(path, {"a": object()}),
-                                       lambda path: write_jsonl(path, ({"a": i} if i < 2 else 1 / 0 for i in range(3)))],
-                             ids=["json", "jsonl"])
-    def test_a_failed_write_leaves_the_old_file_and_no_tmp(self, tmp_path, write):
+    @pytest.mark.parametrize("write, error", [c[1:] for c in FAILED_WRITES], ids=[c[0] for c in FAILED_WRITES])
+    def test_a_failed_write_leaves_the_old_file_and_no_tmp(self, tmp_path, write, error):
         path = tmp_path / "obj.json"
         path.write_text("old\n")
-        with pytest.raises((TypeError, ZeroDivisionError)):
+        with pytest.raises(error):
             write(path)
         assert path.read_text() == "old\n" and [p.name for p in tmp_path.iterdir()] == ["obj.json"]
 
@@ -195,7 +225,7 @@ def _json_calls(module) -> list[tuple[str, int, str, bool]]:
     return found
 
 
-# Beside the codec (jsonio), the functions that may turn a value into JSON
+# Beside the codec (fileio), the functions that may turn a value into JSON
 # text or back: RunConfig.fingerprint's canonical form and the attention LM's
 # npz header. The CLI may also print a json.dumps line to stdout.
 JSON_TEXT = {("manifest", "fingerprint"), ("attn", "save"), ("attn", "_from_npz")}
@@ -205,12 +235,61 @@ def test_json_is_read_and_written_only_by_the_codecs():
     stray = [
         (own, func, line, name)
         for own, module in _modules()
-        if own != "jsonio"
+        if own != "fileio"
         for func, line, name, printed in _json_calls(module)
         if not (name in ("dumps", "loads") and ((own, func) in JSON_TEXT or (own == "cli" and printed)))
     ]
     assert stray == []
-    assert {name for _, _, name, _ in _json_calls(jsonio)} == {"dumps", "load", "loads"}  # the walk sees the codec
+    assert {name for _, _, name, _ in _json_calls(fileio)} == {"dumps", "load", "loads"}  # the walk sees the codec
+
+
+def _file_writes(module) -> list[tuple[str, int, str]]:
+    """(innermost enclosing function, line, call) of each call in a module
+    that writes a file: open in any mode but a constant read mode, a Path's
+    write_text or write_bytes, and np.save, np.savez or wave.open(..., "wb")
+    on anything but a handle bound by an enclosing `with replacing(...) as`."""
+    found = []
+
+    def called(call):
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            return f"{func.value.id}.{func.attr}" if isinstance(func.value, ast.Name) else func.attr
+        return getattr(func, "id", None)
+
+    def visit(node, func, handles):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            name, args = called(node), node.args
+            mode = args[1] if len(args) > 1 else next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            mode = getattr(mode, "value", mode)  # a constant's value, else the node
+            reads = mode is None or (isinstance(mode, str) and not set(mode) & set("wax+"))
+            saves = name in ("np.save", "np.savez") or (name == "wave.open" and mode == "wb")
+            on_handle = bool(args) and isinstance(args[0], ast.Name) and args[0].id in handles
+            if (name == "open" and not reads) or name in ("write_text", "write_bytes") or (saves and not on_handle):
+                found.append((func, node.lineno, name))
+        if isinstance(node, ast.With):
+            handles = set(handles)
+            for item in node.items:  # an item may use the handle an earlier item binds
+                visit(item, func, handles)
+                if (isinstance(item.context_expr, ast.Call) and called(item.context_expr) == "replacing"
+                        and isinstance(item.optional_vars, ast.Name)):
+                    handles.add(item.optional_vars.id)
+            children = node.body
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, func, handles)
+
+    visit(ast.parse(Path(module.__file__).read_text()), "<module>", set())
+    return found
+
+
+def test_every_file_is_written_through_replacing():
+    """fileio.replacing is the one place that opens a file for writing, and
+    numpy and the wave module write only to a handle it opened."""
+    writes = [(own, func, name) for own, module in _modules() for func, _, name in _file_writes(module)]
+    assert writes == [("fileio", "replacing", "open")]
 
 
 def test_only_the_runner_and_the_report_name_the_fingerprint():

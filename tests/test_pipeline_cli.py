@@ -17,7 +17,7 @@ import pytest
 from vocalm import bench, dsp, pipeline, quantizer
 from vocalm.cli import build_parser, main
 from vocalm.errors import ConfigError, FingerprintMismatchError, StageFailureError
-from vocalm.jsonio import read_jsonl, write_json, write_jsonl
+from vocalm.fileio import read_jsonl, write_json, write_jsonl
 from vocalm.manifest import DEFAULT_CONFIG, RunConfig, seed_for
 from vocalm.pipeline import pipeline_run, validate_report
 from vocalm.segmenter import CallSegment, SegmentWindow
@@ -66,6 +66,10 @@ class TestPipeline:
             "report.json",
         ):
             assert (out / rel).exists(), rel
+
+    def test_no_tmp_file_is_left(self, tiny_run):
+        _, out, _ = tiny_run
+        assert sorted(out.rglob("*.tmp")) == []
 
     def test_cli_ulm_train_writes_the_stage_model(self, tiny_run, tmp_path):
         """`ulm train` and the ulm stage train through one function, so with
@@ -541,7 +545,7 @@ class TestResume:
 
     def test_out_dir_in_the_older_file_formats_resumes(self, clean_run, clean_report, tmp_path, monkeypatch):
         """An out-dir whose stage JSON files are in the formats written before
-        every JSON file went through jsonio.write_json (compact, and here the
+        every JSON file went through fileio.write_json (compact, and here the
         model's and codebook's keys in reverse order), whose codebook.json
         still holds the fit's seed,
         restarts and minibatch, and whose ulm stage holds model_meta.json:
@@ -986,11 +990,11 @@ class TestCli:
         seq = quantizer.read_units(units)[0]
         assert all(a != b for a, b in zip(seq, seq[1:]))
 
-    def _feature_csvs(self, tmp_path, *kinds):
+    def _feature_csvs(self, tmp_path, *kinds, dims=(3, 3)):
         rng = np.random.default_rng(5)
         paths = [tmp_path / f"f{i}_{kind}.csv" for i, kind in enumerate(kinds)]
-        for path, kind in zip(paths, kinds):
-            dsp.write_features_csv(path, dsp.FeatureMatrix(rng.normal(size=(20, 3)), feature_kind=kind))
+        for path, kind, dim in zip(paths, kinds, dims):
+            dsp.write_features_csv(path, dsp.FeatureMatrix(rng.normal(size=(20, dim)), feature_kind=kind))
         return [str(p) for p in paths]
 
     def test_quantize_fit_takes_kind_from_csvs(self, tmp_path, capsys):
@@ -1002,6 +1006,24 @@ class TestCli:
         mixed = self._feature_csvs(tmp_path, "mfcc", "linear_fb")
         assert main(fit + mixed) == 2
         assert mixed[1] in capsys.readouterr().err
+
+    def test_quantize_fit_rejects_csvs_of_another_dim(self, tmp_path, capsys):
+        cb = tmp_path / "cb.json"
+        csvs = self._feature_csvs(tmp_path, "mfcc", "mfcc", dims=(3, 5))
+        assert main(["quantize", "fit", "--k", "4", "--restarts", "1", "--out", str(cb), "--features"] + csvs) == 2
+        err = capsys.readouterr().err
+        assert f"{csvs[1]} holds dim-5 mfcc features, {csvs[0]} dim-3 mfcc" in err and "Traceback" not in err
+        assert not cb.exists()
+
+    def test_quantize_encode_rejects_other_dim(self, tmp_path, capsys):
+        cb, units = tmp_path / "cb.json", tmp_path / "u.txt"
+        dim3, dim5 = self._feature_csvs(tmp_path, "mfcc", "mfcc", dims=(3, 5))
+        assert main(["quantize", "fit", "--features", dim3, "--k", "4", "--restarts", "1", "--out", str(cb)]) == 0
+        capsys.readouterr()
+        assert main(["quantize", "encode", "--codebook", str(cb), "--out", str(units), "--features", dim5]) == 2
+        err = capsys.readouterr().err
+        assert f"{dim5} holds dim-5 mfcc features; codebook {cb} is dim-3 mfcc" in err and "Traceback" not in err
+        assert not units.exists()
 
     def test_quantize_encode_rejects_other_kind(self, tmp_path, capsys):
         cb = tmp_path / "cb.json"
@@ -1365,6 +1387,33 @@ NON_INTEGER_UNITS = [
 ]
 
 
+# (test id, argv): {bin} holds the bytes 0-255, which are not UTF-8 text,
+# given to each text input in turn; every other file is valid
+NON_TEXT_INPUTS = [
+    ("ulm_train_units", "ulm train --units {bin} --out {out}"),
+    ("ulm_score_units", "ulm score --model {ngram} --units {bin}"),
+    ("ulm_ppl_units", "ulm ppl --model {ngram} --units {bin}"),
+    ("bench_make_units", "bench make --units {bin} --out {out}"),
+    ("metrics_purity_units", "metrics purity --units {bin} --labels {labels}"),
+    ("metrics_purity_labels", "metrics purity --units {units} --labels {bin}"),
+    ("ulm_probe_labels", "ulm probe --embeddings {csv} --labels {bin}"),
+    ("ulm_probe_embeddings", "ulm probe --embeddings {bin} --labels {labels}"),
+    ("quantize_fit_features", "quantize fit --features {bin} --out {out}"),
+    ("quantize_encode_features", "quantize encode --features {bin} --codebook {codebook} --out {out}"),
+    ("split_manifest", "split --manifest {bin} --out {out}"),
+    ("bench_phee_records", "bench phee --records {bin} --out {out}"),
+    ("bench_eval_pairs", "bench eval --model {ngram} --pairs {bin}"),
+    ("metrics_fad_ref", "metrics fad --ref {bin} --cand {manifest}"),
+]
+
+# (test id, argv): an --out under a directory that does not exist yet
+MISSING_OUT_DIRS = [
+    ("features", "features --in {wav} --out {new}/f.csv"),
+    ("quantize_encode", "quantize encode --features {csv} --codebook {codebook} --out {new}/u.txt"),
+    ("ulm_train_attn", "ulm train --backend attn --steps 2 --units {units} --out {new}/m.npz"),
+]
+
+
 # (test id, argv, what the error says): each used to end in a traceback with
 # exit 1. {manifest} is a valid two-row manifest; {dup} repeats its path on
 # line 2; {no_path} has a blank line 2 and no path on line 3; {same} has a
@@ -1534,6 +1583,46 @@ class TestCliInputs:
         np.savez(model, tok_emb=np.zeros((4, 8)))
         assert main(["ulm", "ppl", "--model", model, "--units", parse_files["units"]]) == 2
         assert f"attention-LM file {model} has no '__meta__' key" in capsys.readouterr().err
+
+    def test_truncated_npz_exits_2_naming_it(self, parse_files, capsys):
+        model = f"{parse_files['tmp']}/cut.npz"
+        Path(model).write_bytes(Path(parse_files["attn"]).read_bytes()[:300])
+        assert main(["ulm", "score", "--model", model, "--units", parse_files["units"]]) == 2
+        err = capsys.readouterr().err
+        assert f"attention-LM file {model}: damaged npz archive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [c[1] for c in NON_TEXT_INPUTS], ids=[c[0] for c in NON_TEXT_INPUTS])
+    def test_input_that_is_not_text_exits_2_naming_it(self, parse_files, argv, capsys):
+        files = dict(parse_files, bin=f"{parse_files['tmp']}/bytes.bin")
+        Path(files["bin"]).write_bytes(bytes(range(256)))
+        before = sorted(Path(files["tmp"]).iterdir())
+        assert exit_code(argv.format(**files).split()) == 2
+        captured = capsys.readouterr()
+        assert f"{files['bin']} is not UTF-8 text" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and sorted(Path(files["tmp"]).iterdir()) == before  # no output written
+
+    @pytest.mark.parametrize("argv", [c[1] for c in MISSING_OUT_DIRS], ids=[c[0] for c in MISSING_OUT_DIRS])
+    def test_out_under_a_missing_directory_is_written_there(self, parse_files, argv, capsys):
+        new = Path(parse_files["tmp"], "new", "dir")
+        assert main(argv.format(**parse_files, new=new).split()) == 0
+        assert len(os.listdir(new)) == 1 and str(new / os.listdir(new)[0]) in capsys.readouterr().out
+
+    @pytest.mark.parametrize("backend, name", [("attn", "m.bin"), ("attn", "m"), ("ngram", "m.npz")])
+    def test_ulm_train_out_suffix_must_match_the_backend(self, cli_files, backend, name, capsys):
+        out = f"{cli_files['tmp']}/{name}"
+        before = sorted(Path(cli_files["tmp"]).iterdir())
+        assert main(["ulm", "train", "--backend", backend, "--steps", "2", "--units", cli_files["one"], "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: an attn model is saved to a .npz path" in err and "Traceback" not in err
+        assert sorted(Path(cli_files["tmp"]).iterdir()) == before  # no output written
+
+    def test_ulm_train_attn_npz_round_trips_through_score(self, cli_files, capsys):
+        model = f"{cli_files['tmp']}/m.npz"
+        assert main(["ulm", "train", "--backend", "attn", "--steps", "2", "--units", cli_files["one"], "--out", model]) == 0
+        capsys.readouterr()
+        assert main(["ulm", "score", "--model", model, "--units", cli_files["one"]]) == 0
+        want = AttnLM.load(model).score(quantizer.read_units(cli_files["one"])[0])
+        assert float(capsys.readouterr().out) == want
 
     @pytest.mark.parametrize("argv, message", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
     def test_bad_input_exits_2_naming_file_line_or_flag(self, tmp_path, argv, message, capsys):
