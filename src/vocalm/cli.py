@@ -364,8 +364,8 @@ def cmd_metrics_fad(args) -> int:
 def cmd_metrics_purity(args) -> int:
     units = quantizer.read_units(args.units)
     labels = _read_labels(args.labels)
+    flat_units = np.concatenate(_nonempty(units, args.units))
     if args.level == "frame":
-        flat_units = np.concatenate([u for u in units if u.size])
         if len(labels) != flat_units.shape[0]:
             raise ConfigError(
                 f"frame-level purity needs one label per frame: {flat_units.shape[0]} frames vs {len(labels)} labels"
@@ -374,6 +374,9 @@ def cmd_metrics_purity(args) -> int:
     else:
         if len(labels) != len(units):
             raise ConfigError("call-level purity needs one label per sequence")
+        for line, seq in enumerate(units, 1):
+            if not seq.size:
+                raise ConfigError(f"{args.units} line {line} holds no units; call-level purity needs one or more per call")
         table = metrics.contingency_from_calls(units, labels)
     up, lp = metrics.purity(table)
     print(json.dumps({"metric": "purity", "value": {"unit_purity": up, "label_purity": lp}, "n": table.total}))
@@ -492,7 +495,7 @@ FLAGS = {
     "max_len": ("--max-len", dict(type=int, default=64)),
     "embeddings": ("--embeddings", dict(required=True)),
     "labels": ("--labels", dict(required=True)),
-    "epochs": ("--epochs", dict(type=int, default=DEFAULT_CONFIG["probe"]["epochs"])),
+    "epochs": ("--epochs", dict(type=_at_least_one("epochs"), default=DEFAULT_CONFIG["probe"]["epochs"])),
     "ctx": ("--ctx", dict(type=_at_least_one("context window"), default=None, help="context window in tokens (default: no context policy)")),
     "keep_first": ("--keep-first", dict(type=int, default=0, choices=KEEP_FIRST_CHOICES, help="always-visible first tokens")),
     "task": ("--task", dict(choices=("shuffle", "concat", "reversal"), default="shuffle")),

@@ -256,13 +256,17 @@ def _check_types(data: dict, default: dict, path: str = "") -> None:
                 raise ConfigError(f"{where} must be {_TYPE_NAMES[type(base)]}, got {value!r}")
 
 
-# Least value of each count: every count is at least 1, a FAD group needs two
-# clips for its covariance, a phee exchange two animals, a codebook two units.
+# pipeline._fad_clip's sweep lasts FAD_SWEEP_S seconds, at least FAD_MARGIN_S from either end of its clip
+FAD_SWEEP_S, FAD_MARGIN_S = (3.0, 4.0), 0.2
+# Least value of each count and length: every count is at least 1, a FAD group
+# needs two clips for its covariance, a phee exchange two animals, a codebook
+# two units, and a FAD clip its longest sweep and both margins.
 _AT_LEAST = {
     "synth.n_scenes": 1, "synth.phee.n_records": 1, "synth.phee.n_individuals": 2,
     "features.n_coeffs": 1, "quantizer.k": 2, "quantizer.minibatch": 1, "quantizer.restarts": 1,
     "ulm.attn.heads": 1, "ulm.attn.embed": 1, "ulm.attn.ffn": 1, "ulm.attn.steps": 1, "ulm.attn.batch": 1,
-    "bench.phee_per_record": 1, "metrics.fad_group_size": 2,
+    "bench.phee_per_record": 1, "metrics.fad_group_size": 2, "probe.epochs": 1,
+    "metrics.fad_clip_s": FAD_SWEEP_S[1] + 2 * FAD_MARGIN_S,
 }
 
 

@@ -11,10 +11,13 @@ emptied directory. A marker written under a different config fingerprint
 raises FingerprintMismatchError before anything is deleted. Every stage
 reads a WAV through dsp.read_audio, so audio is 16 kHz wherever it enters.
 Segment detects and packs each scene with segment_wav, and ulm trains with
-train_model, as the CLI's `segment` and `ulm train` do. The window
-table is `features/index.json`: each window's id, scene, split, span, calls
-and frame count. Stage files name WAVs by their path relative to the
-out-dir, so a copied or moved out-dir reads its own audio. No stage after
+train_model, as the CLI's `segment` and `ulm train` do. Segment matches the
+detected calls to `synth/truth.jsonl` once, with segmenter.match_calls, and
+gives each call row its matched call type or null. The window table is
+`features/index.json`: each window's id, scene, split, span, typed calls and
+frame count; eval labels calls from it and reads no `synth/` file. Stage
+files name WAVs by their path relative to the out-dir, so a copied or moved
+out-dir reads its own audio. No stage after
 features reads `segment/windows.jsonl`. Each window is featurised and
 encoded once: its frames sit in `features/frames.npy`, and bench and eval
 read its units from quantize's `units_{split}.txt`, whose lines follow
@@ -52,8 +55,8 @@ import numpy as np
 from . import __version__, bench, dsp, metrics, quantizer
 from .errors import ConfigError, FingerprintMismatchError, StageFailureError
 from .fileio import read_json, read_jsonl, replacing, write_json, write_jsonl
-from .manifest import SPLITS, ManifestRecord, RunConfig, seed_for, split_manifest
-from .segmenter import BOUNDARY_TOL_S, CallSegment, DetectorParams, SegmentWindow, count_matches, detect_calls
+from .manifest import FAD_MARGIN_S, FAD_SWEEP_S, SPLITS, ManifestRecord, RunConfig, seed_for, split_manifest
+from .segmenter import BOUNDARY_TOL_S, CallSegment, DetectorParams, SegmentWindow, detect_calls, match_calls
 from .segmenter import pack_windows
 from .synthlab import CallSpec, SceneSpec, synth_call, synth_scene
 from .ulm import AttnLM, ContextPolicy, NGramLM, attn_train, ppl, smoothing_from_dict, train_ngram, train_probe
@@ -66,8 +69,9 @@ DONE_NAME = "_done.json"
 # older layout is never reused: none for per-window feature CSVs, 2 for
 # index.json rows without their window's calls, 3 for WAV paths named as
 # written rather than relative to the out-dir, 4 for stage files that each
-# carried the config fingerprint beside the marker's.
-LAYOUT = 5
+# carried the config fingerprint beside the marker's, 5 for window rows
+# without each call's `call_type`.
+LAYOUT = 6
 FRAMES_NAME = "frames.npy"
 # the ulm stage's model file, by `ulm.backend`
 MODEL_FILES = {"ngram": "model.json", "attn": "model.npz"}
@@ -221,11 +225,14 @@ def stage_segment(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     params = DetectorParams.from_dict(cfg["detector"])
 
     def one(scene):
-        """The scene's window rows and its (predicted, true, matched) call counts."""
+        """The scene's window rows, with typed calls, and its (predicted, true, matched) call counts."""
         pred, windows = segment_wav(out / scene["path"], params)
         truth = [CallSegment(c["onset_s"], c["offset_s"]) for c in scene["calls"]]
         rows = [win.record(scene["path"]) for win in windows]
-        return rows, (len(pred), len(truth), count_matches(pred, truth, BOUNDARY_TOL_S))
+        calls = [call for row in rows for call in row["calls"]]  # in onset order, as match_calls takes them
+        for call, j in zip(calls, match_calls(pred, truth, BOUNDARY_TOL_S), strict=True):
+            call["call_type"] = None if j is None else scene["calls"][j]["call_type"]
+        return rows, (len(pred), len(truth), sum(call["call_type"] is not None for call in calls))
 
     per_scene = _map_scenes(one, read_jsonl(out / "synth" / "truth.jsonl"), jobs)
     write_jsonl(seg_dir / "windows.jsonl", (row for rows, _ in per_scene for row in rows))
@@ -446,7 +453,7 @@ def _fad_clip(rng, f_lo: float, f_hi: float, clip_s: float, noise_only: bool = F
     noise = rng.normal(0, 10 ** (-55.0 / 20.0), size=n)
     if noise_only:
         return dsp.Waveform(rng.normal(0, 0.2, size=n))
-    dur = float(rng.uniform(3.0, 4.0))
+    dur = float(rng.uniform(*FAD_SWEEP_S))
     depth = f_hi - f_lo
     spec = CallSpec(
         f0_hz=f_lo,
@@ -456,7 +463,7 @@ def _fad_clip(rng, f_lo: float, f_hi: float, clip_s: float, noise_only: bool = F
         amplitude=float(rng.uniform(0.4, 0.6)),
     )
     tone = synth_call(spec)
-    onset = int(rng.uniform(0.2, clip_s - dur - 0.2) * dsp.DEFAULT_SAMPLE_RATE)
+    onset = int(rng.uniform(FAD_MARGIN_S, clip_s - dur - FAD_MARGIN_S) * dsp.DEFAULT_SAMPLE_RATE)
     noise[onset : onset + tone.shape[0]] += tone
     return dsp.Waveform(noise)
 
@@ -501,28 +508,20 @@ def eval_fad_groups(cfg: RunConfig, seed: int) -> dict:
 
 
 def _labeled_call_frames(cfg: RunConfig, out: Path, index: list[dict], window_units: dict[str, np.ndarray]):
-    """(units, labels) per frame inside detected calls, then per call its
-    units and pooled-frame embedding, with one label array for both."""
-    truth_by_path = {t["path"]: t for t in read_jsonl(out / "synth" / "truth.jsonl")}
+    """(units, labels) per frame inside matched calls, then per call its units
+    and pooled-frame embedding, with one label array for both."""
     type_names = [ct["name"] for ct in cfg["synth"]["call_types"]]
-    type_idx = {n: i for i, n in enumerate(type_names)}
     frame_units, frame_labels = [], []
     call_units, call_labels, call_embeddings = [], [], []
     stride = dsp.FRAME_STRIDE_MS / 1000.0
     for row, frames in zip(index, _window_frames(out, index)):
         units = window_units[row["id"]]
-        truth = truth_by_path[row["source"]]
         for win_call in row["calls"]:
-            abs_on = row["start_s"] + win_call["onset_s"]
-            abs_off = row["start_s"] + win_call["offset_s"]
-            matched = _match_truth_call(truth, abs_on, abs_off)
-            if matched is None:
-                continue
-            label = type_idx[matched]
             lo = max(int(np.ceil(win_call["onset_s"] / stride)), 0)
             hi = min(int(np.floor(win_call["offset_s"] / stride)), frames.shape[0])
-            if hi - lo < 2:
+            if win_call["call_type"] is None or hi - lo < 2:
                 continue
+            label = type_names.index(win_call["call_type"])
             frame_units.extend(units[lo:hi].tolist())
             frame_labels.extend([label] * (hi - lo))
             call_units.append(units[lo:hi])
@@ -531,13 +530,6 @@ def _labeled_call_frames(cfg: RunConfig, out: Path, index: list[dict], window_un
     return (
         np.array(frame_units), np.array(frame_labels), call_units, np.array(call_labels), call_embeddings, type_names
     )
-
-
-def _match_truth_call(truth: dict, onset_s: float, offset_s: float, tol: float = 0.08):
-    for c in truth["calls"]:
-        if abs(c["onset_s"] - onset_s) <= tol and abs(c["offset_s"] - offset_s) <= tol:
-            return c["call_type"]
-    return None
 
 
 def _context_grid(cfg: RunConfig, model, pairs, scores: dict) -> list[dict]:

@@ -230,24 +230,21 @@ def pack_windows(w: Waveform, calls: list[CallSegment]) -> list[SegmentWindow]:
     return windows
 
 
-def count_matches(
+def match_calls(
     pred: list[CallSegment],
     truth: list[CallSegment],
     tol_s: float = BOUNDARY_TOL_S,
-) -> int:
+) -> list[int | None]:
     """Greedy one-to-one matching at +-tol_s on both boundaries: predictions
     in onset order each take the first unmatched truth call within tolerance.
-    Returns the number of matched pairs."""
+    Returns, per prediction in onset order, its truth call's index or None."""
     if tol_s <= 0:
         raise ValueError("tolerance must be positive")
-    matched_truth = [False] * len(truth)
-    matches = 0
+    matches: list[int | None] = []
     for p in sorted(pred, key=lambda c: c.onset_s):
-        for j, t in enumerate(truth):
-            if matched_truth[j]:
-                continue
-            if abs(p.onset_s - t.onset_s) <= tol_s and abs(p.offset_s - t.offset_s) <= tol_s:
-                matched_truth[j] = True
-                matches += 1
-                break
+        within = (
+            j for j, t in enumerate(truth)
+            if j not in matches and abs(p.onset_s - t.onset_s) <= tol_s and abs(p.offset_s - t.offset_s) <= tol_s
+        )
+        matches.append(next(within, None))
     return matches

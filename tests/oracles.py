@@ -25,7 +25,7 @@ from vocalm.quantizer import (
     inertia,
     kmeans_pp_init,
 )
-from vocalm.segmenter import BOUNDARY_TOL_S, CallSegment, count_matches
+from vocalm.segmenter import BOUNDARY_TOL_S, CallSegment, match_calls
 
 
 def brute_inertia(x: np.ndarray, centroids: np.ndarray) -> float:
@@ -177,9 +177,9 @@ def score_detection(
     truth: list[CallSegment],
     tol_s: float = BOUNDARY_TOL_S,
 ) -> tuple[float, float]:
-    """(precision, recall) of count_matches. Empty prediction lists score
-    precision 1.0 against empty truth and 0.0 otherwise."""
-    matches = count_matches(pred, truth, tol_s)
+    """(precision, recall) of match_calls' matches. Empty prediction lists
+    score precision 1.0 against empty truth and 0.0 otherwise."""
+    matches = sum(j is not None for j in match_calls(pred, truth, tol_s))
     if pred:
         precision = matches / len(pred)
     else:

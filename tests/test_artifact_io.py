@@ -321,6 +321,15 @@ def test_only_segment_and_features_name_windows_jsonl():
     assert sorted({func for func, _ in named}) == ["stage_features", "stage_segment"], named
 
 
+def test_only_synth_and_segment_name_truth_jsonl():
+    """Segment matches the detected calls to the true ones once and writes
+    each call's type into the window rows: no later stage reads truth.jsonl."""
+    named = _enclosing(
+        pipeline, lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str) and "truth.jsonl" in node.value
+    )
+    assert sorted({func for func, _ in named}) == ["stage_segment", "stage_synth"], named
+
+
 # The module each smoothing constructor, unit-LM trainer, detect-and-pack
 # step and the WAV reader belongs to. Anywhere else in src/ it is called only
 # by the shared functions pipeline.train_model and pipeline.segment_wav, which

@@ -42,6 +42,11 @@ def tiny_run(tmp_path_factory):
     return cfg, out, report
 
 
+def _untyped(call: dict) -> dict:
+    """A window call row without the call_type the segment stage gives it."""
+    return {k: v for k, v in call.items() if k != "call_type"}
+
+
 class TestPipeline:
     def test_report_has_all_five_tasks_and_ppl(self, tiny_run):
         _, _, report = tiny_run
@@ -83,14 +88,34 @@ class TestPipeline:
 
     def test_cli_segment_writes_the_stage_rows(self, tiny_run, tmp_path):
         """`segment` and the segment stage detect and pack through one
-        function: the CLI writes a scene's rows, named by the path it read."""
+        function: the CLI writes a scene's rows, named by the path it read.
+        The CLI has no true calls, so its call rows carry no call_type."""
         _, out, _ = tiny_run
         rows = read_jsonl(out / "segment" / "windows.jsonl")
         source = rows[0]["source"]
         windows = tmp_path / "windows.jsonl"
         assert main(["segment", "--in", str(out / source), "--out", str(windows)]) == 0
-        want = [{**row, "source": str(out / source)} for row in rows if row["source"] == source]
+        want = [
+            {**row, "source": str(out / source), "calls": [_untyped(c) for c in row["calls"]]}
+            for row in rows if row["source"] == source
+        ]
         assert read_jsonl(windows) == want
+
+    def test_call_types_count_the_detection_matches(self, tiny_run):
+        """Every call row of windows.jsonl carries a call type or null, the
+        window table carries the same, and the typed calls are the matches
+        behind detection.json's precision and recall."""
+        _, out, report = tiny_run
+        calls = [c for row in read_jsonl(out / "segment" / "windows.jsonl") for c in row["calls"]]
+        index = json.loads((out / "features" / "index.json").read_text())["windows"]
+        assert [c for w in index for c in w["calls"]] == calls
+        n_truth = sum(len(scene["calls"]) for scene in read_jsonl(out / "synth" / "truth.jsonl"))
+        n_match = sum(c["call_type"] is not None for c in calls)
+        assert n_match and all(c["call_type"] in {ct["name"] for ct in DEFAULT_CONFIG["synth"]["call_types"]}
+                               for c in calls if c["call_type"] is not None)
+        detection = report["segmentation"]
+        assert (detection["precision"], detection["recall"]) == (n_match / len(calls), n_match / n_truth)
+        assert report["probe"]["n_calls"] <= n_match
 
     def test_fingerprint_only_in_config_markers_and_report(self, tiny_run):
         """The stage markers carry the config fingerprint; config.json and
@@ -436,12 +461,13 @@ class TestResume:
         assert _stage_tree(out) == before
         assert (out / "report.json").read_bytes() == clean_report
 
-    @pytest.mark.parametrize("layout", [2, 4])
+    @pytest.mark.parametrize("layout", [2, 4, 5])
     def test_older_layout_out_dir_is_recomputed_in_full(self, layout, clean_run, clean_report, tmp_path, monkeypatch):
         """An out-dir committed under layout 2, whose index.json rows carry no
-        calls, or under layout 4, whose stage JSON files and JSON-lines rows
-        each carry the config fingerprint: every stage runs again, and each
-        stage file and the report come out as a clean run writes them."""
+        calls, under layout 4, whose stage JSON files and JSON-lines rows
+        each carry the config fingerprint, or under layout 5, whose window
+        rows carry no call types: every stage runs again, and each stage file
+        and the report come out as a clean run writes them."""
         out = tmp_path / "out"
         shutil.copytree(clean_run, out)
         (out / "report.json").unlink()
@@ -462,6 +488,14 @@ class TestResume:
             legacy("features/index.json", lambda index: {"windows": [
                 {k: v for k, v in w.items() if k != "calls"} for w in index["windows"]
             ]})
+        elif layout == 5:
+            def untyped(row):
+                return {**row, "calls": [_untyped(c) for c in row["calls"]]}
+
+            windows = read_jsonl(out / "segment" / "windows.jsonl")
+            write_jsonl(out / "segment" / "windows.jsonl", [untyped(row) for row in windows])
+            index = json.loads((out / "features" / "index.json").read_text())
+            write_json(out / "features" / "index.json", {"windows": [untyped(w) for w in index["windows"]]})
         else:
             for rel in ("synth/truth.jsonl", "synth/phee/phee.jsonl", "segment/windows.jsonl", "segment/detection.json",
                         "features/index.json", "bench/pairs.jsonl"):
@@ -796,6 +830,42 @@ class TestComputedOnce:
         assert (out / "report.json").read_bytes() == clean_report
 
 
+class TestCallLabels:
+    def test_eval_labels_only_the_calls_segment_matched(self, tmp_path, monkeypatch):
+        """Segment matches detections to true calls one to one within 0.05 s,
+        and eval's purity and probe labels are the call types it wrote: of
+        two detections of one true call only the first is labelled, and a
+        detection 0.06 s from its true call is not labelled at all."""
+        cfg = RunConfig.from_dict(TINY_OVERRIDE)
+        a, b = (ct["name"] for ct in cfg["synth"]["call_types"][:2])
+        truth = [(1.0, 2.0, a), (4.0, 5.0, b), (7.0, 8.0, b)]
+        write_jsonl(tmp_path / "synth" / "truth.jsonl", [{"path": "synth/scene_0000.wav", "duration_s": 10.0, "calls": [
+            {"onset_s": on, "offset_s": off, "call_type": ct} for on, off, ct in truth
+        ]}])
+        # two detections within 0.02-0.03 s of the first call, one 0.06 s off the second, the third exact
+        pred = [CallSegment(0.97, 1.98), CallSegment(1.02, 2.03), CallSegment(4.06, 5.0), CallSegment(7.0, 8.0)]
+        windows = [
+            SegmentWindow(0.97, 1.98, (pred[0].shifted(-0.97),)),
+            SegmentWindow(1.02, 10.0, tuple(c.shifted(-1.02) for c in pred[1:])),
+        ]
+        monkeypatch.setattr(pipeline, "segment_wav", lambda path, params: (pred, windows))
+        pipeline.stage_segment(cfg, tmp_path)
+        rows = read_jsonl(tmp_path / "segment" / "windows.jsonl")
+        assert [c["call_type"] for row in rows for c in row["calls"]] == [a, None, None, b]
+        detection = json.loads((tmp_path / "segment" / "detection.json").read_text())
+        assert (detection["precision"], detection["recall"]) == (2 / 4, 2 / 3)
+
+        stride = dsp.FRAME_STRIDE_MS / 1000.0
+        index = [{"id": f"w{i}", **row, "n_frames": int((row["end_s"] - row["start_s"]) / stride) + 1}
+                 for i, row in enumerate(rows)]
+        frames = np.random.default_rng(0).normal(size=(sum(w["n_frames"] for w in index), cfg["features"]["n_coeffs"]))
+        (tmp_path / "features").mkdir()
+        np.save(tmp_path / "features" / pipeline.FRAMES_NAME, frames)
+        units = {w["id"]: np.zeros(w["n_frames"], dtype=np.int32) for w in index}
+        *_, labels, _, type_names = pipeline._labeled_call_frames(cfg, tmp_path, index, units)
+        assert [type_names[label] for label in labels] == [a, b]
+
+
 class TestAttnBackend:
     def test_pipeline_with_attention_ulm(self, tmp_path):
         override = {
@@ -878,14 +948,17 @@ BAD_SEGMENT_PARAMS = [(name, detector) for name, detector, _ in BAD_DETECTOR] + 
 
 # (test id, config override, the key the error names). Each used to pass the
 # config check and then stop a run midway with exit 3 (n_scenes, restarts,
-# minibatch and no_calls in quantize, heads_embed in ulm, fad_group_size in
-# eval, calls_per_scene in synth), or finish with no caller_change/
-# receiver_change block (phee_per_record).
+# minibatch and no_calls in quantize, heads_embed in ulm, fad_group_size and
+# fad_clip_s in eval, calls_per_scene in synth), or finish with no
+# caller_change/receiver_change block (phee_per_record) or with the probe
+# block of an untrained classifier (probe_epochs).
 BAD_BOUNDS = [
     ("n_scenes", {"synth": {"n_scenes": 0}}, "synth.n_scenes"),
     ("restarts", {"quantizer": {"restarts": 0}}, "quantizer.restarts"),
     ("minibatch", {"quantizer": {"minibatch": 0}}, "quantizer.minibatch"),
     ("fad_group_size", {"metrics": {"fad_group_size": 1}}, "metrics.fad_group_size"),
+    ("fad_clip_s", {"metrics": {"fad_clip_s": 4.0}}, "metrics.fad_clip_s must be at least 4.4, got 4.0"),
+    ("probe_epochs", {"probe": {"epochs": 0}}, "probe.epochs must be at least 1, got 0"),
     ("calls_per_scene", {"synth": {"calls_per_scene": [3, 1]}}, "synth.calls_per_scene"),
     ("phee_per_record", {"bench": {"phee_per_record": 0}}, "bench.phee_per_record"),
     ("no_calls", {"synth": {"calls_per_scene": [0, 0]}}, "synth.calls_per_scene"),
@@ -1286,7 +1359,8 @@ MISSING_INPUTS = [
 # command would otherwise crash on, or (a negative token for the attention LM,
 # fewer labels than probe rows) silently accept. {long} holds 600 tokens on
 # line 2, {neg} token -1 on line 1; {csv} holds 24 frames, {labels6} 6 labels,
-# {one_class} 24 labels of class 0, and {wav}.jsonl is a one-clip manifest.
+# {one_class} 24 labels of class 0, {gap} 6 unit sequences of which line 2 is
+# empty, and {wav}.jsonl is a one-clip manifest.
 BAD_FLAGS = [
     ("ulm_train_attn_long_line", "ulm train --backend attn --units {long} --out {out}",
      "{long} line 2 holds 600 tokens; the attention LM's context holds 511 plus BOS"),
@@ -1315,6 +1389,12 @@ BAD_FLAGS = [
      "{labels6} holds 6 labels, {csv} 24 rows; the probe needs one label a row"),
     ("ulm_probe_one_class", "ulm probe --embeddings {csv} --labels {one_class}",
      "{one_class} holds the labels of [0] only; the probe needs at least 2 classes"),
+    ("ulm_probe_epochs_0", "ulm probe --embeddings {csv} --labels {labels6} --epochs 0",
+     "argument --epochs: epochs must be >= 1, got 0"),
+    ("metrics_purity_no_tokens", "metrics purity --units {empty} --labels {labels6}",
+     "{empty} holds 0 non-empty unit sequence(s), at least 1 needed"),
+    ("metrics_purity_call_empty_sequence", "metrics purity --level call --units {gap} --labels {labels6}",
+     "{gap} line 2 holds no units; call-level purity needs one or more per call"),
     ("metrics_fad_one_clip", "metrics fad --ref {wav}.jsonl --cand {wav}.jsonl",
      "{wav}.jsonl: need at least 2 embeddings to fit a Gaussian"),
     ("features_mfcc_n_coeffs_3", "features --in {wav} --kind mfcc --n-coeffs 3 --out {out}",
@@ -1766,6 +1846,8 @@ class TestCliInputs:
                      neg=f"{cli_files['tmp']}/neg.txt", csv=f"{cli_files['tmp']}/f.csv", wav=f"{cli_files['tmp']}/s.wav")
         quantizer.write_units(files["long"], [np.array([0, 1]), np.arange(600) % 4])
         quantizer.write_units(files["neg"], [np.array([-1, 2]), np.array([1, 0])])
+        files["gap"] = f"{cli_files['tmp']}/gap.txt"
+        Path(files["gap"]).write_text("0 1\n\n2 3\n1\n0\n3\n")
         wave = dsp.Waveform(np.random.default_rng(0).normal(0, 0.1, size=8000))
         dsp.write_wav(files["wav"], wave)
         dsp.write_features_csv(files["csv"], dsp.features(wave, "linear_fb"))

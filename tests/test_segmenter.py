@@ -9,9 +9,9 @@ from vocalm.segmenter import (
     CallSegment,
     DetectorParams,
     SegmentWindow,
-    count_matches,
     detect_calls,
     frame_stats,
+    match_calls,
     pack_windows,
 )
 from vocalm.manifest import DEFAULT_CONFIG
@@ -168,7 +168,7 @@ class TestSegmentWav:
             wave, truth = synth_scene(scene_factory(seed, f0_hz=(5800.0, 7200.0)), sample_rate=48000)
             dsp.write_wav(tmp_path / "scene.wav", wave)
             pred, _ = segment_wav(tmp_path / "scene.wav", DetectorParams())
-            n_match += count_matches(pred, truth)
+            n_match += sum(j is not None for j in match_calls(pred, truth))
             n_pred += len(pred)
             n_truth += len(truth)
         assert n_truth >= 40
@@ -250,10 +250,35 @@ class TestScoreDetection:
         # 7 truth calls, 9 predictions: the count is exact where the ratios are not
         truth = [CallSegment(i, i + 0.5) for i in range(7)]
         pred = [c.shifted(0.01) for c in truth[:5]] + [CallSegment(20 + i, 20.5 + i) for i in range(4)]
-        assert count_matches(pred, truth) == 5
+        assert match_calls(pred, truth) == [0, 1, 2, 3, 4, None, None, None, None]
         assert score_detection(pred, truth) == (5 / 9, 5 / 7)
         with pytest.raises(ValueError, match="tolerance"):
-            count_matches(pred, truth, 0.0)
+            match_calls(pred, truth, 0.0)
+
+
+class TestMatchCalls:
+    def test_one_index_per_prediction_in_onset_order(self):
+        truth = [CallSegment(5.0, 6.0), CallSegment(1.0, 2.0)]
+        pred = [CallSegment(5.02, 5.98), CallSegment(3.0, 4.0), CallSegment(0.99, 2.01)]
+        # sorted by onset: 0.99 takes truth 1, 3.0 takes nothing, 5.02 takes truth 0
+        assert match_calls(pred, truth) == [1, None, 0]
+
+    def test_each_truth_call_matches_once(self):
+        """Two detections of one true call, both within 0.08 s of it: only
+        the earlier one is matched."""
+        truth = [CallSegment(1.0, 2.0)]
+        pred = [CallSegment(0.97, 1.98), CallSegment(1.02, 2.03)]
+        assert match_calls(pred, truth) == [0, None]
+
+    def test_both_boundaries_within_tolerance(self):
+        truth = [CallSegment(1.0, 2.0)]
+        assert match_calls([CallSegment(1.04, 2.0)], truth) == [0]
+        assert match_calls([CallSegment(1.0, 2.07)], truth) == [None]
+        assert match_calls([CallSegment(1.07, 2.07)], truth, tol_s=0.08) == [0]
+
+    def test_empty_inputs(self):
+        assert match_calls([], [CallSegment(1.0, 2.0)]) == []
+        assert match_calls([CallSegment(1.0, 2.0)], []) == [None]
 
 
 class TestSegmentWindowInvariants:
