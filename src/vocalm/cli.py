@@ -22,13 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, dsp, metrics, quantizer
-from .errors import ConfigError, FingerprintMismatchError, InsufficientDataError, StageFailureError, VocalmError
-from .fileio import read_json, text_lines, write_json, write_jsonl
+from .errors import ConfigError, FingerprintMismatchError, StageFailureError, VocalmError
+from .fileio import checked, read_json, text_lines, write_json, write_jsonl
 from .manifest import DEFAULT_CONFIG, RunConfig, given_fields, read_manifest, split_manifest, write_manifest
 from .pipeline import load_model, pipeline_run, segment_wav, train_model, validate_report
 from .segmenter import DetectorParams
 from .synthlab import CallSpec, MarkovChain, SceneSpec, markov_corpus, synth_scene
-from .ulm import ContextPolicy, check_units, generate, ppl, smoothing_from_dict, train_probe
+from .ulm import AddK, ContextPolicy, check_units, generate, ppl, smoothing_from_dict, train_probe
+from .ulm.generate import DEFAULT_BEAM, DEFAULT_MAX_LEN, DEFAULT_TEMPERATURE
 from .ulm.policy import KEEP_FIRST_CHOICES
 
 log = logging.getLogger("vocalm")
@@ -130,15 +131,12 @@ def cmd_segment(args) -> int:
 
 
 def cmd_features(args) -> int:
-    try:  # the flags checked by the extractor's own rules
-        fm = dsp.features(dsp.read_audio(args.input), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz)
-    except ValueError as e:
-        raise ConfigError(
-            f"--kind {args.kind} --n-coeffs {args.n_coeffs} --lo-hz {args.lo_hz} --hi-hz {args.hi_hz}"
-            f" on {args.input}: {e}"
-        ) from None
+    fm = checked(  # the flags checked by the extractor's own rules
+        f"--kind {args.kind} --n-coeffs {args.n_coeffs} --lo-hz {args.lo_hz} --hi-hz {args.hi_hz} on {args.input}",
+        dsp.features, dsp.read_audio(args.input), args.kind, args.n_coeffs, args.lo_hz, args.hi_hz,
+    )
     if args.pool:
-        pooled = metrics.clip_embedding(fm, "mv")
+        pooled = checked(args.input, metrics.clip_embedding, fm, "mv")
         fm = dsp.FeatureMatrix(pooled[None, :], feature_kind=f"{args.kind}_pooled")
     dsp.write_features_csv(args.out, fm)
     print(f"wrote {fm.n_frames}x{fm.dim} {fm.feature_kind} features to {args.out}")
@@ -154,17 +152,10 @@ def cmd_quantize_fit(args) -> int:
                 f"{path} holds dim-{f.dim} {f.feature_kind} features, {args.features[0]} dim-{dim} {kind};"
                 " fit one codebook per kind and dim"
             )
-    try:
-        cb = quantizer.fit_codebook(
-            np.vstack([f.rows for f in feats]),
-            k=args.k,
-            minibatch=args.minibatch,
-            restarts=args.restarts,
-            seed=args.seed,
-            feature_kind=kind,
-        )
-    except InsufficientDataError as e:
-        raise ConfigError(f"{', '.join(args.features)}: {e}") from None
+    cb = checked(
+        ", ".join(args.features), quantizer.fit_codebook, np.vstack([f.rows for f in feats]),
+        k=args.k, minibatch=args.minibatch, restarts=args.restarts, seed=args.seed, feature_kind=kind,
+    )
     quantizer.save_codebook(args.out, cb)
     print(f"fit K={cb.k} codebook on {sum(f.n_frames for f in feats)} frames -> {args.out}")
     return 0
@@ -200,14 +191,6 @@ def _nonempty(seqs, path, least: int = 1) -> list[np.ndarray]:
     return corpus
 
 
-def _check_vocab(vocab_size: int, units, where: str) -> None:
-    """check_units' rule, as a ConfigError naming `where`."""
-    try:
-        check_units(units, vocab_size)
-    except ValueError as e:
-        raise ConfigError(f"{where} {e}") from None
-
-
 def _read_labels(path) -> list[int]:
     """The integer labels of a labels file, one a line; blank lines are
     skipped but counted. ConfigError naming the file and line otherwise."""
@@ -224,7 +207,7 @@ def _read_labels(path) -> list[int]:
 def _in_vocab(seqs, path, vocab_size: int) -> list[np.ndarray]:
     """The sequences read from a units file, each checked against the model's vocabulary."""
     for line, seq in enumerate(seqs, 1):
-        _check_vocab(vocab_size, seq, f"{path} line {line}")
+        checked(f"{path} line {line}", check_units, seq, vocab_size)
     return seqs
 
 
@@ -236,10 +219,7 @@ def cmd_ulm_train(args) -> int:
         "smoothing": {"kind": args.smoothing, "discount": args.discount, "k": args.add_k},
         "attn": {**DEFAULT_CONFIG["ulm"]["attn"], "steps": args.steps, "lr": args.lr, "batch": args.batch},
     }
-    try:
-        smoothing_from_dict(block["smoothing"])
-    except ValueError as e:
-        raise ConfigError(f"--smoothing {args.smoothing} --discount {args.discount} --add-k {args.add_k}: {e}") from None
+    checked(f"--smoothing {args.smoothing} --discount {args.discount} --add-k {args.add_k}", smoothing_from_dict, block["smoothing"])
     seqs = quantizer.read_units(args.units)
     corpus = _nonempty(seqs, args.units)
     vocab = args.vocab_size or int(max(u.max() for u in corpus)) + 1
@@ -278,7 +258,7 @@ def cmd_ulm_generate(args) -> int:
     if not args.temperature >= 0:  # NaN fails too
         raise ConfigError(f"--temperature must be >= 0 (0 selects greedy mode), got {args.temperature}")
     model = load_model(args.model)
-    _check_vocab(model.vocab_size, np.array(args.prompt, dtype=np.int64), "--prompt")
+    checked("--prompt", check_units, args.prompt, model.vocab_size)
     out = generate(
         model, args.prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len, cp=_context_policy(args)
     )
@@ -334,7 +314,7 @@ def cmd_bench_eval(args) -> int:
         if p.positive.units is None or p.distractor.units is None:
             raise ConfigError(f"{args.pairs}: pair {i} has no units on one side; ref-only pairs (as bench phee writes) cannot be scored")
         for side in (p.positive, p.distractor):
-            _check_vocab(model.vocab_size, side.units, f"{args.pairs}: pair {i}")
+            checked(f"{args.pairs}: pair {i}", check_units, side.units, model.vocab_size)
     res = bench.pairwise_eval(model, pairs, _context_policy(args))
     print(json.dumps({"accuracy": res.accuracy, "n": res.n_pairs, "by_task": res.by_task}))
     return 0
@@ -345,12 +325,13 @@ def cmd_bench_eval(args) -> int:
 
 def _manifest_gaussian(path: str, kind: str, embedding: str):
     """fit_gaussian over a manifest's clip embeddings; ConfigError naming the
-    manifest when it holds too few clips."""
-    embs = [metrics.clip_embedding(dsp.features(dsp.read_audio(rec.path), kind), embedding) for rec in read_manifest(path)]
-    try:
-        return metrics.fit_gaussian(embs)
-    except InsufficientDataError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    clip when it is too short to pool, and the manifest when it holds too few
+    clips."""
+    embs = [
+        checked(rec.path, metrics.clip_embedding, dsp.features(dsp.read_audio(rec.path), kind), embedding)
+        for rec in read_manifest(path)
+    ]
+    return checked(path, metrics.fit_gaussian, embs)
 
 
 def cmd_metrics_fad(args) -> int:
@@ -365,19 +346,20 @@ def cmd_metrics_purity(args) -> int:
     units = quantizer.read_units(args.units)
     labels = _read_labels(args.labels)
     flat_units = np.concatenate(_nonempty(units, args.units))
+    where = f"--units {args.units} --labels {args.labels}"
     if args.level == "frame":
         if len(labels) != flat_units.shape[0]:
             raise ConfigError(
                 f"frame-level purity needs one label per frame: {flat_units.shape[0]} frames vs {len(labels)} labels"
             )
-        table = metrics.contingency_from_frames(flat_units, labels)
+        table = checked(where, metrics.contingency_from_frames, flat_units, labels)
     else:
         if len(labels) != len(units):
             raise ConfigError("call-level purity needs one label per sequence")
         for line, seq in enumerate(units, 1):
             if not seq.size:
                 raise ConfigError(f"{args.units} line {line} holds no units; call-level purity needs one or more per call")
-        table = metrics.contingency_from_calls(units, labels)
+        table = checked(where, metrics.contingency_from_calls, units, labels)
     up, lp = metrics.purity(table)
     print(json.dumps({"metric": "purity", "value": {"unit_purity": up, "label_purity": lp}, "n": table.total}))
     return 0
@@ -458,7 +440,8 @@ def cmd_report(args) -> int:
 _ULM = DEFAULT_CONFIG["ulm"]
 
 # Each flag's spec, once: name -> (option string, add_argument keywords).
-# Defaults the pipeline config also holds are read from DEFAULT_CONFIG.
+# Defaults the pipeline config also holds are read from DEFAULT_CONFIG, and
+# those of generation and add-k smoothing from the code that owns them.
 FLAGS = {
     "spec": ("--spec", dict(required=True, help="JSON spec (scene layout or {pi, P} chain)")),
     "seed": ("--seed", dict(type=int, default=DEFAULT_CONFIG["seed"])),
@@ -484,15 +467,15 @@ FLAGS = {
     "order": ("--order", dict(type=int, default=_ULM["order"], choices=range(1, 7))),
     "smoothing": ("--smoothing", dict(choices=("kneser_ney", "add_k"), default=_ULM["smoothing"]["kind"])),
     "discount": ("--discount", dict(type=float, default=_ULM["smoothing"]["discount"])),
-    "add_k": ("--add-k", dict(type=float, default=1.0)),
+    "add_k": ("--add-k", dict(type=float, default=AddK.k)),
     "vocab_size": ("--vocab-size", dict(type=_at_least_one("vocab size"), default=None)),
     "steps": ("--steps", dict(type=_at_least_one("steps"), default=_ULM["attn"]["steps"])),
     "lr": ("--lr", dict(type=float, default=_ULM["attn"]["lr"])),
     "batch": ("--batch", dict(type=_at_least_one("batch"), default=_ULM["attn"]["batch"])),
     "prompt": ("--prompt", dict(type=_tokens, default="")),
-    "beam": ("--beam", dict(type=_at_least_one("beam"), default=5)),
-    "temperature": ("--temperature", dict(type=float, default=1.5)),
-    "max_len": ("--max-len", dict(type=int, default=64)),
+    "beam": ("--beam", dict(type=_at_least_one("beam"), default=DEFAULT_BEAM)),
+    "temperature": ("--temperature", dict(type=float, default=DEFAULT_TEMPERATURE)),
+    "max_len": ("--max-len", dict(type=int, default=DEFAULT_MAX_LEN)),
     "embeddings": ("--embeddings", dict(required=True)),
     "labels": ("--labels", dict(required=True)),
     "epochs": ("--epochs", dict(type=_at_least_one("epochs"), default=DEFAULT_CONFIG["probe"]["epochs"])),
@@ -505,7 +488,7 @@ FLAGS = {
     "pairs": ("--pairs", dict(required=True)),
     "ref": ("--ref", dict(required=True, help="reference manifest JSONL")),
     "cand": ("--cand", dict(required=True, help="candidate manifest JSONL")),
-    "embedding": ("--embedding", dict(choices=("mv", "mvs"), default="mv")),
+    "embedding": ("--embedding", dict(choices=metrics.EMBEDDING_KINDS, default="mv")),
     "level": ("--level", dict(choices=("frame", "call"), default="frame")),
     "manifest": ("--manifest", dict(required=True)),
     "ratios": ("--ratios", dict(type=_ratios, default=tuple(DEFAULT_CONFIG["split"]["ratios"]))),

@@ -230,14 +230,18 @@ def highpass(w: Waveform, cutoff_hz: float) -> Waveform:
     return Waveform(out[:n], w.sample_rate)
 
 
+def frame_count(n_samples: int, window: int, hop: int) -> int:
+    """Frames of `window` samples every `hop` in `n_samples`: 1 + floor((n_samples - window) / hop), at least 0."""
+    return max(0, 1 + (n_samples - window) // hop)
+
+
 def frame_signal(x: np.ndarray, window: int, hop: int) -> np.ndarray:
-    """Strided view of `x` as overlapping frames; 1 + floor((len-window)/hop) rows."""
+    """Strided view of `x` as overlapping frames; frame_count rows."""
     if window < hop or hop < 1:
         raise ValueError(f"need window >= hop >= 1, got window={window} hop={hop}")
-    n = x.shape[0]
-    if n < window:
+    n_frames = frame_count(x.shape[0], window, hop)
+    if not n_frames:
         return np.empty((0, window), dtype=x.dtype)
-    n_frames = 1 + (n - window) // hop
     stride = x.strides[0]
     frames = np.lib.stride_tricks.as_strided(
         x, shape=(n_frames, window), strides=(hop * stride, stride), writeable=False

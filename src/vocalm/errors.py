@@ -9,8 +9,9 @@ class EmptySpectrogramError(VocalmError):
     """Signal too short to produce a single analysis frame."""
 
 
-class InsufficientDataError(VocalmError):
-    """Not enough samples/frames to fit the requested model."""
+class InsufficientDataError(VocalmError, ValueError):
+    """Not enough samples/frames to fit the requested model; a ValueError
+    too, so fileio.checked refuses it naming its source."""
 
 
 class IneligibleWindowError(VocalmError):

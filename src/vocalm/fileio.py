@@ -1,4 +1,4 @@
-"""The package's one file codec.
+"""The package's one file codec, and its one refusal rule.
 
 Every file is written through `replacing`, to a sibling `<path>.tmp` file
 renamed over `path` (os.replace) once it is whole, in a directory made if
@@ -6,10 +6,17 @@ missing, so a reader never sees half a file. Every text input is read through
 `text_lines`, which names a file whose bytes are not UTF-8 text. JSON files
 are written by write_json (sorted keys, indent 2, a final newline) and read by
 read_json; JSON-lines files are written by write_jsonl (one sorted-key object
-per line) and read by read_jsonl. Both readers name the file they read: one
-that is not JSON, or whose value the caller's `build` callback rejects with a
-KeyError, AttributeError, TypeError or ValueError (a missing key, a value of
-the wrong JSON type, one a constructor refuses), raises ConfigError naming it.
+per line) and read by read_jsonl.
+
+A value from outside the program (a file, a flag, a config key) is checked by
+handing it to the code that owns it, through `checked(where, build, ...)`:
+the KeyError, AttributeError, TypeError, ValueError or ArithmeticError that
+code raises (a missing key, a value of the wrong type, one a constructor
+refuses) becomes a ConfigError naming `where`, which the CLI reports with
+exit 2. It is the only code that turns such a refusal into a ConfigError;
+the decoders that add a line number or a format name (text_lines, read_json
+and read_jsonl here, dsp's WAV and feature-CSV readers, quantizer.read_units,
+the CLI's labels reader) raise their own.
 
 The module imports nothing of the package but its errors, so every other
 module can use it.
@@ -67,14 +74,15 @@ def write_jsonl(path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def checked(where: str, build, *args):
-    """build(*args), with the KeyError, AttributeError, TypeError or
-    ValueError it raises turned into a ConfigError that names `where`."""
+def checked(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with the KeyError, AttributeError, TypeError,
+    ValueError or ArithmeticError it raises turned into a ConfigError that
+    names `where`."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except KeyError as e:
         raise ConfigError(f"{where} has no {e} key") from e
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, ArithmeticError) as e:
         raise ConfigError(f"{where}: {e}") from e
 
 

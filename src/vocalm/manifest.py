@@ -6,10 +6,11 @@ pipeline's stage markers carry it, so that artifacts from different runs
 cannot be mixed silently. Manifests and configs are read and written
 through the package's one file codec (vocalm.fileio).
 RunConfig.from_dict checks a config before anything is written. A value a
-stage hands to a constructor is checked by calling that constructor with it,
-so the rule is stated once, by the stage's own code; the checks written here
-cover JSON types, least counts, [low, high] ranges and names that no
-constructor sees.
+stage hands to a constructor is checked by calling that constructor with it
+through fileio.checked, the package's one refusal rule, which turns the
+constructor's refusal into a ConfigError naming the config key; so each rule
+is stated once, by the stage's own code. The checks written here cover JSON
+types, least counts, [low, high] ranges and names that no constructor sees.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dsp import DEFAULT_SAMPLE_RATE, Waveform, _feature_geometry, _highpass_design, features
+from .dsp import DEFAULT_SAMPLE_RATE, Waveform, _feature_geometry, _highpass_design, features, frame_count
 from .errors import ConfigError
-from .fileio import read_json, read_jsonl, write_json, write_jsonl
+from .fileio import checked, read_json, read_jsonl, write_json, write_jsonl
+from .metrics import EMBEDDING_KINDS
 from .segmenter import WINDOW_SPAN_S, DetectorParams
 from .synthlab import CallSpec, SceneSpec
 from .ulm import ContextPolicy, NGramLM, ProbeClassifier, smoothing_from_dict
@@ -283,49 +285,40 @@ def _ranges(data: dict):
             yield f"synth.call_types[{i}].{key}", ct.get(key) if isinstance(ct, dict) else None
 
 
-def _built(where: str, make, *args, **kwargs):
-    """make(*args, **kwargs), called as a stage calls it with config values;
-    the error it raises for a bad value becomes a ConfigError naming `where`."""
-    try:
-        return make(*args, **kwargs)
-    except (ArithmeticError, TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
 def _check_stages(data: dict) -> None:
     """Build from the config what the stages build from it, so each stage's
     own rules apply before any stage runs; nothing is rendered or trained."""
     from .bench import PheeRecord  # bench imports this module
 
     syn = data["synth"]
-    _built("synth.scene_s", SceneSpec, syn["scene_s"])
+    checked("synth.scene_s", SceneSpec, syn["scene_s"])
     if not syn["call_types"]:
         raise ConfigError("synth.call_types must hold at least one call type")
     # Every CallSpec rule bounds a single field, so when both ends of each
     # range make a valid call, so does every value the synth stage draws.
     for i, ct in enumerate(syn["call_types"]):
         for end in (0, 1):
-            _built(f"synth.call_types[{i}]", CallSpec, **{key: ct[key][end] for key in _CALL_RANGES})
+            checked(f"synth.call_types[{i}]", CallSpec, **{key: ct[key][end] for key in _CALL_RANGES})
     phee = syn["phee"]
     for key in ("call_s", "response_s"):
-        _built(f"synth.phee.{key}", CallSpec, duration_s=phee[key])
+        checked(f"synth.phee.{key}", CallSpec, duration_s=phee[key])
     for gap in phee["gap_s"]:
-        _built("synth.phee.gap_s", PheeRecord, "caller", "receiver", "", "", gap_s=gap)
-    _built("detector.highpass_hz", _highpass_design, data["detector"]["highpass_hz"], DEFAULT_SAMPLE_RATE)
-    _built("detector", DetectorParams.from_dict, data["detector"])
+        checked("synth.phee.gap_s", PheeRecord, "caller", "receiver", "", "", gap_s=gap)
+    checked("detector.highpass_hz", _highpass_design, data["detector"]["highpass_hz"], DEFAULT_SAMPLE_RATE)
+    checked("detector", DetectorParams.from_dict, data["detector"])
     f = data["features"]
-    _built("features", features, Waveform(np.zeros(0)), f["kind"], f["n_coeffs"], f["lo_hz"], f["hi_hz"])
+    checked("features", features, Waveform(np.zeros(0)), f["kind"], f["n_coeffs"], f["lo_hz"], f["hi_hz"])
     try:  # the decoder's message leads with the key at fault
         smoothing = smoothing_from_dict(data["ulm"]["smoothing"])
     except ValueError as e:
         raise ConfigError(f"ulm.smoothing.{e}") from e
-    _built("ulm", NGramLM, data["ulm"]["order"], data["quantizer"]["k"], smoothing)
+    checked("ulm", NGramLM, data["ulm"]["order"], data["quantizer"]["k"], smoothing)
     grid = data["context_grid"]
     for window in grid["windows"]:
         for keep_first in grid["keep_first"] if window is not None else ():
-            _built("context_grid", ContextPolicy, window, keep_first)
-    _built("probe.hidden", ProbeClassifier, 1, 2, tuple(data["probe"]["hidden"]))
-    _built("split.ratios", split_manifest, [], data["split"]["ratios"])
+            checked("context_grid", ContextPolicy, window, keep_first)
+    checked("probe.hidden", ProbeClassifier, 1, 2, tuple(data["probe"]["hidden"]))
+    checked("split.ratios", split_manifest, [], data["split"]["ratios"])
 
 
 def _check_attn(data: dict) -> None:
@@ -343,8 +336,7 @@ def _check_attn(data: dict) -> None:
     window, hop = _feature_geometry(DEFAULT_SAMPLE_RATE)
 
     def frames(seconds: float, pieces: int = 1) -> int:
-        n = pieces * (int(round(seconds * DEFAULT_SAMPLE_RATE)) + 1)
-        return max(0, 1 + (n - window) // hop)
+        return frame_count(pieces * (int(round(seconds * DEFAULT_SAMPLE_RATE)) + 1), window, hop)
 
     syn = data["synth"]
     phee = frames(syn["phee"]["call_s"]) + frames(syn["phee"]["response_s"])
@@ -357,8 +349,8 @@ def _validate(data: dict) -> None:
     _check_types(data, DEFAULT_CONFIG)
     if data["ulm"]["backend"] not in ("ngram", "attn"):
         raise ConfigError(f"unknown ulm backend {data['ulm']['backend']!r}")
-    if data["metrics"]["fad_embedding"] not in ("mv", "mvs"):
-        raise ConfigError("fad_embedding must be 'mv' or 'mvs'")
+    if data["metrics"]["fad_embedding"] not in EMBEDDING_KINDS:
+        raise ConfigError(f"fad_embedding must be {' or '.join(map(repr, EMBEDDING_KINDS))}")
     for where, least in _AT_LEAST.items():
         value = data
         for key in where.split("."):

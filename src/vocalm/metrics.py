@@ -138,13 +138,17 @@ def purity(c: Contingency) -> tuple[float, float]:
 
 
 def contingency_from_frames(units, labels, n_units: int | None = None, n_labels: int | None = None) -> Contingency:
-    """Frame-level table: one count per (unit, label) frame pair."""
+    """Frame-level table: one count per (unit, label) frame pair. Units and
+    labels index the table from 0, so a negative one is a ValueError."""
     u = np.asarray(units, dtype=np.int64).ravel()
     l = np.asarray(labels, dtype=np.int64).ravel()
     if u.shape != l.shape:
         raise ValueError("units and labels must align frame-by-frame")
     if u.size == 0:
         raise ValueError("no frames to tabulate")
+    for name, values in (("unit", u), ("label", l)):
+        if values.min() < 0:
+            raise ValueError(f"{name} {values.min()} is negative; units and labels index the table from 0")
     n_units = n_units or int(u.max()) + 1
     n_labels = n_labels or int(l.max()) + 1
     counts = np.zeros((n_units, n_labels), dtype=np.int64)
@@ -153,12 +157,12 @@ def contingency_from_frames(units, labels, n_units: int | None = None, n_labels:
 
 
 def contingency_from_calls(call_units, call_labels, n_units: int | None = None, n_labels: int | None = None) -> Contingency:
-    """Call-level table: each call contributes its majority unit once.
+    """Call-level table: each call contributes its majority unit once, as
+    one frame of contingency_from_frames.
 
     Majority ties break to the lowest unit index.
     """
-    call_labels = np.asarray(call_labels, dtype=np.int64)
-    if len(call_units) != call_labels.shape[0]:
+    if len(call_units) != len(call_labels):
         raise ValueError("one label per call required")
     if len(call_units) == 0:
         raise ValueError("no calls to tabulate")
@@ -167,10 +171,5 @@ def contingency_from_calls(call_units, call_labels, n_units: int | None = None, 
         seq = np.asarray(seq, dtype=np.int64)
         if seq.size == 0:
             raise ValueError("calls must contain at least one frame")
-        majorities.append(int(np.bincount(seq).argmax()))
-    u = np.asarray(majorities)
-    n_units = n_units or int(u.max()) + 1
-    n_labels = n_labels or int(call_labels.max()) + 1
-    counts = np.zeros((n_units, n_labels), dtype=np.int64)
-    np.add.at(counts, (u, call_labels), 1)
-    return Contingency(counts)
+        majorities.append(int(np.bincount(seq).argmax()))  # a negative unit is bincount's ValueError
+    return contingency_from_frames(majorities, call_labels, n_units, n_labels)

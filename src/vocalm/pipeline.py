@@ -507,11 +507,10 @@ def eval_fad_groups(cfg: RunConfig, seed: int) -> dict:
     return {"embedding": kind, "n_per_group": group, "values": values}
 
 
-def _labeled_call_frames(cfg: RunConfig, out: Path, index: list[dict], window_units: dict[str, np.ndarray]):
-    """(units, labels) per frame inside matched calls, then per call its units
-    and pooled-frame embedding, with one label array for both."""
+def _labeled_calls(cfg: RunConfig, out: Path, index: list[dict], window_units: dict[str, np.ndarray]):
+    """Per matched call of at least 2 frames its units, label and pooled-frame
+    embedding, then the call-type names the labels index."""
     type_names = [ct["name"] for ct in cfg["synth"]["call_types"]]
-    frame_units, frame_labels = [], []
     call_units, call_labels, call_embeddings = [], [], []
     stride = dsp.FRAME_STRIDE_MS / 1000.0
     for row, frames in zip(index, _window_frames(out, index)):
@@ -521,15 +520,10 @@ def _labeled_call_frames(cfg: RunConfig, out: Path, index: list[dict], window_un
             hi = min(int(np.floor(win_call["offset_s"] / stride)), frames.shape[0])
             if win_call["call_type"] is None or hi - lo < 2:
                 continue
-            label = type_names.index(win_call["call_type"])
-            frame_units.extend(units[lo:hi].tolist())
-            frame_labels.extend([label] * (hi - lo))
             call_units.append(units[lo:hi])
-            call_labels.append(label)
+            call_labels.append(type_names.index(win_call["call_type"]))
             call_embeddings.append(metrics.clip_embedding(dsp.FeatureMatrix(frames[lo:hi]), "mv"))
-    return (
-        np.array(frame_units), np.array(frame_labels), call_units, np.array(call_labels), call_embeddings, type_names
-    )
+    return call_units, np.array(call_labels), call_embeddings, type_names
 
 
 def _context_grid(cfg: RunConfig, model, pairs, scores: dict) -> list[dict]:
@@ -563,9 +557,11 @@ def stage_eval(cfg: RunConfig, out: Path) -> None:
     ppl_value = ppl(model, test_units, None, scores) if test_units else None
     detection = read_json(out / "segment" / "detection.json", "detection")
     fad_block = eval_fad_groups(cfg, seed_for(cfg.seed, "metrics/fad"))
-    fu, fl, cu, cl, emb, type_names = _labeled_call_frames(cfg, out, index, units)
-    frame_up, frame_lp = metrics.purity(metrics.contingency_from_frames(fu, fl))
+    cu, cl, emb, type_names = _labeled_calls(cfg, out, index, units)
     call_up, call_lp = metrics.purity(metrics.contingency_from_calls(cu, cl))
+    # frame level: every frame of a call carries the call's label
+    fu, fl = np.concatenate(cu), np.repeat(cl, [u.size for u in cu])
+    frame_up, frame_lp = metrics.purity(metrics.contingency_from_frames(fu, fl))
     probe_cfg = cfg["probe"]
     probe_res = train_probe(
         emb,

@@ -103,6 +103,8 @@ def train_probe(
     batch: int = DEFAULT_BATCH,
 ) -> ProbeTrainResult:
     """Train on a stratified 90% of the data; metrics come from the held 10%."""
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     x = _as_matrix(embeddings)
     y = np.asarray(labels, dtype=np.int64)
     classes = np.unique(y)

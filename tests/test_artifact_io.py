@@ -1,7 +1,8 @@
 """One file codec: every file is committed by fileio.replacing, every JSON
 file goes through fileio.write_json and read_json, every JSON-lines file
 through fileio.write_jsonl and read_jsonl. The stage markers are the one
-carrier of the config fingerprint that a run checks."""
+carrier of the config fingerprint that a run checks. fileio.checked is the one
+code that turns a caught refusal into a ConfigError naming its source."""
 
 import ast
 import importlib
@@ -290,6 +291,31 @@ def test_every_file_is_written_through_replacing():
     numpy and the wave module write only to a handle it opened."""
     writes = [(own, func, name) for own, module in _modules() for func, _, name in _file_writes(module)]
     assert writes == [("fileio", "replacing", "open")]
+
+
+# (module, function) of each code that turns a refusal it catches into a
+# ConfigError: fileio.checked, which names where a value came from, and the
+# decoders that add a line number or a format name to their own refusals.
+REFUSERS = {
+    ("fileio", "checked"), ("fileio", "text_lines"), ("fileio", "read_json"), ("fileio", "read_jsonl"),
+    ("dsp", "read_wav"), ("dsp", "read_features_csv"), ("quantizer", "read_units"), ("cli", "_read_labels"),
+    ("manifest", "_check_stages"),  # ulm.smoothing's decoder message leads with the key, which checked cannot say
+}
+
+
+def test_every_caught_refusal_is_raised_by_checked_or_a_decoder():
+    """fileio.checked is the one code that turns a caught refusal into a
+    ConfigError naming its source; the decoders in REFUSERS add a line or a
+    format name to theirs."""
+
+    def raises_config_error(node):
+        return isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and getattr(node.exc.func, "id", None) == "ConfigError"
+
+    def handler(node):
+        return isinstance(node, ast.ExceptHandler) and any(raises_config_error(n) for n in ast.walk(node))
+
+    found = {(own, func) for own, module in _modules() for func, _ in _enclosing(module, handler)}
+    assert found == REFUSERS
 
 
 def test_only_the_runner_and_the_report_name_the_fingerprint():

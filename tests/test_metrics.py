@@ -196,3 +196,17 @@ class TestPurity:
             purity(Contingency(np.zeros((2, 2), dtype=int)))
         with pytest.raises(ValueError):
             contingency_from_frames([], [])
+
+    @pytest.mark.parametrize("units, labels", [([0, 1, 0, 1], [-1, 0, -1, 0]), ([-1, 1], [0, 1])], ids=["label", "unit"])
+    def test_negative_index_rejected(self, units, labels):
+        # np.add.at would wrap -1 onto the last column or row
+        with pytest.raises(ValueError, match="is negative"):
+            contingency_from_frames(units, labels)
+
+    def test_call_table_is_the_frame_table_of_majorities(self):
+        calls = [np.array([1, 1, 2]), np.array([0, 0, 0]), np.array([2, 1, 1, 1])]
+        assert np.array_equal(contingency_from_calls(calls, [0, 1, 0]).counts, contingency_from_frames([1, 0, 1], [0, 1, 0]).counts)
+        with pytest.raises(ValueError, match="is negative"):
+            contingency_from_calls(calls, [0, -1, 0])
+        with pytest.raises(ValueError):
+            contingency_from_calls([np.array([-1, -1])], [0])

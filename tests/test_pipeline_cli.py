@@ -862,7 +862,7 @@ class TestCallLabels:
         (tmp_path / "features").mkdir()
         np.save(tmp_path / "features" / pipeline.FRAMES_NAME, frames)
         units = {w["id"]: np.zeros(w["n_frames"], dtype=np.int32) for w in index}
-        *_, labels, _, type_names = pipeline._labeled_call_frames(cfg, tmp_path, index, units)
+        _, labels, _, type_names = pipeline._labeled_calls(cfg, tmp_path, index, units)
         assert [type_names[label] for label in labels] == [a, b]
 
 
@@ -1129,6 +1129,33 @@ class TestCli:
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["value"]["unit_purity"] == 1.0
 
+    @pytest.mark.parametrize("level", ["frame", "call"])
+    def test_metrics_purity_negative_label_exits_2_naming_the_files(self, tmp_path, level, capsys):
+        # a label of -1 would count as the last label's
+        units, labels = tmp_path / "u.txt", tmp_path / "l.txt"
+        seqs = [np.array([0, 1, 0, 1])] if level == "frame" else [np.array([u]) for u in (0, 1, 0, 1)]
+        quantizer.write_units(units, seqs)
+        labels.write_text("-1\n0\n-1\n0\n")
+        assert main(["metrics", "purity", "--level", level, "--units", str(units), "--labels", str(labels)]) == 2
+        err = capsys.readouterr().err
+        assert f"--units {units} --labels {labels}: label -1 is negative" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["features", "metrics_fad"])
+    def test_clip_too_short_to_pool_exits_2_naming_it(self, tmp_path, command, capsys):
+        # 400 samples make one feature frame; pooling needs two
+        wavs = [tmp_path / "a.wav", tmp_path / "b.wav"]
+        for wav in wavs:
+            dsp.write_wav(wav, dsp.Waveform(np.zeros(400)))
+        manifest = tmp_path / "m.jsonl"
+        write_jsonl(manifest, [{"path": str(wav)} for wav in wavs])
+        argv = {
+            "features": ["features", "--in", str(wavs[0]), "--pool", "--out", str(tmp_path / "p.csv")],
+            "metrics_fad": ["metrics", "fad", "--ref", str(manifest), "--cand", str(manifest)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{wavs[0]}: clip embedding needs at least 2 frames" in err and "Traceback" not in err
+
     def test_metrics_fad_cli(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         man_a, man_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -1336,7 +1363,7 @@ SMALL_INPUTS = [
     ("bench_make_concat", "bench make --task concat --units {one} --out {tmp}/out.jsonl", "one"),
 ]
 
-# (test id, argv, what the error names): line 2 / pair 2 holds token 9, outside vocab 4
+# (test id, argv, what the error names): line 2 / pair 2: holds token 9, outside vocab 4
 OOV_INPUTS = [
     ("ulm_score", "ulm score --model {model} --units {oov}", "{oov} line 2"),
     ("ulm_ppl", "ulm ppl --model {model} --units {oov}", "{oov} line 2"),
@@ -1365,11 +1392,11 @@ BAD_FLAGS = [
     ("ulm_train_attn_long_line", "ulm train --backend attn --units {long} --out {out}",
      "{long} line 2 holds 600 tokens; the attention LM's context holds 511 plus BOS"),
     ("ulm_train_vocab_size", "ulm train --vocab-size 4 --units {oov} --out {out}",
-     "{oov} line 2 holds token 9, outside the model's vocab of size 4"),
+     "{oov} line 2: holds token 9, outside the model's vocab of size 4"),
     ("ulm_train_attn_vocab_size", "ulm train --backend attn --vocab-size 4 --units {oov} --out {out}",
-     "{oov} line 2 holds token 9, outside the model's vocab of size 4"),
+     "{oov} line 2: holds token 9, outside the model's vocab of size 4"),
     ("ulm_train_attn_negative_token", "ulm train --backend attn --units {neg} --out {out}",
-     "{neg} line 1 holds token -1, outside the model's vocab of size 3"),
+     "{neg} line 1: holds token -1, outside the model's vocab of size 3"),
     ("ulm_train_steps_0", "ulm train --backend attn --steps 0 --units {one} --out {out}",
      "argument --steps: steps must be >= 1, got 0"),
     ("ulm_train_order_9", "ulm train --order 9 --units {one} --out {out}", "argument --order: invalid choice: 9"),
@@ -1737,11 +1764,11 @@ class TestCliInputs:
         files = dict(cli_files, model=cli_files[backend])
         assert main(argv.format(**files).split()) == 2
         err = capsys.readouterr().err
-        assert f"{where.format(**files)} holds token 9, outside the model's vocab of size 4" in err
+        assert f"{where.format(**files)}: holds token 9, outside the model's vocab of size 4" in err
 
     @pytest.mark.parametrize(
         "prompt, message",
-        [("9 1", "--prompt holds token 9, outside the model's vocab of size 4"),
+        [("9 1", "--prompt: holds token 9, outside the model's vocab of size 4"),
          ("a", "argument --prompt: tokens must be integers, got 'a'")],
         ids=["outside_vocab", "not_integer"],
     )

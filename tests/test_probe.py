@@ -42,6 +42,13 @@ class TestProbe:
         with pytest.raises(ValueError, match="2 classes"):
             train_probe(x, np.zeros(40, dtype=int))
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_below_1_rejected(self, rng, epochs):
+        # no epoch would leave the classifier untrained, its val_metrics from its initial weights
+        x, y = gaussian_clusters(rng, c=2, n_per=20)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            train_probe(x, y, epochs=epochs)
+
     def test_val_split_is_class_balanced(self, rng):
         x, y = gaussian_clusters(rng, c=3, n_per=100)
         result = train_probe(x, y, epochs=1, seed=5)
