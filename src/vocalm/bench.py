@@ -264,7 +264,8 @@ def pairwise_eval(model, pairs: list[BenchmarkPair], cp=None, scores: dict | Non
     Exact ties count as incorrect, so degenerate constant scorers cannot reach
     50% for free. Pairs must carry unit sequences. `scores`, when given, is
     shared through `score_once`, so calls that share one dict score each
-    distinct (effective policy, sequence) once.
+    distinct (effective policy, sequence) once. A pair the model cannot
+    score is a ValueError naming the pair, counted from 1.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -274,10 +275,13 @@ def pairwise_eval(model, pairs: list[BenchmarkPair], cp=None, scores: dict | Non
 
     correct_total = 0
     per_task: dict[str, list[int]] = {}
-    for p in pairs:
+    for i, p in enumerate(pairs, 1):
         if p.positive.units is None or p.distractor.units is None:
-            raise ValueError("pairwise_eval needs unit sequences on both sides")
-        good = score(p.positive.units) > score(p.distractor.units)
+            raise ValueError(f"pair {i} has no units on one side; ref-only pairs (as bench phee writes) cannot be scored")
+        try:
+            good = score(p.positive.units) > score(p.distractor.units)
+        except ValueError as e:
+            raise ValueError(f"pair {i}: {e}") from e
         correct_total += int(good)
         bucket = per_task.setdefault(p.task, [0, 0])
         bucket[0] += int(good)

@@ -255,10 +255,10 @@ def cmd_ulm_ppl(args) -> int:
 
 
 def cmd_ulm_generate(args) -> int:
-    if not args.temperature >= 0:  # NaN fails too
-        raise ConfigError(f"--temperature must be >= 0 (0 selects greedy mode), got {args.temperature}")
     model = load_model(args.model)
     checked("--prompt", check_units, args.prompt, model.vocab_size)
+    # generate's own rules, before any step: with max_len 0 it returns at once
+    checked("--temperature", generate, model, [], temperature=args.temperature, max_len=0)
     out = generate(
         model, args.prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len, cp=_context_policy(args)
     )
@@ -268,14 +268,10 @@ def cmd_ulm_generate(args) -> int:
 
 def cmd_ulm_probe(args) -> int:
     emb = dsp.read_features_csv(args.embeddings).rows
-    labels = np.array(_read_labels(args.labels))
-    if labels.shape[0] != emb.shape[0]:
-        raise ConfigError(
-            f"{args.labels} holds {labels.shape[0]} labels, {args.embeddings} {emb.shape[0]} rows; the probe needs one label a row"
-        )
-    if (classes := np.unique(labels)).shape[0] < 2:
-        raise ConfigError(f"{args.labels} holds the labels of {classes.tolist()} only; the probe needs at least 2 classes")
-    result = train_probe(emb, labels, epochs=args.epochs, seed=args.seed)
+    result = checked(
+        f"--embeddings {args.embeddings} --labels {args.labels}",
+        train_probe, emb, _read_labels(args.labels), epochs=args.epochs, seed=args.seed,
+    )
     recall, precision, f1 = result.val_metrics
     print(json.dumps({"recall": recall, "precision": precision, "f1": f1}))
     return 0
@@ -307,15 +303,7 @@ def cmd_bench_phee(args) -> int:
 
 def cmd_bench_eval(args) -> int:
     model = load_model(args.model)
-    pairs = bench.read_pairs_jsonl(args.pairs)
-    if not pairs:
-        raise ConfigError(f"{args.pairs} holds no pairs")
-    for i, p in enumerate(pairs, 1):
-        if p.positive.units is None or p.distractor.units is None:
-            raise ConfigError(f"{args.pairs}: pair {i} has no units on one side; ref-only pairs (as bench phee writes) cannot be scored")
-        for side in (p.positive, p.distractor):
-            checked(f"{args.pairs}: pair {i}", check_units, side.units, model.vocab_size)
-    res = bench.pairwise_eval(model, pairs, _context_policy(args))
+    res = checked(args.pairs, bench.pairwise_eval, model, bench.read_pairs_jsonl(args.pairs), _context_policy(args))
     print(json.dumps({"accuracy": res.accuracy, "n": res.n_pairs, "by_task": res.by_task}))
     return 0
 
@@ -345,20 +333,10 @@ def cmd_metrics_fad(args) -> int:
 def cmd_metrics_purity(args) -> int:
     units = quantizer.read_units(args.units)
     labels = _read_labels(args.labels)
-    flat_units = np.concatenate(_nonempty(units, args.units))
     where = f"--units {args.units} --labels {args.labels}"
     if args.level == "frame":
-        if len(labels) != flat_units.shape[0]:
-            raise ConfigError(
-                f"frame-level purity needs one label per frame: {flat_units.shape[0]} frames vs {len(labels)} labels"
-            )
-        table = checked(where, metrics.contingency_from_frames, flat_units, labels)
-    else:
-        if len(labels) != len(units):
-            raise ConfigError("call-level purity needs one label per sequence")
-        for line, seq in enumerate(units, 1):
-            if not seq.size:
-                raise ConfigError(f"{args.units} line {line} holds no units; call-level purity needs one or more per call")
+        table = checked(where, metrics.contingency_from_frames, np.concatenate([np.empty(0, np.int32)] + units), labels)
+    else:  # a units file's lines are its calls
         table = checked(where, metrics.contingency_from_calls, units, labels)
     up, lp = metrics.purity(table)
     print(json.dumps({"metric": "purity", "value": {"unit_purity": up, "label_purity": lp}, "n": table.total}))

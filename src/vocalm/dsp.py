@@ -307,17 +307,23 @@ def _power_frames(w: Waveform) -> np.ndarray:
     return power
 
 
-def _triangular_filters(edges_hz: np.ndarray, n_bins: int, sample_rate: int, window: int) -> np.ndarray:
-    """Triangular filters with the given (n_filters + 2) edge frequencies."""
-    bin_freqs = np.fft.rfftfreq(window, d=1.0 / sample_rate)[:n_bins]
+def _log_filterbank(w: Waveform, edges_hz: np.ndarray) -> np.ndarray:
+    """Log energies, floored at LOG_ENERGY_FLOOR, of the triangular filters
+    with the given (n_filters + 2) edge frequencies, one row per 20 ms frame;
+    (0, n_filters) for a signal too short for a frame."""
+    power = _power_frames(w)
     n_filters = edges_hz.shape[0] - 2
-    bank = np.zeros((n_filters, n_bins))
+    if power.shape[0] == 0:
+        return np.empty((0, n_filters))
+    window, _ = _feature_geometry(w.sample_rate)
+    bin_freqs = np.fft.rfftfreq(window, d=1.0 / w.sample_rate)
+    bank = np.zeros((n_filters, bin_freqs.shape[0]))
     for i in range(n_filters):
         lo, center, hi = edges_hz[i], edges_hz[i + 1], edges_hz[i + 2]
         rising = (bin_freqs - lo) / max(center - lo, 1e-12)
         falling = (hi - bin_freqs) / max(hi - center, 1e-12)
         bank[i] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return bank
+    return np.log(np.maximum(power @ bank.T, LOG_ENERGY_FLOOR))
 
 
 def _hz_to_mel(f):
@@ -332,15 +338,9 @@ def mfcc(w: Waveform, n_coeffs: int = DEFAULT_N_MFCC) -> FeatureMatrix:
     """Mel-filterbank log energies + DCT-II, 20 ms stride; empty signal -> 0 frames."""
     if not 8 <= n_coeffs <= 40:
         raise ValueError(f"n_coeffs must be in [8, 40], got {n_coeffs}")
-    power = _power_frames(w)
-    window, _ = _feature_geometry(w.sample_rate)
-    if power.shape[0] == 0:
-        return FeatureMatrix(np.empty((0, n_coeffs)), feature_kind="mfcc")
     n_mels = 2 * n_coeffs
     mel_edges = np.linspace(_hz_to_mel(0.0), _hz_to_mel(w.sample_rate / 2.0), n_mels + 2)
-    bank = _triangular_filters(_mel_to_hz(mel_edges), power.shape[1], w.sample_rate, window)
-    energies = np.maximum(power @ bank.T, LOG_ENERGY_FLOOR)
-    log_e = np.log(energies)
+    log_e = _log_filterbank(w, _mel_to_hz(mel_edges))
     # Orthonormal DCT-II over the mel axis, first n_coeffs kept.
     k = np.arange(n_coeffs)[:, None]
     m = np.arange(n_mels)[None, :]
@@ -363,14 +363,7 @@ def linear_fb(
     nyquist = w.sample_rate / 2.0
     if not 0.0 < lo_hz < hi_hz <= nyquist:
         raise ValueError(f"band [{lo_hz}, {hi_hz}] Hz invalid for Nyquist {nyquist}")
-    power = _power_frames(w)
-    window, _ = _feature_geometry(w.sample_rate)
-    if power.shape[0] == 0:
-        return FeatureMatrix(np.empty((0, n_filters)), feature_kind="linear_fb")
-    edges = np.linspace(lo_hz, hi_hz, n_filters + 2)
-    bank = _triangular_filters(edges, power.shape[1], w.sample_rate, window)
-    energies = np.maximum(power @ bank.T, LOG_ENERGY_FLOOR)
-    return FeatureMatrix(np.log(energies), feature_kind="linear_fb")
+    return FeatureMatrix(_log_filterbank(w, np.linspace(lo_hz, hi_hz, n_filters + 2)), feature_kind="linear_fb")
 
 
 def features(

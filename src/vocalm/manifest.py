@@ -22,13 +22,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dsp import DEFAULT_SAMPLE_RATE, Waveform, _feature_geometry, _highpass_design, features, frame_count
+from .dsp import DEFAULT_SAMPLE_RATE, FeatureMatrix, Waveform, _feature_geometry, _highpass_design, features, frame_count
 from .errors import ConfigError
 from .fileio import checked, read_json, read_jsonl, write_json, write_jsonl
-from .metrics import EMBEDDING_KINDS
+from .metrics import clip_embedding
 from .segmenter import WINDOW_SPAN_S, DetectorParams
 from .synthlab import CallSpec, SceneSpec
-from .ulm import ContextPolicy, NGramLM, ProbeClassifier, smoothing_from_dict
+from .ulm import AttnLM, ContextPolicy, NGramLM, ProbeClassifier, smoothing_from_dict
 
 SPLITS = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -318,12 +318,14 @@ def _check_stages(data: dict) -> None:
         for keep_first in grid["keep_first"] if window is not None else ():
             checked("context_grid", ContextPolicy, window, keep_first)
     checked("probe.hidden", ProbeClassifier, 1, 2, tuple(data["probe"]["hidden"]))
+    checked("metrics.fad_embedding", clip_embedding, FeatureMatrix(np.zeros((2, 1))), data["metrics"]["fad_embedding"])
     checked("split.ratios", split_manifest, [], data["split"]["ratios"])
 
 
 def _check_attn(data: dict) -> None:
-    """Under the attention backend, reject heads that do not divide the
-    embedding, and a context that cannot hold the longest unit sequence the
+    """Under the attention backend, reject the heads and embedding the
+    `AttnLM` constructor rejects (it is built with no layer, so it allocates
+    little), and a context that cannot hold the longest unit sequence the
     bench stage builds, plus BOS: a concat distractor of two windows of at
     most min(scene_s, WINDOW_SPAN_S) each (with a sample of slack per window
     for rounding its edges), or a phee call plus its response.
@@ -331,8 +333,7 @@ def _check_attn(data: dict) -> None:
     if data["ulm"]["backend"] != "attn":
         return
     attn = data["ulm"]["attn"]
-    if attn["embed"] % attn["heads"]:
-        raise ConfigError(f"ulm.attn.heads ({attn['heads']}) must divide ulm.attn.embed ({attn['embed']})")
+    checked("ulm.attn.heads", AttnLM, 1, layers=0, heads=attn["heads"], embed=attn["embed"], ffn=attn["ffn"], max_ctx=1)
     window, hop = _feature_geometry(DEFAULT_SAMPLE_RATE)
 
     def frames(seconds: float, pieces: int = 1) -> int:
@@ -349,8 +350,6 @@ def _validate(data: dict) -> None:
     _check_types(data, DEFAULT_CONFIG)
     if data["ulm"]["backend"] not in ("ngram", "attn"):
         raise ConfigError(f"unknown ulm backend {data['ulm']['backend']!r}")
-    if data["metrics"]["fad_embedding"] not in EMBEDDING_KINDS:
-        raise ConfigError(f"fad_embedding must be {' or '.join(map(repr, EMBEDDING_KINDS))}")
     for where, least in _AT_LEAST.items():
         value = data
         for key in where.split("."):

@@ -112,7 +112,7 @@ def clip_embedding(f: FeatureMatrix, kind: str = "mvs") -> np.ndarray:
     under time reversal, which mean and variance cannot see.
     """
     if kind not in EMBEDDING_KINDS:
-        raise ValueError(f"embedding kind must be one of {EMBEDDING_KINDS}")
+        raise ValueError(f"embedding kind must be one of {EMBEDDING_KINDS}, got {kind!r}")
     if f.n_frames < 2:
         raise InsufficientDataError("clip embedding needs at least 2 frames")
     rows = f.rows
@@ -143,7 +143,7 @@ def contingency_from_frames(units, labels, n_units: int | None = None, n_labels:
     u = np.asarray(units, dtype=np.int64).ravel()
     l = np.asarray(labels, dtype=np.int64).ravel()
     if u.shape != l.shape:
-        raise ValueError("units and labels must align frame-by-frame")
+        raise ValueError(f"{u.size} unit frames and {l.size} labels; frame-level purity needs one label a frame")
     if u.size == 0:
         raise ValueError("no frames to tabulate")
     for name, values in (("unit", u), ("label", l)):
@@ -160,16 +160,19 @@ def contingency_from_calls(call_units, call_labels, n_units: int | None = None, 
     """Call-level table: each call contributes its majority unit once, as
     one frame of contingency_from_frames.
 
-    Majority ties break to the lowest unit index.
+    Majority ties break to the lowest unit index. Errors name a call by its
+    number, counted from 1.
     """
     if len(call_units) != len(call_labels):
-        raise ValueError("one label per call required")
+        raise ValueError(f"{len(call_units)} calls and {len(call_labels)} labels; call-level purity needs one label a call")
     if len(call_units) == 0:
         raise ValueError("no calls to tabulate")
     majorities = []
-    for seq in call_units:
+    for i, seq in enumerate(call_units, 1):
         seq = np.asarray(seq, dtype=np.int64)
         if seq.size == 0:
-            raise ValueError("calls must contain at least one frame")
-        majorities.append(int(np.bincount(seq).argmax()))  # a negative unit is bincount's ValueError
+            raise ValueError(f"call {i} holds no units; call-level purity needs one or more per call")
+        if seq.min() < 0:
+            raise ValueError(f"call {i} holds unit {seq.min()}, which is negative; units and labels index the table from 0")
+        majorities.append(int(np.bincount(seq).argmax()))
     return contingency_from_frames(majorities, call_labels, n_units, n_labels)

@@ -310,8 +310,9 @@ def stage_quantize(cfg: RunConfig, out: Path) -> None:
     index = _read_feature_index(out)
     frames = _window_frames(out, index)
     q = cfg["quantizer"]
-    cb = quantizer.fit_codebook(
-        np.vstack([f for w, f in zip(index, frames) if w["split"] == "train"]),
+    train = [f for w, f in zip(index, frames) if w["split"] == "train"]
+    cb = quantizer.fit_codebook(  # with no train window this is a (0, D) matrix, which fit_codebook refuses
+        np.vstack([np.empty((0, cfg["features"]["n_coeffs"]))] + train),
         k=q["k"],
         minibatch=q["minibatch"],
         restarts=q["restarts"],

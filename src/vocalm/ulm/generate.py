@@ -42,7 +42,7 @@ def generate(
     if beam < 1:
         raise ValueError("beam must be >= 1")
     if not temperature >= 0:  # NaN fails too
-        raise ValueError("temperature must be >= 0 (0 selects greedy mode)")
+        raise ValueError(f"temperature must be >= 0 (0 selects greedy mode), got {temperature}")
     vocab = getattr(model, "vocab_size", None)
     if vocab is not None and vocab < 1:
         raise ValueError("model has an empty vocabulary")

@@ -105,11 +105,13 @@ def train_probe(
     """Train on a stratified 90% of the data; metrics come from the held 10%."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    x = _as_matrix(embeddings)
     y = np.asarray(labels, dtype=np.int64)
+    if y.shape[0] != len(embeddings):
+        raise ValueError(f"{y.shape[0]} labels for {len(embeddings)} rows; the probe needs one label a row")
     classes = np.unique(y)
     if classes.shape[0] < 2:
-        raise ValueError("training labels must contain at least 2 classes")
+        raise ValueError(f"the labels hold the classes {classes.tolist()} only; the probe needs at least 2 classes")
+    x = _as_matrix(embeddings)
     n_classes = int(classes.max()) + 1
     rng = np.random.default_rng(seed)
     train_idx, val_idx = stratified_split(y, VAL_FRACTION, rng)

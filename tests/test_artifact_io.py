@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import vocalm
-from vocalm import bench, dsp, fileio, pipeline, quantizer
+from vocalm import bench, cli, dsp, fileio, pipeline, quantizer
 from vocalm.bench import PheeRecord, read_pairs_jsonl, read_phee_jsonl, write_pairs_jsonl, write_phee_jsonl
 from vocalm.cli import main
 from vocalm.errors import ConfigError
@@ -303,19 +303,36 @@ REFUSERS = {
 }
 
 
+def _raises_config_error(node) -> bool:
+    return isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and getattr(node.exc.func, "id", None) == "ConfigError"
+
+
 def test_every_caught_refusal_is_raised_by_checked_or_a_decoder():
     """fileio.checked is the one code that turns a caught refusal into a
     ConfigError naming its source; the decoders in REFUSERS add a line or a
     format name to theirs."""
 
-    def raises_config_error(node):
-        return isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and getattr(node.exc.func, "id", None) == "ConfigError"
-
     def handler(node):
-        return isinstance(node, ast.ExceptHandler) and any(raises_config_error(n) for n in ast.walk(node))
+        return isinstance(node, ast.ExceptHandler) and any(_raises_config_error(n) for n in ast.walk(node))
 
     found = {(own, func) for own, module in _modules() for func, _ in _enclosing(module, handler)}
     assert found == REFUSERS
+
+
+# The CLI functions that state a rule of their own, each one that its owner
+# cannot know: a line number (a units line too long for the attention LM's
+# context, a one-token shuffle line, a labels line that is not an integer),
+# or a fact across several files or flags (too few non-empty sequences, CSVs
+# of mixed kinds or dims, a directory with no WAV files, an --out suffix that
+# does not match --backend).
+CLI_RULES = {"_nonempty", "_read_labels", "cmd_segment", "cmd_quantize_fit", "cmd_quantize_encode", "cmd_ulm_train",
+             "cmd_bench_make"}
+
+
+def test_cli_restates_no_rule_its_owner_keeps():
+    """Every other CLI input is refused by the code that uses it, through
+    fileio.checked: the CLI raises ConfigError only in CLI_RULES."""
+    assert {func for func, _ in _enclosing(cli, _raises_config_error)} == CLI_RULES
 
 
 def test_only_the_runner_and_the_report_name_the_fingerprint():

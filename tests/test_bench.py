@@ -373,6 +373,19 @@ class TestPairwiseEval:
         with pytest.raises(ValueError, match="unit"):
             pairwise_eval(None, [pair])
 
+    def test_refusal_names_the_pair(self):
+        corpus = [np.array([0, 1, 2]), np.array([1, 3, 2])]
+        model = train_ngram(corpus, 2, KneserNey(0.75), vocab_size=4)
+        good = unit_pairs_from_corpus(corpus, "reversal")[0]
+        ref_only = BenchmarkPair(task="shuffle", positive=PairItem("p", np.array([0, 1])), distractor=PairItem("d"))
+        with pytest.raises(ValueError) as exc:
+            pairwise_eval(model, [good, ref_only])
+        assert str(exc.value) == "pair 2 has no units on one side; ref-only pairs (as bench phee writes) cannot be scored"
+        oov = BenchmarkPair(task="reversal", positive=PairItem("p", np.array([0, 1])), distractor=PairItem("d", np.array([9])))
+        with pytest.raises(ValueError) as exc:
+            pairwise_eval(model, [good, good, oov])
+        assert str(exc.value) == "pair 3: holds token 9, outside the model's vocab of size 4"
+
 
 class TestManifests:
     def test_pairs_roundtrip(self, rng, tmp_path):

@@ -46,6 +46,11 @@ class TestGreedy:
         with pytest.raises(ValueError, match="temperature must be >= 0"):
             generate(constant_model(), [0], temperature=float("nan"), max_len=8)
 
+    def test_temperature_message_gives_the_value(self):
+        with pytest.raises(ValueError) as exc:
+            generate(constant_model(), [3], temperature=-0.5)
+        assert str(exc.value) == "temperature must be >= 0 (0 selects greedy mode), got -0.5"
+
     def test_prompt_never_truncated(self):
         out = generate(constant_model(), [3, 3, 3, 3], beam=2, temperature=1.0, max_len=2)
         assert out.tolist() == [3, 3, 3, 3]

@@ -210,3 +210,20 @@ class TestPurity:
             contingency_from_calls(calls, [0, -1, 0])
         with pytest.raises(ValueError):
             contingency_from_calls([np.array([-1, -1])], [0])
+
+    def test_frame_count_mismatch_names_both_counts(self):
+        with pytest.raises(ValueError, match=r"^3 unit frames and 2 labels; frame-level purity needs one label a frame$"):
+            contingency_from_frames([0, 1, 0], [0, 1])
+
+    @pytest.mark.parametrize("calls, labels, message", [
+        ([np.array([0, 1]), np.array([1])], [0], "2 calls and 1 labels; call-level purity needs one label a call"),
+        ([np.array([0, 1]), np.array([], dtype=np.int64)], [0, 1],
+         "call 2 holds no units; call-level purity needs one or more per call"),
+        # bincount would refuse -1 naming neither the call nor the unit
+        ([np.array([0, 1]), np.array([2, -1, -1])], [0, 1],
+         "call 2 holds unit -1, which is negative; units and labels index the table from 0"),
+    ], ids=["count", "empty_call", "negative_unit"])
+    def test_call_refusal_names_the_call_or_counts(self, calls, labels, message):
+        with pytest.raises(ValueError) as exc:
+            contingency_from_calls(calls, labels)
+        assert str(exc.value) == message

@@ -155,6 +155,21 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 3
         assert "stage 'quantize' failed" in capsys.readouterr().err
 
+    def test_no_train_window_fails_quantize_with_its_own_error(self, tmp_path, capsys):
+        """With no train window, fit_codebook refuses the empty train block
+        itself, rather than numpy failing to stack no frames."""
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.pop(0)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**WORKLOADS["grid"].config, "split": {"ratios": [0, 0.5, 0.5]}}))
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 3
+        assert "need at least 16 frames to fit K=16, got 0" in capsys.readouterr().err
+        partial = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert partial["failed_stage"] == "quantize" and "InsufficientDataError" in partial["error"]
+
     def test_unreadable_scene_wav_exits_3_as_a_stage_failure(self, tmp_path, monkeypatch, capsys):
         """read_wav's ConfigError inside a stage fails the stage (exit 3);
         only the CLI's own inputs exit 2."""
@@ -948,7 +963,7 @@ BAD_SEGMENT_PARAMS = [(name, detector) for name, detector, _ in BAD_DETECTOR] + 
 
 # (test id, config override, the key the error names). Each used to pass the
 # config check and then stop a run midway with exit 3 (n_scenes, restarts,
-# minibatch and no_calls in quantize, heads_embed in ulm, fad_group_size and
+# minibatch and no_calls in quantize, fad_group_size and
 # fad_clip_s in eval, calls_per_scene in synth), or finish with no
 # caller_change/receiver_change block (phee_per_record) or with the probe
 # block of an untrained classifier (probe_epochs).
@@ -962,10 +977,10 @@ BAD_BOUNDS = [
     ("calls_per_scene", {"synth": {"calls_per_scene": [3, 1]}}, "synth.calls_per_scene"),
     ("phee_per_record", {"bench": {"phee_per_record": 0}}, "bench.phee_per_record"),
     ("no_calls", {"synth": {"calls_per_scene": [0, 0]}}, "synth.calls_per_scene"),
-    ("heads_embed", {"ulm": {"backend": "attn", "attn": {"heads": 3, "embed": 8}}}, "ulm.attn.heads"),
 ]
 # Values a stage's own constructor rejects, checked at config time by calling
-# it: each used to pass the config check and stop a run midway with exit 3.
+# it: each used to pass the config check and stop a run midway with exit 3,
+# except heads_embed and fad_embedding, whose rules the config check restated.
 _CALL_TYPE = DEFAULT_CONFIG["synth"]["call_types"][0]
 BAD_BOUNDS += [
     ("discount", {"ulm": {"smoothing": {"discount": 1.5}}}, "ulm.smoothing.discount: Kneser-Ney discount"),
@@ -986,6 +1001,10 @@ BAD_BOUNDS += [
     ("split_ratios_negative", {"split": {"ratios": [-0.1, 0.6, 0.5]}},
      "split.ratios: ratios must not be negative, got (-0.1, 0.6, 0.5)"),
     ("call_types_empty", {"synth": {"call_types": []}}, "synth.call_types must hold at least one call type"),
+    ("heads_embed", {"ulm": {"backend": "attn", "attn": {"heads": 3, "embed": 8}}},
+     "ulm.attn.heads: embed dim 8 must divide into 3 heads"),
+    ("fad_embedding", {"metrics": {"fad_embedding": "mean"}},
+     "metrics.fad_embedding: embedding kind must be one of ('mv', 'mvs'), got 'mean'"),
 ]
 
 
@@ -1387,7 +1406,8 @@ MISSING_INPUTS = [
 # fewer labels than probe rows) silently accept. {long} holds 600 tokens on
 # line 2, {neg} token -1 on line 1; {csv} holds 24 frames, {labels6} 6 labels,
 # {one_class} 24 labels of class 0, {gap} 6 unit sequences of which line 2 is
-# empty, and {wav}.jsonl is a one-clip manifest.
+# empty, {neg_calls} 6 of which line 2 is "-1 -1", {long_pairs} one reversal
+# pair of 40 tokens, and {wav}.jsonl is a one-clip manifest.
 BAD_FLAGS = [
     ("ulm_train_attn_long_line", "ulm train --backend attn --units {long} --out {out}",
      "{long} line 2 holds 600 tokens; the attention LM's context holds 511 plus BOS"),
@@ -1404,7 +1424,7 @@ BAD_FLAGS = [
      "argument --vocab-size: vocab size must be >= 1, got 0"),
     ("ulm_generate_beam_0", "ulm generate --model {ngram} --prompt 0 --beam 0", "argument --beam: beam must be >= 1, got 0"),
     ("ulm_generate_negative_temperature", "ulm generate --model {ngram} --prompt 0 --temperature -1",
-     "--temperature must be >= 0 (0 selects greedy mode), got -1.0"),
+     "--temperature: temperature must be >= 0 (0 selects greedy mode), got -1.0"),
     ("quantize_fit_k_0", "quantize fit --features {csv} --k 0 --out {out}", "argument --k: k must be >= 1, got 0"),
     ("quantize_fit_restarts_0", "quantize fit --features {csv} --k 2 --restarts 0 --out {out}",
      "argument --restarts: restarts must be >= 1, got 0"),
@@ -1413,15 +1433,19 @@ BAD_FLAGS = [
     ("quantize_fit_too_few_frames", "quantize fit --features {csv} --out {out}",
      "{csv}: need at least 50 frames to fit K=50, got 24"),
     ("ulm_probe_label_count", "ulm probe --embeddings {csv} --labels {labels6}",
-     "{labels6} holds 6 labels, {csv} 24 rows; the probe needs one label a row"),
+     "--embeddings {csv} --labels {labels6}: 6 labels for 24 rows; the probe needs one label a row"),
     ("ulm_probe_one_class", "ulm probe --embeddings {csv} --labels {one_class}",
-     "{one_class} holds the labels of [0] only; the probe needs at least 2 classes"),
+     "--embeddings {csv} --labels {one_class}: the labels hold the classes [0] only; the probe needs at least 2 classes"),
     ("ulm_probe_epochs_0", "ulm probe --embeddings {csv} --labels {labels6} --epochs 0",
      "argument --epochs: epochs must be >= 1, got 0"),
     ("metrics_purity_no_tokens", "metrics purity --units {empty} --labels {labels6}",
-     "{empty} holds 0 non-empty unit sequence(s), at least 1 needed"),
+     "--units {empty} --labels {labels6}: 0 unit frames and 6 labels; frame-level purity needs one label a frame"),
     ("metrics_purity_call_empty_sequence", "metrics purity --level call --units {gap} --labels {labels6}",
-     "{gap} line 2 holds no units; call-level purity needs one or more per call"),
+     "--units {gap} --labels {labels6}: call 2 holds no units; call-level purity needs one or more per call"),
+    ("metrics_purity_call_negative_unit", "metrics purity --level call --units {neg_calls} --labels {labels6}",
+     "--units {neg_calls} --labels {labels6}: call 2 holds unit -1, which is negative; units and labels index the table from 0"),
+    ("bench_eval_attn_long_pair", "bench eval --model {attn} --pairs {long_pairs}",
+     "{long_pairs}: pair 1: sequence of 41 positions exceeds max context 32"),
     ("metrics_fad_one_clip", "metrics fad --ref {wav}.jsonl --cand {wav}.jsonl",
      "{wav}.jsonl: need at least 2 embeddings to fit a Gaussian"),
     ("features_mfcc_n_coeffs_3", "features --in {wav} --kind mfcc --n-coeffs 3 --out {out}",
@@ -1873,8 +1897,11 @@ class TestCliInputs:
                      neg=f"{cli_files['tmp']}/neg.txt", csv=f"{cli_files['tmp']}/f.csv", wav=f"{cli_files['tmp']}/s.wav")
         quantizer.write_units(files["long"], [np.array([0, 1]), np.arange(600) % 4])
         quantizer.write_units(files["neg"], [np.array([-1, 2]), np.array([1, 0])])
-        files["gap"] = f"{cli_files['tmp']}/gap.txt"
+        files["gap"], files["neg_calls"] = f"{cli_files['tmp']}/gap.txt", f"{cli_files['tmp']}/neg_calls.txt"
         Path(files["gap"]).write_text("0 1\n\n2 3\n1\n0\n3\n")
+        Path(files["neg_calls"]).write_text("0 1\n-1 -1\n2 3\n1\n0\n3\n")
+        files["long_pairs"] = f"{cli_files['tmp']}/long_pairs.jsonl"
+        bench.write_pairs_jsonl(files["long_pairs"], bench.unit_pairs_from_corpus([np.arange(40) % 4], "reversal"))
         wave = dsp.Waveform(np.random.default_rng(0).normal(0, 0.1, size=8000))
         dsp.write_wav(files["wav"], wave)
         dsp.write_features_csv(files["csv"], dsp.features(wave, "linear_fb"))

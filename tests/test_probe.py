@@ -42,6 +42,19 @@ class TestProbe:
         with pytest.raises(ValueError, match="2 classes"):
             train_probe(x, np.zeros(40, dtype=int))
 
+    @pytest.mark.parametrize("n_labels", [6, 48])
+    def test_label_count_must_equal_row_count(self, rng, n_labels):
+        # fewer labels used to train on the first rows alone, more to end in an IndexError
+        x = rng.normal(size=(24, 8))
+        with pytest.raises(ValueError) as exc:
+            train_probe(x, np.arange(n_labels) % 2)
+        assert str(exc.value) == f"{n_labels} labels for 24 rows; the probe needs one label a row"
+
+    def test_one_class_message_lists_the_classes(self, rng):
+        with pytest.raises(ValueError) as exc:
+            train_probe(rng.normal(size=(6, 4)), [3] * 6)
+        assert str(exc.value) == "the labels hold the classes [3] only; the probe needs at least 2 classes"
+
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_epochs_below_1_rejected(self, rng, epochs):
         # no epoch would leave the classifier untrained, its val_metrics from its initial weights
