@@ -259,9 +259,10 @@ def cmd_ulm_generate(args) -> int:
     checked("--prompt", check_units, args.prompt, model.vocab_size)
     # generate's own rules, before any step: with max_len 0 it returns at once
     checked("--temperature", generate, model, [], temperature=args.temperature, max_len=0)
-    out = generate(
-        model, args.prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len, cp=_context_policy(args)
-    )
+    cp = _context_policy(args)
+    # the model's own rules on the longest prefix a step can hold, before any step
+    checked("--max-len", model.next_logprobs, [0] * (args.max_len - 1), cp)
+    out = generate(model, args.prompt, beam=args.beam, temperature=args.temperature, max_len=args.max_len, cp=cp)
     print(" ".join(str(int(t)) for t in out))
     return 0
 

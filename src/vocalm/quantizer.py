@@ -235,8 +235,7 @@ def encode(f, cb: Codebook) -> np.ndarray:
     x = _as_rows(f)
     if x.shape[1] != cb.dim:
         raise ValueError(f"feature dim {x.shape[1]} does not match codebook dim {cb.dim}")
-    labels, _ = _assign(x, cb.centroids)
-    return labels.astype(np.int32)
+    return _nearest(x, cb.centroids, _sq_norms(x)).astype(np.int32)
 
 
 def decode_features(tokens, cb: Codebook) -> FeatureMatrix:

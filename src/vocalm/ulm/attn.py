@@ -6,17 +6,23 @@ self-attention whose mask also applies the context policy (the keys that
 logits), and a ReLU feed-forward. Sized for desk-scale experiments, not
 production training.
 
-Each layer's attention softmax runs in place in one (B, H, T, T) probability
-buffer. The backward pass takes one sequence at a time: its attention
-gradient and then its score gradient live in one (H, T, T) workspace, and
-every product is the (T, T) product per head that a stacked product makes,
-so the values are those of the out-of-place formulas, operation for
-operation. The cache `_forward` returns holds only what `_backward` reads,
-and `_backward` consumes it, dropping each activation after its last use.
-The probability buffers and workspaces are the model's own and are reused
-from call to call (see `_buffer`), so the cache aliases them: its `_backward`
-must run before the model's next forward pass, and one model serves one
-thread at a time.
+Attention runs one sequence at a time in one (H, T, T) workspace, which is
+dense only for that sequence: its scores and then, in place, its
+probabilities in the forward pass; its probabilities, then its attention
+gradient and then its score gradient in the backward pass. Every product is
+the (T, T) product per head that a stacked product makes, so the values are
+those of the out-of-place formulas, operation for operation. A training
+forward pass (one that `_backward` follows) packs each sequence's
+probabilities, for each row block the keys below the block's end, into a
+per-layer store of B·H·Σ(r1 - r0)·r1 entries (56% of B·H·T² at T = 478);
+scoring skips it. The cache `_forward` returns holds per layer that store,
+q, k, v, the attention output, the ReLU output and the two layer norms'
+caches, not their outputs: `_backward` remakes each layer norm's output from
+its cache where it is needed, and consumes the cache, dropping each
+activation after its last use. The workspace and the stores are the model's
+own and are reused from call to call (see `_buffer`), so the cache aliases
+them: its `_backward` must run before the model's next forward pass, and one
+model serves one thread at a time.
 
 The softmax and its backward run in blocks of ROW_BLOCK query rows over the
 block's live keys (see `_block_plan`, built once per forward pass); the keys
@@ -43,6 +49,7 @@ from .nn import (
     cross_entropy,
     layernorm_backward,
     layernorm_forward,
+    layernorm_output,
     linear_backward,
     linear_forward,
     log_softmax,
@@ -149,85 +156,140 @@ class AttnLM:
             flat = self._buffers[name] = np.empty(n)
         return flat[:n].reshape(shape)
 
+    def _store(self, i: int, B: int, plan) -> list[np.ndarray]:
+        """Layer i's packed attention probabilities: for each row block r0:r1
+        of `plan`, a (B, H, r1 - r0, r1) view of the block's keys below r1."""
+        shapes = [(B, self.heads, block.stop - block.start, block.stop) for block, *_ in plan]
+        flat = self._buffer(f"store{i}", (sum(math.prod(shape) for shape in shapes),))
+        views, at = [], 0
+        for shape in shapes:
+            views.append(flat[at : at + math.prod(shape)].reshape(shape))
+            at += math.prod(shape)
+        return views
+
     # -- forward / backward ------------------------------------------------
 
-    def _forward(self, tokens: np.ndarray, cp: ContextPolicy | None):
-        """tokens: (B, T) int array of symbol ids (BOS already prefixed)."""
+    def _forward(self, tokens: np.ndarray, cp: ContextPolicy | None, backward: bool = True):
+        """tokens: (B, T) int array of symbol ids (BOS already prefixed).
+        With backward False the pass keeps no cache, and returns None for it."""
         B, T = tokens.shape
         if T > self.max_ctx:
             raise ValueError(f"sequence of {T} positions exceeds max context {self.max_ctx}")
         p = self.params
-        d_head = self.embed // self.heads
+        H = self.heads
+        d_head = self.embed // H
         scale = 1.0 / np.sqrt(d_head)
 
         plan = _block_plan(T, cp)
         cache: dict = {"tokens": tokens, "T": T, "B": B, "plan": plan}
+        work = self._buffer("attn", (H, T, T))
+        # each row block's views of the workspace, made once for the call:
+        # its rows, live keys, the live keys it hides from some of its rows
+        # with the mask, its dead keys and its keys below the block's end
+        softmax = []
+        for block, live, dead, lo, hidden in plan:
+            rows = work[:, block]
+            segs = [rows[..., keys] for keys in live]
+            masks = [
+                (seg[..., first - keys.start :], hidden[:, first - lo : keys.stop - lo])
+                for keys, seg in zip(live, segs)
+                if (first := max(keys.start, lo)) < keys.stop  # keys below lo are visible to every row
+            ]
+            softmax.append((rows, segs, masks, [rows[..., keys] for keys in dead], rows[..., : block.stop]))
         h = p["tok_emb"][tokens] + p["pos_emb"][:T]
         for i in range(self.layers):
             a, ln1_cache = layernorm_forward(h, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
             q, _ = linear_forward(a, p[f"l{i}.attn.wq"], p[f"l{i}.attn.bq"])
             k, _ = linear_forward(a, p[f"l{i}.attn.wk"], p[f"l{i}.attn.bk"])
             v, _ = linear_forward(a, p[f"l{i}.attn.wv"], p[f"l{i}.attn.bv"])
-            qh = q.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
-            kh = k.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
-            vh = v.reshape(B, T, self.heads, d_head).transpose(0, 2, 1, 3)
-            attn = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=self._buffer(f"attn{i}", (B, self.heads, T, T)))
-            for block, live, dead, lo, hidden in plan:
-                rows = attn[:, :, block]
-                segs = [rows[..., keys] for keys in live]
-                for keys, seg in zip(live, segs):
-                    seg *= scale
-                    first = max(keys.start, lo)  # keys below lo are visible to every row
-                    if first < keys.stop:
-                        where = hidden[:, first - lo : keys.stop - lo]
-                        np.copyto(seg[..., first - keys.start :], -np.inf, where=where)
-                top = segs[0].max(axis=-1, keepdims=True)
-                for seg in segs[1:]:
-                    np.maximum(top, seg.max(axis=-1, keepdims=True), out=top)
-                for seg in segs:
-                    seg -= top
-                    np.exp(seg, out=seg)
-                for keys in dead:
-                    rows[..., keys] = 0.0
-                total = rows.sum(axis=-1, keepdims=True)
-                for seg in segs:
-                    seg /= total
-            o = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, T, self.embed)
+            del a
+            qh, kh, vh = (z.reshape(B, T, H, d_head).transpose(0, 2, 1, 3) for z in (q, k, v))
+            o = np.empty((B, T, self.embed))
+            oh = o.reshape(B, T, H, d_head).transpose(0, 2, 1, 3)
+            store = self._store(i, B, plan) if backward else None
+            for b in range(B):
+                np.matmul(qh[b], kh[b].transpose(0, 2, 1), out=work)
+                for j, (rows, segs, masks, dead, below) in enumerate(softmax):
+                    for seg in segs:
+                        seg *= scale
+                    for seg, where in masks:
+                        np.copyto(seg, -np.inf, where=where)
+                    top = segs[0].max(axis=-1, keepdims=True)
+                    for seg in segs[1:]:
+                        np.maximum(top, seg.max(axis=-1, keepdims=True), out=top)
+                    for seg in segs:
+                        seg -= top
+                        np.exp(seg, out=seg)
+                    for span in dead:
+                        span[...] = 0.0
+                    total = rows.sum(axis=-1, keepdims=True)
+                    for seg in segs:
+                        seg /= total
+                    if store is not None:
+                        np.copyto(store[j][b], below)
+                np.matmul(work, vh[b], out=oh[b])
+            del oh
             # the residual sums h1 = h + ao and h2 = h1 + f2 run in place on
             # ao and f2, so no layer keeps a dead copy of the stream
             h1, _ = linear_forward(o, p[f"l{i}.attn.wo"], p[f"l{i}.attn.bo"])
             h1 += h
             a2, ln2_cache = layernorm_forward(h1, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
             r, _ = linear_forward(a2, p[f"l{i}.ffn.w1"], p[f"l{i}.ffn.b1"])
+            del a2
             np.maximum(r, 0.0, out=r)
             h, _ = linear_forward(r, p[f"l{i}.ffn.w2"], p[f"l{i}.ffn.b2"])
             h += h1
-            cache[f"l{i}"] = (a, ln1_cache, qh, kh, vh, attn, o, ln2_cache, a2, r)
+            if backward:
+                cache[f"l{i}"] = (ln1_cache, qh, kh, vh, store, o, ln2_cache, r)
         hf, lnf_cache = layernorm_forward(h, p["lnf.g"], p["lnf.b"])
         logits, _ = linear_forward(hf, p["out.w"], p["out.b"])
-        cache["lnf"] = (lnf_cache, hf)
-        return logits, cache
+        cache["lnf"] = lnf_cache
+        return logits, cache if backward else None
 
     def _backward(self, dlogits: np.ndarray, cache) -> dict:
         """Gradients of every parameter. The pass pops each layer's
-        activations from `cache` and drops each after its last use; `dh`, the
-        gradient of the residual stream, is accumulated in place."""
+        activations from `cache` and drops each after its last use, remaking
+        each layer norm's output from its cache just before that use; `dh`,
+        the gradient of the residual stream, is accumulated in place."""
         p = self.params
         B, T, H = cache["B"], cache["T"], self.heads
         d_head = self.embed // H
         scale = 1.0 / np.sqrt(d_head)
+        plan = cache["plan"]
+        # each row block's views of the workspace, made once for the call:
+        # its keys below and past the block's end, its rows of the product
+        # buffer, its live keys and its dead keys. The forward pass left 0.0
+        # at every dead key of the workspace, and so does each sequence's
+        # score gradient below, so unpacking a sequence's probabilities
+        # writes only the keys below each block's end.
+        work = self._buffer("attn", (H, T, T))
+        prods = self._buffer("prod", (H, min(ROW_BLOCK, T), T))
+        blocks = []
+        for block, live, dead, _, _ in plan:
+            rows = work[:, block]
+            blocks.append(
+                (
+                    rows[..., : block.stop],
+                    rows[..., block.stop :],
+                    prods[:, : block.stop - block.start],
+                    [(keys, rows[..., keys]) for keys in live],
+                    [rows[..., keys] for keys in dead],
+                )
+            )
         grads: dict[str, np.ndarray] = {}
-        lnf_cache, hf = cache.pop("lnf")
+        lnf_cache = cache.pop("lnf")
+        hf = layernorm_output(lnf_cache, p["lnf.b"])
         dhf, grads["out.w"], grads["out.b"] = linear_backward(dlogits, hf, p["out.w"])
         del hf
         dh, grads["lnf.g"], grads["lnf.b"] = layernorm_backward(dhf, lnf_cache)
         del dhf, lnf_cache
         for i in reversed(range(self.layers)):
-            a, ln1_cache, qh, kh, vh, attn, o, ln2_cache, a2, r = cache.pop(f"l{i}")
+            ln1_cache, qh, kh, vh, store, o, ln2_cache, r = cache.pop(f"l{i}")
             # FFN branch: h2 = h1 + W2 relu(W1 a2 + b1) + b2
             dr, grads[f"l{i}.ffn.w2"], grads[f"l{i}.ffn.b2"] = linear_backward(dh, r, p[f"l{i}.ffn.w2"])
             dr *= r > 0  # r = max(f1, 0) is positive exactly where f1 is
             del r
+            a2 = layernorm_output(ln2_cache, p[f"l{i}.ln2.b"])
             da2, grads[f"l{i}.ffn.w1"], grads[f"l{i}.ffn.b1"] = linear_backward(dr, a2, p[f"l{i}.ffn.w1"])
             del dr, a2
             d, grads[f"l{i}.ln2.g"], grads[f"l{i}.ln2.b"] = layernorm_backward(da2, ln2_cache)
@@ -236,31 +298,35 @@ class AttnLM:
             # Attention branch: h1 = h_in + Wo concat_heads(attn @ v)
             do, grads[f"l{i}.attn.wo"], grads[f"l{i}.attn.bo"] = linear_backward(dh, o, p[f"l{i}.attn.wo"])
             del o
-            # one sequence at a time, in the (H, T, T) dattn workspace; dq, dk
-            # and dv are written in (B, T, E) order through per-head views
+            # one sequence at a time in the (H, T, T) workspace, which holds
+            # its probabilities and then its attention and score gradient; dq,
+            # dk and dv are written in (B, T, E) order through per-head views
             doh = do.reshape(B, T, H, d_head).transpose(0, 2, 1, 3)
             dq, dk, dv = (np.empty((B, T, self.embed)) for _ in range(3))
             dqh, dkh, dvh = (z.reshape(B, T, H, d_head).transpose(0, 2, 1, 3) for z in (dq, dk, dv))
-            dattn = self._buffer("dattn", (H, T, T))
             for b in range(B):
-                np.matmul(doh[b], vh[b].transpose(0, 2, 1), out=dattn)
-                np.matmul(attn[b].transpose(0, 2, 1), doh[b], out=dvh[b])
-                for block, live, dead, _, _ in cache["plan"]:
-                    rows, probs = dattn[:, block], attn[b, :, block]
-                    prod = self._buffer("prod", rows.shape)
-                    np.multiply(rows, probs, out=prod)
+                for (below, *_), probs in zip(blocks, store):
+                    np.copyto(below, probs[b])
+                np.matmul(work.transpose(0, 2, 1), doh[b], out=dvh[b])
+                np.matmul(doh[b], vh[b].transpose(0, 2, 1), out=work)
+                for (below, past, prod, live, dead), probs in zip(blocks, store):
+                    probs = probs[b]
+                    # the full row's sum; the keys past the block's end have
+                    # probability 0.0
+                    np.multiply(below, probs, out=prod[..., : below.shape[-1]])
+                    np.multiply(past, 0.0, out=prod[..., below.shape[-1] :])
                     total = prod.sum(axis=-1, keepdims=True)
-                    for keys in live:
-                        seg = rows[..., keys]
+                    for keys, seg in live:
                         seg -= total
                         np.multiply(probs[..., keys], seg, out=seg)
-                    for keys in dead:
-                        rows[..., keys] = 0.0
-                np.matmul(dattn, kh[b], out=dqh[b])
-                np.matmul(dattn.transpose(0, 2, 1), qh[b], out=dkh[b])
-            del do, doh, qh, kh, vh, attn, dqh, dkh, dvh
+                    for span in dead:
+                        span[...] = 0.0
+                np.matmul(work, kh[b], out=dqh[b])
+                np.matmul(work.transpose(0, 2, 1), qh[b], out=dkh[b])
+            del do, doh, qh, kh, vh, store, dqh, dkh, dvh
             dq *= scale
             dk *= scale
+            a = layernorm_output(ln1_cache, p[f"l{i}.ln1.b"])
             da, grads[f"l{i}.attn.wq"], grads[f"l{i}.attn.bq"] = linear_backward(dq, a, p[f"l{i}.attn.wq"])
             del dq
             d, grads[f"l{i}.attn.wk"], grads[f"l{i}.attn.bk"] = linear_backward(dk, a, p[f"l{i}.attn.wk"])
@@ -284,13 +350,13 @@ class AttnLM:
         """Per-position next-symbol logits for [BOS] + seq; shape (len+1, V)."""
         toks = check_units(seq, self.vocab_size)
         inp = np.concatenate([[self.bos], toks]).astype(np.int64)[None, :]
-        logits, _ = self._forward(inp, cp)
+        logits, _ = self._forward(inp, cp, backward=False)
         return logits[0]
 
     def score(self, seq, cp: ContextPolicy | None = None) -> float:
         """Total log-probability of seq plus its EOS event."""
         symbols = np.concatenate([[self.bos], check_units(seq, self.vocab_size), [self.eos]])
-        logp = log_softmax(self._forward(symbols[None, :-1], cp)[0][0])
+        logp = log_softmax(self._forward(symbols[None, :-1], cp, backward=False)[0][0])
         return float(logp[np.arange(symbols.shape[0] - 1), symbols[1:]].sum())
 
     def next_logprobs(self, prefix, cp: ContextPolicy | None = None) -> np.ndarray:

@@ -15,7 +15,15 @@ def layernorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     var = (xhat * xhat).mean(axis=-1, keepdims=True)  # x.var's own steps, reusing x - mu
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv_std
-    return xhat * g + b, (xhat, inv_std, g)
+    cache = (xhat, inv_std, g)
+    return layernorm_output(cache, b), cache
+
+
+def layernorm_output(cache, b: np.ndarray) -> np.ndarray:
+    """The output xhat * g + b that layernorm_forward returned with `cache`,
+    remade bit for bit, for a caller that keeps the cache and not the output."""
+    xhat, _, g = cache
+    return xhat * g + b
 
 
 def layernorm_backward(dy: np.ndarray, cache):

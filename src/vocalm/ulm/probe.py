@@ -108,6 +108,8 @@ def train_probe(
     y = np.asarray(labels, dtype=np.int64)
     if y.shape[0] != len(embeddings):
         raise ValueError(f"{y.shape[0]} labels for {len(embeddings)} rows; the probe needs one label a row")
+    if (y < 0).any():  # the classifier's outputs are classes 0..C-1; -1 would index the last
+        raise ValueError(f"the labels hold the class {y.min()}, which is negative; the probe numbers its classes from 0")
     classes = np.unique(y)
     if classes.shape[0] < 2:
         raise ValueError(f"the labels hold the classes {classes.tolist()} only; the probe needs at least 2 classes")

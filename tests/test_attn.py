@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vocalm.ulm import AttnLM, ContextPolicy, attn_train
-from vocalm.ulm.attn import _block_plan, _make_batch
+from vocalm.ulm.attn import ROW_BLOCK, _block_plan, _make_batch
 from vocalm.ulm.nn import LN_EPS, cross_entropy, layernorm_backward, layernorm_forward, linear_backward, linear_forward
 from vocalm.ulm.nn import log_softmax
 
@@ -392,6 +392,12 @@ def _kernel_case(layers, heads, batch, t, seed):
     return model, tokens, targets, valid
 
 
+def _packed_size(t):
+    """Entries of one sequence and head's packed probabilities: each row
+    block's keys below the block's end."""
+    return sum((rows.stop - rows.start) * rows.stop for rows, *_ in _block_plan(t, None))
+
+
 def _forward_backward(model, tokens, targets, valid, cp):
     logits, cache = model._forward(tokens, cp)
     loss, dlogits = cross_entropy(logits, targets, valid)
@@ -477,22 +483,29 @@ class TestInPlaceKernel:
             assert np.array_equal(logits, ref_logits) and loss == ref_loss
             for key, g in grads.items():
                 assert np.array_equal(g, ref_grads[key]), (t, key)
-        assert used._buffers["attn0"].size == 3 * 2 * 200 * 200
-        assert used._buffers["dattn"].size == 2 * 200 * 200  # one sequence's (H, T, T), not (B, H, T, T)
+        # one sequence's (H, T, T) workspace, and per layer the (B, H) packed
+        # probabilities of the keys below each row block's end; no (B, H, T, T)
+        assert used._buffers.keys() == {"attn", "prod", "store0", "store1"}
+        assert used._buffers["attn"].size == 2 * 200 * 200
+        assert used._buffers["store0"].size == used._buffers["store1"].size == 3 * 2 * _packed_size(200)
 
     def test_training_step_memory_is_bounded(self):
-        """One loss_and_grads call from a fresh model allocates its (B, H, T, T)
-        probability buffer per layer, two (H, T, T)-sized gradient workspaces
-        and at most C (B, T, max(E, FFN)) activations. C = 16: at FFN = 2E each
-        layer caches eight (B, T, E) activations and one (B, T, FFN), five
-        units, and the step's own temporaries need the rest; a (B, H, T, T)
-        gradient buffer would alone take 12.5 of them."""
+        """One loss_and_grads call from a fresh model allocates per layer its
+        packed probabilities, one (H, T, T) workspace, ROW_BLOCK rows of the
+        score gradient's products and at most C (B, T, max(E, FFN))
+        activations. C = 13: at FFN = 2E each layer caches six (B, T, E)
+        activations and one (B, T, FFN), four units, and the step's own
+        temporaries need the rest, with about 1.9 units to spare. Dense
+        (B, H, T, T) probabilities would take 4.3 units a layer more than the
+        packed ones, a second (H, T, T) workspace 3.1 and caching the three
+        layer norms' outputs 2.5."""
         import tracemalloc
 
-        layers, heads, batch, t, embed, ffn, c = 2, 2, 4, 200, 16, 32, 16
+        layers, heads, batch, t, embed, ffn, c = 2, 2, 4, 200, 16, 32, 13
         model = AttnLM(vocab_size=5, layers=layers, heads=heads, embed=embed, ffn=ffn, max_ctx=t, seed=1)
         _, tokens, targets, valid = _kernel_case(layers, heads, batch, t, seed=0)
-        bound = 8 * (layers * batch * heads * t * t + 2 * heads * t * t + c * batch * t * max(embed, ffn))
+        store = layers * batch * heads * _packed_size(t)
+        bound = 8 * (store + heads * t * t + heads * ROW_BLOCK * t + c * batch * t * max(embed, ffn))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -1405,9 +1405,10 @@ MISSING_INPUTS = [
 # command would otherwise crash on, or (a negative token for the attention LM,
 # fewer labels than probe rows) silently accept. {long} holds 600 tokens on
 # line 2, {neg} token -1 on line 1; {csv} holds 24 frames, {labels6} 6 labels,
-# {one_class} 24 labels of class 0, {gap} 6 unit sequences of which line 2 is
-# empty, {neg_calls} 6 of which line 2 is "-1 -1", {long_pairs} one reversal
-# pair of 40 tokens, and {wav}.jsonl is a one-clip manifest.
+# {one_class} 24 labels of class 0, {neg_labels} 24 of classes -1, 0 and 1,
+# {gap} 6 unit sequences of which line 2 is empty, {neg_calls} 6 of which
+# line 2 is "-1 -1", {long_pairs} one reversal pair of 40 tokens, {attn} a
+# model of context 32, and {wav}.jsonl is a one-clip manifest.
 BAD_FLAGS = [
     ("ulm_train_attn_long_line", "ulm train --backend attn --units {long} --out {out}",
      "{long} line 2 holds 600 tokens; the attention LM's context holds 511 plus BOS"),
@@ -1425,6 +1426,8 @@ BAD_FLAGS = [
     ("ulm_generate_beam_0", "ulm generate --model {ngram} --prompt 0 --beam 0", "argument --beam: beam must be >= 1, got 0"),
     ("ulm_generate_negative_temperature", "ulm generate --model {ngram} --prompt 0 --temperature -1",
      "--temperature: temperature must be >= 0 (0 selects greedy mode), got -1.0"),
+    ("ulm_generate_attn_max_len_past_context", "ulm generate --model {attn} --prompt 0 --max-len 40",
+     "--max-len: sequence of 40 positions exceeds max context 32"),
     ("quantize_fit_k_0", "quantize fit --features {csv} --k 0 --out {out}", "argument --k: k must be >= 1, got 0"),
     ("quantize_fit_restarts_0", "quantize fit --features {csv} --k 2 --restarts 0 --out {out}",
      "argument --restarts: restarts must be >= 1, got 0"),
@@ -1436,6 +1439,9 @@ BAD_FLAGS = [
      "--embeddings {csv} --labels {labels6}: 6 labels for 24 rows; the probe needs one label a row"),
     ("ulm_probe_one_class", "ulm probe --embeddings {csv} --labels {one_class}",
      "--embeddings {csv} --labels {one_class}: the labels hold the classes [0] only; the probe needs at least 2 classes"),
+    ("ulm_probe_negative_label", "ulm probe --embeddings {csv} --labels {neg_labels}",
+     "--embeddings {csv} --labels {neg_labels}: the labels hold the class -1, which is negative;"
+     " the probe numbers its classes from 0"),
     ("ulm_probe_epochs_0", "ulm probe --embeddings {csv} --labels {labels6} --epochs 0",
      "argument --epochs: epochs must be >= 1, got 0"),
     ("metrics_purity_no_tokens", "metrics purity --units {empty} --labels {labels6}",
@@ -1908,6 +1914,8 @@ class TestCliInputs:
         files["labels6"], files["one_class"] = f"{cli_files['tmp']}/labels6.txt", f"{cli_files['tmp']}/one_class.txt"
         Path(files["labels6"]).write_text("0\n1\n" * 3)
         Path(files["one_class"]).write_text("0\n" * 24)
+        files["neg_labels"] = f"{cli_files['tmp']}/neg_labels.txt"
+        Path(files["neg_labels"]).write_text("-1\n0\n1\n" * 8)
         for name, channels, width in (("stereo", 2, 2), ("wav24", 1, 3)):
             files[name] = f"{cli_files['tmp']}/{name}.wav"
             with wavemod.open(files[name], "wb") as fh:

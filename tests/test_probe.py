@@ -55,6 +55,13 @@ class TestProbe:
             train_probe(rng.normal(size=(6, 4)), [3] * 6)
         assert str(exc.value) == "the labels hold the classes [3] only; the probe needs at least 2 classes"
 
+    def test_negative_label_rejected(self, rng):
+        # -1 used to train as the last class, its F1 counted with the rest
+        x, y = gaussian_clusters(rng, c=3, n_per=8)
+        with pytest.raises(ValueError) as exc:
+            train_probe(x, y - 1)
+        assert str(exc.value) == "the labels hold the class -1, which is negative; the probe numbers its classes from 0"
+
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_epochs_below_1_rejected(self, rng, epochs):
         # no epoch would leave the classifier untrained, its val_metrics from its initial weights

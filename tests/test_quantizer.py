@@ -240,6 +240,20 @@ class TestEncode:
         assert f.feature_kind == "mfcc"
         assert np.array_equal(f.rows[1], cb.centroids[3])
 
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    def test_equals_assign_labels(self, rng, ties):
+        # encode takes its labels from _nearest alone; _assign's also give the
+        # distances, which encode does not use. With ties every centroid has
+        # a duplicate and every frame sits on one of them.
+        from vocalm.quantizer import _assign
+
+        cents = rng.normal(size=(12, 5))
+        x = rng.normal(size=(3000, 5))
+        if ties:
+            cents[6:] = cents[:6]
+            x = cents[rng.integers(0, 12, size=3000)]
+        assert np.array_equal(encode(x, Codebook(cents)), _assign(x, cents)[0])
+
     @pytest.mark.parametrize("token", [4, -1])
     def test_decode_names_a_token_outside_the_codebook(self, rng, token):
         # -1 would index the last centroid; decode checks by ulm.check_units
