@@ -379,7 +379,8 @@ def _report_lines(report) -> tuple[int, list[str]]:
         raise ValueError(e) from None
     lines = [f"vocalm report  (config {report['config_fingerprint']}, seed {report['seed']})"]
     seg = report["segmentation"]
-    lines.append(f"  segmentation: precision {seg['precision']:.3f}  recall {seg['recall']:.3f}  ({seg['n_scenes']} scenes)")
+    pr = ["n/a" if seg[k] is None else f"{seg[k]:.3f}" for k in ("precision", "recall")]
+    lines.append(f"  segmentation: precision {pr[0]}  recall {pr[1]}  ({seg['n_scenes']} scenes)")
     ppl_value = report["ppl"]["value"]
     ppl_text = f"{ppl_value:.4f}" if ppl_value is not None else "n/a (no held-out units)"
     lines.append(f"  ppl ({report['ppl']['model']}): {ppl_text}")

@@ -31,11 +31,12 @@ out-dir runs no stage. Of the stage files, only the markers and the report
 carry the config fingerprint, and only the markers' is checked. The report
 body contains no timestamps, so identical configs produce byte-identical
 reports; wall-clock metadata goes to run_meta.json instead, a row per stage
-in run order with its name, status (ran or reused), wall and CPU seconds,
-the peak RSS after it and the RSS at its end. Every file a run writes, and
-every JSON and JSON-lines file it reads, goes through the one codec,
-vocalm.fileio, so each is written atomically, each JSON file in one format,
-and a marker that is missing or not JSON reads as no marker.
+in run order with its name, status (ran, reused or failed), wall and CPU
+seconds, the peak RSS after it and the RSS at its end; a failed run writes
+it too. Every file a run writes, and every JSON and JSON-lines file it
+reads, goes through the one codec, vocalm.fileio, so each is written
+atomically, each JSON file in one format, and a marker that is missing or
+not JSON reads as no marker.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ import logging
 import os
 import resource
 import shutil
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -92,15 +93,43 @@ def _sample_range(rng, lo_hi) -> float:
 
 
 def _map_scenes(fn, items, jobs: int) -> list:
-    """fn over items on `jobs` threads, results in item order. A call's
-    exception is raised once every started call has returned; calls not yet
-    started are cancelled, so a failed stage writes nothing after it fails.
-    At jobs=1 fn runs on the calling thread: a pool thread's malloc arena
-    would keep the scene buffers it freed, which later stages cannot reuse."""
-    if jobs == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    """fn over items on the calling thread and `jobs` - 1 pool threads,
+    results in item order. Every thread takes the next item from one shared
+    queue in item order. After a call fails no item starts, and the failed
+    item's exception (the first in item order, if several fail) is raised
+    once every started call has returned, so a failed stage writes nothing
+    after it fails. The calling thread takes its share because a pool
+    thread's malloc arena keeps the scene buffers it freed, which later
+    stages cannot reuse; at jobs=1 it runs every item itself."""
+    items = list(items)
+    results: list = [None] * len(items)
+    queue = iter(range(len(items)))
+    failures: list[tuple[int, BaseException]] = []
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(queue, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as e:
+                with lock:
+                    failures.append((i, e))
+
+    pool = [threading.Thread(target=work) for _ in range(1, jobs)]
+    for thread in pool:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in pool:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
 
 
 # -- synth stage ---------------------------------------------------------------
@@ -238,8 +267,9 @@ def stage_segment(cfg: RunConfig, out: Path, jobs: int = 1) -> None:
     write_jsonl(seg_dir / "windows.jsonl", (row for rows, _ in per_scene for row in rows))
     n_pred, n_truth, n_match = map(sum, zip((0, 0, 0), *(counts for _, counts in per_scene)))
     detection = {
-        "precision": n_match / n_pred if n_pred else 1.0,
-        "recall": n_match / n_truth if n_truth else 1.0,
+        # null, not a perfect score, when nothing was detected or there was no call to find
+        "precision": n_match / n_pred if n_pred else None,
+        "recall": n_match / n_truth if n_truth else None,
         "n_scenes": len(per_scene),
         "tol_s": BOUNDARY_TOL_S,
     }
@@ -675,7 +705,7 @@ def _rss_kib() -> int | None:
 
 
 def _stage_usage(status: str, start: tuple[float, float]) -> dict:
-    """run_meta.json's entry for one stage: whether it ran or was reused,
+    """run_meta.json's entry for one stage: whether it ran, was reused or failed,
     the wall and process CPU seconds since `start` (a perf_counter,
     process_time pair; CPU counts every thread), the process's peak RSS so
     far and its RSS at the stage's end. A stage's peak above the RSS the
@@ -693,11 +723,12 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
     """Run all stages, reusing committed ones; write eval's committed report
     again to `<out>/report.json` and return its body.
 
-    Failures produce a partial report (failed stage + diagnostics) and raise
+    Failures produce a partial report (failed stage + diagnostics) and a
+    run_meta.json whose last row is the failed stage's, and raise
     StageFailureError; a stage committed under another config fingerprint
     raises FingerprintMismatchError before anything is written or deleted.
-    `jobs` threads share the per-scene work of synth, segment and features;
-    no output file depends on it.
+    The calling thread and `jobs` - 1 pool threads share the per-scene work
+    of synth, segment and features; no output file depends on it.
     """
     out = Path(out_dir)
     fp = cfg.fingerprint()
@@ -737,6 +768,7 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
             write_json(out / name / DONE_NAME, marker)
             stages.append({"stage": name, **_stage_usage("ran", start)})
     except Exception as e:
+        stages.append({"stage": name, **_stage_usage("failed", start)})
         partial = {
             "partial": True,
             "failed_stage": name,
@@ -745,7 +777,8 @@ def pipeline_run(cfg: RunConfig, out_dir, jobs: int = 1) -> dict:
         }
         write_json(out / REPORT_NAME, partial)
         raise StageFailureError(f"stage {name!r} failed: {e}") from e
+    finally:
+        write_json(out / "run_meta.json", {"elapsed_s": time.time() - t0, "finished_unix": time.time(), "stages": stages})
     report = read_json(out / "eval" / REPORT_NAME, "report")
     write_json(out / REPORT_NAME, report)
-    write_json(out / "run_meta.json", {"elapsed_s": time.time() - t0, "finished_unix": time.time(), "stages": stages})
     return report

@@ -187,6 +187,17 @@ class TestPipeline:
         partial = json.loads((tmp_path / "run" / "report.json").read_text())
         assert partial["failed_stage"] == "segment" and "scene_0000.wav: not a WAV file" in partial["error"]
 
+    def test_nothing_detected_scores_null_precision(self, tmp_path):
+        """With an energy floor no scene reaches, segment detects no call: its
+        precision is null, not 1.0, and its recall is 0."""
+        cfg = RunConfig.from_dict(dict(TINY_OVERRIDE, synth={"n_scenes": 2, "phee": {"n_records": 2}},
+                                       detector={"energy_floor": 5.0}))
+        for stage in ("synth", "segment"):
+            (tmp_path / stage).mkdir()
+            getattr(pipeline, f"stage_{stage}")(cfg, tmp_path)
+        detection = json.loads((tmp_path / "segment" / "detection.json").read_text())
+        assert (detection["precision"], detection["recall"]) == (None, 0.0)
+
     def test_validate_report_rejects_missing_keys(self):
         with pytest.raises(StageFailureError):
             validate_report({"tool": {}})
@@ -287,37 +298,47 @@ class TestResume:
         assert (tmp_path / "report.json").read_bytes() == clean_report
 
     @pytest.mark.parametrize(
-        "stage, attr, jobs",
+        "stage, attr, jobs, on_caller",
         [
-            pytest.param("synth", "synth_scene", 2, id="synth-synth_scene"),
-            pytest.param("segment", "detect_calls", 2, id="segment-detect_calls"),
-            pytest.param("synth", "synth_scene", 1, id="synth-synth_scene-jobs1"),
-            pytest.param("segment", "detect_calls", 1, id="segment-detect_calls-jobs1"),
+            pytest.param("synth", "synth_scene", 2, False, id="synth-synth_scene"),
+            pytest.param("segment", "detect_calls", 2, False, id="segment-detect_calls"),
+            pytest.param("synth", "synth_scene", 2, True, id="synth-synth_scene-caller"),
+            pytest.param("segment", "detect_calls", 2, True, id="segment-detect_calls-caller"),
+            pytest.param("synth", "synth_scene", 1, True, id="synth-synth_scene-jobs1"),
+            pytest.param("segment", "detect_calls", 1, True, id="segment-detect_calls-jobs1"),
         ],
     )
-    def test_failure_on_a_scene_thread_fails_the_stage(self, stage, attr, jobs, clean_report, tmp_path, monkeypatch):
-        """A per-scene call that raises on a pool thread (jobs=2) or on the
-        calling thread (jobs=1) fails its stage: a partial report, no marker,
-        and a rerun that matches a clean run."""
+    def test_failure_on_a_scene_thread_fails_the_stage(
+        self, stage, attr, jobs, on_caller, clean_report, tmp_path, monkeypatch
+    ):
+        """A per-scene call that raises on a pool thread or on the calling
+        thread fails its stage: a partial report, no marker, a run_meta.json
+        whose last row is the failed stage's, and a rerun that matches a clean
+        run. The failure is the first call made on a thread of that kind."""
         cfg = RunConfig.from_dict(RESUME_OVERRIDE)
         original = getattr(pipeline, attr)
-        calls = itertools.count(1)
+        calls_of_kind = itertools.count()  # next() is atomic, so one call takes 0
         raised_on = []
 
         def failing(*args, **kwargs):
-            if next(calls) == 3:
-                raised_on.append(threading.current_thread())
+            thread = threading.current_thread()
+            if (thread is threading.main_thread()) == on_caller and next(calls_of_kind) == 0:
+                raised_on.append(thread)
                 raise RuntimeError(f"injected failure in {attr}")
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, attr, failing)
         with pytest.raises(StageFailureError, match=f"stage '{stage}' failed"):
             pipeline_run(cfg, tmp_path, jobs=jobs)
-        assert len(raised_on) == 1 and (raised_on[0] is threading.main_thread()) == (jobs == 1)
+        assert len(raised_on) == 1 and (raised_on[0] is threading.main_thread()) == on_caller
         partial = json.loads((tmp_path / "report.json").read_text())
         assert partial["partial"] is True and partial["failed_stage"] == stage
         assert f"injected failure in {attr}" in partial["error"]
         assert not (tmp_path / stage / "_done.json").exists()
+        rows = json.loads((tmp_path / "run_meta.json").read_text())["stages"]
+        ran = list(pipeline.STAGES[: pipeline.STAGES.index(stage)])
+        assert [(row["stage"], row["status"]) for row in rows] == [(s, "ran") for s in ran] + [(stage, "failed")]
+        assert all(set(row) == {"stage", "status", "wall_s", "cpu_s", "ru_maxrss_kib", "rss_end_kib"} for row in rows)
         monkeypatch.undo()
         pipeline_run(cfg, tmp_path, jobs=jobs)
         assert (tmp_path / "report.json").read_bytes() == clean_report
@@ -630,6 +651,63 @@ class TestResume:
         pipeline_run(cfg, out)
         assert ran == ["eval"]
         assert (out / "report.json").read_bytes() == clean_report
+
+
+class TestMapScenes:
+    @staticmethod
+    def _threads_per_item(jobs):
+        ran_on = {}
+
+        def fn(i):
+            ran_on[i] = threading.current_thread()
+            time.sleep(0.05 if i == 0 else 0.005)
+            return i * i
+
+        assert pipeline._map_scenes(fn, range(12), jobs) == [i * i for i in range(12)]
+        return ran_on
+
+    def test_calling_thread_takes_a_share(self):
+        """At jobs=3 the calling thread and two pool threads run the items,
+        and the results come back in item order."""
+        threads = set(self._threads_per_item(3).values())
+        assert threading.main_thread() in threads and len(threads) <= 3
+
+    def test_jobs_1_runs_every_item_on_the_calling_thread(self):
+        assert set(self._threads_per_item(1).values()) == {threading.main_thread()}
+
+    def test_every_item_runs_once_under_frequent_thread_switches(self):
+        """More threads than cores and a 1 us switch interval: each item is
+        taken from the shared queue exactly once."""
+        runs = [0] * 3000
+
+        def fn(i):
+            runs[i] += 1
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert pipeline._map_scenes(fn, range(len(runs)), 8) == list(range(len(runs)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [1] * len(runs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failure_in_item_order_is_raised(self, jobs):
+        """After a call fails no item starts; of two failures the earlier
+        item's exception is raised."""
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i in (1, 2):
+                time.sleep(0.05 if i == 1 else 0.0)
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            pipeline._map_scenes(fn, range(10), jobs)
+        assert sorted(started) == list(range(len(started))) and len(started) <= 1 + jobs
 
 
 class TestComputedOnce:
@@ -1961,3 +2039,10 @@ class TestCliReportRender(object):
         text = capsys.readouterr().out
         assert "task accuracies" in text
         assert "shuffle" in text and "fad" in text
+
+    def test_null_detection_scores_print_as_n_a(self, tiny_run, tmp_path, capsys):
+        _, _, report = tiny_run
+        path = tmp_path / "report.json"
+        write_json(path, {**report, "segmentation": {**report["segmentation"], "precision": None, "recall": None}})
+        assert main(["report", "--path", str(path)]) == 0
+        assert "segmentation: precision n/a  recall n/a  (12 scenes)" in capsys.readouterr().out
